@@ -16,16 +16,16 @@ problem and attainment of the optimal control.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.special import lambertw
 
 from .core import (
     DEFAULT_EPS_POS,
     CoefficientPath,
     ProblemData,
     batched_min_eig,
+    lq_terms,
     min_eigenvalue,
     symmetric_part_error,
     symmetrize,
@@ -82,24 +82,16 @@ class SubsolutionCandidate:
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
         F = np.asarray(self.F, dtype=float)
-        if F.ndim == 2:
-            F = np.broadcast_to(F, (grid.size,) + F.shape).copy()
-        if F.shape[0] != grid.size:
-            raise GridMismatch("F samples do not match the grid")
-        if symmetric_part_error(F) > 1e-10 * max(1.0, float(np.max(np.abs(F)))):
-            raise ValueError("subsolution candidate F is not symmetric")
+        n = F.shape[-1] if F.ndim else 1  # checked against the problem in check_subsolution
+        F = _sym_path_samples(F, grid, n, "F")
         if self.dF is None:
             dF = np.gradient(F, grid[1] - grid[0], axis=0, edge_order=2)
             self.derivative_fd = True
         else:
-            dF = np.asarray(self.dF, dtype=float)
-            if dF.ndim == 2:
-                dF = np.broadcast_to(dF, (grid.size,) + dF.shape).copy()
-            if dF.shape[0] != grid.size:
-                raise GridMismatch("dF samples do not match the grid")
+            dF = _sym_path_samples(self.dF, grid, n, "dF")
         self.grid = grid
-        self.F = symmetrize(F)
-        self.dF = symmetrize(dF)
+        self.F = F
+        self.dF = dF
 
     @classmethod
     def zero(cls, data: ProblemData) -> "SubsolutionCandidate":
@@ -143,16 +135,8 @@ class Certificate:
 
 def _stacked_subsolution_parts(data: ProblemData, cand: SubsolutionCandidate):
     """Shift-independent pieces of the subsolution conditions, per grid point."""
-    A_, B_, C_, D_, R_, Q_ = data.stacked_at(data.grid)
-    F = cand.F
-    hat = symmetrize(R_ + np.einsum("itpq,tpr,itrs->tqs", D_, F, D_))
-    rhs = np.einsum("tpk,tpn->tkn", B_, F) + np.einsum(
-        "itpq,itpr->tqr", D_, np.einsum("tpr,itrs->itps", F, C_)
-    )
-    M = np.einsum("tpq,tpr->tqr", A_, F)  # A'F
-    L = cand.dF + M + np.swapaxes(M, -1, -2) + Q_
-    L = L + np.einsum("itpq,itpr->tqr", C_, np.einsum("tpr,itrs->itps", F, C_))
-    return symmetrize(L), hat, rhs
+    hat, rhs, base = lq_terms(data.stacked_at(data.grid), cand.F)
+    return symmetrize(cand.dF + base), hat, rhs
 
 
 def _drift_min_eigs(L, hat, rhs, shift):
@@ -181,6 +165,11 @@ def check_subsolution(
         cand.grid, data.grid, rtol=0.0, atol=1e-12 * max(1.0, data.T)
     ):
         raise GridMismatch("candidate grid differs from the problem grid")
+    if cand.F.shape[1:] != (data.n, data.n):
+        raise GridMismatch(
+            f"candidate F holds {cand.F.shape[1]}x{cand.F.shape[2]} matrices, "
+            f"the problem needs {data.n}x{data.n}"
+        )
     tol_eff = tol * (10.0 if cand.derivative_fd else 1.0)
     L, hat, rhs = _stacked_subsolution_parts(data, cand)
     grid = data.grid
@@ -342,7 +331,7 @@ def certify_scalar_comparison(
     # store witness paths on the coarse problem grid
     phi_coarse = np.interp(data.grid, times, phi)
     alpha_coarse = np.interp(data.grid, times, a_vals)
-    Dg = np.stack([di.at(data.grid) for di in data.D])
+    Dg = data.stacked_at(data.grid)[3]
     sumDtD_coarse = np.einsum("itpq,itpr->tqr", Dg, Dg)
     boundary = -(alpha_coarse * phi_coarse)[:, None, None] * sumDtD_coarse
 
@@ -365,6 +354,19 @@ def certify_scalar_comparison(
     )
 
 
+def _threshold_alpha(t):
+    """Root alpha in (0, 1] of alpha - ln(alpha) = 1 + t, for t >= 0.
+
+    In closed form alpha = -W0(-exp(-(1 + t))) with the principal Lambert W
+    branch.  At t = 0 the argument is the branch point -1/e, where lambertw
+    returns NaN, so alpha = 1 is set there directly.
+    """
+    t = np.asarray(t, dtype=float)
+    with np.errstate(invalid="ignore"):
+        alpha = -lambertw(-np.exp(-(1.0 + t))).real
+    return np.where(t == 0.0, 1.0, alpha)
+
+
 def optimal_constant_alpha() -> float:
     """Terminal alpha of the constant-threshold schedule on unit horizon.
 
@@ -372,36 +374,20 @@ def optimal_constant_alpha() -> float:
     lower bound for the scalar benchmark weight is its negative, about
     -0.15859.
     """
-    return brentq(lambda a: a - np.log(a) - 2.0, 1e-12, 0.999999, xtol=1e-15, rtol=8.9e-16)
-
-
-@lru_cache(maxsize=4)
-def _constant_threshold_schedule_cached(n_points: int, cap: float):
-    times = np.linspace(0.0, 1.0, n_points)
-    lo = np.full(n_points, 1e-12)
-    hi = np.ones(n_points)
-    target = 1.0 + times
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        too_small = mid - np.log(mid) > target  # root is larger
-        lo = np.where(too_small, mid, lo)
-        hi = np.where(too_small, hi, mid)
-    alpha = np.minimum(0.5 * (lo + hi), 1.0 - cap)
-    times.setflags(write=False)
-    alpha.setflags(write=False)
-    return times, alpha
+    return float(_threshold_alpha(1.0))
 
 
 def constant_threshold_alpha_schedule(n_points: int = 2 ** 18 + 1, cap: float = 1e-3):
     """The alpha path on [0, 1] that makes the admissible bound time-constant.
 
     Inverts t(alpha) = alpha - ln(alpha) - 1 on the decreasing branch
-    alpha in (0, 1) by bisection per time point.  The exact schedule touches
-    alpha = 1 at t = 0 (an integrable endpoint singularity of the comparison
-    ODE); values are capped at 1 - ``cap`` so the quadrature in
+    alpha in (0, 1] through the Lambert W closed form.  The exact schedule
+    touches alpha = 1 at t = 0 (an integrable endpoint singularity of the
+    comparison ODE); values are capped at 1 - ``cap`` so the quadrature in
     certify_scalar_comparison stays finite.  Returns (times, values).
     """
-    return _constant_threshold_schedule_cached(int(n_points), float(cap))
+    times = np.linspace(0.0, 1.0, int(n_points))
+    return times, np.minimum(_threshold_alpha(times), 1.0 - float(cap))
 
 
 def certify_definite_regime(data: ProblemData, eps_pos: float = DEFAULT_EPS_POS) -> Certificate:
@@ -460,12 +446,16 @@ def certify_definite_regime(data: ProblemData, eps_pos: float = DEFAULT_EPS_POS)
     )
 
 
-def _as_sym_path_samples(K, grid, n, name):
-    K = np.asarray(K, dtype=float)
-    if K.ndim == 2:
+def _sym_path_samples(value, grid, n, name):
+    """Symmetric (grid, n, n) samples from such samples or from one (n, n) matrix."""
+    K = np.asarray(value, dtype=float)
+    if K.shape == (n, n):
         K = np.broadcast_to(K, (grid.size, n, n)).copy()
     if K.shape != (grid.size, n, n):
-        raise GridMismatch(f"{name} must be sampled on the problem grid")
+        raise GridMismatch(
+            f"{name} must be a {n}x{n} matrix or {grid.size} such samples on the "
+            f"problem grid, got shape {K.shape}"
+        )
     if symmetric_part_error(K) > 1e-10 * max(1.0, float(np.max(np.abs(K)))):
         raise ValueError(f"{name} must be symmetric")
     return symmetrize(K)
@@ -484,25 +474,17 @@ def apply_shift(data: ProblemData, K, dK=None):
     ``dK`` defaults to central differences of K on the grid.
     """
     grid = data.grid
-    K = _as_sym_path_samples(K, grid, data.n, "K")
+    K = _sym_path_samples(K, grid, data.n, "K")
     if dK is None:
         dK = np.gradient(K, grid[1] - grid[0], axis=0)
     else:
-        dK = _as_sym_path_samples(dK, grid, data.n, "dK")
+        dK = _sym_path_samples(dK, grid, data.n, "dK")
 
-    A_, B_, C_, D_, R_, Q_ = data.stacked_at(grid)
-    AtK = np.einsum("tpq,tpr->tqr", A_, K)  # A'K
-    Q_hat = Q_ + dK + AtK + np.swapaxes(AtK, -1, -2)
-    Q_hat = Q_hat + np.einsum("itpq,itpr->tqr", C_, np.einsum("tpr,itrs->itps", K, C_))
-    R_hat = R_ + np.einsum("itpq,itpr->tqr", D_, np.einsum("tpr,itrs->itps", K, D_))
-    N_hat = data.N - K[-1]
-
-    defect = np.einsum("tpq,tqr->tpr", K, B_) + np.einsum(
-        "itqp,itqr->tpr", C_, np.einsum("tqs,itsr->itqr", K, D_)
-    )
-    residual = float(np.max(np.sqrt(np.sum(defect * defect, axis=(-2, -1)))))
-
-    shifted = data.with_weights(R=symmetrize(R_hat), Q=symmetrize(Q_hat), N=N_hat)
+    hat, rhs, base = lq_terms(data.stacked_at(grid), K)
+    # rhs = B'K + sum_i D_i'K C_i is the transpose of the compensation defect
+    # K B + sum_i C_i'K D_i because K is symmetric; the norm is the same
+    residual = float(np.max(np.sqrt(np.sum(rhs * rhs, axis=(-2, -1)))))
+    shifted = data.with_weights(R=hat, Q=symmetrize(base + dK), N=data.N - K[-1])
     return shifted, residual
 
 
@@ -510,7 +492,7 @@ def shift_solution_back(
     solution: RiccatiSolution, K, original_data: ProblemData
 ) -> RiccatiSolution:
     """Recover the original-problem trajectory P + K from a shifted solve."""
-    K = _as_sym_path_samples(K, original_data.grid, original_data.n, "K")
+    K = _sym_path_samples(K, original_data.grid, original_data.n, "K")
     K_path = CoefficientPath(original_data.grid, K)
     P = solution.P + K_path.at(solution.grid)
     gain, margin = derive_gain_margin(original_data, solution.grid, P)

@@ -137,16 +137,20 @@ def _run_certificate(spec: ParsedSpec) -> Certificate:
         if F is None:
             cand = SubsolutionCandidate.zero(data)
         else:
-            F_s = np.asarray(F, dtype=float)
-            dF_s = None if dF is None else np.asarray(dF, dtype=float)
-            cand = SubsolutionCandidate(grid=data.grid, F=F_s, dF=dF_s)
+            try:
+                cand = SubsolutionCandidate(grid=data.grid, F=F, dF=dF)
+            except ValueError as exc:
+                raise SpecError(f"certificate: {exc}") from None
         return check_subsolution(cand, data, tol=tol, eps_pos=spec.solver.eps_pos)
     if kind == "shift":
         K = block.get("K")
         if K is None:
             raise SpecError("certificate.K is required for kind shift")
         tol = float(block.get("tol", 1e-8))
-        shifted, residual = apply_shift(data, np.asarray(K, dtype=float))
+        try:
+            shifted, residual = apply_shift(data, K)
+        except ValueError as exc:
+            raise SpecError(f"certificate: {exc}") from None
         if residual > tol:
             return Certificate(
                 kind="shift",

@@ -1,4 +1,4 @@
-"""Problem data and the pointwise operators of the indefinite LQ theory.
+"""Problem data and the Riccati operators of the indefinite LQ theory.
 
 Coefficients are deterministic matrix paths sampled on one uniform grid over
 [0, T].  Because the data are deterministic, the martingale part of the
@@ -24,6 +24,7 @@ __all__ = [
     "symmetric_part_error",
     "min_eigenvalue",
     "batched_min_eig",
+    "lq_terms",
     "eval_hat_R",
     "eval_gamma",
     "eval_f",
@@ -78,6 +79,21 @@ def _check_matrix(M, rows, cols, name):
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name}: contains non-finite entries")
     return M
+
+
+def _interpolate(samples, h, piecewise_constant, t):
+    """Locate scalar or vector ``t`` on a uniform grid of step ``h`` and interpolate.
+
+    ``samples`` holds one matrix per grid point; the result has the shape of
+    ``t`` followed by the matrix shape.
+    """
+    m = samples.shape[0] - 1
+    pos = np.minimum(np.maximum(np.asarray(t, dtype=float) / h, 0.0), m)
+    j = np.minimum(pos.astype(int), m - 1)
+    if piecewise_constant:
+        return samples[j]
+    w = (pos - j)[..., None, None]
+    return (1.0 - w) * samples[j] + w * samples[j + 1]
 
 
 @dataclass(frozen=True)
@@ -150,18 +166,9 @@ class CoefficientPath:
 
     def at(self, t):
         """Evaluate at scalar or vector ``t`` in [0, T]."""
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        tt = np.atleast_1d(t)
-        h = self.T / self.m
-        pos = np.clip(tt / h, 0.0, self.m)
-        j = np.minimum(pos.astype(int), self.m - 1)
-        if self.interpolation == PIECEWISE_CONSTANT_LEFT:
-            out = self.samples[j]
-        else:
-            w = (pos - j)[:, None, None]
-            out = (1.0 - w) * self.samples[j] + w * self.samples[j + 1]
-        return out[0] if scalar else out
+        return _interpolate(
+            self.samples, self.T / self.m, self.interpolation == PIECEWISE_CONSTANT_LEFT, t
+        )
 
     def same_grid(self, other: "CoefficientPath") -> bool:
         return self.grid.shape == other.grid.shape and np.array_equal(self.grid, other.grid)
@@ -258,6 +265,18 @@ class ProblemData:
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "N", symmetrize(N))
+        # every coefficient flattened side by side, so one locate-and-lerp
+        # serves all of them at once; _layout maps table columns back
+        paths = (A, B, *C, *D, R, Q)
+        table = np.concatenate([p.samples.reshape(grid.size, 1, -1) for p in paths], axis=2)
+        object.__setattr__(self, "_table", CoefficientPath(grid, table, interp))
+        layout = []
+        start = 0
+        for shape in ((n, n), (n, k), (d, n, n), (d, n, k), (k, k), (n, n)):
+            stop = start + int(np.prod(shape))
+            layout.append((start, stop, shape))
+            start = stop
+        object.__setattr__(self, "_layout", tuple(layout))
 
     @property
     def m(self) -> int:
@@ -267,26 +286,26 @@ class ProblemData:
     def interpolation(self) -> str:
         return self.A.interpolation
 
-    def coeffs_at(self, t):
-        """All coefficients at scalar time t: (A, B, C, D, R, Q) with C, D stacked (d, ...)."""
-        A = self.A.at(t)
-        B = self.B.at(t)
-        C = np.stack([c.at(t) for c in self.C])
-        D = np.stack([di.at(t) for di in self.D])
-        R = self.R.at(t)
-        Q = self.Q.at(t)
-        return A, B, C, D, R, Q
+    @property
+    def time_invariant(self) -> bool:
+        """Whether every coefficient path holds one matrix over the whole grid."""
+        table = self._table.samples
+        return bool(np.all(table == table[0]))
 
-    def stacked_at(self, times):
-        """Coefficients at a vector of times; C, D have shape (d, len(times), n, ·)."""
-        times = np.asarray(times, dtype=float)
-        A = self.A.at(times)
-        B = self.B.at(times)
-        C = np.stack([c.at(times) for c in self.C])
-        D = np.stack([di.at(times) for di in self.D])
-        R = self.R.at(times)
-        Q = self.Q.at(times)
-        return A, B, C, D, R, Q
+    def stacked_at(self, t):
+        """All coefficients at scalar or vector ``t``: (A, B, C, D, R, Q).
+
+        C and D are indexed by noise channel first: shape (d,) + t.shape +
+        the matrix shape.
+        """
+        flat = self._table.at(t)[..., 0, :]
+        lead = flat.shape[:-1]
+        A, B, C, D, R, Q = (
+            flat[..., start:stop].reshape(lead + shape) for start, stop, shape in self._layout
+        )
+        L = len(lead)
+        channel_first = (L, *range(L), L + 1, L + 2)
+        return A, B, C.transpose(channel_first), D.transpose(channel_first), R, Q
 
     def with_weights(self, R=None, Q=None, N=None):
         """Copy of the data with some weights replaced (paths or constants)."""
@@ -300,32 +319,54 @@ class ProblemData:
         )
 
 
-def _lambda_or_zero(Lambda, d, n):
-    if Lambda is None:
-        return np.zeros((d, n, n))
-    Lambda = np.asarray(Lambda, dtype=float)
-    if Lambda.shape != (d, n, n):
-        raise ValueError(f"Lambda must have shape ({d}, {n}, {n}), got {Lambda.shape}")
-    return Lambda
+def lq_terms(coeffs, P, Lambda=None):
+    """The three Riccati objects at one time or along a stack of times.
+
+    ``coeffs`` is ``(A, B, C, D, R, Q)`` as returned by
+    ``ProblemData.stacked_at``; ``P`` is (n, n) or (t, n, n) to match, and
+    ``Lambda`` (optional) holds one such matrix per noise channel.  Returns
+
+    - ``hat``  = R + sum_i D_i' P D_i, symmetrized (the effective control weight);
+    - ``rhs``  = B'P + sum_i D_i'(P C_i + Lambda_i) (the gain right-hand side,
+      hat Gamma = -rhs);
+    - ``base`` = A'P + PA + Q + sum_i (C_i'P C_i + C_i'Lambda_i + Lambda_i C_i)
+      (the drift without the quadratic term, not symmetrized).
+    """
+    A, B, C, D, R, Q = coeffs
+    hat = np.array(R)
+    rhs = B.swapaxes(-1, -2) @ P
+    M = A.swapaxes(-1, -2) @ P
+    base = M + M.swapaxes(-1, -2) + Q
+    for i, (Ci, Di) in enumerate(zip(C, D)):
+        DtP = Di.swapaxes(-1, -2) @ P
+        hat += DtP @ Di
+        rhs += DtP @ Ci
+        Ct = Ci.swapaxes(-1, -2)
+        base += (Ct @ P) @ Ci
+        if Lambda is not None:
+            rhs += Di.swapaxes(-1, -2) @ Lambda[i]
+            base += Ct @ Lambda[i] + Lambda[i] @ Ci
+    return 0.5 * (hat + hat.swapaxes(-1, -2)), rhs, base
+
+
+def _checked_terms(P, Lambda, data: ProblemData, t, eps_pos):
+    """lq_terms at time t; ConstraintViolation when hat_R is not above eps_pos."""
+    if Lambda is not None:
+        Lambda = np.asarray(Lambda, dtype=float)
+        if Lambda.shape != (data.d, data.n, data.n):
+            raise ValueError(
+                f"Lambda must have shape ({data.d}, {data.n}, {data.n}), got {Lambda.shape}"
+            )
+    hat, rhs, base = lq_terms(data.stacked_at(t), symmetrize(P), Lambda)
+    lam = min_eigenvalue(hat)
+    if lam <= eps_pos:
+        raise ConstraintViolation(t, lam)
+    return hat, rhs, base
 
 
 def eval_hat_R(P, data: ProblemData, t):
     """Effective control weight R(t) + sum_i D_i(t)' P D_i(t), symmetrized."""
-    P = np.asarray(P, dtype=float)
-    D = np.stack([di.at(t) for di in data.D])
-    out = data.R.at(t) + np.einsum("ipq,pr,irs->qs", D, P, D)
-    return symmetrize(out)
-
-
-def _gain_system(P, Lambda, data: ProblemData, t):
-    """Return (hat_R, rhs) of the linear system hat_R * Gamma = -rhs."""
-    P = symmetrize(np.asarray(P, dtype=float))
-    Lambda = _lambda_or_zero(Lambda, data.d, data.n)
-    A, B, C, D, R, Q = data.coeffs_at(t)
-    hat = symmetrize(R + np.einsum("ipq,pr,irs->qs", D, P, D))
-    rhs = B.T @ P + np.einsum("ipq,ipr->qr", D, np.einsum("pr,irs->ips", P, C) + Lambda)
-    # rhs = B'P + sum_i D_i'(P C_i + Lambda_i), shape (k, n)
-    return hat, rhs, (A, B, C, D, R, Q)
+    return lq_terms(data.stacked_at(t), np.asarray(P, dtype=float))[0]
 
 
 def eval_gamma(P, Lambda, data: ProblemData, t, eps_pos=DEFAULT_EPS_POS):
@@ -335,10 +376,7 @@ def eval_gamma(P, Lambda, data: ProblemData, t, eps_pos=DEFAULT_EPS_POS):
     ConstraintViolation when the minimal eigenvalue of hat_R(P) is at or below
     the positivity floor.
     """
-    hat, rhs, _ = _gain_system(P, Lambda, data, t)
-    lam = min_eigenvalue(hat)
-    if lam <= eps_pos:
-        raise ConstraintViolation(t, lam)
+    hat, rhs, _ = _checked_terms(P, Lambda, data, t, eps_pos)
     return -np.linalg.solve(hat, rhs)
 
 
@@ -347,16 +385,6 @@ def eval_f(P, Lambda, data: ProblemData, t, eps_pos=DEFAULT_EPS_POS):
 
     f = A'P + PA + sum_i (C_i'P C_i + C_i' L_i + L_i C_i) + Q - Gamma' hat_R Gamma.
     """
-    hat, rhs, (A, B, C, D, R, Q) = _gain_system(P, Lambda, data, t)
-    lam = min_eigenvalue(hat)
-    if lam <= eps_pos:
-        raise ConstraintViolation(t, lam)
-    P = symmetrize(np.asarray(P, dtype=float))
-    Lambda = _lambda_or_zero(Lambda, data.d, data.n)
-    PC = np.einsum("pr,irs->ips", P, C)
-    base = A.T @ P + P @ A + Q
-    base = base + np.einsum("ipq,ipr->qr", C, PC + Lambda)
-    base = base + np.einsum("ipq,iqr->pr", Lambda, C)
+    hat, rhs, base = _checked_terms(P, Lambda, data, t, eps_pos)
     # Gamma' hat_R Gamma = rhs' hat_R^{-1} rhs since hat_R Gamma = -rhs
-    quad = rhs.T @ np.linalg.solve(hat, rhs)
-    return symmetrize(base - quad)
+    return symmetrize(base - rhs.swapaxes(-1, -2) @ np.linalg.solve(hat, rhs))

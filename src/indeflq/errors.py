@@ -23,7 +23,7 @@ class ConstraintViolation(IndefLQError):
 
 
 class GridMismatch(IndefLQError):
-    """Two paths that must share a sample grid do not."""
+    """A path does not match the problem's sample grid or matrix shape."""
 
 
 class NumericalOverflow(IndefLQError):

@@ -21,6 +21,7 @@ from .core import (
     ProblemData,
     batched_min_eig,
     eval_f,
+    lq_terms,
     min_eigenvalue,
     symmetrize,
 )
@@ -119,43 +120,11 @@ class RiccatiSolution:
         xi = np.asarray(xi, dtype=float)
         return float(xi @ self.P0 @ xi)
 
-    def interp_P(self, t):
-        """Piecewise-linear interpolation of the stored P path at times t."""
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        tt = np.atleast_1d(t)
-        lo = self.grid[0]
-        h = (self.grid[-1] - lo) / (self.grid.size - 1)
-        pos = np.clip((tt - lo) / h, 0.0, self.grid.size - 1)
-        j = np.minimum(pos.astype(int), self.grid.size - 2)
-        w = (pos - j)[:, None, None]
-        out = (1.0 - w) * self.P[j] + w * self.P[j + 1]
-        return out[0] if scalar else out
-
-    def interp_gain(self, t):
-        """Piecewise-linear interpolation of the stored gain path at times t."""
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        tt = np.atleast_1d(t)
-        lo = self.grid[0]
-        h = (self.grid[-1] - lo) / (self.grid.size - 1)
-        pos = np.clip((tt - lo) / h, 0.0, self.grid.size - 1)
-        j = np.minimum(pos.astype(int), self.grid.size - 2)
-        w = (pos - j)[:, None, None]
-        out = (1.0 - w) * self.gain[j] + w * self.gain[j + 1]
-        return out[0] if scalar else out
-
 
 def derive_gain_margin(data: ProblemData, grid, P):
     """Feedback gains Gamma(P, 0) and constraint margins along a stored P path."""
-    A_, B_, C_, D_, R_, Q_ = data.stacked_at(grid)
-    hat = symmetrize(R_ + np.einsum("itpq,tpr,itrs->tqs", D_, P, D_))
-    margin = batched_min_eig(hat)
-    rhs_g = np.einsum("tpk,tpn->tkn", B_, P) + np.einsum(
-        "itpq,itpr->tqr", D_, np.einsum("tpr,itrs->itps", P, C_)
-    )
-    gain = -np.linalg.solve(hat, rhs_g)
-    return gain, margin
+    hat, rhs, _ = lq_terms(data.stacked_at(grid), P)
+    return -np.linalg.solve(hat, rhs), batched_min_eig(hat)
 
 
 def _hermite(theta, y0, f0, y1, f1, h):
@@ -174,96 +143,6 @@ def _fro(M):
     return float(np.sqrt(np.sum(M * M)))
 
 
-class _Sampler:
-    """Fused coefficient evaluation for the hot RHS path."""
-
-    def __init__(self, data: ProblemData):
-        self.m = data.m
-        self.h = data.T / data.m
-        self.pc = data.interpolation == PIECEWISE_CONSTANT_LEFT
-        self.A = data.A.samples
-        self.B = data.B.samples
-        self.C = [c.samples for c in data.C]
-        self.D = [di.samples for di in data.D]
-        self.R = data.R.samples
-        self.Q = data.Q.samples
-        self.d = data.d
-        # time-invariant paths short-circuit the interpolation entirely
-        self.const = all(
-            np.all(s == s[0])
-            for s in [self.A, self.B, self.R, self.Q, *self.C, *self.D]
-        )
-        self._frozen = (
-            self.A[0], self.B[0],
-            [c[0] for c in self.C], [di[0] for di in self.D],
-            self.R[0], self.Q[0],
-        )
-
-    def coeffs(self, t):
-        if self.const:
-            return self._frozen
-        x = t / self.h
-        if x <= 0.0:
-            j, w = 0, 0.0
-        elif x >= self.m:
-            j, w = self.m - 1, 1.0
-        else:
-            j = int(x)
-            w = x - j
-        if self.pc:
-            return (
-                self.A[j], self.B[j],
-                [c[j] for c in self.C], [di[j] for di in self.D],
-                self.R[j], self.Q[j],
-            )
-        u = 1.0 - w
-        return (
-            u * self.A[j] + w * self.A[j + 1],
-            u * self.B[j] + w * self.B[j + 1],
-            [u * c[j] + w * c[j + 1] for c in self.C],
-            [u * di[j] + w * di[j + 1] for di in self.D],
-            u * self.R[j] + w * self.R[j + 1],
-            u * self.Q[j] + w * self.Q[j + 1],
-        )
-
-    def riccati_rhs(self, t, P, frozen=None):
-        """f(P, 0) at time t, or None when the effective weight degenerates.
-
-        ``frozen`` overrides the coefficient lookup; under piecewise-constant
-        interpolation a step's coefficients are sampled once at its midpoint
-        so that stages landing exactly on a breakpoint stay on the piece
-        being integrated.
-        """
-        A, B, C, D, R, Q = frozen if frozen is not None else self.coeffs(t)
-        hat = np.array(R)
-        rhs = B.T @ P
-        for i in range(self.d):
-            DiTP = D[i].T @ P
-            hat += DiTP @ D[i]
-            rhs += DiTP @ C[i]
-        hat = 0.5 * (hat + hat.T)
-        if hat[0, 0] <= 0.0 or (hat.shape[0] > 1 and np.min(np.diagonal(hat)) <= 0.0):
-            return None  # necessary condition for positivity already fails
-        M = A.T @ P
-        base = M + M.T + Q
-        for i in range(self.d):
-            CiTP = C[i].T @ P
-            base += CiTP @ C[i]
-        try:
-            quad = rhs.T @ np.linalg.solve(hat, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        f = base - quad
-        return 0.5 * (f + f.T)
-
-    def hat_weight(self, t, P):
-        A, B, C, D, R, Q = self.coeffs(t)
-        hat = np.array(R)
-        for i in range(self.d):
-            hat += D[i].T @ P @ D[i]
-        return 0.5 * (hat + hat.T)
-
-
 def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> RiccatiSolution:
     """Integrate the Riccati problem backward from P(T) = N.
 
@@ -278,21 +157,41 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
     T = data.T
     eps_pos = config.eps_pos
     nan_slope = np.full(n * n, np.nan)
-    sampler = _Sampler(data)
+    if data.time_invariant:
+        # a property of the data: skip the per-call coefficient lookup
+        constant = data.stacked_at(0.0)
+
+        def coeffs(t):
+            return constant
+    else:
+        coeffs = data.stacked_at
+
+    def terms_at(s, y, frozen=None):
+        """lq_terms at t = T - s for y ~ P(T - s).
+
+        ``frozen`` overrides the coefficient lookup; under piecewise-constant
+        interpolation a step's coefficients are sampled once at its midpoint
+        so that stages landing exactly on a breakpoint stay on the piece
+        being integrated.
+        """
+        P = y.reshape(n, n)
+        P = 0.5 * (P + P.T)
+        return lq_terms(frozen if frozen is not None else coeffs(T - s), P)
+
+    def slope(terms):
+        """dy/ds = +f(P, 0) in reversed time, or NaN when hat_R degenerates."""
+        hat, g, base = terms
+        if hat[0, 0] <= 0.0 or (hat.shape[0] > 1 and np.min(np.diagonal(hat)) <= 0.0):
+            return nan_slope  # positivity already fails; events localize the breakdown
+        try:
+            quad = g.T @ np.linalg.solve(hat, g)
+        except np.linalg.LinAlgError:
+            return nan_slope
+        f = base - quad
+        return (0.5 * (f + f.T)).ravel()
 
     def rhs(s, y, frozen=None):
-        # reversed time: y ~ P(T - s), dy/ds = +f(P, t)
-        P = y.reshape(n, n)
-        P = 0.5 * (P + P.T)
-        f = sampler.riccati_rhs(T - s, P, frozen)
-        if f is None:
-            return nan_slope  # force rejection; events localize the breakdown
-        return f.ravel()
-
-    def margin_at(s, y):
-        P = y.reshape(n, n)
-        P = 0.5 * (P + P.T)
-        return min_eigenvalue(sampler.hat_weight(T - s, P))
+        return slope(terms_at(s, y, frozen))
 
     # Segment boundaries in reversed time: output times, plus coefficient-grid
     # breakpoints under piecewise-constant interpolation (kinks in the RHS).
@@ -322,9 +221,11 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
     def c1_norm(y_pt, f_pt):
         return max(_fro(y_pt.reshape(n, n)), _fro(f_pt.reshape(n, n)))
 
-    # terminal-point events
-    f_term = rhs(0.0, y)
-    margin_min = margin_at(0.0, y)
+    # terminal-point events; terms_now holds lq_terms at the last accepted
+    # point, reused for the slope refresh at the next segment start
+    terms_now = terms_at(0.0, y)
+    f_term = slope(terms_now)
+    margin_min = min_eigenvalue(terms_now[0])
     if margin_min <= eps_pos:
         status, t_event = CONSTRAINT_VIOLATION, T
     elif np.all(np.isfinite(f_term)) and c1_norm(y, f_term) >= config.max_norm:
@@ -341,7 +242,7 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
             theta = (mid - s0) / (s1 - s0)
             ym = _hermite(theta, y0, f0, y1, f1, s1 - s0)
             if which == "margin":
-                fired = margin_at(mid, ym) - eps_pos <= 0.0
+                fired = min_eigenvalue(terms_at(mid, ym)[0]) - eps_pos <= 0.0
             else:
                 fm = rhs(mid, ym, frozen)
                 fired = (not np.all(np.isfinite(fm))) or c1_norm(ym, fm) >= config.max_norm
@@ -355,7 +256,7 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
     if status == COMPLETED:
         for idx in range(1, s_targets.size):
             s_end = s_targets[idx]
-            f_now = rhs(s, y)  # refresh: coefficients may kink at boundaries
+            f_now = slope(terms_now)  # refresh: coefficients may kink at boundaries
             while s < s_end - 1e-14 * max(T, 1.0):
                 if accepted + rejected >= config.max_steps:
                     raise StepLimit(f"exceeded {config.max_steps} steps at t={T - s:.6g}")
@@ -364,7 +265,7 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
                 if pc_mode:
                     # segments are piece-aligned; freeze the piece's values so
                     # stages touching a breakpoint stay off the next piece
-                    frozen = sampler.coeffs(T - (s + 0.5 * h_try))
+                    frozen = coeffs(T - (s + 0.5 * h_try))
                     k[0] = rhs(s, y, frozen)
                 else:
                     frozen = None
@@ -380,7 +281,8 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
                 if np.isfinite(err) and err <= 1.0:
                     s_new = s + h_try
                     f_new = k[6]  # FSAL slope at (s_new, y1)
-                    m_new = margin_at(s_new, y1)
+                    terms_now = terms_at(s_new, y1)
+                    m_new = min_eigenvalue(terms_now[0])
                     margin_min = min(margin_min, m_new)
                     hit_margin = m_new <= eps_pos
                     hit_blowup = c1_norm(y1, f_new) >= config.max_norm

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .core import CoefficientPath, ProblemData, symmetrize
+from .core import CoefficientPath, ProblemData, lq_terms, symmetrize
 from .errors import NumericalOverflow
 from .riccati import RiccatiSolution
 
@@ -154,8 +154,10 @@ class _EulerSetup:
         self.Bt = np.swapaxes(B_, -1, -2).copy()
         self.Ct = np.swapaxes(C_, -1, -2).copy()  # (d, steps, n, n)
         self.Dt = np.swapaxes(D_, -1, -2).copy()  # (d, steps, k, n)
-        self.R = R_
-        self.Q = Q_
+        # copies: stacked_at returns views into one wide table, and the
+        # per-step quadratic forms run faster on contiguous blocks
+        self.R = R_.copy()
+        self.Q = Q_.copy()
         self.N = symmetrize(data.N)
         self.Gt = None
         self.v = None
@@ -178,23 +180,29 @@ class _EulerSetup:
         return u
 
 
-def _pair_increments(seed, index, n_steps, d):
-    gen = Generator(Philox(key=np.array([seed, index], dtype=np.uint64)))
-    return gen.standard_normal((n_steps, d))
+def _wiener_increments(seed, indices, n_steps, d, dt, antithetic):
+    """Wiener increments (paths, n_steps, d) for a block of path indices.
+
+    Path ``p`` draws from the Philox stream keyed by (seed, p); with
+    antithetic pairing the mirrored block -W follows the block W.
+    """
+    b = indices.size
+    dW = np.empty((2 * b if antithetic else b, n_steps, d))
+    for r, idx in enumerate(indices):
+        gen = Generator(Philox(key=np.array([seed, int(idx)], dtype=np.uint64)))
+        gen.standard_normal(out=dW[r])
+    # filled in place: one block-sized buffer, no block-sized temporaries
+    np.multiply(dW[:b], np.sqrt(dt), out=dW[:b])
+    if antithetic:
+        np.negative(dW[:b], out=dW[b:])
+    return dW
 
 
 def _run_cost_block(data_setup: _EulerSetup, cs_tables, xi, seed, indices, antithetic):
     """Per-path (or per-pair) cost, and the squared-deviation accumulator."""
     su = data_setup
     b = indices.size
-    Z = np.empty((b, su.n_steps, su.d))
-    for r, idx in enumerate(indices):
-        Z[r] = _pair_increments(seed, int(idx), su.n_steps, su.d)
-    sq = np.sqrt(su.dt)
-    if antithetic:
-        dW = np.concatenate([Z, -Z], axis=0) * sq
-    else:
-        dW = Z * sq
+    dW = _wiener_increments(seed, indices, su.n_steps, su.d, su.dt, antithetic)
     nb = dW.shape[0]
     x = np.broadcast_to(np.asarray(xi, dtype=float), (nb, su.n)).copy()
     cost = np.zeros(nb)
@@ -230,12 +238,7 @@ def _run_paths(data_setup, cs_tables, xi, config: SimConfig, n_workers: int):
     """All per-pair statistics in path-index order (independent of partition)."""
     total = config.n_paths
     target_block = max(1, int(2_000_000 // max(1, config.n_steps * data_setup.d)))
-    ranges = []
-    start = 0
-    while start < total:
-        stop = min(total, start + target_block)
-        ranges.append((start, stop))
-        start = stop
+    ranges = [(lo, min(total, lo + target_block)) for lo in range(0, total, target_block)]
 
     def work(rng):
         lo, hi = rng
@@ -288,13 +291,10 @@ def simulate_cost(
 
 
 def _cs_tables(data: ProblemData, solution: RiccatiSolution, n_steps: int):
-    dt = data.T / n_steps
-    t_left = np.arange(n_steps) * dt
-    P = solution.interp_P(t_left)
-    G = solution.interp_gain(t_left)
-    D_ = np.stack([di.at(t_left) for di in data.D])
-    R_ = data.R.at(t_left)
-    hat = symmetrize(R_ + np.einsum("itpq,tpr,itrs->tqs", D_, P, D_))
+    t_left = np.arange(n_steps) * (data.T / n_steps)
+    P = CoefficientPath(solution.grid, solution.P).at(t_left)
+    G = CoefficientPath(solution.grid, solution.gain).at(t_left)
+    hat, _, _ = lq_terms(data.stacked_at(t_left), P)
     return np.swapaxes(G, -1, -2).copy(), hat
 
 
@@ -348,7 +348,6 @@ def fundamental_pair_check(data: ProblemData, gain, config: SimConfig) -> float:
     n, d = data.n, data.d
     n_steps = config.n_steps
     dt = data.T / n_steps
-    sq = np.sqrt(dt)
     t_left = np.arange(n_steps) * dt
     A_, B_, C_, D_, R_, Q_ = data.stacked_at(t_left)
     G_ = gain_path.at(t_left)
@@ -361,17 +360,9 @@ def fundamental_pair_check(data: ProblemData, gain, config: SimConfig) -> float:
     worst = 0.0
     total = config.n_paths
     block = max(1, int(500_000 // max(1, n_steps * d)))
-    start = 0
-    while start < total:
-        stop = min(total, start + block)
-        idx = np.arange(start, stop, dtype=np.uint64)
-        Z = np.empty((idx.size, n_steps, d))
-        for r, p_idx in enumerate(idx):
-            Z[r] = _pair_increments(config.seed, int(p_idx), n_steps, d)
-        if config.antithetic:
-            dW = np.concatenate([Z, -Z], axis=0) * sq
-        else:
-            dW = Z * sq
+    for start in range(0, total, block):
+        idx = np.arange(start, min(total, start + block), dtype=np.uint64)
+        dW = _wiener_increments(config.seed, idx, n_steps, d, dt, config.antithetic)
         nb = dW.shape[0]
         X = np.broadcast_to(eye, (nb, n, n)).copy()
         Xt = np.broadcast_to(eye, (nb, n, n)).copy()
@@ -389,7 +380,6 @@ def fundamental_pair_check(data: ProblemData, gain, config: SimConfig) -> float:
             worst = max(worst, defect)
             if max(float(np.max(np.abs(X))), float(np.max(np.abs(Xt)))) > STATE_NORM_CAP:
                 raise NumericalOverflow("fundamental pair flow overflowed")
-        start = stop
     return worst
 
 
@@ -411,10 +401,6 @@ def hamiltonian_identity_check(
     times = grid[idx]
     P = P_solution.P[idx]
     G = P_solution.gain[idx]
-    A_, B_, C_, D_, R_, Q_ = data.stacked_at(times)
-    hat = symmetrize(R_ + np.einsum("itpq,tpr,itrs->tqs", D_, P, D_))
-    rhs = np.einsum("tpk,tpn->tkn", B_, P) + np.einsum(
-        "itpq,itpr->tqr", D_, np.einsum("tpr,itrs->itps", P, C_)
-    )
-    defect = np.einsum("tkq,tqn->tkn", hat, G) + rhs
+    hat, rhs, _ = lq_terms(data.stacked_at(times), P)
+    defect = hat @ G + rhs
     return float(np.max(np.sqrt(np.sum(defect * defect, axis=(-2, -1)))))

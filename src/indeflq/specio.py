@@ -10,7 +10,7 @@ so values round-trip exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
@@ -36,6 +36,8 @@ __all__ = [
 
 _INTERPOLATIONS = (PIECEWISE_CONSTANT_LEFT, PIECEWISE_LINEAR)
 _CERT_KINDS = ("scalar-comparison", "definite", "explicit-subsolution", "shift")
+# solver block keys and the type each value is cast to
+_SOLVER_KEYS = {f.name: type(f.default) for f in fields(SolverConfig)}
 
 
 @dataclass
@@ -95,7 +97,7 @@ def _matrix_doc(M):
 def _solver_doc(cfg: SolverConfig) -> dict:
     default = SolverConfig()
     out = {}
-    for key in ("rel_tol", "abs_tol", "max_norm", "eps_pos", "max_steps", "output_points"):
+    for key in _SOLVER_KEYS:
         val = getattr(cfg, key)
         if val != getattr(default, key):
             out[key] = val
@@ -215,11 +217,10 @@ def parse_spec(doc: dict) -> ParsedSpec:
     if not isinstance(sdoc, dict):
         raise SpecError("solver: must be a mapping")
     for key, value in sdoc.items():
-        if key not in ("rel_tol", "abs_tol", "max_norm", "eps_pos", "max_steps", "output_points"):
+        if key not in _SOLVER_KEYS:
             raise SpecError(f"solver.{key}: unknown option")
-        cast = int if key in ("max_steps", "output_points") else float
         try:
-            setattr(solver, key, cast(value))
+            setattr(solver, key, _SOLVER_KEYS[key](value))
         except (TypeError, ValueError):
             raise SpecError(f"solver.{key}: bad value {value!r}") from None
     try:

@@ -290,7 +290,7 @@ def test_criterion_10_property_suites(definite_spec, definite_solution, solved_c
         if min_eigenvalue(hat) < 1e-3:
             continue
         G = eval_gamma(P, Lam, data, t)
-        A, B, C, D, R, Q = data.coeffs_at(t)
+        A, B, C, D, R, Q = data.stacked_at(t)
         rhs = B.T @ P + sum(D[i].T @ (P @ C[i] + Lam[i]) for i in range(data.d))
         ok = ok and np.linalg.norm(hat @ G + rhs) <= 1e-10 * (
             1 + np.linalg.norm(P) + np.linalg.norm(Lam))

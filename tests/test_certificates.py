@@ -210,6 +210,29 @@ class TestShift:
         Qh = data.Q.samples[j] + dK + A.T @ K[j] + K[j] @ A + C.T @ K[j] @ C
         assert np.allclose(shifted.Q.samples[j], Qh, atol=1e-12)
 
+    def test_controlled_formulas(self):
+        # B != 0 and D != 0: R_hat, Q_hat and the compensation residual
+        # against plain matrix algebra at every grid point
+        data = random_definite_problem(np.random.default_rng(31), n=2, k=2, d=2, points=9)
+        Kc = np.random.default_rng(32).standard_normal((data.grid.size, 2, 2))
+        K = Kc + np.swapaxes(Kc, -1, -2)
+        shifted, residual = apply_shift(data, K)
+        dK = np.gradient(K, data.grid[1] - data.grid[0], axis=0)
+        worst = 0.0
+        for j in range(data.grid.size):
+            A, B, R, Q = (p.samples[j] for p in (data.A, data.B, data.R, data.Q))
+            C = [c.samples[j] for c in data.C]
+            D = [di.samples[j] for di in data.D]
+            Kj = K[j]
+            Rh = R + sum(Di.T @ Kj @ Di for Di in D)
+            Qh = Q + dK[j] + A.T @ Kj + Kj @ A + sum(Ci.T @ Kj @ Ci for Ci in C)
+            defect = Kj @ B + sum(Ci.T @ Kj @ Di for Ci, Di in zip(C, D))
+            worst = max(worst, np.linalg.norm(defect))
+            assert np.allclose(shifted.R.samples[j], Rh, rtol=0.0, atol=1e-12)
+            assert np.allclose(shifted.Q.samples[j], Qh, rtol=0.0, atol=1e-12)
+        assert worst > 0.1
+        assert abs(residual - worst) <= 1e-12 * worst
+
     def test_involution(self, rng_session):
         data = random_definite_problem(rng_session)
         rngK = np.random.default_rng(99)

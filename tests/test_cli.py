@@ -165,6 +165,22 @@ class TestCertifyCommand:
         assert main(["certify", "--spec", str(p), "--quiet"]) == 1
 
 
+    @pytest.mark.parametrize("spec, settings", [
+        ("definite_2x2", ["certificate.kind=explicit-subsolution", "certificate.F=[[0.0]]"]),
+        ("shift_demo", ["certificate.K=[[0.0]]"]),
+        ("shift_demo", ["certificate.K=[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]"]),
+        ("shift_demo", ["certificate.K=[[0.0, 1.0], [0.0, 0.0]]"]),
+    ])
+    def test_malformed_witness_exit1(self, example_dir, spec, settings, capsys):
+        # a witness path of the wrong shape or an asymmetric one is an input
+        # error, never broadcast against the problem and never a traceback
+        argv = ["certify", "--spec", str(example_dir / f"{spec}.yaml"), "--quiet"]
+        for item in settings:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestSimulateCommand:
     def test_definite_reports_cs_fields(self, example_dir, tmp_path):
         out = tmp_path / "sim.json"

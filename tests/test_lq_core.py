@@ -167,6 +167,37 @@ class TestProblemData:
                         R=1.0, Q=0.0, N=[[1.0]], grid=np.linspace(0, 1, 5))
 
 
+class TestStackedAt:
+    @pytest.mark.parametrize("mode", ["piecewise-linear", "piecewise-constant-left"])
+    def test_scalar_matches_vector_bitwise(self, mode):
+        # one locate-and-lerp serves scalar and vector times alike, and each
+        # coefficient comes out as its own path would interpolate it
+        rng = np.random.default_rng(23)
+        grid = np.linspace(0.0, 1.5, 7)
+        n, k, d = 2, 1, 2
+
+        def path(rows, cols, sym=False):
+            S = rng.standard_normal((grid.size, rows, cols))
+            if sym:
+                S = S + np.swapaxes(S, -1, -2)
+            return CoefficientPath(grid, S, mode)
+
+        data = ProblemData(n=n, k=k, d=d, T=1.5, A=path(n, n), B=path(n, k),
+                           C=[path(n, n) for _ in range(d)], D=[path(n, k) for _ in range(d)],
+                           R=path(k, k, True), Q=path(n, n, True), N=np.eye(n), grid=grid)
+        # 0, T, every breakpoint and every midpoint
+        times = np.concatenate([grid, 0.5 * (grid[1:] + grid[:-1])])
+        stacked = data.stacked_at(times)
+        for i, t in enumerate(times):
+            pointwise = data.stacked_at(t)
+            per_path = (data.A.at(t), data.B.at(t), np.stack([c.at(t) for c in data.C]),
+                        np.stack([di.at(t) for di in data.D]), data.R.at(t), data.Q.at(t))
+            for name, vec, pt, own in zip("ABCDRQ", stacked, pointwise, per_path):
+                row = vec[:, i] if name in "CD" else vec[i]
+                assert np.array_equal(row, pt), (name, t)
+                assert np.array_equal(pt, own), (name, t)
+
+
 class TestProperties:
     def test_symmetry_closure(self):
         rng = np.random.default_rng(7)
@@ -192,7 +223,7 @@ class TestProperties:
             if min_eigenvalue(hat) < 1e-3:
                 continue
             G = eval_gamma(P, Lam, data, t, eps_pos=1e-8)
-            A, B, C, D, R, Q = data.coeffs_at(t)
+            A, B, C, D, R, Q = data.stacked_at(t)
             rhs = B.T @ P + sum(D[i].T @ (P @ C[i] + Lam[i]) for i in range(data.d))
             res = np.linalg.norm(hat @ G + rhs)
             bound = 1e-10 * (1.0 + np.linalg.norm(P) + np.linalg.norm(Lam))
