@@ -64,6 +64,14 @@ FAILED = "failed"
 # slack accepted on semi-definiteness checks of given data
 PSD_SLACK = 1e-10
 
+# the comparison-function quadrature grid is at least QUAD_REFINE times finer
+# than the coefficient grid, with at least QUAD_MIN_PANELS panels
+QUAD_REFINE = 4
+QUAD_MIN_PANELS = 2048
+
+# the constant-threshold alpha schedule is capped at 1 - ALPHA_CAP
+ALPHA_CAP = 1e-3
+
 
 @dataclass
 class SubsolutionCandidate:
@@ -76,7 +84,6 @@ class SubsolutionCandidate:
     grid: np.ndarray
     F: np.ndarray
     dF: np.ndarray | None = None
-    source: str = "user"
     derivative_fd: bool = field(default=False, repr=False)
 
     def __post_init__(self):
@@ -96,15 +103,7 @@ class SubsolutionCandidate:
     @classmethod
     def zero(cls, data: ProblemData) -> "SubsolutionCandidate":
         z = np.zeros((data.grid.size, data.n, data.n))
-        return cls(grid=data.grid, F=z, dF=np.zeros_like(z), source="zero")
-
-    @classmethod
-    def scalar_phi(cls, data: ProblemData, phi_grid, phi) -> "SubsolutionCandidate":
-        """The isotropic candidate F = phi * I sampled on the data grid."""
-        phi_on = np.interp(data.grid, phi_grid, phi)
-        eye = np.eye(data.n)
-        F = phi_on[:, None, None] * eye
-        return cls(grid=data.grid, F=F, source="scalar-phi")
+        return cls(grid=data.grid, F=z, dF=np.zeros_like(z))
 
 
 @dataclass
@@ -233,10 +232,9 @@ def _cumtrapz(values, h):
     return out
 
 
-def _normalize_alpha(alpha, data: ProblemData, min_refine: int, refine: int):
+def _normalize_alpha(alpha, data: ProblemData):
     """Quadrature times plus alpha values on them."""
-    m = data.m
-    base_points = max(refine * m + 1, min_refine + 1)
+    base_points = max(QUAD_REFINE * data.m + 1, QUAD_MIN_PANELS + 1)
     if np.isscalar(alpha):
         a = float(alpha)
         times = np.linspace(0.0, data.T, base_points)
@@ -262,35 +260,41 @@ def _normalize_alpha(alpha, data: ProblemData, min_refine: int, refine: int):
     return times, np.interp(times, data.grid, a_vals)
 
 
+def _upsilon_parts(coeffs, n):
+    """sum D'D, (B + sum C'D)' and A + A' + sum C'C: lq_terms at P = I, R = Q = 0."""
+    A, B, C, D, R, _ = coeffs
+    return lq_terms((A, B, C, D, np.zeros_like(R), 0.0), np.eye(n))
+
+
 def certify_scalar_comparison(
     data: ProblemData,
     alpha,
     eps_pos: float = DEFAULT_EPS_POS,
-    refine: int = 4,
-    min_refine: int = 2048,
 ) -> Certificate:
     """Scalar comparison-function certificate.
 
     Solves the linear comparison ODE for phi in closed form,
     phi(t) = Phi(t,T) lam_min(N) + integral_t^T Phi(t,s) lam_min(Q(s)) ds with
     Phi(t,s) = exp(integral_t^s lam_min(Upsilon(alpha))), by composite
-    quadrature on a grid at least ``refine`` times finer than the coefficient
-    grid.  Certified when phi stays positive and the control weight clears the
-    admissible lower bound -alpha phi sum_i D_i'D_i with a positive margin.
+    quadrature on a grid at least QUAD_REFINE times finer than the
+    coefficient grid.  Certified when phi stays positive and the control
+    weight clears the admissible lower bound -alpha phi sum_i D_i'D_i with a
+    positive margin.
 
     Parameters
     ----------
     alpha : float, (times, values) pair, or array on the problem grid
         Tuning path with values in [0, 1).
     """
-    times, a_vals = _normalize_alpha(alpha, data, min_refine, refine)
+    times, a_vals = _normalize_alpha(alpha, data)
     if np.any(a_vals < 0.0) or np.any(a_vals >= 1.0):
         raise ValueError("alpha values must lie in [0, 1)")
     h = times[1] - times[0]
 
-    A_, B_, C_, D_, R_, Q_ = data.stacked_at(times)
-    sumDtD = np.einsum("itpq,itpr->tqr", D_, D_)
-    dd_eigs = batched_min_eig(symmetrize(sumDtD))
+    coeffs = data.stacked_at(times)
+    R_, Q_ = coeffs[4], coeffs[5]
+    sumDtD, Mt, ups = _upsilon_parts(coeffs, data.n)
+    dd_eigs = batched_min_eig(sumDtD)
     if float(np.min(dd_eigs)) < eps_pos:
         j = int(np.argmin(dd_eigs))
         raise PreconditionFailed(
@@ -298,10 +302,8 @@ def certify_scalar_comparison(
             f"{dd_eigs[j]:.3e} at t={times[j]:.6g})"
         )
 
-    M = B_ + np.einsum("itpq,itpr->tqr", C_, D_)  # B + sum C_i'D_i, (t, n, k)
-    sol = np.linalg.solve(symmetrize(sumDtD), np.swapaxes(M, -1, -2))
-    quad = np.einsum("tnk,tkr->tnr", M, sol)
-    ups = A_ + np.swapaxes(A_, -1, -2) + np.einsum("itpq,itpr->tqr", C_, C_)
+    sol = np.linalg.solve(sumDtD, Mt)
+    quad = np.einsum("tkn,tkr->tnr", Mt, sol)
     ups = ups - quad / (1.0 - a_vals)[:, None, None]
     upsilon = batched_min_eig(symmetrize(ups))
     qmin = batched_min_eig(Q_)
@@ -313,7 +315,7 @@ def certify_scalar_comparison(
     panels = 0.5 * h * (wq[1:] + wq[:-1])
     Jrev = np.zeros_like(wq)
     Jrev[:-1] = np.cumsum(panels[::-1])[::-1]
-    with np.errstate(over="raise", invalid="raise"):
+    with np.errstate(all="ignore"):
         phi = (w[-1] * nu + Jrev) / w
     if not np.all(np.isfinite(phi)):
         raise ValueError("phi evaluation overflowed; coefficients out of desk scale")
@@ -331,8 +333,7 @@ def certify_scalar_comparison(
     # store witness paths on the coarse problem grid
     phi_coarse = np.interp(data.grid, times, phi)
     alpha_coarse = np.interp(data.grid, times, a_vals)
-    Dg = data.stacked_at(data.grid)[3]
-    sumDtD_coarse = np.einsum("itpq,itpr->tqr", Dg, Dg)
+    sumDtD_coarse = _upsilon_parts(data.stacked_at(data.grid), data.n)[0]
     boundary = -(alpha_coarse * phi_coarse)[:, None, None] * sumDtD_coarse
 
     common = dict(
@@ -377,17 +378,17 @@ def optimal_constant_alpha() -> float:
     return float(_threshold_alpha(1.0))
 
 
-def constant_threshold_alpha_schedule(n_points: int = 2 ** 18 + 1, cap: float = 1e-3):
+def constant_threshold_alpha_schedule(n_points: int = 2 ** 18 + 1):
     """The alpha path on [0, 1] that makes the admissible bound time-constant.
 
     Inverts t(alpha) = alpha - ln(alpha) - 1 on the decreasing branch
     alpha in (0, 1] through the Lambert W closed form.  The exact schedule
     touches alpha = 1 at t = 0 (an integrable endpoint singularity of the
-    comparison ODE); values are capped at 1 - ``cap`` so the quadrature in
+    comparison ODE); values are capped at 1 - ALPHA_CAP so the quadrature in
     certify_scalar_comparison stays finite.  Returns (times, values).
     """
     times = np.linspace(0.0, 1.0, int(n_points))
-    return times, np.minimum(_threshold_alpha(times), 1.0 - float(cap))
+    return times, np.minimum(_threshold_alpha(times), 1.0 - ALPHA_CAP)
 
 
 def certify_definite_regime(data: ProblemData, eps_pos: float = DEFAULT_EPS_POS) -> Certificate:
@@ -423,8 +424,7 @@ def certify_definite_regime(data: ProblemData, eps_pos: float = DEFAULT_EPS_POS)
         reasons.append(f"N not positive semi-definite (min {n_min:.3e})")
 
     psd_r = r_min >= -PSD_SLACK * scale_r
-    Dg = np.stack([di.samples for di in data.D])
-    dd_eigs = batched_min_eig(np.einsum("itpq,itpr->tqr", Dg, Dg))
+    dd_eigs = batched_min_eig(_upsilon_parts(data.stacked_at(data.grid), data.n)[0])
     dd_min = float(np.min(dd_eigs))
     if psd_q and psd_r and n_min > eps_pos and dd_min >= eps_pos:
         try:

@@ -1,19 +1,20 @@
 """Command-line surface: solve, certify, simulate, oracle, example.
 
 Exit codes: 0 success or certified, 1 input error, 2 constraint violation,
-3 blow-up, 4 certificate failed.  Reports go to --out (default stdout) as
-JSON with 17-significant-digit floats; a one-line summary goes to stderr
-unless --quiet.
+3 blow-up, 4 certificate failed.  Every input error (a malformed spec, flag
+or certificate witness, an unreadable spec or unwritable report) is caught
+in ``main`` and ends with one ``error: ...`` line on stderr and exit 1.
+Reports go to --out (default stdout) as JSON; a one-line summary goes to
+stderr unless --quiet.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from . import bundled
 from .certificates import (
@@ -36,13 +37,16 @@ from .errors import (
 from .oracle import dp_solve
 from .riccati import BLOWUP, COMPLETED, CONSTRAINT_VIOLATION, solve_riccati
 from .simulate import ControlPolicy, completing_square_report
-from .specio import ParsedSpec, dumps_report, load_spec_file
+from .specio import ParsedSpec, _floats, _read, _real, dumps_report, load_spec_file
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CONSTRAINT = 2
 EXIT_BLOWUP = 3
 EXIT_CERT_FAILED = 4
+
+# largest step count of one oracle --steps entry
+MAX_ORACLE_STEPS = 1_000_000
 
 _STATUS_EXIT = {
     COMPLETED: EXIT_OK,
@@ -52,16 +56,10 @@ _STATUS_EXIT = {
 
 
 def _empty_report():
-    return {
-        "status": None,
-        "P0": None,
-        "value_at_xi": None,
-        "margin_min": None,
-        "certificate": None,
-        "simulation": None,
-        "oracle": None,
-        "timings": {},
-    }
+    report = dict.fromkeys(("status", "P0", "value_at_xi", "margin_min", "certificate",
+                            "simulation", "oracle"))
+    report["timings"] = {}
+    return report
 
 
 def _emit(report, out_path, quiet, summary):
@@ -85,14 +83,8 @@ def _solution_into(report, sol):
 
 
 def _certificate_into(report, cert: Certificate):
-    report["certificate"] = {
-        "kind": cert.kind,
-        "verdict": cert.verdict,
-        "epsilon": cert.epsilon,
-        "reason": cert.reason,
-        "t_worst": cert.t_worst,
-        "threshold": cert.threshold,
-    }
+    keys = ("kind", "verdict", "epsilon", "reason", "t_worst", "threshold")
+    report["certificate"] = {key: getattr(cert, key) for key in keys}
 
 
 def cmd_solve(spec: ParsedSpec, report, args) -> int:
@@ -113,60 +105,41 @@ def _run_certificate(spec: ParsedSpec) -> Certificate:
     block = spec.certificate
     kind = block["kind"]
     data = spec.data
+    eps_pos = spec.solver.eps_pos
     if kind == "scalar-comparison":
-        alpha = block.get("alpha")
-        if alpha is None:
-            raise SpecError("certificate.alpha is required for kind scalar-comparison")
-        if isinstance(alpha, str):
-            if alpha != "optimal-constant":
-                raise SpecError(f"certificate.alpha: unknown schedule {alpha!r}")
+        alpha = _read(block, "alpha", "certificate")
+        if alpha == "optimal-constant":
             if abs(data.T - 1.0) > 1e-12:
                 raise SpecError("the optimal-constant alpha schedule needs horizon T = 1")
             alpha = constant_threshold_alpha_schedule()
-        elif isinstance(alpha, (list, tuple, np.ndarray)):
-            alpha = np.asarray(alpha, dtype=float)
+        elif isinstance(alpha, str):
+            raise SpecError(f"certificate.alpha: unknown schedule {alpha!r}")
         else:
-            alpha = float(alpha)
-        return certify_scalar_comparison(data, alpha, eps_pos=spec.solver.eps_pos)
+            alpha = _read(block, "alpha", "certificate", _floats)
+            alpha = float(alpha) if alpha.ndim == 0 else alpha
+        return certify_scalar_comparison(data, alpha, eps_pos=eps_pos)
     if kind == "definite":
-        return certify_definite_regime(data, eps_pos=spec.solver.eps_pos)
+        return certify_definite_regime(data, eps_pos=eps_pos)
     if kind == "explicit-subsolution":
-        tol = float(block.get("tol", 1e-9))
-        F = block.get("F")
-        dF = block.get("dF")
+        tol = _read(block, "tol", "certificate", _real, 1e-9)
+        F = _read(block, "F", "certificate", _floats, None)
         if F is None:
             cand = SubsolutionCandidate.zero(data)
         else:
-            try:
-                cand = SubsolutionCandidate(grid=data.grid, F=F, dF=dF)
-            except ValueError as exc:
-                raise SpecError(f"certificate: {exc}") from None
-        return check_subsolution(cand, data, tol=tol, eps_pos=spec.solver.eps_pos)
-    if kind == "shift":
-        K = block.get("K")
-        if K is None:
-            raise SpecError("certificate.K is required for kind shift")
-        tol = float(block.get("tol", 1e-8))
-        try:
-            shifted, residual = apply_shift(data, K)
-        except ValueError as exc:
-            raise SpecError(f"certificate: {exc}") from None
-        if residual > tol:
-            return Certificate(
-                kind="shift",
-                verdict="failed",
-                epsilon=0.0,
-                reason=f"compensation residual {residual:.3e} exceeds {tol:.1e}",
-            )
-        inner = certify_definite_regime(shifted, eps_pos=spec.solver.eps_pos)
-        return Certificate(
-            kind="shift",
-            verdict=inner.verdict,
-            epsilon=inner.epsilon,
-            reason=None if inner.certified else f"shifted problem: {inner.reason}",
-            t_worst=inner.t_worst,
-        )
-    raise SpecError(f"certificate.kind {kind!r} not supported")
+            dF = _read(block, "dF", "certificate", _floats, None)
+            cand = SubsolutionCandidate(grid=data.grid, F=F, dF=dF)
+        return check_subsolution(cand, data, tol=tol, eps_pos=eps_pos)
+    # kind == "shift": parse_spec admits no other kind
+    shifted, residual = apply_shift(data, _read(block, "K", "certificate", _floats))
+    tol = _read(block, "tol", "certificate", _real, 1e-8)
+    if residual > tol:
+        return Certificate(kind="shift", verdict="failed", epsilon=0.0,
+                           reason=f"compensation residual {residual:.3e} exceeds {tol:.1e}")
+    inner = certify_definite_regime(shifted, eps_pos=eps_pos)
+    return Certificate(
+        kind="shift", verdict=inner.verdict, epsilon=inner.epsilon, t_worst=inner.t_worst,
+        reason=None if inner.certified else f"shifted problem: {inner.reason}",
+    )
 
 
 def cmd_certify(spec: ParsedSpec, report, args) -> int:
@@ -202,15 +175,7 @@ def cmd_simulate(spec: ParsedSpec, report, args) -> int:
     t0 = time.perf_counter()
     rep = completing_square_report(spec.data, sol, policy, spec.xi, spec.simulation)
     report["timings"]["simulate"] = time.perf_counter() - t0
-    report["simulation"] = {
-        "cost_mean": rep.cost_mean,
-        "cost_stderr": rep.cost_stderr,
-        "n_paths": rep.n_paths,
-        "cs_lhs": rep.cs_lhs,
-        "cs_rhs": rep.cs_rhs,
-        "cs_residual": rep.cs_residual,
-        "cs_stderr": rep.cs_stderr,
-    }
+    report["simulation"] = dataclasses.asdict(rep)
     _emit(report, args.out, args.quiet,
           f"simulate: cost {rep.cost_mean:.6g} +- {rep.cost_stderr:.2g}, "
           f"value {report['value_at_xi']:.6g}, cs residual {rep.cs_residual:.3g}")
@@ -222,8 +187,8 @@ def cmd_oracle(spec: ParsedSpec, report, args) -> int:
         steps = [int(s) for s in args.steps.split(",") if s.strip()]
     except ValueError:
         raise SpecError(f"--steps: expected comma-separated integers, got {args.steps!r}")
-    if not steps:
-        raise SpecError("--steps: empty list")
+    if not steps or not all(1 <= ns <= MAX_ORACLE_STEPS for ns in steps):
+        raise SpecError(f"--steps: expected step counts from 1 to {MAX_ORACLE_STEPS}")
     t0 = time.perf_counter()
     sol = solve_riccati(spec.data, spec.solver)
     report["timings"]["solve"] = time.perf_counter() - t0
@@ -252,19 +217,13 @@ def cmd_oracle(spec: ParsedSpec, report, args) -> int:
 
 
 def cmd_example(args) -> int:
+    names = bundled.example_names()
     if args.list or args.name is None:
-        for name in bundled.example_names():
-            print(name)
-        return EXIT_OK if args.list or args.name is None else EXIT_INPUT
-    try:
-        text = bundled.example_text(args.name)
-    except KeyError:
-        print(
-            f"unknown example {args.name!r}; available: "
-            + ", ".join(bundled.example_names()),
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
+        print("\n".join(names))
+        return EXIT_OK
+    if args.name not in names:
+        raise SpecError(f"unknown example {args.name!r}; available: {', '.join(names)}")
+    text = bundled.example_text(args.name)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{args.name}.yaml"
@@ -274,8 +233,15 @@ def cmd_example(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit 1 (exit 2 means constraint violation)."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"error: {message}\n{self.format_usage()}")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="indeflq",
         description="Indefinite linear-quadratic stochastic control toolkit",
     )
@@ -313,27 +279,19 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "example":
-        return cmd_example(args)
-    try:
-        spec = load_spec_file(args.spec, args.overrides)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    args = _build_parser().parse_args(argv)
     report = _empty_report()
     try:
+        if args.command == "example":
+            return cmd_example(args)
+        spec = load_spec_file(args.spec, args.overrides)
         return _DISPATCH[args.command](spec, report, args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (StepLimit, NumericalOverflow) as exc:
         report["status"] = "error"
         report["error"] = str(exc)
         _emit(report, args.out, args.quiet, f"{args.command}: {exc}")
         return EXIT_INPUT
-    except IndefLQError as exc:
+    except (IndefLQError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

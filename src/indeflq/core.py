@@ -170,9 +170,6 @@ class CoefficientPath:
             self.samples, self.T / self.m, self.interpolation == PIECEWISE_CONSTANT_LEFT, t
         )
 
-    def same_grid(self, other: "CoefficientPath") -> bool:
-        return self.grid.shape == other.grid.shape and np.array_equal(self.grid, other.grid)
-
 
 def _as_path(value, grid, rows, cols, name, interpolation):
     """Accept a CoefficientPath, a constant matrix, or stacked samples."""

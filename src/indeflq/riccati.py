@@ -58,6 +58,9 @@ _ERR = _B5 - np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 
+# largest output grid; every output time is a step boundary
+MAX_OUTPUT_POINTS = 100_000
+
 _SAFETY = 0.9
 _FAC_MIN = 0.2
 _FAC_MAX = 5.0
@@ -79,8 +82,8 @@ class SolverConfig:
     def validate(self):
         if min(self.rel_tol, self.abs_tol, self.max_norm, self.eps_pos) <= 0.0:
             raise ValueError("tolerances and caps must be positive")
-        if self.output_points < 2:
-            raise ValueError("output_points must be at least 2")
+        if not 2 <= self.output_points <= MAX_OUTPUT_POINTS:
+            raise ValueError(f"output_points must be from 2 to {MAX_OUTPUT_POINTS}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
 

@@ -35,6 +35,10 @@ __all__ = [
 ]
 
 STATE_NORM_CAP = 1e12
+# largest run, n_paths x n_steps (pairs or plain paths times Euler steps)
+MAX_PATH_STEPS = 10 ** 8
+# paths per block are sized so that one block draws about this many increments
+BLOCK_INCREMENTS = 2_000_000
 
 # feedback u = G x, optionally plus a deterministic perturbation v(t)
 FEEDBACK = "feedback-gain"
@@ -59,6 +63,8 @@ class SimConfig:
     def validate(self):
         if self.n_paths < 1 or self.n_steps < 1:
             raise ValueError("n_paths and n_steps must be positive")
+        if self.n_paths * self.n_steps > MAX_PATH_STEPS:
+            raise ValueError(f"n_paths x n_steps must not exceed {MAX_PATH_STEPS:.0e}")
         if not (0 <= int(self.seed) < 2 ** 64):
             raise ValueError("seed must fit in 64 bits")
 
@@ -106,39 +112,25 @@ class SimulationReport:
     cs_stderr: float | None = None
 
 
-def _vector_path(v, k, T, name):
-    """Normalize a perturbation/open-loop term to a (k, 1) CoefficientPath."""
-    if v is None:
-        return None
-    if isinstance(v, CoefficientPath):
-        if v.shape not in ((k, 1),):
-            raise ValueError(f"{name}: expected a path of {k}-vectors")
-        return v
-    arr = np.asarray(v, dtype=float)
-    grid = np.array([0.0, T])
-    if arr.ndim == 0:
-        arr = arr[None]
-    if arr.ndim == 1:
-        if arr.size != k:
-            raise ValueError(f"{name}: expected a {k}-vector")
-        return CoefficientPath.constant(arr[:, None], grid)
-    if arr.ndim == 2:  # (points, k) samples on a uniform grid over [0, T]
-        g = np.linspace(0.0, T, arr.shape[0])
-        return CoefficientPath(g, arr[:, :, None])
-    raise ValueError(f"{name}: unsupported shape {arr.shape}")
+def _policy_path(value, shape, T, name, vector=False):
+    """Normalize a gain or perturbation to a CoefficientPath of ``shape`` matrices.
 
-
-def _gain_path(gain, data: ProblemData, name="gain"):
-    if isinstance(gain, CoefficientPath):
-        if gain.shape != (data.k, data.n):
-            raise ValueError(f"{name}: expected shape ({data.k}, {data.n})")
-        return gain
-    arr = np.asarray(gain, dtype=float)
-    if arr.ndim == 2 and arr.shape == (data.k, data.n):
-        return CoefficientPath.constant(arr, np.array([0.0, data.T]))
-    if arr.ndim == 3 and arr.shape[1:] == (data.k, data.n):
-        return CoefficientPath(np.linspace(0.0, data.T, arr.shape[0]), arr)
-    raise ValueError(f"{name}: unsupported shape {arr.shape}")
+    Accepts such a path, one constant matrix, or samples on a uniform grid
+    over [0, T]; with ``vector`` the plain forms are k-vectors and (points, k)
+    samples, taken as columns.
+    """
+    if isinstance(value, CoefficientPath):
+        if value.shape != shape:
+            raise ValueError(f"{name}: expected a path of {shape} matrices")
+        return value
+    arr = np.asarray(value, dtype=float)
+    if vector:
+        arr = np.atleast_1d(arr)[..., None]
+    if arr.shape == shape:
+        return CoefficientPath.constant(arr, np.array([0.0, T]))
+    if arr.ndim == 3 and arr.shape[1:] == shape:
+        return CoefficientPath(np.linspace(0.0, T, arr.shape[0]), arr)
+    raise ValueError(f"{name}: unsupported shape {np.shape(value)}")
 
 
 class _EulerSetup:
@@ -163,11 +155,12 @@ class _EulerSetup:
         self.v = None
         if policy is not None:
             if policy.kind in (FEEDBACK, FEEDBACK_PERTURBED):
-                gain = _gain_path(policy.gain, data)
+                gain = _policy_path(policy.gain, (data.k, data.n), data.T, "gain")
                 self.Gt = np.swapaxes(gain.at(t_left), -1, -2).copy()  # (steps, n, k)
-            if policy.kind in (FEEDBACK_PERTURBED, OPEN_LOOP):
-                vp = _vector_path(policy.perturb, data.k, data.T, "perturbation")
-                self.v = vp.at(t_left)[:, :, 0] if vp is not None else None
+            if policy.kind in (FEEDBACK_PERTURBED, OPEN_LOOP) and policy.perturb is not None:
+                vp = _policy_path(policy.perturb, (data.k, 1), data.T, "perturbation",
+                                  vector=True)
+                self.v = vp.at(t_left)[:, :, 0]
         self.t_left = t_left
 
     def control(self, j, x):
@@ -234,33 +227,59 @@ def _run_cost_block(data_setup: _EulerSetup, cs_tables, xi, seed, indices, antit
     return cost, qacc
 
 
-def _run_paths(data_setup, cs_tables, xi, config: SimConfig, n_workers: int):
-    """All per-pair statistics in path-index order (independent of partition)."""
-    total = config.n_paths
-    target_block = max(1, int(2_000_000 // max(1, config.n_steps * data_setup.d)))
-    ranges = [(lo, min(total, lo + target_block)) for lo in range(0, total, target_block)]
+def _for_blocks(config: SimConfig, d: int, work, n_workers: int = 1):
+    """``work(indices)`` on consecutive blocks of path indices, results in index order.
 
-    def work(rng):
-        lo, hi = rng
-        idx = np.arange(lo, hi, dtype=np.uint64)
-        return _run_cost_block(
-            data_setup, cs_tables, xi, config.seed, idx, config.antithetic
-        )
+    A block holds about BLOCK_INCREMENTS Wiener increments; the blocks run on
+    up to ``n_workers`` threads.
+    """
+    size = max(1, BLOCK_INCREMENTS // max(1, config.n_steps * d))
+    starts = range(0, config.n_paths, size)
 
-    if n_workers <= 1 or len(ranges) == 1:
-        parts = [work(r) for r in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(work, ranges))
-    costs = np.concatenate([p[0] for p in parts])
-    qaccs = np.concatenate([p[1] for p in parts]) if cs_tables is not None else None
-    return costs, qaccs
+    def run(lo):
+        return work(np.arange(lo, min(config.n_paths, lo + size), dtype=np.uint64))
+
+    if n_workers <= 1 or len(starts) == 1:
+        return [run(lo) for lo in starts]
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        return list(pool.map(run, starts))
 
 
 def _stderr(values):
     if values.size < 2:
         return 0.0
     return float(np.std(values, ddof=1) / np.sqrt(values.size))
+
+
+def _simulate(data, policy, xi, config, n_workers, solution=None) -> SimulationReport:
+    """Cost statistics; with a solution, both sides of the completing-square identity."""
+    config.validate()
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (data.n,):
+        raise ValueError(f"xi must be an {data.n}-vector")
+    setup = _EulerSetup(data, policy, config.n_steps)
+    tables = None if solution is None else _cs_tables(data, solution, config.n_steps)
+
+    def work(idx):
+        return _run_cost_block(setup, tables, xi, config.seed, idx, config.antithetic)
+
+    # per-pair statistics in path-index order, independent of the partition
+    parts = _for_blocks(config, data.d, work, n_workers)
+    costs = np.concatenate([p[0] for p in parts])
+    rep = SimulationReport(
+        cost_mean=float(np.mean(costs)),
+        cost_stderr=_stderr(costs),
+        n_paths=costs.size * (2 if config.antithetic else 1),
+    )
+    if solution is not None:
+        qaccs = np.concatenate([p[1] for p in parts])
+        value0 = solution.value_at(xi)
+        diffs = costs - qaccs
+        rep.cs_lhs = float(np.mean(costs) - value0)
+        rep.cs_rhs = float(np.mean(qaccs))
+        rep.cs_residual = float(abs(np.mean(diffs) - value0))
+        rep.cs_stderr = _stderr(diffs)
+    return rep
 
 
 def simulate_cost(
@@ -276,18 +295,7 @@ def simulate_cost(
     left-rectangle quadrature of the running cost.  Raises NumericalOverflow
     when a path's state norm exceeds 1e12.
     """
-    config.validate()
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (data.n,):
-        raise ValueError(f"xi must be an {data.n}-vector")
-    setup = _EulerSetup(data, policy, config.n_steps)
-    costs, _ = _run_paths(setup, None, xi, config, n_workers)
-    n_total = costs.size * (2 if config.antithetic else 1)
-    return SimulationReport(
-        cost_mean=float(np.mean(costs)),
-        cost_stderr=_stderr(costs),
-        n_paths=n_total,
-    )
+    return _simulate(data, policy, xi, config, n_workers)
 
 
 def _cs_tables(data: ProblemData, solution: RiccatiSolution, n_steps: int):
@@ -314,25 +322,7 @@ def completing_square_report(
     """
     if not P_solution.completed:
         raise ValueError("completing-square check requires a completed Riccati solution")
-    config.validate()
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (data.n,):
-        raise ValueError(f"xi must be an {data.n}-vector")
-    setup = _EulerSetup(data, policy, config.n_steps)
-    tables = _cs_tables(data, P_solution, config.n_steps)
-    costs, qaccs = _run_paths(setup, tables, xi, config, n_workers)
-    value0 = P_solution.value_at(xi)
-    diffs = costs - qaccs
-    n_total = costs.size * (2 if config.antithetic else 1)
-    return SimulationReport(
-        cost_mean=float(np.mean(costs)),
-        cost_stderr=_stderr(costs),
-        n_paths=n_total,
-        cs_lhs=float(np.mean(costs) - value0),
-        cs_rhs=float(np.mean(qaccs)),
-        cs_residual=float(abs(np.mean(diffs) - value0)),
-        cs_stderr=_stderr(diffs),
-    )
+    return _simulate(data, policy, xi, config, n_workers, P_solution)
 
 
 def fundamental_pair_check(data: ProblemData, gain, config: SimConfig) -> float:
@@ -344,7 +334,7 @@ def fundamental_pair_check(data: ProblemData, gain, config: SimConfig) -> float:
     1/2, so the defect shrinks like sqrt(T / n_steps).
     """
     config.validate()
-    gain_path = _gain_path(gain, data)
+    gain_path = _policy_path(gain, (data.k, data.n), data.T, "gain")
     n, d = data.n, data.d
     n_steps = config.n_steps
     dt = data.T / n_steps
@@ -355,17 +345,14 @@ def fundamental_pair_check(data: ProblemData, gain, config: SimConfig) -> float:
     Ccl = C_ + np.einsum("itnk,tkr->itnr", D_, G_)
     # inverse-flow drift: Acl - sum_i Ccl_i Ccl_i
     Ainv = Acl - np.einsum("itpq,itqr->tpr", Ccl, Ccl)
-
     eye = np.eye(n)
-    worst = 0.0
-    total = config.n_paths
-    block = max(1, int(500_000 // max(1, n_steps * d)))
-    for start in range(0, total, block):
-        idx = np.arange(start, min(total, start + block), dtype=np.uint64)
+
+    def block_worst(idx):
         dW = _wiener_increments(config.seed, idx, n_steps, d, dt, config.antithetic)
         nb = dW.shape[0]
         X = np.broadcast_to(eye, (nb, n, n)).copy()
         Xt = np.broadcast_to(eye, (nb, n, n)).copy()
+        worst = 0.0
         for j in range(n_steps):
             dX = np.matmul(Acl[j], X) * dt
             dXt = -np.matmul(Xt, Ainv[j]) * dt
@@ -380,7 +367,9 @@ def fundamental_pair_check(data: ProblemData, gain, config: SimConfig) -> float:
             worst = max(worst, defect)
             if max(float(np.max(np.abs(X))), float(np.max(np.abs(Xt)))) > STATE_NORM_CAP:
                 raise NumericalOverflow("fundamental pair flow overflowed")
-    return worst
+        return worst
+
+    return max(_for_blocks(config, d, block_worst))
 
 
 def hamiltonian_identity_check(

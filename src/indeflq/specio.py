@@ -3,13 +3,19 @@
 Problem specs are YAML documents: dimensions, horizon, a uniform sample grid,
 the coefficient paths (constant-matrix shorthand expands to every grid
 point), the terminal weight, and optional certificate / solver / simulation
-blocks.  Reports are JSON with every float printed to 17 significant digits
-so values round-trip exactly.
+blocks.  Every value is read through ``_read``, so a missing key, a value of
+the wrong type and a malformed number all end in a ``SpecError`` that names
+the key path; ``parse_spec`` raises nothing else.  Sizes that drive
+allocation are bounded before anything is allocated.  Reports are JSON
+(stdlib ``json``; floats in Python's shortest round-trip form, so values
+read back exactly; non-finite floats become ``null``).
 """
 
 from __future__ import annotations
 
 import json
+import math
+import reprlib
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -34,10 +40,77 @@ __all__ = [
     "dumps_report",
 ]
 
+# largest coefficient grid: every path is expanded to one sample per point
+MAX_GRID_POINTS = 100_000
+
 _INTERPOLATIONS = (PIECEWISE_CONSTANT_LEFT, PIECEWISE_LINEAR)
 _CERT_KINDS = ("scalar-comparison", "definite", "explicit-subsolution", "shift")
-# solver block keys and the type each value is cast to
-_SOLVER_KEYS = {f.name: type(f.default) for f in fields(SolverConfig)}
+_REQUIRED = object()
+
+
+def _count(value):
+    """Strict integer: no bool, no fraction, no numeric string."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError("expected an integer")
+    return int(value)
+
+
+def _flag(value):
+    if not isinstance(value, bool):
+        raise TypeError("expected true or false")
+    return value
+
+
+def _real(value):
+    """Finite float."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError("not a finite number")
+    return x
+
+
+def _floats(value):
+    """Finite float array: every matrix, vector and alpha path."""
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("non-finite entries")
+    return arr
+
+
+# solver block keys and the cast each value goes through
+_SOLVER_KEYS = {
+    f.name: _count if isinstance(f.default, int) else _real for f in fields(SolverConfig)
+}
+
+
+def _read(doc, key, where, cast=None, default=_REQUIRED):
+    """The value of ``doc[key]`` passed through ``cast``; a null value counts as absent.
+
+    ``where`` is the key path of ``doc`` ("" at the root).  A parent that is
+    not a mapping, a missing required key and a failed cast each raise a
+    SpecError naming the path.
+    """
+    if not isinstance(doc, dict):
+        raise SpecError(f"{where}: must be a mapping")
+    value = doc.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise SpecError(f"{where or 'spec'}: missing required key '{key}'")
+        return default
+    if cast is None:
+        return value
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SpecError(
+            f"{_key_path(where, key)}: bad value {reprlib.repr(value)} ({exc})"
+        ) from None
+
+
+def _key_path(where, key):
+    if isinstance(key, int):
+        return f"{where}[{key}]"
+    return f"{where}.{key}" if where else str(key)
 
 
 @dataclass
@@ -56,9 +129,7 @@ class ParsedSpec:
 
         def path_doc(path: CoefficientPath):
             s = path.samples
-            if np.all(s == s[0]):
-                return _matrix_doc(s[0])
-            return [_matrix_doc(M) for M in s]
+            return s[0].tolist() if np.all(s == s[0]) else s.tolist()
 
         doc = {
             "dimensions": {"n": d.n, "k": d.k, "d": d.d},
@@ -72,11 +143,13 @@ class ParsedSpec:
                 "R": path_doc(d.R),
                 "Q": path_doc(d.Q),
             },
-            "terminal": _matrix_doc(d.N),
+            "terminal": d.N.tolist(),
         }
         if self.certificate is not None:
             doc["certificate"] = self.certificate
-        sd = _solver_doc(self.solver)
+        default = SolverConfig()
+        sd = {key: getattr(self.solver, key) for key in _SOLVER_KEYS
+              if getattr(self.solver, key) != getattr(default, key)}
         if sd:
             doc["solver"] = sd
         if self.simulation is not None:
@@ -85,177 +158,120 @@ class ParsedSpec:
                 "n_steps": int(self.simulation.n_steps),
                 "seed": int(self.simulation.seed),
                 "antithetic": bool(self.simulation.antithetic),
-                "xi": [float(v) for v in self.xi],
+                "xi": self.xi.tolist(),
             }
         return doc
 
 
-def _matrix_doc(M):
-    return [[float(v) for v in row] for row in np.asarray(M)]
-
-
-def _solver_doc(cfg: SolverConfig) -> dict:
-    default = SolverConfig()
-    out = {}
-    for key in _SOLVER_KEYS:
-        val = getattr(cfg, key)
-        if val != getattr(default, key):
-            out[key] = val
-    return out
-
-
-def _need(doc, key, where):
-    if key not in doc:
-        raise SpecError(f"{where}: missing required key '{key}'")
-    return doc[key]
-
-
-def _as_matrix(value, rows, cols, where):
-    arr = np.asarray(value, dtype=float)
+def _as_matrix(arr, rows, cols, where):
     if arr.ndim == 0:
         arr = arr[None, None]
     if arr.shape != (rows, cols):
         raise SpecError(f"{where}: expected a {rows}x{cols} matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise SpecError(f"{where}: non-finite entries")
     return arr
 
 
-def _as_path_samples(value, points, rows, cols, where):
+def _path(doc, key, where, points, rows, cols):
     """Constant matrix or per-grid-point list -> (points, rows, cols) samples."""
-    if not isinstance(value, (list, tuple, np.ndarray)) and not np.isscalar(value):
-        raise SpecError(f"{where}: expected a matrix or a list of matrices")
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        arr = arr[None, None]
-    if arr.ndim == 2:
-        M = _as_matrix(arr, rows, cols, where)
+    arr = _read(doc, key, where, _floats)
+    path = _key_path(where, key)
+    if arr.ndim <= 2:
+        M = _as_matrix(arr, rows, cols, path)
         return np.broadcast_to(M, (points, rows, cols)).copy()
-    if arr.ndim == 3:
-        if arr.shape[0] != points:
-            raise SpecError(
-                f"{where}: path has {arr.shape[0]} samples but the grid has {points} points"
-            )
-        if arr.shape[1:] != (rows, cols):
-            raise SpecError(f"{where}: expected {rows}x{cols} matrices, got {arr.shape[1:]}")
-        if not np.all(np.isfinite(arr)):
-            raise SpecError(f"{where}: non-finite entries")
-        return arr
-    raise SpecError(f"{where}: unsupported nesting depth {arr.ndim}")
+    if arr.ndim > 3:
+        raise SpecError(f"{path}: unsupported nesting depth {arr.ndim}")
+    if arr.shape[0] != points:
+        raise SpecError(
+            f"{path}: path has {arr.shape[0]} samples but the grid has {points} points"
+        )
+    if arr.shape[1:] != (rows, cols):
+        raise SpecError(f"{path}: expected {rows}x{cols} matrices, got {arr.shape[1:]}")
+    return arr
+
+
+def _channels(co, key, d, points, rows, cols):
+    """The d per-noise-channel paths of C or D."""
+    entries = _read(co, key, "coefficients")
+    if not isinstance(entries, (list, tuple)) or len(entries) != d:
+        raise SpecError(f"coefficients.{key}: expected a list of d = {d} entries")
+    # entries read like mapping values, keyed by position
+    by_index = dict(enumerate(entries))
+    return [_path(by_index, i, f"coefficients.{key}", points, rows, cols) for i in range(d)]
 
 
 def parse_spec(doc: dict) -> ParsedSpec:
     """Validate a loaded YAML document and build the in-memory problem."""
     if not isinstance(doc, dict):
         raise SpecError("spec root must be a mapping")
-    dims = _need(doc, "dimensions", "spec")
-    try:
-        n = int(_need(dims, "n", "dimensions"))
-        k = int(_need(dims, "k", "dimensions"))
-        d = int(_need(dims, "d", "dimensions"))
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"dimensions: {exc}") from None
+    dims = _read(doc, "dimensions", "")
+    n, k, d = (_read(dims, key, "dimensions", _count) for key in ("n", "k", "d"))
     if min(n, k, d) < 1:
         raise SpecError("dimensions: n, k, d must be positive integers")
-
-    try:
-        T = float(_need(doc, "horizon", "spec"))
-    except (TypeError, ValueError):
-        raise SpecError("horizon: must be a positive number") from None
-    if not (T > 0.0 and np.isfinite(T)):
+    T = _read(doc, "horizon", "", _real)
+    if not T > 0.0:
         raise SpecError("horizon: must be a positive number")
 
-    grid_doc = _need(doc, "grid", "spec")
-    points = int(_need(grid_doc, "points", "grid"))
-    if points < 2:
-        raise SpecError("grid.points: need at least 2 sample points")
-    interpolation = grid_doc.get("interpolation", PIECEWISE_LINEAR)
+    grid_doc = _read(doc, "grid", "")
+    points = _read(grid_doc, "points", "grid", _count)
+    if not 2 <= points <= MAX_GRID_POINTS:
+        raise SpecError(f"grid.points: need 2 to {MAX_GRID_POINTS} sample points")
+    interpolation = _read(grid_doc, "interpolation", "grid", default=PIECEWISE_LINEAR)
     if interpolation not in _INTERPOLATIONS:
         raise SpecError(
             f"grid.interpolation: {interpolation!r} not one of {_INTERPOLATIONS}"
         )
     grid = np.linspace(0.0, T, points)
 
-    co = _need(doc, "coefficients", "spec")
-    A = _as_path_samples(_need(co, "A", "coefficients"), points, n, n, "coefficients.A")
-    B = _as_path_samples(_need(co, "B", "coefficients"), points, n, k, "coefficients.B")
-    C_doc = _need(co, "C", "coefficients")
-    D_doc = _need(co, "D", "coefficients")
-    if not isinstance(C_doc, (list, tuple)) or len(C_doc) != d:
-        raise SpecError(f"coefficients.C: expected a list of d = {d} entries")
-    if not isinstance(D_doc, (list, tuple)) or len(D_doc) != d:
-        raise SpecError(f"coefficients.D: expected a list of d = {d} entries")
-    C = [
-        _as_path_samples(ci, points, n, n, f"coefficients.C[{i}]")
-        for i, ci in enumerate(C_doc)
-    ]
-    D = [
-        _as_path_samples(di, points, n, k, f"coefficients.D[{i}]")
-        for i, di in enumerate(D_doc)
-    ]
-    R = _as_path_samples(_need(co, "R", "coefficients"), points, k, k, "coefficients.R")
-    Q = _as_path_samples(_need(co, "Q", "coefficients"), points, n, n, "coefficients.Q")
-    N = _as_matrix(_need(doc, "terminal", "spec"), n, n, "terminal")
+    co = _read(doc, "coefficients", "")
+    shapes = {"A": (n, n), "B": (n, k), "R": (k, k), "Q": (n, n)}
+    paths = {key: _path(co, key, "coefficients", points, *shape)
+             for key, shape in shapes.items()}
+    C = _channels(co, "C", d, points, n, n)
+    D = _channels(co, "D", d, points, n, k)
+    N = _as_matrix(_read(doc, "terminal", "", _floats), n, n, "terminal")
 
-    try:
-        data = ProblemData(
-            n=n, k=k, d=d, T=T,
-            A=CoefficientPath(grid, A, interpolation),
-            B=CoefficientPath(grid, B, interpolation),
-            C=[CoefficientPath(grid, ci, interpolation) for ci in C],
-            D=[CoefficientPath(grid, di, interpolation) for di in D],
-            R=CoefficientPath(grid, R, interpolation),
-            Q=CoefficientPath(grid, Q, interpolation),
-            N=N,
-            grid=grid,
-        )
-    except (ValueError, SpecError) as exc:
-        raise SpecError(f"problem validation failed: {exc}") from None
+    sdoc = _read(doc, "solver", "", default={})
+    solver = SolverConfig(**{key: _read(sdoc, key, "solver", cast, getattr(SolverConfig, key))
+                             for key, cast in _SOLVER_KEYS.items()})
+    unknown = sdoc.keys() - _SOLVER_KEYS.keys()
+    if unknown:
+        raise SpecError(f"solver: unknown options {sorted(map(str, unknown))}")
 
-    solver = SolverConfig()
-    sdoc = doc.get("solver") or {}
-    if not isinstance(sdoc, dict):
-        raise SpecError("solver: must be a mapping")
-    for key, value in sdoc.items():
-        if key not in _SOLVER_KEYS:
-            raise SpecError(f"solver.{key}: unknown option")
-        try:
-            setattr(solver, key, _SOLVER_KEYS[key](value))
-        except (TypeError, ValueError):
-            raise SpecError(f"solver.{key}: bad value {value!r}") from None
-    try:
-        solver.validate()
-    except ValueError as exc:
-        raise SpecError(f"solver: {exc}") from None
-
-    certificate = doc.get("certificate")
+    certificate = _read(doc, "certificate", "", default=None)
     if certificate is not None:
-        if not isinstance(certificate, dict):
-            raise SpecError("certificate: must be a mapping")
-        kind = _need(certificate, "kind", "certificate")
+        kind = _read(certificate, "kind", "certificate")
         if kind not in _CERT_KINDS:
             raise SpecError(f"certificate.kind: {kind!r} not one of {_CERT_KINDS}")
 
-    simulation = None
-    xi = None
-    mdoc = doc.get("simulation")
+    simulation = xi = None
+    mdoc = _read(doc, "simulation", "", default=None)
     if mdoc is not None:
-        if not isinstance(mdoc, dict):
-            raise SpecError("simulation: must be a mapping")
         simulation = SimConfig(
-            n_paths=int(mdoc.get("n_paths", SimConfig.n_paths)),
-            n_steps=int(mdoc.get("n_steps", SimConfig.n_steps)),
-            seed=int(mdoc.get("seed", 0)),
-            antithetic=bool(mdoc.get("antithetic", True)),
+            n_paths=_read(mdoc, "n_paths", "simulation", _count, SimConfig.n_paths),
+            n_steps=_read(mdoc, "n_steps", "simulation", _count, SimConfig.n_steps),
+            seed=_read(mdoc, "seed", "simulation", _count, 0),
+            antithetic=_read(mdoc, "antithetic", "simulation", _flag, True),
         )
-        try:
-            simulation.validate()
-        except ValueError as exc:
-            raise SpecError(f"simulation: {exc}") from None
-        xi_doc = _need(mdoc, "xi", "simulation")
-        xi = np.asarray(xi_doc, dtype=float)
+        xi = _read(mdoc, "xi", "simulation", _floats)
         if xi.shape != (n,):
             raise SpecError(f"simulation.xi: expected an {n}-vector")
+
+    # the library's own checks (symmetric weights, solver and sample sizes)
+    try:
+        solver.validate()
+        if simulation is not None:
+            simulation.validate()
+
+        def path(samples):
+            return CoefficientPath(grid, samples, interpolation)
+
+        data = ProblemData(
+            n=n, k=k, d=d, T=T, N=N, grid=grid,
+            C=[path(ci) for ci in C], D=[path(di) for di in D],
+            **{key: path(samples) for key, samples in paths.items()},
+        )
+    except ValueError as exc:
+        raise SpecError(f"problem validation failed: {exc}") from None
 
     return ParsedSpec(
         data=data, solver=solver, certificate=certificate, simulation=simulation, xi=xi
@@ -310,68 +326,23 @@ def apply_overrides(doc: dict, overrides) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# report serialization: JSON with 17-significant-digit floats
+# report serialization: stdlib json over plain Python values
 
 
-def _format_float(x: float) -> str:
-    if not np.isfinite(x):
-        return "null"
-    if x == int(x) and abs(x) < 1e16:
-        return f"{x:.1f}"
-    return f"{x:.17g}"
-
-
-def _write_json(obj, parts, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
-    if obj is None:
-        parts.append("null")
-    elif isinstance(obj, bool):
-        parts.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(_format_float(float(obj)))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, np.ndarray):
-        _write_json(obj.tolist(), parts, indent, level)
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            parts.append("[]")
-            return
-        flat = all(isinstance(v, (int, float, np.integer, np.floating)) for v in obj)
-        if flat:
-            parts.append("[")
-            for i, v in enumerate(obj):
-                if i:
-                    parts.append(", ")
-                _write_json(v, parts, indent, level)
-            parts.append("]")
-        else:
-            parts.append("[\n")
-            for i, v in enumerate(obj):
-                parts.append(pad_in)
-                _write_json(v, parts, indent, level + 1)
-                parts.append(",\n" if i < len(obj) - 1 else "\n")
-            parts.append(pad + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        parts.append("{\n")
-        items = list(obj.items())
-        for i, (key, v) in enumerate(items):
-            parts.append(pad_in + json.dumps(str(key)) + ": ")
-            _write_json(v, parts, indent, level + 1)
-            parts.append(",\n" if i < len(items) - 1 else "\n")
-        parts.append(pad + "}")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r} into a report")
+def _plain(obj):
+    """Plain JSON types: arrays to lists, numpy scalars to Python, non-finite to None."""
+    if isinstance(obj, float):  # numpy float64 included
+        return float(obj) if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _plain(v) for key, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _plain(obj.tolist())
+    if isinstance(obj, np.generic):
+        return _plain(obj.item())
+    return obj
 
 
 def dumps_report(report: dict) -> str:
-    parts = []
-    _write_json(report, parts, 2, 0)
-    parts.append("\n")
-    return "".join(parts)
+    return json.dumps(_plain(report), indent=2) + "\n"

@@ -1,7 +1,9 @@
 import json
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from indeflq import bundled
 from indeflq.cli import main
@@ -179,6 +181,84 @@ class TestCertifyCommand:
             argv += ["--set", item]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestInputErrors:
+    # each malformed input ends in exit 1 with one error line, never a traceback
+    @pytest.mark.parametrize("command, spec, settings", [
+        ("certify", "example504_r1", ["grid.points=abc"]),
+        ("certify", "example504_r1", ["simulation.n_paths=abc"]),
+        ("certify", "example504_r1", ['simulation.xi="ab"']),
+        ("certify", "example504_r1", ['coefficients.R="x"']),
+        ("certify", "example504_r1", ["certificate.alpha=1.5"]),
+        ("certify", "example504_r1", ["certificate.alpha=[0.1,0.2]"]),
+        ("certify", "example504_r1", ["grid=5"]),
+        ("certify", "example504_r1", ["grid.points=3.7"]),
+        ("certify", "example504_r1", ["simulation.antithetic=maybe"]),
+        ("certify", "blowup_ode", ["certificate.tol=abc"]),
+        ("solve", "example504_r1", ["dimensions.d=2", "coefficients.D=[[[1.0]], [[1.0]]]",
+                                    "coefficients.C=[[[0.0]], [[0.0], [1.0, 2.0]]]"]),
+        ("certify", "example504_r1", ["coefficients.A=[[350.0]]", "coefficients.Q=[[1.0e+300]]"]),
+    ])
+    def test_exit1_with_one_error_line(self, example_dir, command, spec, settings, capsys):
+        argv = [command, "--spec", str(example_dir / f"{spec}.yaml"), "--quiet"]
+        for item in settings:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_unwritable_report_exit1(self, example_dir, tmp_path, capsys):
+        out = tmp_path / "no_such_dir" / "r.json"
+        argv = ["solve", "--spec", str(example_dir / "example504_r1.yaml"), "--out", str(out),
+                "--quiet"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_unknown_flag_exit1(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--spec", "x.yaml", "--no-such-flag"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_huge_path_count_rejected_at_parse(self):
+        # bounded before anything is allocated: parse_spec alone refuses it
+        doc = apply_overrides(bundled.example_doc("example504_r1"),
+                              ["simulation.n_paths=100000000000000000000"])
+        with pytest.raises(SpecError, match="n_paths"):
+            parse_spec(doc)
+
+
+def _key_paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+_SPEC_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=8,
+)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(choice=st.data())
+def test_parse_spec_raises_only_spec_error(choice):
+    # one random key-path override of a bundled document: parse or SpecError
+    doc = bundled.example_doc(choice.draw(st.sampled_from(bundled.example_names())))
+    path = choice.draw(st.sampled_from(sorted(_key_paths(doc))))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = choice.draw(_SPEC_VALUES)
+    try:
+        parse_spec(doc)
+    except SpecError:
+        pass
 
 
 class TestSimulateCommand:
