@@ -13,11 +13,11 @@ from .core import (
     PIECEWISE_LINEAR,
     CoefficientPath,
     ProblemData,
-    batched_min_eig,
     eval_f,
     eval_gamma,
     eval_hat_R,
     min_eigenvalue,
+    path_samples,
     symmetrize,
 )
 from .certificates import (
@@ -89,7 +89,6 @@ __all__ = [
     "StepLimit",
     "SubsolutionCandidate",
     "apply_shift",
-    "batched_min_eig",
     "certify_definite_regime",
     "certify_scalar_comparison",
     "check_solution_residual",
@@ -104,6 +103,7 @@ __all__ = [
     "hamiltonian_identity_check",
     "min_eigenvalue",
     "optimal_constant_alpha",
+    "path_samples",
     "shift_solution_back",
     "simulate_cost",
     "solve_riccati",

@@ -24,9 +24,9 @@ from .core import (
     DEFAULT_EPS_POS,
     CoefficientPath,
     ProblemData,
-    batched_min_eig,
     lq_terms,
     min_eigenvalue,
+    path_samples,
     symmetric_part_error,
     symmetrize,
 )
@@ -77,7 +77,8 @@ ALPHA_CAP = 1e-3
 class SubsolutionCandidate:
     """A candidate subsolution path F with its time derivative.
 
-    When ``dF`` is omitted it is filled by central differences on the grid
+    ``F`` and ``dF`` are read by ``core.path_samples`` on ``grid`` (one
+    symmetric matrix or one per grid point).  When ``dF`` is omitted it is filled by central differences on the grid
     (one-sided at the ends) and checks run with a 10x inflated tolerance.
     """
 
@@ -90,12 +91,12 @@ class SubsolutionCandidate:
         grid = np.asarray(self.grid, dtype=float)
         F = np.asarray(self.F, dtype=float)
         n = F.shape[-1] if F.ndim else 1  # checked against the problem in check_subsolution
-        F = _sym_path_samples(F, grid, n, "F")
+        F = _symmetric(path_samples(F, grid.size, (n, n), "F"), "F")
         if self.dF is None:
             dF = np.gradient(F, grid[1] - grid[0], axis=0, edge_order=2)
             self.derivative_fd = True
         else:
-            dF = _sym_path_samples(self.dF, grid, n, "dF")
+            dF = _symmetric(path_samples(self.dF, grid.size, (n, n), "dF"), "dF")
         self.grid = grid
         self.F = F
         self.dF = dF
@@ -115,9 +116,7 @@ class Certificate:
     epsilon: float
     reason: str | None = None
     t_worst: float | None = None
-    phi_grid: np.ndarray | None = None
     phi: np.ndarray | None = None
-    alpha: np.ndarray | None = None
     boundary: np.ndarray | None = None
     threshold: float | None = None
 
@@ -143,7 +142,7 @@ def _drift_min_eigs(L, hat, rhs, shift):
     hat_s = hat - shift * np.eye(k)
     sol = np.linalg.solve(hat_s, rhs)
     quad = np.einsum("tkn,tkr->tnr", rhs, sol)
-    return batched_min_eig(L - quad)
+    return min_eigenvalue(L - quad)
 
 
 def check_subsolution(
@@ -173,7 +172,7 @@ def check_subsolution(
     L, hat, rhs = _stacked_subsolution_parts(data, cand)
     grid = data.grid
 
-    hat_eigs = batched_min_eig(hat)
+    hat_eigs = min_eigenvalue(hat)
     hat_min = float(np.min(hat_eigs))
     if hat_min <= eps_pos:
         j = int(np.argmin(hat_eigs))
@@ -287,14 +286,15 @@ def certify_scalar_comparison(
         Tuning path with values in [0, 1).
     """
     times, a_vals = _normalize_alpha(alpha, data)
-    if np.any(a_vals < 0.0) or np.any(a_vals >= 1.0):
+    # written so that NaN fails: every comparison with NaN is False
+    if not np.all((a_vals >= 0.0) & (a_vals < 1.0)):
         raise ValueError("alpha values must lie in [0, 1)")
     h = times[1] - times[0]
 
     coeffs = data.stacked_at(times)
     R_, Q_ = coeffs[4], coeffs[5]
     sumDtD, Mt, ups = _upsilon_parts(coeffs, data.n)
-    dd_eigs = batched_min_eig(sumDtD)
+    dd_eigs = min_eigenvalue(sumDtD)
     if float(np.min(dd_eigs)) < eps_pos:
         j = int(np.argmin(dd_eigs))
         raise PreconditionFailed(
@@ -305,8 +305,8 @@ def certify_scalar_comparison(
     sol = np.linalg.solve(sumDtD, Mt)
     quad = np.einsum("tkn,tkr->tnr", Mt, sol)
     ups = ups - quad / (1.0 - a_vals)[:, None, None]
-    upsilon = batched_min_eig(symmetrize(ups))
-    qmin = batched_min_eig(Q_)
+    upsilon = min_eigenvalue(ups)
+    qmin = min_eigenvalue(Q_)
     nu = min_eigenvalue(data.N)
 
     I = _cumtrapz(upsilon, h)
@@ -325,7 +325,7 @@ def certify_scalar_comparison(
         raise PhiNonpositive(float(times[bad[-1]]))
 
     aphi = a_vals * phi
-    adm = batched_min_eig(R_ + aphi[:, None, None] * sumDtD)
+    adm = min_eigenvalue(R_ + aphi[:, None, None] * sumDtD)
     eps = float(np.min(adm))
     j = int(np.argmin(adm))
     threshold = -float(np.min(aphi * dd_eigs))
@@ -338,9 +338,7 @@ def certify_scalar_comparison(
 
     common = dict(
         kind=KIND_SCALAR_COMPARISON,
-        phi_grid=data.grid.copy(),
         phi=phi_coarse,
-        alpha=alpha_coarse,
         boundary=boundary,
         threshold=threshold,
     )
@@ -399,8 +397,8 @@ def certify_definite_regime(data: ProblemData, eps_pos: float = DEFAULT_EPS_POS)
     Q, R positive semi-definite; certified by delegating to the scalar
     comparison criterion with a small constant alpha.
     """
-    r_eigs = batched_min_eig(data.R.samples)
-    q_eigs = batched_min_eig(data.Q.samples)
+    r_eigs = min_eigenvalue(data.R.samples)
+    q_eigs = min_eigenvalue(data.Q.samples)
     r_min = float(np.min(r_eigs))
     q_min = float(np.min(q_eigs))
     n_min = min_eigenvalue(data.N)
@@ -424,7 +422,7 @@ def certify_definite_regime(data: ProblemData, eps_pos: float = DEFAULT_EPS_POS)
         reasons.append(f"N not positive semi-definite (min {n_min:.3e})")
 
     psd_r = r_min >= -PSD_SLACK * scale_r
-    dd_eigs = batched_min_eig(_upsilon_parts(data.stacked_at(data.grid), data.n)[0])
+    dd_eigs = min_eigenvalue(_upsilon_parts(data.stacked_at(data.grid), data.n)[0])
     dd_min = float(np.min(dd_eigs))
     if psd_q and psd_r and n_min > eps_pos and dd_min >= eps_pos:
         try:
@@ -446,19 +444,11 @@ def certify_definite_regime(data: ProblemData, eps_pos: float = DEFAULT_EPS_POS)
     )
 
 
-def _sym_path_samples(value, grid, n, name):
-    """Symmetric (grid, n, n) samples from such samples or from one (n, n) matrix."""
-    K = np.asarray(value, dtype=float)
-    if K.shape == (n, n):
-        K = np.broadcast_to(K, (grid.size, n, n)).copy()
-    if K.shape != (grid.size, n, n):
-        raise GridMismatch(
-            f"{name} must be a {n}x{n} matrix or {grid.size} such samples on the "
-            f"problem grid, got shape {K.shape}"
-        )
-    if symmetric_part_error(K) > 1e-10 * max(1.0, float(np.max(np.abs(K)))):
+def _symmetric(samples, name):
+    """The witness samples, symmetrized; ValueError when they are not symmetric."""
+    if symmetric_part_error(samples) > 1e-10 * max(1.0, float(np.max(np.abs(samples)))):
         raise ValueError(f"{name} must be symmetric")
-    return symmetrize(K)
+    return symmetrize(samples)
 
 
 def apply_shift(data: ProblemData, K, dK=None):
@@ -474,11 +464,12 @@ def apply_shift(data: ProblemData, K, dK=None):
     ``dK`` defaults to central differences of K on the grid.
     """
     grid = data.grid
-    K = _sym_path_samples(K, grid, data.n, "K")
+    shape = (data.n, data.n)
+    K = _symmetric(path_samples(K, grid.size, shape, "K"), "K")
     if dK is None:
         dK = np.gradient(K, grid[1] - grid[0], axis=0)
     else:
-        dK = _sym_path_samples(dK, grid, data.n, "dK")
+        dK = _symmetric(path_samples(dK, grid.size, shape, "dK"), "dK")
 
     hat, rhs, base = lq_terms(data.stacked_at(grid), K)
     # rhs = B'K + sum_i D_i'K C_i is the transpose of the compensation defect
@@ -492,8 +483,8 @@ def shift_solution_back(
     solution: RiccatiSolution, K, original_data: ProblemData
 ) -> RiccatiSolution:
     """Recover the original-problem trajectory P + K from a shifted solve."""
-    K = _sym_path_samples(K, original_data.grid, original_data.n, "K")
-    K_path = CoefficientPath(original_data.grid, K)
+    grid, n = original_data.grid, original_data.n
+    K_path = CoefficientPath(grid, _symmetric(path_samples(K, grid.size, (n, n), "K"), "K"))
     P = solution.P + K_path.at(solution.grid)
     gain, margin = derive_gain_margin(original_data, solution.grid, P)
     return RiccatiSolution(

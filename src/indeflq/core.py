@@ -23,7 +23,7 @@ __all__ = [
     "symmetrize",
     "symmetric_part_error",
     "min_eigenvalue",
-    "batched_min_eig",
+    "path_samples",
     "lq_terms",
     "eval_hat_R",
     "eval_gamma",
@@ -57,28 +57,35 @@ def symmetric_part_error(M):
 
 
 def min_eigenvalue(M):
-    """Smallest eigenvalue of a symmetric matrix."""
+    """Smallest eigenvalue of a symmetric matrix (a float), or of each in a stack."""
     M = symmetrize(M)
     if M.shape[-1] == 1:
         return float(M[..., 0, 0]) if M.ndim == 2 else M[..., 0, 0]
     return float(np.linalg.eigvalsh(M)[0]) if M.ndim == 2 else np.linalg.eigvalsh(M)[..., 0]
 
 
-def batched_min_eig(M):
-    """Smallest eigenvalue along the last two axes of a stack of symmetric matrices."""
-    M = np.asarray(M, dtype=float)
-    if M.shape[-1] == 1:
-        return M[..., 0, 0].copy()
-    return np.linalg.eigvalsh(symmetrize(M))[..., 0]
+def path_samples(value, points, shape, name):
+    """``(points, *shape)`` samples of a path given as one constant or per grid point.
 
-
-def _check_matrix(M, rows, cols, name):
-    M = np.asarray(M, dtype=float)
-    if M.shape[-2:] != (rows, cols):
-        raise ValueError(f"{name}: expected trailing shape ({rows}, {cols}), got {M.shape}")
-    if not np.all(np.isfinite(M)):
+    ``value`` is one ``shape`` matrix held at every grid point, exactly
+    ``points`` such matrices, or a 0-d scalar read as a 1x1 matrix (a
+    1-vector when ``shape`` is a vector shape).  Any other shape raises
+    GridMismatch and non-finite entries raise ValueError, both naming ``name``.
+    """
+    arr = np.asarray(value, dtype=float)
+    given = arr.shape
+    if arr.ndim == 0:
+        arr = arr.reshape((1,) * len(shape))
+    if arr.shape == shape:
+        arr = np.broadcast_to(arr, (points, *shape)).copy()
+    elif arr.shape != (points, *shape):
+        one = f"{shape[0]}-vector" if len(shape) == 1 else f"{shape[0]}x{shape[1]} matrix"
+        raise GridMismatch(
+            f"{name}: expected a {one} or {points} such samples, got shape {given}"
+        )
+    if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name}: contains non-finite entries")
-    return M
+    return arr
 
 
 def _interpolate(samples, h, piecewise_constant, t):
@@ -121,8 +128,6 @@ class CoefficientPath:
         samples = np.asarray(self.samples, dtype=float)
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("grid must hold at least two times")
-        if samples.ndim == 1:  # scalar path convenience
-            samples = samples[:, None, None]
         if samples.ndim != 3 or samples.shape[0] != grid.size:
             raise ValueError(
                 f"samples shape {samples.shape} does not match grid of {grid.size} points"
@@ -154,16 +159,6 @@ class CoefficientPath:
     def shape(self):
         return self.samples.shape[1:]
 
-    @classmethod
-    def constant(cls, M, grid, interpolation=PIECEWISE_LINEAR):
-        """Path that holds one matrix at every grid point."""
-        M = np.asarray(M, dtype=float)
-        if M.ndim == 0:
-            M = M[None, None]
-        grid = np.asarray(grid, dtype=float)
-        samples = np.broadcast_to(M, (grid.size,) + M.shape).copy()
-        return cls(grid, samples, interpolation)
-
     def at(self, t):
         """Evaluate at scalar or vector ``t`` in [0, T]."""
         return _interpolate(
@@ -171,34 +166,25 @@ class CoefficientPath:
         )
 
 
-def _as_path(value, grid, rows, cols, name, interpolation):
-    """Accept a CoefficientPath, a constant matrix, or stacked samples."""
-    if isinstance(value, CoefficientPath):
-        p = value
-        if p.shape != (rows, cols):
-            raise ValueError(f"{name}: expected shape ({rows}, {cols}), got {p.shape}")
-        if not np.array_equal(p.grid, grid):
-            raise GridMismatch(f"{name}: path grid differs from the problem grid")
-        return p
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        arr = arr[None, None]
-    if arr.ndim == 2:
-        arr = _check_matrix(arr, rows, cols, name)
-        return CoefficientPath.constant(arr, grid, interpolation)
-    arr = _check_matrix(arr, rows, cols, name)
-    if arr.shape[0] != grid.size:
-        raise GridMismatch(f"{name}: {arr.shape[0]} samples for a grid of {grid.size} points")
-    return CoefficientPath(grid, arr, interpolation)
+def _as_path(value, grid, shape, name, interpolation):
+    """A CoefficientPath on the problem grid: ``value`` itself, or path_samples of it."""
+    if not isinstance(value, CoefficientPath):
+        return CoefficientPath(grid, path_samples(value, grid.size, shape, name), interpolation)
+    if value.shape != shape:
+        raise GridMismatch(f"{name}: expected a path of shape {shape}, got shape {value.shape}")
+    if not np.array_equal(value.grid, grid):
+        raise GridMismatch(f"{name}: path grid differs from the problem grid")
+    return value
 
 
 @dataclass(frozen=True)
 class ProblemData:
     """Coefficient tuple (A, B, C_1..C_d, D_1..D_d; R, Q, N) with horizon T.
 
-    ``R`` and ``Q`` may be indefinite; ``N`` is the terminal weight.  All paths
-    share one uniform grid.  Constant matrices are accepted anywhere a path is
-    expected and are expanded to the grid.
+    ``R`` and ``Q`` may be indefinite; ``N`` is the terminal weight, one n x n
+    matrix.  All paths share one uniform grid: each coefficient is a
+    CoefficientPath on ``grid`` or a value ``path_samples`` reads (one constant
+    matrix or one sample per grid point).
     """
 
     n: int
@@ -212,7 +198,7 @@ class ProblemData:
     R: CoefficientPath
     Q: CoefficientPath
     N: np.ndarray
-    grid: np.ndarray = field(default=None, repr=False)
+    grid: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         n, k, d = int(self.n), int(self.k), int(self.d)
@@ -221,13 +207,7 @@ class ProblemData:
         T = float(self.T)
         if T <= 0.0:
             raise ValueError("horizon T must be positive")
-        grid = self.grid
-        if grid is None:
-            base = self.A if isinstance(self.A, CoefficientPath) else None
-            if base is None:
-                raise ValueError("grid is required unless A is already a CoefficientPath")
-            grid = base.grid
-        grid = np.asarray(grid, dtype=float)
+        grid = np.asarray(self.grid, dtype=float)
         if abs(grid[-1] - T) > 1e-12 * max(T, 1.0):
             raise ValueError("grid must end at the horizon T")
         given = [self.A, self.B, self.R, self.Q, *self.C, *self.D]
@@ -235,15 +215,21 @@ class ProblemData:
         if len(modes) > 1:
             raise ValueError(f"coefficient paths mix interpolation modes: {sorted(modes)}")
         interp = modes.pop() if modes else PIECEWISE_LINEAR
-        A = _as_path(self.A, grid, n, n, "A", interp)
-        B = _as_path(self.B, grid, n, k, "B", interp)
-        C = tuple(_as_path(ci, grid, n, n, f"C[{i}]", interp) for i, ci in enumerate(self.C))
-        D = tuple(_as_path(di, grid, n, k, f"D[{i}]", interp) for i, di in enumerate(self.D))
+        A = _as_path(self.A, grid, (n, n), "A", interp)
+        B = _as_path(self.B, grid, (n, k), "B", interp)
+        C = tuple(_as_path(ci, grid, (n, n), f"C[{i}]", interp) for i, ci in enumerate(self.C))
+        D = tuple(_as_path(di, grid, (n, k), f"D[{i}]", interp) for i, di in enumerate(self.D))
         if len(C) != d or len(D) != d:
             raise ValueError(f"C and D must each have d = {d} entries")
-        R = _as_path(self.R, grid, k, k, "R", interp)
-        Q = _as_path(self.Q, grid, n, n, "Q", interp)
-        N = _check_matrix(np.asarray(self.N, dtype=float), n, n, "N")
+        R = _as_path(self.R, grid, (k, k), "R", interp)
+        Q = _as_path(self.Q, grid, (n, n), "Q", interp)
+        N = np.asarray(self.N, dtype=float)
+        if N.ndim == 0:
+            N = N.reshape(1, 1)
+        if N.shape != (n, n):
+            raise GridMismatch(f"N: expected a {n}x{n} matrix, got shape {N.shape}")
+        if not np.all(np.isfinite(N)):
+            raise ValueError("N: contains non-finite entries")
         for name, path in (("R", R), ("Q", Q)):
             err = symmetric_part_error(path.samples)
             if err > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(path.samples)))):

@@ -22,8 +22,11 @@ class ConstraintViolation(IndefLQError):
         )
 
 
-class GridMismatch(IndefLQError):
-    """A path does not match the problem's sample grid or matrix shape."""
+class GridMismatch(IndefLQError, ValueError):
+    """A path does not match the problem's sample grid or matrix shape.
+
+    Also a ValueError: a wrong shape is a bad input value like any other.
+    """
 
 
 class NumericalOverflow(IndefLQError):

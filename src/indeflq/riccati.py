@@ -19,7 +19,6 @@ from .core import (
     DEFAULT_EPS_POS,
     PIECEWISE_CONSTANT_LEFT,
     ProblemData,
-    batched_min_eig,
     eval_f,
     lq_terms,
     min_eigenvalue,
@@ -80,7 +79,8 @@ class SolverConfig:
     output_points: int = 513
 
     def validate(self):
-        if min(self.rel_tol, self.abs_tol, self.max_norm, self.eps_pos) <= 0.0:
+        # written so that NaN fails: every comparison with NaN is False
+        if not all(x > 0.0 for x in (self.rel_tol, self.abs_tol, self.max_norm, self.eps_pos)):
             raise ValueError("tolerances and caps must be positive")
         if not 2 <= self.output_points <= MAX_OUTPUT_POINTS:
             raise ValueError(f"output_points must be from 2 to {MAX_OUTPUT_POINTS}")
@@ -127,7 +127,7 @@ class RiccatiSolution:
 def derive_gain_margin(data: ProblemData, grid, P):
     """Feedback gains Gamma(P, 0) and constraint margins along a stored P path."""
     hat, rhs, _ = lq_terms(data.stacked_at(grid), P)
-    return -np.linalg.solve(hat, rhs), batched_min_eig(hat)
+    return -np.linalg.solve(hat, rhs), min_eigenvalue(hat)
 
 
 def _hermite(theta, y0, f0, y1, f1, h):

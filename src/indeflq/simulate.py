@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .core import CoefficientPath, ProblemData, lq_terms, symmetrize
-from .errors import NumericalOverflow
+from .core import CoefficientPath, ProblemData, lq_terms, path_samples, symmetrize
+from .errors import GridMismatch, NumericalOverflow
 from .riccati import RiccatiSolution
 
 __all__ = [
@@ -39,12 +39,6 @@ STATE_NORM_CAP = 1e12
 MAX_PATH_STEPS = 10 ** 8
 # paths per block are sized so that one block draws about this many increments
 BLOCK_INCREMENTS = 2_000_000
-
-# feedback u = G x, optionally plus a deterministic perturbation v(t)
-FEEDBACK = "feedback-gain"
-FEEDBACK_PERTURBED = "feedback-plus-perturbation"
-OPEN_LOOP = "open-loop"
-ZERO = "zero"
 
 
 @dataclass
@@ -71,32 +65,20 @@ class SimConfig:
 
 @dataclass
 class ControlPolicy:
-    """A control law: feedback gain path, perturbed feedback, open loop, or zero."""
+    """The control u = G(t) x + v(t); an absent path contributes nothing.
 
-    kind: str
+    ``gain`` G holds k x n matrices and ``perturb`` v holds k-vectors.  Each
+    is a CoefficientPath on its own grid (a perturbation path holds k x 1
+    columns) or a value ``core.path_samples`` reads on the problem grid: one
+    constant or one sample per grid point.
+    """
+
     gain: CoefficientPath | None = None
     perturb: CoefficientPath | None = None
 
     @classmethod
-    def feedback(cls, gain) -> "ControlPolicy":
-        return cls(kind=FEEDBACK, gain=gain)
-
-    @classmethod
-    def feedback_perturbed(cls, gain, v) -> "ControlPolicy":
-        return cls(kind=FEEDBACK_PERTURBED, gain=gain, perturb=v)
-
-    @classmethod
-    def open_loop(cls, v) -> "ControlPolicy":
-        return cls(kind=OPEN_LOOP, perturb=v)
-
-    @classmethod
-    def zero(cls) -> "ControlPolicy":
-        return cls(kind=ZERO)
-
-    @classmethod
     def from_solution(cls, solution: RiccatiSolution) -> "ControlPolicy":
-        gain = CoefficientPath(solution.grid, solution.gain)
-        return cls(kind=FEEDBACK, gain=gain)
+        return cls(gain=CoefficientPath(solution.grid, solution.gain))
 
 
 @dataclass
@@ -112,31 +94,26 @@ class SimulationReport:
     cs_stderr: float | None = None
 
 
-def _policy_path(value, shape, T, name, vector=False):
-    """Normalize a gain or perturbation to a CoefficientPath of ``shape`` matrices.
+def _policy_at(value, data: ProblemData, shape, name, t):
+    """A gain or perturbation at times ``t``, as (len(t), rows, cols) values.
 
-    Accepts such a path, one constant matrix, or samples on a uniform grid
-    over [0, T]; with ``vector`` the plain forms are k-vectors and (points, k)
-    samples, taken as columns.
+    A CoefficientPath is read on its own grid; any other value goes through
+    ``path_samples`` on the problem grid, a vector shape taken as columns.
     """
-    if isinstance(value, CoefficientPath):
-        if value.shape != shape:
-            raise ValueError(f"{name}: expected a path of {shape} matrices")
-        return value
-    arr = np.asarray(value, dtype=float)
-    if vector:
-        arr = np.atleast_1d(arr)[..., None]
-    if arr.shape == shape:
-        return CoefficientPath.constant(arr, np.array([0.0, T]))
-    if arr.ndim == 3 and arr.shape[1:] == shape:
-        return CoefficientPath(np.linspace(0.0, T, arr.shape[0]), arr)
-    raise ValueError(f"{name}: unsupported shape {np.shape(value)}")
+    rows, cols = shape[0], int(np.prod(shape[1:]))
+    if not isinstance(value, CoefficientPath):
+        samples = path_samples(value, data.grid.size, shape, name)
+        value = CoefficientPath(data.grid, samples.reshape(-1, rows, cols))
+    elif value.shape != (rows, cols):
+        raise GridMismatch(f"{name}: expected a path of shape {(rows, cols)}, "
+                           f"got shape {value.shape}")
+    return value.at(t)
 
 
 class _EulerSetup:
     """Left-endpoint coefficient and policy tables for one simulation run."""
 
-    def __init__(self, data: ProblemData, policy: ControlPolicy | None, n_steps: int):
+    def __init__(self, data: ProblemData, policy: ControlPolicy, n_steps: int):
         self.n, self.k, self.d = data.n, data.k, data.d
         self.dt = data.T / n_steps
         self.n_steps = n_steps
@@ -151,23 +128,15 @@ class _EulerSetup:
         self.R = R_.copy()
         self.Q = Q_.copy()
         self.N = symmetrize(data.N)
-        self.Gt = None
-        self.v = None
-        if policy is not None:
-            if policy.kind in (FEEDBACK, FEEDBACK_PERTURBED):
-                gain = _policy_path(policy.gain, (data.k, data.n), data.T, "gain")
-                self.Gt = np.swapaxes(gain.at(t_left), -1, -2).copy()  # (steps, n, k)
-            if policy.kind in (FEEDBACK_PERTURBED, OPEN_LOOP) and policy.perturb is not None:
-                vp = _policy_path(policy.perturb, (data.k, 1), data.T, "perturbation",
-                                  vector=True)
-                self.v = vp.at(t_left)[:, :, 0]
-        self.t_left = t_left
+        self.Gt = self.v = None
+        if policy.gain is not None:
+            G = _policy_at(policy.gain, data, (data.k, data.n), "gain", t_left)
+            self.Gt = np.swapaxes(G, -1, -2).copy()  # (steps, n, k)
+        if policy.perturb is not None:
+            self.v = _policy_at(policy.perturb, data, (data.k,), "perturbation", t_left)[:, :, 0]
 
     def control(self, j, x):
-        b = x.shape[0]
-        if self.Gt is None and self.v is None:
-            return np.zeros((b, self.k))
-        u = x @ self.Gt[j] if self.Gt is not None else np.zeros((b, self.k))
+        u = x @ self.Gt[j] if self.Gt is not None else np.zeros((x.shape[0], self.k))
         if self.v is not None:
             u = u + self.v[j]
         return u
@@ -331,16 +300,16 @@ def fundamental_pair_check(data: ProblemData, gain, config: SimConfig) -> float:
     Simulates the matrix flow X with drift A + B G and diffusions C_i + D_i G,
     and the inverse flow Xtilde with drift -(A' - sum C'^2) acting from the
     right, on the same increments; Euler stepping converges at strong order
-    1/2, so the defect shrinks like sqrt(T / n_steps).
+    1/2, so the defect shrinks like sqrt(T / n_steps).  ``gain`` is read like
+    ``ControlPolicy.gain``.
     """
     config.validate()
-    gain_path = _policy_path(gain, (data.k, data.n), data.T, "gain")
     n, d = data.n, data.d
     n_steps = config.n_steps
     dt = data.T / n_steps
     t_left = np.arange(n_steps) * dt
     A_, B_, C_, D_, R_, Q_ = data.stacked_at(t_left)
-    G_ = gain_path.at(t_left)
+    G_ = _policy_at(gain, data, (data.k, n), "gain", t_left)
     Acl = A_ + np.einsum("tnk,tkr->tnr", B_, G_)
     Ccl = C_ + np.einsum("itnk,tkr->itnr", D_, G_)
     # inverse-flow drift: Acl - sum_i Ccl_i Ccl_i

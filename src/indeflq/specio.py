@@ -1,9 +1,9 @@
 """Problem-specification files and machine-readable reports.
 
 Problem specs are YAML documents: dimensions, horizon, a uniform sample grid,
-the coefficient paths (constant-matrix shorthand expands to every grid
-point), the terminal weight, and optional certificate / solver / simulation
-blocks.  Every value is read through ``_read``, so a missing key, a value of
+the coefficient paths (each one constant matrix or one sample per grid
+point, read by ``core.path_samples``), the terminal weight, and optional
+certificate / solver / simulation blocks.  Every value is read through ``_read``, so a missing key, a value of
 the wrong type and a malformed number all end in a ``SpecError`` that names
 the key path; ``parse_spec`` raises nothing else.  Sizes that drive
 allocation are bounded before anything is allocated.  Reports are JSON
@@ -26,6 +26,7 @@ from .core import (
     PIECEWISE_LINEAR,
     CoefficientPath,
     ProblemData,
+    path_samples,
 )
 from .errors import SpecError
 from .riccati import SolverConfig
@@ -163,40 +164,15 @@ class ParsedSpec:
         return doc
 
 
-def _as_matrix(arr, rows, cols, where):
-    if arr.ndim == 0:
-        arr = arr[None, None]
-    if arr.shape != (rows, cols):
-        raise SpecError(f"{where}: expected a {rows}x{cols} matrix, got shape {arr.shape}")
-    return arr
-
-
-def _path(doc, key, where, points, rows, cols):
-    """Constant matrix or per-grid-point list -> (points, rows, cols) samples."""
-    arr = _read(doc, key, where, _floats)
-    path = _key_path(where, key)
-    if arr.ndim <= 2:
-        M = _as_matrix(arr, rows, cols, path)
-        return np.broadcast_to(M, (points, rows, cols)).copy()
-    if arr.ndim > 3:
-        raise SpecError(f"{path}: unsupported nesting depth {arr.ndim}")
-    if arr.shape[0] != points:
-        raise SpecError(
-            f"{path}: path has {arr.shape[0]} samples but the grid has {points} points"
-        )
-    if arr.shape[1:] != (rows, cols):
-        raise SpecError(f"{path}: expected {rows}x{cols} matrices, got {arr.shape[1:]}")
-    return arr
-
-
-def _channels(co, key, d, points, rows, cols):
-    """The d per-noise-channel paths of C or D."""
+def _channels(co, key, d):
+    """The d per-noise-channel values of C or D, keyed by their key paths."""
     entries = _read(co, key, "coefficients")
     if not isinstance(entries, (list, tuple)) or len(entries) != d:
         raise SpecError(f"coefficients.{key}: expected a list of d = {d} entries")
     # entries read like mapping values, keyed by position
     by_index = dict(enumerate(entries))
-    return [_path(by_index, i, f"coefficients.{key}", points, rows, cols) for i in range(d)]
+    where = f"coefficients.{key}"
+    return {_key_path(where, i): _read(by_index, i, where, _floats) for i in range(d)}
 
 
 def parse_spec(doc: dict) -> ParsedSpec:
@@ -224,11 +200,10 @@ def parse_spec(doc: dict) -> ParsedSpec:
 
     co = _read(doc, "coefficients", "")
     shapes = {"A": (n, n), "B": (n, k), "R": (k, k), "Q": (n, n)}
-    paths = {key: _path(co, key, "coefficients", points, *shape)
-             for key, shape in shapes.items()}
-    C = _channels(co, "C", d, points, n, n)
-    D = _channels(co, "D", d, points, n, k)
-    N = _as_matrix(_read(doc, "terminal", "", _floats), n, n, "terminal")
+    values = {key: _read(co, key, "coefficients", _floats) for key in shapes}
+    C = _channels(co, "C", d)
+    D = _channels(co, "D", d)
+    N = _read(doc, "terminal", "", _floats)
 
     sdoc = _read(doc, "solver", "", default={})
     solver = SolverConfig(**{key: _read(sdoc, key, "solver", cast, getattr(SolverConfig, key))
@@ -256,19 +231,22 @@ def parse_spec(doc: dict) -> ParsedSpec:
         if xi.shape != (n,):
             raise SpecError(f"simulation.xi: expected an {n}-vector")
 
-    # the library's own checks (symmetric weights, solver and sample sizes)
+    # the library's own checks (path shapes named by key path, symmetric
+    # weights, solver and sample sizes)
     try:
         solver.validate()
         if simulation is not None:
             simulation.validate()
 
-        def path(samples):
-            return CoefficientPath(grid, samples, interpolation)
+        def path(value, name, shape):
+            return CoefficientPath(grid, path_samples(value, points, shape, name), interpolation)
 
         data = ProblemData(
             n=n, k=k, d=d, T=T, N=N, grid=grid,
-            C=[path(ci) for ci in C], D=[path(di) for di in D],
-            **{key: path(samples) for key, samples in paths.items()},
+            C=[path(value, name, (n, n)) for name, value in C.items()],
+            D=[path(value, name, (n, k)) for name, value in D.items()],
+            **{key: path(values[key], f"coefficients.{key}", shape)
+               for key, shape in shapes.items()},
         )
     except ValueError as exc:
         raise SpecError(f"problem validation failed: {exc}") from None

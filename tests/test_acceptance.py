@@ -189,7 +189,7 @@ def test_criterion_6_completing_square(definite_spec, definite_solution):
     v = np.array([0.6, -0.4])
     # kappa from the coarsest refinement at the largest perturbation
     cal = completing_square_report(
-        data, sol, ControlPolicy.feedback_perturbed(gain, v), xi,
+        data, sol, ControlPolicy(gain=gain, perturb=v), xi,
         SimConfig(20_000, 128, seed=990011),
     )
     kappa = 2.0 * (cal.cs_residual + 3 * cal.cs_stderr) * 128 / data.T
@@ -198,7 +198,7 @@ def test_criterion_6_completing_square(definite_spec, definite_solution):
     stderrs = []
     for delta in (0.1, 0.5, 1.0):
         rep = completing_square_report(
-            data, sol, ControlPolicy.feedback_perturbed(gain, delta * v), xi,
+            data, sol, ControlPolicy(gain=gain, perturb=delta * v), xi,
             SimConfig(20_000, 512, seed=550123),
         )
         tol = 3 * rep.cs_stderr + kappa * data.T / 512

@@ -11,7 +11,7 @@ from indeflq.certificates import (
     optimal_constant_alpha,
     shift_solution_back,
 )
-from indeflq.core import CoefficientPath, ProblemData, batched_min_eig, min_eigenvalue
+from indeflq.core import CoefficientPath, ProblemData, min_eigenvalue
 from indeflq.errors import GridMismatch, PhiNonpositive, PreconditionFailed
 from indeflq.riccati import COMPLETED, check_solution_residual, solve_riccati
 from indeflq.specio import parse_spec
@@ -86,6 +86,14 @@ class TestScalarComparison:
         with pytest.raises(PreconditionFailed):
             certify_scalar_comparison(broken, 0.1)
 
+    def test_nan_alpha_rejected(self):
+        data = scalar_benchmark(1.0)
+        times = np.linspace(0.0, 1.0, 5)
+        values = np.array([0.1, 0.1, np.nan, 0.1, 0.1])
+        for alpha in (float("nan"), (times, values)):
+            with pytest.raises(ValueError, match="alpha values"):
+                certify_scalar_comparison(data, alpha)
+
     def test_phi_nonpositive(self):
         data = scalar_benchmark(1.0).with_weights(N=np.array([[0.0]]))
         with pytest.raises(PhiNonpositive):
@@ -102,7 +110,7 @@ class TestSubsolution:
     def test_zero_on_definite_data(self, rng_session):
         data = random_definite_problem(rng_session)
         cert = check_subsolution(SubsolutionCandidate.zero(data), data)
-        r_floor = float(np.min(batched_min_eig(data.R.samples)))
+        r_floor = float(np.min(min_eigenvalue(data.R.samples)))
         assert cert.certified
         assert abs(cert.epsilon - r_floor) <= 1e-6 * (1 + r_floor)
 

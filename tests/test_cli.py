@@ -199,6 +199,7 @@ class TestInputErrors:
         ("solve", "example504_r1", ["dimensions.d=2", "coefficients.D=[[[1.0]], [[1.0]]]",
                                     "coefficients.C=[[[0.0]], [[0.0], [1.0, 2.0]]]"]),
         ("certify", "example504_r1", ["coefficients.A=[[350.0]]", "coefficients.Q=[[1.0e+300]]"]),
+        ("certify", "example504_r1", ["coefficients.Q=[[[0.0]],[[0.0]]]"]),
     ])
     def test_exit1_with_one_error_line(self, example_dir, command, spec, settings, capsys):
         argv = [command, "--spec", str(example_dir / f"{spec}.yaml"), "--quiet"]

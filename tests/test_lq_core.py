@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from indeflq.core import (
     min_eigenvalue,
     symmetrize,
 )
-from indeflq.errors import ConstraintViolation
+from indeflq.certificates import SubsolutionCandidate, apply_shift
+from indeflq.errors import ConstraintViolation, GridMismatch
+from indeflq.simulate import ControlPolicy, SimConfig, simulate_cost
 
 from conftest import random_scalar_data
 
@@ -161,10 +165,41 @@ class TestProblemData:
                       C=[np.zeros((2, 2))], D=[np.zeros((2, 1))],
                       N=np.zeros((2, 2)))
 
+    def test_terminal_weight_stack_rejected(self):
+        with pytest.raises(GridMismatch, match=r"N: expected a 1x1 matrix"):
+            make_data(N=np.ones((3, 1, 1)))
+
     def test_grid_must_cover_horizon(self):
         with pytest.raises(ValueError):
             ProblemData(n=1, k=1, d=1, T=2.0, A=0.0, B=1.0, C=[0.0], D=[1.0],
                         R=1.0, Q=0.0, N=[[1.0]], grid=np.linspace(0, 1, 5))
+
+
+def _wrong_shape_at(entry):
+    """Call one entry point with a 3-sample path on a 17-point problem grid."""
+    data = make_data()
+    wrong = np.zeros((3, 1, 1))
+    if entry == "C[0]":
+        make_data(C=[wrong])
+    elif entry == "gain":
+        simulate_cost(data, ControlPolicy(gain=wrong), [1.0], SimConfig(2, 4))
+    elif entry == "perturbation":
+        simulate_cost(data, ControlPolicy(perturb=wrong[:, :, 0]), [1.0], SimConfig(2, 4))
+    elif entry == "K":
+        apply_shift(data, wrong)
+    else:
+        SubsolutionCandidate(data.grid, F=np.zeros((17, 1, 1)), dF=wrong)
+
+
+@pytest.mark.parametrize("entry", ["C[0]", "gain", "perturbation", "K", "dF"])
+def test_wrong_shape_names_the_input(entry):
+    # every constant-or-sampled input is read by one rule, with one message
+    if entry == "perturbation":
+        message = "perturbation: expected a 1-vector or 17 such samples, got shape (3, 1)"
+    else:
+        message = f"{entry}: expected a 1x1 matrix or 17 such samples, got shape (3, 1, 1)"
+    with pytest.raises(GridMismatch, match=f"^{re.escape(message)}$"):
+        _wrong_shape_at(entry)
 
 
 class TestStackedAt:

@@ -185,6 +185,13 @@ class TestStepLimit:
             solve_riccati(data, SolverConfig(max_steps=10))
 
 
+@pytest.mark.parametrize("key", ["rel_tol", "abs_tol", "max_norm", "eps_pos"])
+def test_nan_setting_rejected(key):
+    # a NaN tolerance or cap would disable the check it drives
+    with pytest.raises(ValueError, match="must be positive"):
+        solve_riccati(scalar_benchmark(1.0), SolverConfig(**{key: float("nan")}))
+
+
 class TestPiecewiseConstantKinks:
     def test_jump_forced_as_step_boundary(self):
         # R jumps 4 -> 1 at t = 0.5; with left-constant interpolation the

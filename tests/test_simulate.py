@@ -29,7 +29,7 @@ class TestCostEstimator:
                            A=np.zeros((2, 2)), B=np.zeros((2, 1)),
                            C=[np.zeros((2, 2))], D=[np.zeros((2, 1))],
                            R=[[1.0]], Q=np.zeros((2, 2)), N=np.eye(2), grid=grid)
-        rep = simulate_cost(data, ControlPolicy.zero(), [1.0, -0.5],
+        rep = simulate_cost(data, ControlPolicy(), [1.0, -0.5],
                             SimConfig(n_paths=50, n_steps=8, seed=1))
         assert rep.cost_mean == 1.25
         assert rep.cost_stderr == 0.0
@@ -45,7 +45,7 @@ class TestCostEstimator:
                            R=1.0, Q=1.0, N=[[0.0]], grid=grid)
         exact = (np.exp(2 * a) - 1.0) / (2 * a)
         for n_steps in (128, 256, 512):
-            rep = simulate_cost(data, ControlPolicy.zero(), [1.0],
+            rep = simulate_cost(data, ControlPolicy(), [1.0],
                                 SimConfig(n_paths=4, n_steps=n_steps, seed=2))
             assert abs(rep.cost_mean - exact) <= 3 * rep.cost_stderr + 3.0 / n_steps
 
@@ -64,7 +64,7 @@ class TestCostEstimator:
         data = ProblemData(n=1, k=1, d=1, T=1.0, A=40.0, B=0.0, C=[0.0], D=[0.0],
                            R=1.0, Q=1.0, N=[[0.0]], grid=grid)
         with pytest.raises(NumericalOverflow):
-            simulate_cost(data, ControlPolicy.zero(), [1.0],
+            simulate_cost(data, ControlPolicy(), [1.0],
                           SimConfig(n_paths=2, n_steps=512, seed=3))
 
     def test_reproducible_across_workers(self):
@@ -114,8 +114,7 @@ class TestCompletingSquare:
         spec = definite_2x2()
         sol = solve_riccati(spec.data, spec.solver)
         v = np.array([0.6, -0.4])
-        policy = ControlPolicy.feedback_perturbed(
-            ControlPolicy.from_solution(sol).gain, v)
+        policy = ControlPolicy(gain=ControlPolicy.from_solution(sol).gain, perturb=v)
         cfg = SimConfig(n_paths=4000, n_steps=256, seed=6)
         rep = completing_square_report(spec.data, sol, policy, spec.xi, cfg)
         assert rep.cs_rhs > 0.05
@@ -125,7 +124,7 @@ class TestCompletingSquare:
         spec = definite_2x2()
         sol = solve_riccati(spec.data, spec.solver)
         cfg = SimConfig(n_paths=4000, n_steps=256, seed=7)
-        rep = completing_square_report(spec.data, sol, ControlPolicy.zero(),
+        rep = completing_square_report(spec.data, sol, ControlPolicy(),
                                        spec.xi, cfg)
         assert rep.cs_lhs > 0.1
         assert rep.cs_residual <= 3 * rep.cs_stderr + 2.0 / cfg.n_steps
@@ -136,11 +135,11 @@ class TestCompletingSquare:
         gain = ControlPolicy.from_solution(sol).gain
         cfg = SimConfig(n_paths=4000, n_steps=256, seed=8)
         base = completing_square_report(spec.data, sol,
-                                        ControlPolicy.feedback(gain), spec.xi, cfg)
+                                        ControlPolicy(gain=gain), spec.xi, cfg)
         for v in ([0.4, 0.0], [0.0, -0.5], [0.3, 0.3]):
             pert = completing_square_report(
                 spec.data, sol,
-                ControlPolicy.feedback_perturbed(gain, np.asarray(v)),
+                ControlPolicy(gain=gain, perturb=np.asarray(v)),
                 spec.xi, cfg)
             pooled = np.hypot(base.cost_stderr, pert.cost_stderr)
             gap = pert.cost_mean - base.cost_mean
@@ -156,8 +155,8 @@ class TestCompletingSquare:
         F0 = cert.witness_value_at_zero(spec.data.n)
         floor = spec.xi @ F0 @ spec.xi
         cfg = SimConfig(n_paths=2000, n_steps=128, seed=9)
-        for policy in (ControlPolicy.zero(), ControlPolicy.from_solution(sol),
-                       ControlPolicy.open_loop(np.array([0.2, 0.1]))):
+        for policy in (ControlPolicy(), ControlPolicy.from_solution(sol),
+                       ControlPolicy(perturb=np.array([0.2, 0.1]))):
             rep = simulate_cost(spec.data, policy, spec.xi, cfg)
             assert rep.cost_mean + 3 * rep.cost_stderr + 2.0 / cfg.n_steps >= floor
 
