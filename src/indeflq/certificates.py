@@ -243,6 +243,9 @@ def _normalize_alpha(alpha, data: ProblemData):
         a_vals = np.asarray(alpha[1], dtype=float)
         if a_grid.shape != a_vals.shape or a_grid.ndim != 1:
             raise ValueError("alpha path must be (times, values) of equal length")
+        # written so that NaN times fail too
+        if a_grid.size < 2 or not np.all(np.diff(a_grid) > 0.0):
+            raise ValueError("alpha path times must be at least 2 strictly increasing points")
         if abs(a_grid[0]) > 1e-12 or abs(a_grid[-1] - data.T) > 1e-12 * max(1.0, data.T):
             raise ValueError("alpha path must span [0, T]")
         n_pts = max(a_grid.size, base_points)

@@ -175,7 +175,11 @@ def cmd_simulate(spec: ParsedSpec, report, args) -> int:
     t0 = time.perf_counter()
     rep = completing_square_report(spec.data, sol, policy, spec.xi, spec.simulation)
     report["timings"]["simulate"] = time.perf_counter() - t0
-    report["simulation"] = dataclasses.asdict(rep)
+    sim = dataclasses.asdict(rep)
+    # run-dependent counters go with the timings, so reports stay deterministic
+    report["timings"]["simulate_rng"] = sim.pop("rng_seconds")
+    report["timings"]["simulate_step"] = sim.pop("step_seconds")
+    report["simulation"] = sim
     _emit(report, args.out, args.quiet,
           f"simulate: cost {rep.cost_mean:.6g} +- {rep.cost_stderr:.2g}, "
           f"value {report['value_at_xi']:.6g}, cs residual {rep.cs_residual:.3g}")

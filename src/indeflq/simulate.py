@@ -5,15 +5,20 @@ left-point coefficient evaluation, estimates the quadratic cost, checks the
 value identity against xi'P(0)xi, and evaluates both sides of the
 completing-the-square decomposition with common random numbers.
 
-Randomness is counter-based: path ``p`` of a run draws from a Philox stream
-keyed by ``(seed, p)``, so results are independent of how paths are
-partitioned across workers.  With antithetic pairing (the default) index
-``p`` drives the mirrored pair (W, -W) and statistics are computed over pair
-averages.
+Randomness is counter-based: path ``p`` of a run draws from the Philox
+stream keyed by ``(seed, p)`` (one bit generator per block, re-keyed for each
+path), so results are independent of how paths are partitioned into blocks
+and across workers.  With antithetic pairing (the default) index ``p`` drives
+the mirrored pair (W, -W) and statistics are computed over pair averages.
+
+Paths are stepped in a column layout: a block's state is an (n, paths) array,
+each coefficient acts on all paths with one small matrix product and each
+quadratic form is a column sum.
 """
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -83,7 +88,8 @@ class ControlPolicy:
 
 @dataclass
 class SimulationReport:
-    """Cost statistics, and both sides of the completing-the-square identity."""
+    """Cost statistics, both sides of the completing-the-square identity, and
+    the seconds spent drawing increments and stepping paths, summed over blocks."""
 
     cost_mean: float
     cost_stderr: float
@@ -92,6 +98,8 @@ class SimulationReport:
     cs_rhs: float | None = None
     cs_residual: float | None = None
     cs_stderr: float | None = None
+    rng_seconds: float = 0.0
+    step_seconds: float = 0.0
 
 
 def _policy_at(value, data: ProblemData, shape, name, t):
@@ -111,89 +119,101 @@ def _policy_at(value, data: ProblemData, shape, name, t):
 
 
 class _EulerSetup:
-    """Left-endpoint coefficient and policy tables for one simulation run."""
+    """Left-endpoint coefficient, policy and (with a solution) G*, hat R(P) tables."""
 
-    def __init__(self, data: ProblemData, policy: ControlPolicy, n_steps: int):
+    def __init__(self, data: ProblemData, policy: ControlPolicy, n_steps: int, solution=None):
         self.n, self.k, self.d = data.n, data.k, data.d
-        self.dt = data.T / n_steps
-        self.n_steps = n_steps
+        self.n_steps, self.dt = n_steps, data.T / n_steps
         t_left = np.arange(n_steps) * self.dt
-        A_, B_, C_, D_, R_, Q_ = data.stacked_at(t_left)
-        self.At = np.swapaxes(A_, -1, -2).copy()
-        self.Bt = np.swapaxes(B_, -1, -2).copy()
-        self.Ct = np.swapaxes(C_, -1, -2).copy()  # (d, steps, n, n)
-        self.Dt = np.swapaxes(D_, -1, -2).copy()  # (d, steps, k, n)
-        # copies: stacked_at returns views into one wide table, and the
-        # per-step quadratic forms run faster on contiguous blocks
-        self.R = R_.copy()
-        self.Q = Q_.copy()
+        coeffs = data.stacked_at(t_left)
+        # C and D are (d, steps, ...); every table slice is a contiguous matrix
+        self.A, self.B, self.C, self.D, self.R, self.Q = coeffs
         self.N = symmetrize(data.N)
-        self.Gt = self.v = None
+        self.G = self.v = self.G_star = self.hat_R = None
         if policy.gain is not None:
-            G = _policy_at(policy.gain, data, (data.k, data.n), "gain", t_left)
-            self.Gt = np.swapaxes(G, -1, -2).copy()  # (steps, n, k)
+            self.G = _policy_at(policy.gain, data, (data.k, data.n), "gain", t_left)
         if policy.perturb is not None:
-            self.v = _policy_at(policy.perturb, data, (data.k,), "perturbation", t_left)[:, :, 0]
+            self.v = _policy_at(policy.perturb, data, (data.k,), "perturbation", t_left)
+        if solution is not None:
+            self.G_star = CoefficientPath(solution.grid, solution.gain).at(t_left)
+            P = CoefficientPath(solution.grid, solution.P).at(t_left)
+            self.hat_R = lq_terms(coeffs, P)[0]
 
     def control(self, j, x):
-        u = x @ self.Gt[j] if self.Gt is not None else np.zeros((x.shape[0], self.k))
+        u = self.G[j] @ x if self.G is not None else np.zeros((self.k, x.shape[1]))
         if self.v is not None:
             u = u + self.v[j]
         return u
 
 
-def _wiener_increments(seed, indices, n_steps, d, dt, antithetic):
-    """Wiener increments (paths, n_steps, d) for a block of path indices.
+def _wiener_increments(seed, indices, n_steps, d, dt):
+    """Wiener increments (n_steps, d, paths) for a block of path indices.
 
-    Path ``p`` draws from the Philox stream keyed by (seed, p); with
-    antithetic pairing the mirrored block -W follows the block W.
+    Column ``p`` holds the stream of ``Generator(Philox(key=[seed, p]))``: one
+    bit generator is re-keyed per path (counter 0, buffer cleared).
     """
-    b = indices.size
-    dW = np.empty((2 * b if antithetic else b, n_steps, d))
-    for r, idx in enumerate(indices):
-        gen = Generator(Philox(key=np.array([seed, int(idx)], dtype=np.uint64)))
-        gen.standard_normal(out=dW[r])
-    # filled in place: one block-sized buffer, no block-sized temporaries
-    np.multiply(dW[:b], np.sqrt(dt), out=dW[:b])
-    if antithetic:
-        np.negative(dW[:b], out=dW[b:])
+    bits = Philox(0)
+    gen = Generator(bits)
+    fresh = bits.state
+    path = np.empty((n_steps, d))
+    dW = np.empty((n_steps, d, indices.size))
+    for col, idx in enumerate(indices):
+        fresh["state"] = {"counter": np.zeros(4, np.uint64),
+                          "key": np.array([seed, idx], dtype=np.uint64)}
+        bits.state = fresh
+        gen.standard_normal(out=path)
+        dW[:, :, col] = path
+    np.multiply(dW, np.sqrt(dt), out=dW)
     return dW
 
 
-def _run_cost_block(data_setup: _EulerSetup, cs_tables, xi, seed, indices, antithetic):
-    """Per-path (or per-pair) cost, and the squared-deviation accumulator."""
-    su = data_setup
+def _steps(dW, antithetic):
+    """Per-step increments (d, paths), antithetic ones as [dW, -dW] in one reused buffer."""
+    if not antithetic:
+        yield from dW
+        return
+    b = dW.shape[2]
+    w = np.empty((dW.shape[1], 2 * b))
+    for dW_j in dW:
+        w[:, :b] = dW_j
+        np.negative(dW_j, out=w[:, b:])
+        yield w
+
+
+def _quad(M, x):
+    """Column-wise quadratic forms x_p' M x_p."""
+    return np.sum(x * (M @ x), axis=0)
+
+
+def _run_cost_block(su: _EulerSetup, xi, seed, indices, antithetic):
+    """Per-path (or per-pair) cost and squared-deviation sum, RNG and stepping seconds.
+
+    The state ``x`` is (n, paths) and the control ``u`` (k, paths); with
+    antithetic pairing the mirrored paths are the last half of the columns.
+    """
+    t0 = time.perf_counter()
+    dW = _wiener_increments(seed, indices, su.n_steps, su.d, su.dt)
+    t1 = time.perf_counter()
     b = indices.size
-    dW = _wiener_increments(seed, indices, su.n_steps, su.d, su.dt, antithetic)
-    nb = dW.shape[0]
-    x = np.broadcast_to(np.asarray(xi, dtype=float), (nb, su.n)).copy()
-    cost = np.zeros(nb)
-    qacc = np.zeros(nb) if cs_tables is not None else None
-    for j in range(su.n_steps):
+    x = np.repeat(xi[:, None], 2 * b if antithetic else b, axis=1)
+    cost, qacc = np.zeros((2, x.shape[1]))
+    for j, w in enumerate(_steps(dW, antithetic)):
         u = su.control(j, x)
-        cost += (
-            np.einsum("bi,ij,bj->b", u, su.R[j], u)
-            + np.einsum("bi,ij,bj->b", x, su.Q[j], x)
-        ) * su.dt
-        if cs_tables is not None:
-            Gs_t, hatRs = cs_tables
-            w = u - x @ Gs_t[j]
-            qacc += np.einsum("bi,ij,bj->b", w, hatRs[j], w) * su.dt
-        drift = x @ su.At[j] + u @ su.Bt[j]
-        noise = np.zeros_like(x)
-        for i in range(su.d):
-            noise += (x @ su.Ct[i, j] + u @ su.Dt[i, j]) * dW[:, j, i:i + 1]
+        cost += (_quad(su.R[j], u) + _quad(su.Q[j], x)) * su.dt
+        if su.hat_R is not None:
+            qacc += _quad(su.hat_R[j], u - su.G_star[j] @ x) * su.dt
+        drift = su.A[j] @ x + su.B[j] @ u
+        noise = sum((su.C[i, j] @ x + su.D[i, j] @ u) * w[i] for i in range(su.d))
         x = x + drift * su.dt + noise
-        if float(np.max(np.sum(x * x, axis=1))) > STATE_NORM_CAP ** 2:
+        # written so that a NaN state fails too
+        if not float(np.max(np.sum(x * x, axis=0))) <= STATE_NORM_CAP ** 2:
             raise NumericalOverflow(
                 f"state norm exceeded {STATE_NORM_CAP:g} at step {j} (explosive closed loop)"
             )
-    cost += np.einsum("bi,ij,bj->b", x, su.N, x)
+    cost += _quad(su.N, x)
     if antithetic:
-        cost = 0.5 * (cost[:b] + cost[b:])
-        if qacc is not None:
-            qacc = 0.5 * (qacc[:b] + qacc[b:])
-    return cost, qacc
+        cost, qacc = (0.5 * (a[:b] + a[b:]) for a in (cost, qacc))
+    return cost, qacc, t1 - t0, time.perf_counter() - t1
 
 
 def _for_blocks(config: SimConfig, d: int, work, n_workers: int = 1):
@@ -226,19 +246,17 @@ def _simulate(data, policy, xi, config, n_workers, solution=None) -> SimulationR
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (data.n,):
         raise ValueError(f"xi must be an {data.n}-vector")
-    setup = _EulerSetup(data, policy, config.n_steps)
-    tables = None if solution is None else _cs_tables(data, solution, config.n_steps)
-
-    def work(idx):
-        return _run_cost_block(setup, tables, xi, config.seed, idx, config.antithetic)
-
+    setup = _EulerSetup(data, policy, config.n_steps, solution)
     # per-pair statistics in path-index order, independent of the partition
-    parts = _for_blocks(config, data.d, work, n_workers)
+    parts = _for_blocks(config, data.d, lambda idx: _run_cost_block(
+        setup, xi, config.seed, idx, config.antithetic), n_workers)
     costs = np.concatenate([p[0] for p in parts])
     rep = SimulationReport(
         cost_mean=float(np.mean(costs)),
         cost_stderr=_stderr(costs),
         n_paths=costs.size * (2 if config.antithetic else 1),
+        rng_seconds=sum(p[2] for p in parts),
+        step_seconds=sum(p[3] for p in parts),
     )
     if solution is not None:
         qaccs = np.concatenate([p[1] for p in parts])
@@ -251,13 +269,8 @@ def _simulate(data, policy, xi, config, n_workers, solution=None) -> SimulationR
     return rep
 
 
-def simulate_cost(
-    data: ProblemData,
-    policy: ControlPolicy,
-    xi,
-    config: SimConfig,
-    n_workers: int = 1,
-) -> SimulationReport:
+def simulate_cost(data: ProblemData, policy: ControlPolicy, xi, config: SimConfig,
+                  n_workers: int = 1) -> SimulationReport:
     """Estimate the quadratic cost of a policy from state xi.
 
     Euler-Maruyama state stepping with left-point coefficient evaluation and
@@ -267,22 +280,9 @@ def simulate_cost(
     return _simulate(data, policy, xi, config, n_workers)
 
 
-def _cs_tables(data: ProblemData, solution: RiccatiSolution, n_steps: int):
-    t_left = np.arange(n_steps) * (data.T / n_steps)
-    P = CoefficientPath(solution.grid, solution.P).at(t_left)
-    G = CoefficientPath(solution.grid, solution.gain).at(t_left)
-    hat, _, _ = lq_terms(data.stacked_at(t_left), P)
-    return np.swapaxes(G, -1, -2).copy(), hat
-
-
-def completing_square_report(
-    data: ProblemData,
-    P_solution: RiccatiSolution,
-    policy: ControlPolicy,
-    xi,
-    config: SimConfig,
-    n_workers: int = 1,
-) -> SimulationReport:
+def completing_square_report(data: ProblemData, P_solution: RiccatiSolution,
+                             policy: ControlPolicy, xi, config: SimConfig,
+                             n_workers: int = 1) -> SimulationReport:
     """Estimate both sides of J(u; xi) - xi'P(0)xi = E int (u - Gx)' hat_R (u - Gx) dt.
 
     Both accumulators run on the same Wiener increments (common random
@@ -304,37 +304,37 @@ def fundamental_pair_check(data: ProblemData, gain, config: SimConfig) -> float:
     ``ControlPolicy.gain``.
     """
     config.validate()
-    n, d = data.n, data.d
-    n_steps = config.n_steps
-    dt = data.T / n_steps
-    t_left = np.arange(n_steps) * dt
-    A_, B_, C_, D_, R_, Q_ = data.stacked_at(t_left)
-    G_ = _policy_at(gain, data, (data.k, n), "gain", t_left)
-    Acl = A_ + np.einsum("tnk,tkr->tnr", B_, G_)
-    Ccl = C_ + np.einsum("itnk,tkr->itnr", D_, G_)
-    # inverse-flow drift: Acl - sum_i Ccl_i Ccl_i
-    Ainv = Acl - np.einsum("itpq,itqr->tpr", Ccl, Ccl)
-    eye = np.eye(n)
+    su = _EulerSetup(data, ControlPolicy(gain=gain), config.n_steps)
+    n, d, n_steps, dt = su.n, su.d, su.n_steps, su.dt
+    Acl = su.A + su.B @ su.G
+    Ccl = su.C + su.D @ su.G
+    # inverse-flow drift Acl - sum_i Ccl_i Ccl_i; transposed, as Xtilde' is stepped
+    AinvT = (Acl - np.sum(Ccl @ Ccl, axis=0)).swapaxes(-1, -2)
+    CclT = Ccl.swapaxes(-1, -2)
+    eye = np.eye(n)[:, :, None]
+
+    def flow(M, Z):
+        """M times each path's matrix, for matrices stored as Z[:, :, path]."""
+        return (M @ Z.reshape(n, -1)).reshape(Z.shape)
 
     def block_worst(idx):
-        dW = _wiener_increments(config.seed, idx, n_steps, d, dt, config.antithetic)
-        nb = dW.shape[0]
-        X = np.broadcast_to(eye, (nb, n, n)).copy()
-        Xt = np.broadcast_to(eye, (nb, n, n)).copy()
+        dW = _wiener_increments(config.seed, idx, n_steps, d, dt)
+        # X[:, :, p] is path p's X and Y[:, :, p] its Xtilde': both flows act from the left
+        X = np.repeat(eye, (2 if config.antithetic else 1) * idx.size, axis=2)
+        Y = X.copy()
         worst = 0.0
-        for j in range(n_steps):
-            dX = np.matmul(Acl[j], X) * dt
-            dXt = -np.matmul(Xt, Ainv[j]) * dt
+        for j, w in enumerate(_steps(dW, config.antithetic)):
+            dX = flow(Acl[j], X) * dt
+            dY = -flow(AinvT[j], Y) * dt
             for i in range(d):
-                w = dW[:, j, i, None, None]
-                dX += np.matmul(Ccl[i, j], X) * w
-                dXt -= np.matmul(Xt, Ccl[i, j]) * w
+                dX += flow(Ccl[i, j], X) * w[i]
+                dY -= flow(CclT[i, j], Y) * w[i]
             X = X + dX
-            Xt = Xt + dXt
-            prod = np.matmul(Xt, X) - eye
-            defect = float(np.max(np.sqrt(np.sum(prod * prod, axis=(-2, -1)))))
-            worst = max(worst, defect)
-            if max(float(np.max(np.abs(X))), float(np.max(np.abs(Xt)))) > STATE_NORM_CAP:
+            Y = Y + dY
+            # (Xtilde X)[a, c] = sum_s Y[s, a] X[s, c], path by path
+            prod = np.sum(Y[:, :, None] * X[:, None], axis=0) - eye
+            worst = max(worst, float(np.sqrt(np.max(np.sum(prod * prod, axis=(0, 1))))))
+            if not (np.max(np.abs(X)) <= STATE_NORM_CAP and np.max(np.abs(Y)) <= STATE_NORM_CAP):
                 raise NumericalOverflow("fundamental pair flow overflowed")
         return worst
 

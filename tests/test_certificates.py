@@ -94,6 +94,17 @@ class TestScalarComparison:
             with pytest.raises(ValueError, match="alpha values"):
                 certify_scalar_comparison(data, alpha)
 
+    def test_alpha_path_times_must_increase(self):
+        data = scalar_benchmark(1.0)
+        bad = [
+            (np.array([0.0, 0.7, 0.3, 1.0]), np.array([0.1, 0.9, 0.1, 0.1])),
+            (np.array([]), np.array([])),
+            (np.array([0.0]), np.array([0.1])),
+        ]
+        for alpha in bad:
+            with pytest.raises(ValueError, match="strictly increasing"):
+                certify_scalar_comparison(data, alpha)
+
     def test_phi_nonpositive(self):
         data = scalar_benchmark(1.0).with_weights(N=np.array([[0.0]]))
         with pytest.raises(PhiNonpositive):

@@ -342,7 +342,8 @@ class TestReportDeterminism:
                        "--set", "simulation.n_paths=1000", "--out", str(out), "--quiet"])
             assert rc == 0
             rep = read_report(out)
-            rep.pop("timings")
+            timings = rep.pop("timings")
+            assert timings["simulate_rng"] > 0.0 and timings["simulate_step"] > 0.0
             outs.append(rep)
         assert outs[0] == outs[1]
 

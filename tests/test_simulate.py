@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
+from indeflq import simulate
 from indeflq.core import ProblemData
 from indeflq.errors import NumericalOverflow
 from indeflq.riccati import solve_riccati
@@ -34,6 +36,7 @@ class TestCostEstimator:
         assert rep.cost_mean == 1.25
         assert rep.cost_stderr == 0.0
         assert rep.n_paths == 100  # antithetic pairs are two paths each
+        assert rep.rng_seconds > 0.0 and rep.step_seconds > 0.0
 
     def test_uncontrolled_growth_quadrature(self):
         # B = D = 0, Q = 1, A = a: deterministic cost int_0^1 e^{2at} dt.
@@ -66,6 +69,47 @@ class TestCostEstimator:
         with pytest.raises(NumericalOverflow):
             simulate_cost(data, ControlPolicy(), [1.0],
                           SimConfig(n_paths=2, n_steps=512, seed=3))
+
+    def test_nan_state_detected(self):
+        # the first Euler step makes the state inf - inf = NaN, which a
+        # "norm > cap" test lets through (NaN compares False)
+        grid = np.linspace(0.0, 1.0, 9)
+        data = ProblemData(n=1, k=1, d=1, T=1.0, A=1e308, B=0.0, C=[-1e308], D=[0.0],
+                           R=1.0, Q=1.0, N=[[1.0]], grid=grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalOverflow, match="at step 0"):
+                simulate_cost(data, ControlPolicy(), [10.0], SimConfig(4, 8, seed=1))
+            with pytest.raises(NumericalOverflow, match="fundamental pair"):
+                fundamental_pair_check(data, np.zeros((1, 1)), SimConfig(4, 8, seed=1))
+
+    def test_increments_are_the_keyed_philox_streams(self):
+        seed, n_steps, d, dt = 2 ** 63 + 5, 16, 2, 0.25
+        indices = np.arange(7, 12, dtype=np.uint64)
+        dW = simulate._wiener_increments(seed, indices, n_steps, d, dt)
+        assert dW.shape == (n_steps, d, indices.size)
+        for col, p in enumerate(indices):
+            gen = Generator(Philox(key=np.array([seed, p], dtype=np.uint64)))
+            expected = gen.standard_normal((n_steps, d)) * np.sqrt(dt)
+            assert np.array_equal(dW[:, :, col], expected)
+
+    def test_independent_of_block_partition(self, monkeypatch):
+        # 64 increments per block is one path per block at 64 steps, d = 1
+        spec = definite_2x2()
+        sol = solve_riccati(spec.data, spec.solver)
+        optimal = ControlPolicy.from_solution(sol)
+        perturbed = ControlPolicy(gain=optimal.gain, perturb=np.array([0.3, -0.2]))
+        fields = ("cost_mean", "cost_stderr", "cs_lhs", "cs_rhs", "cs_residual", "cs_stderr")
+        results = []
+        for block in (2_000_000, 64 * 37, 64 * 5 + 1, 64):
+            monkeypatch.setattr(simulate, "BLOCK_INCREMENTS", block)
+            result = [fundamental_pair_check(spec.data, optimal.gain,
+                                             SimConfig(n_paths=301, n_steps=64, seed=7))]
+            for policy in (optimal, perturbed):
+                rep = completing_square_report(spec.data, sol, policy, spec.xi,
+                                               SimConfig(n_paths=301, n_steps=64, seed=7))
+                result += [getattr(rep, f) for f in fields]
+            results.append(result)
+        assert all(r == results[0] for r in results[1:])
 
     def test_reproducible_across_workers(self):
         spec = definite_2x2()
