@@ -27,6 +27,7 @@ from .core import (
     lq_terms,
     min_eigenvalue,
     path_samples,
+    riccati_drift,
     symmetric_part_error,
     symmetrize,
 )
@@ -131,20 +132,6 @@ class Certificate:
         return np.zeros((n, n))
 
 
-def _stacked_subsolution_parts(data: ProblemData, cand: SubsolutionCandidate):
-    """Shift-independent pieces of the subsolution conditions, per grid point."""
-    hat, rhs, base = lq_terms(data.stacked_at(data.grid), cand.F)
-    return symmetrize(cand.dF + base), hat, rhs
-
-
-def _drift_min_eigs(L, hat, rhs, shift):
-    k = hat.shape[-1]
-    hat_s = hat - shift * np.eye(k)
-    sol = np.linalg.solve(hat_s, rhs)
-    quad = np.einsum("tkn,tkr->tnr", rhs, sol)
-    return min_eigenvalue(L - quad)
-
-
 def check_subsolution(
     cand: SubsolutionCandidate,
     data: ProblemData,
@@ -169,8 +156,13 @@ def check_subsolution(
             f"the problem needs {data.n}x{data.n}"
         )
     tol_eff = tol * (10.0 if cand.derivative_fd else 1.0)
-    L, hat, rhs = _stacked_subsolution_parts(data, cand)
     grid = data.grid
+    hat, rhs, base = lq_terms(data.stacked_at(grid), cand.F)
+    base = cand.dF + base
+
+    def drift_eigs(shift):
+        """Minimal eigenvalues of dF/dt + f(F, 0) with R lowered by ``shift``."""
+        return min_eigenvalue(riccati_drift(hat - shift * np.eye(data.k), rhs, base))
 
     hat_eigs = min_eigenvalue(hat)
     hat_min = float(np.min(hat_eigs))
@@ -181,9 +173,9 @@ def check_subsolution(
             reason="effective control weight not positive along F",
             t_worst=float(grid[j]),
         )
-    drift_eigs = _drift_min_eigs(L, hat, rhs, 0.0)
-    if float(np.min(drift_eigs)) < -tol_eff:
-        j = int(np.argmin(drift_eigs))
+    drift = drift_eigs(0.0)
+    if float(np.min(drift)) < -tol_eff:
+        j = int(np.argmin(drift))
         return Certificate(
             kind=KIND_SUBSOLUTION, verdict=FAILED, epsilon=0.0,
             reason="drift residual dF/dt + f(F, 0) not positive semi-definite",
@@ -203,7 +195,7 @@ def check_subsolution(
     def ok(shift):
         if shift >= hat_min - eps_pos:
             return False
-        return float(np.min(_drift_min_eigs(L, hat, rhs, shift))) >= -tol_eff
+        return float(np.min(drift_eigs(shift))) >= -tol_eff
 
     if ok(eps_hi * (1.0 - 1e-12)):
         epsilon = eps_hi

@@ -72,14 +72,26 @@ def _emit(report, out_path, quiet, summary):
         print(summary, file=sys.stderr)
 
 
-def _solution_into(report, sol):
+def _solve(spec: ParsedSpec, report, args):
+    """Timed solve_riccati with its fields in the report.
+
+    Returns ``(sol, code)``.  A solve that stopped before t = 0 has its report
+    emitted here and ``code`` is the command's exit code; otherwise ``code``
+    is None and the command goes on.
+    """
+    t0 = time.perf_counter()
+    sol = solve_riccati(spec.data, spec.solver)
+    report["timings"]["solve"] = time.perf_counter() - t0
     report["status"] = sol.status
     report["margin_min"] = sol.margin_min_dense
     if sol.t_event is not None:
         report["t_event"] = sol.t_event
+    report["steps"] = {"accepted": sol.accepted_steps, "rejected": sol.rejected_steps}
     if sol.completed:
         report["P0"] = sol.P0
-    report["steps"] = {"accepted": sol.accepted_steps, "rejected": sol.rejected_steps}
+        return sol, None
+    _emit(report, args.out, args.quiet, f"{args.command}: {sol.status} at t*={sol.t_event:.6g}")
+    return sol, _STATUS_EXIT[sol.status]
 
 
 def _certificate_into(report, cert: Certificate):
@@ -88,17 +100,13 @@ def _certificate_into(report, cert: Certificate):
 
 
 def cmd_solve(spec: ParsedSpec, report, args) -> int:
-    t0 = time.perf_counter()
-    sol = solve_riccati(spec.data, spec.solver)
-    report["timings"]["solve"] = time.perf_counter() - t0
-    _solution_into(report, sol)
-    if sol.completed and spec.xi is not None:
+    sol, code = _solve(spec, report, args)
+    if code is not None:
+        return code
+    if spec.xi is not None:
         report["value_at_xi"] = sol.value_at(spec.xi)
-    summary = f"solve: {sol.status}"
-    if sol.t_event is not None:
-        summary += f" at t*={sol.t_event:.6g}"
-    _emit(report, args.out, args.quiet, summary)
-    return _STATUS_EXIT[sol.status]
+    _emit(report, args.out, args.quiet, f"solve: {sol.status}")
+    return EXIT_OK
 
 
 def _run_certificate(spec: ParsedSpec) -> Certificate:
@@ -163,13 +171,9 @@ def cmd_certify(spec: ParsedSpec, report, args) -> int:
 def cmd_simulate(spec: ParsedSpec, report, args) -> int:
     if spec.simulation is None:
         raise SpecError("spec has no simulation block")
-    t0 = time.perf_counter()
-    sol = solve_riccati(spec.data, spec.solver)
-    report["timings"]["solve"] = time.perf_counter() - t0
-    _solution_into(report, sol)
-    if not sol.completed:
-        _emit(report, args.out, args.quiet, f"simulate: solver stopped ({sol.status})")
-        return _STATUS_EXIT[sol.status]
+    sol, code = _solve(spec, report, args)
+    if code is not None:
+        return code
     report["value_at_xi"] = sol.value_at(spec.xi)
     policy = ControlPolicy.from_solution(sol)
     t0 = time.perf_counter()
@@ -193,13 +197,9 @@ def cmd_oracle(spec: ParsedSpec, report, args) -> int:
         raise SpecError(f"--steps: expected comma-separated integers, got {args.steps!r}")
     if not steps or not all(1 <= ns <= MAX_ORACLE_STEPS for ns in steps):
         raise SpecError(f"--steps: expected step counts from 1 to {MAX_ORACLE_STEPS}")
-    t0 = time.perf_counter()
-    sol = solve_riccati(spec.data, spec.solver)
-    report["timings"]["solve"] = time.perf_counter() - t0
-    _solution_into(report, sol)
-    if not sol.completed:
-        _emit(report, args.out, args.quiet, f"oracle: solver stopped ({sol.status})")
-        return _STATUS_EXIT[sol.status]
+    sol, code = _solve(spec, report, args)
+    if code is not None:
+        return code
     rows = []
     t0 = time.perf_counter()
     for ns in steps:
@@ -213,7 +213,8 @@ def cmd_oracle(spec: ParsedSpec, report, args) -> int:
         })
     report["timings"]["oracle"] = time.perf_counter() - t0
     errs = [r["error_vs_solver"] for r in rows if r["error_vs_solver"] is not None]
-    ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)] if len(errs) > 1 else []
+    # a zero error (the DP agrees exactly) leaves the ratio undefined: NaN, null in the report
+    ratios = [a / b if b else float("nan") for a, b in zip(errs, errs[1:])]
     report["oracle"] = {"rows": rows, "ratios": ratios}
     _emit(report, args.out, args.quiet,
           f"oracle: {len(rows)} step sizes, ratios {['%.2f' % r for r in ratios]}")

@@ -25,6 +25,7 @@ __all__ = [
     "min_eigenvalue",
     "path_samples",
     "lq_terms",
+    "riccati_drift",
     "eval_hat_R",
     "eval_gamma",
     "eval_f",
@@ -332,6 +333,16 @@ def lq_terms(coeffs, P, Lambda=None):
     return 0.5 * (hat + hat.swapaxes(-1, -2)), rhs, base
 
 
+def riccati_drift(hat, rhs, base):
+    """The drift f = base - rhs' hat^{-1} rhs from lq_terms, symmetrized (batched).
+
+    Equals base - Gamma' hat_R Gamma because hat_R Gamma = -rhs.  Symmetrized
+    inline rather than through ``symmetrize``: the solver calls this at every stage.
+    """
+    f = base - rhs.swapaxes(-1, -2) @ np.linalg.solve(hat, rhs)
+    return 0.5 * (f + f.swapaxes(-1, -2))
+
+
 def _checked_terms(P, Lambda, data: ProblemData, t, eps_pos):
     """lq_terms at time t; ConstraintViolation when hat_R is not above eps_pos."""
     if Lambda is not None:
@@ -368,6 +379,4 @@ def eval_f(P, Lambda, data: ProblemData, t, eps_pos=DEFAULT_EPS_POS):
 
     f = A'P + PA + sum_i (C_i'P C_i + C_i' L_i + L_i C_i) + Q - Gamma' hat_R Gamma.
     """
-    hat, rhs, base = _checked_terms(P, Lambda, data, t, eps_pos)
-    # Gamma' hat_R Gamma = rhs' hat_R^{-1} rhs since hat_R Gamma = -rhs
-    return symmetrize(base - rhs.swapaxes(-1, -2) @ np.linalg.solve(hat, rhs))
+    return riccati_drift(*_checked_terms(P, Lambda, data, t, eps_pos))

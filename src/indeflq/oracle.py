@@ -25,7 +25,6 @@ class OracleResult:
 
     delta: float
     P0: np.ndarray | None
-    trajectory: np.ndarray | None
     constraint_ok: bool
     violation_step: int | None = None
 
@@ -36,12 +35,7 @@ class OracleResult:
         return float(np.sqrt(np.sum(diff * diff)))
 
 
-def dp_solve(
-    data: ProblemData,
-    n_steps: int,
-    eps_pos: float = DEFAULT_EPS_POS,
-    keep_trajectory: bool = False,
-) -> OracleResult:
+def dp_solve(data: ProblemData, n_steps: int, eps_pos: float = DEFAULT_EPS_POS) -> OracleResult:
     """Backward value recursion with n_steps uniform steps on [0, T].
 
     Coefficients are sampled at the left endpoint of each step, matching the
@@ -56,7 +50,6 @@ def dp_solve(
     sq = np.sqrt(delta)
     eye = np.eye(n)
     P = symmetrize(np.asarray(data.N, dtype=float))
-    traj = [P.copy()] if keep_trajectory else None
 
     t_left = np.arange(n_steps) * delta
     A_, B_, C_, D_, R_, Q_ = data.stacked_at(t_left)
@@ -76,16 +69,6 @@ def dp_solve(
             Pn = Pn + Cd.T @ P @ Cd
         S = symmetrize(S)
         if min_eigenvalue(S) <= eps_pos * delta:
-            return OracleResult(
-                delta=delta,
-                P0=None,
-                trajectory=np.array(traj) if keep_trajectory else None,
-                constraint_ok=False,
-                violation_step=j,
-            )
+            return OracleResult(delta=delta, P0=None, constraint_ok=False, violation_step=j)
         P = symmetrize(Pn - G.T @ np.linalg.solve(S, G))
-        if keep_trajectory:
-            traj.append(P.copy())
-
-    trajectory = np.array(traj[::-1]) if keep_trajectory else None
-    return OracleResult(delta=delta, P0=P, trajectory=trajectory, constraint_ok=True)
+    return OracleResult(delta=delta, P0=P, constraint_ok=True)

@@ -1,10 +1,12 @@
 """Backward integration of the Riccati terminal-value problem.
 
 Integrates dP/dt = -f(P, 0) from P(T) = N in reversed time with an embedded
-Dormand-Prince 5(4) pair and PI step control, monitoring the positivity
-constraint on the effective control weight and detecting blow-up.  Blow-up is
-declared when the trajectory escapes in C^1: either ||P|| or ||dP/dt|| exceeds
-the configured cap.  On sampled coefficient paths a vanishing-denominator
+Dormand-Prince 5(4) pair and PI step control.  One event test runs at t = T,
+after every accepted step and inside the bisection that locates an event:
+constraint violation first (the effective control weight at or below the
+positivity floor), then blow-up.  Blow-up is declared when the trajectory
+escapes in C^1: the slope is not finite, or ||P|| or ||dP/dt|| reaches the
+configured cap.  On sampled coefficient paths a vanishing-denominator
 singularity keeps P bounded while its velocity explodes, so watching only
 ||P|| would silently miss the loss of a continuous solution.
 """
@@ -19,12 +21,12 @@ from .core import (
     DEFAULT_EPS_POS,
     PIECEWISE_CONSTANT_LEFT,
     ProblemData,
-    eval_f,
     lq_terms,
     min_eigenvalue,
+    riccati_drift,
     symmetrize,
 )
-from .errors import StepLimit
+from .errors import ConstraintViolation, StepLimit
 
 __all__ = [
     "SolverConfig",
@@ -156,9 +158,7 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
     """
     config = config or SolverConfig()
     config.validate()
-    n = data.n
-    T = data.T
-    eps_pos = config.eps_pos
+    n, T = data.n, data.T
     nan_slope = np.full(n * n, np.nan)
     if data.time_invariant:
         # a property of the data: skip the per-call coefficient lookup
@@ -183,18 +183,39 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
 
     def slope(terms):
         """dy/ds = +f(P, 0) in reversed time, or NaN when hat_R degenerates."""
-        hat, g, base = terms
+        hat, rhs, base = terms
         if hat[0, 0] <= 0.0 or (hat.shape[0] > 1 and np.min(np.diagonal(hat)) <= 0.0):
-            return nan_slope  # positivity already fails; events localize the breakdown
+            return nan_slope  # positivity already fails; the event test reports it
         try:
-            quad = g.T @ np.linalg.solve(hat, g)
+            return riccati_drift(hat, rhs, base).ravel()
         except np.linalg.LinAlgError:
             return nan_slope
-        f = base - quad
-        return (0.5 * (f + f.T)).ravel()
 
-    def rhs(s, y, frozen=None):
-        return slope(terms_at(s, y, frozen))
+    def event(y, margin, f):
+        """Constraint violation, else blow-up (C^1 norm at the cap or not finite), else None."""
+        if margin <= config.eps_pos:
+            return CONSTRAINT_VIOLATION
+        # written so that a NaN slope is blow-up too: every comparison with NaN is False
+        if not (_fro(y) < config.max_norm and _fro(f) < config.max_norm):
+            return BLOWUP
+        return None
+
+    def locate(s0, y0, f0, s1, y1, f1, hit, frozen):
+        """Earliest s in (s0, s1] where an event holds, to 1e-6 * T, and that event.
+
+        ``hit`` is the event at s1; inside the step P is Hermite-interpolated.
+        """
+        lo, hi = s0, s1
+        while hi - lo > 1e-6 * T:
+            mid = 0.5 * (lo + hi)
+            ym = _hermite((mid - s0) / (s1 - s0), y0, f0, y1, f1, s1 - s0)
+            terms = terms_at(mid, ym, frozen)
+            found = event(ym, min_eigenvalue(terms[0]), slope(terms))
+            if found is None:
+                lo = mid
+            else:
+                hi, hit = mid, found
+        return 0.5 * (lo + hi), hit
 
     # Segment boundaries in reversed time: output times, plus coefficient-grid
     # breakpoints under piecewise-constant interpolation (kinks in the RHS).
@@ -202,128 +223,77 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
     s_out = np.ascontiguousarray((T - tau_out)[::-1])
     s_out[0], s_out[-1] = 0.0, T
     boundaries = [(float(sv), True) for sv in s_out]
-    if data.interpolation == PIECEWISE_CONSTANT_LEFT:
-        tol = 1e-12 * T
+    pc_mode = data.interpolation == PIECEWISE_CONSTANT_LEFT
+    if pc_mode:
         for sk in (T - data.grid):
-            if np.min(np.abs(s_out - sk)) > tol:
+            if np.min(np.abs(s_out - sk)) > 1e-12 * T:
                 boundaries.append((float(sk), False))
     boundaries.sort(key=lambda b: b[0])
-    s_targets = np.array([b[0] for b in boundaries])
-    is_output = np.array([b[1] for b in boundaries])
 
     y = symmetrize(np.asarray(data.N, dtype=float)).ravel().copy()
     out_P = [y.reshape(n, n).copy()]
-    s = 0.0
-    accepted = 0
-    rejected = 0
+    s = s_event = 0.0
+    accepted = rejected = 0
     err_old = 1e-4
-    h = min(T / max(config.output_points - 1, 8), T / 8)
-    status = COMPLETED
-    t_event = None
+    h = T / max(config.output_points - 1, 8)
 
-    def c1_norm(y_pt, f_pt):
-        return max(_fro(y_pt.reshape(n, n)), _fro(f_pt.reshape(n, n)))
-
-    # terminal-point events; terms_now holds lq_terms at the last accepted
-    # point, reused for the slope refresh at the next segment start
+    # terms_now holds lq_terms at the last accepted point, reused for the slope
+    # refresh at the next segment start
     terms_now = terms_at(0.0, y)
-    f_term = slope(terms_now)
     margin_min = min_eigenvalue(terms_now[0])
-    if margin_min <= eps_pos:
-        status, t_event = CONSTRAINT_VIOLATION, T
-    elif np.all(np.isfinite(f_term)) and c1_norm(y, f_term) >= config.max_norm:
-        status, t_event = BLOWUP, T
-
-    def bisect_event(s0, y0, f0, s1, y1, f1, which, frozen=None):
-        """Earliest s in (s0, s1] where the given event fires, to 1e-6*T."""
-        lo, hi = s0, s1
-        goal = 1e-6 * T
-        for _ in range(80):
-            if hi - lo <= goal:
-                break
-            mid = 0.5 * (lo + hi)
-            theta = (mid - s0) / (s1 - s0)
-            ym = _hermite(theta, y0, f0, y1, f1, s1 - s0)
-            if which == "margin":
-                fired = min_eigenvalue(terms_at(mid, ym)[0]) - eps_pos <= 0.0
+    hit = event(y, margin_min, slope(terms_now))
+    for s_end, output in boundaries[1:]:
+        if hit is not None:
+            break
+        f_now = slope(terms_now)  # refresh: coefficients may kink at boundaries
+        while s < s_end - 1e-14 * max(T, 1.0):
+            if accepted + rejected >= config.max_steps:
+                raise StepLimit(f"exceeded {config.max_steps} steps at t={T - s:.6g}")
+            h_try = min(h, s_end - s)
+            k = np.empty((7, y.size))
+            if pc_mode:
+                # segments are piece-aligned; freeze the piece's values so
+                # stages touching a breakpoint stay off the next piece
+                frozen = coeffs(T - (s + 0.5 * h_try))
+                k[0] = slope(terms_at(s, y, frozen))
             else:
-                fm = rhs(mid, ym, frozen)
-                fired = (not np.all(np.isfinite(fm))) or c1_norm(ym, fm) >= config.max_norm
-            if fired:
-                hi = mid
+                frozen = None
+                k[0] = f_now
+            for i in range(1, 7):
+                yi = y + h_try * (k[:i].T @ _A[i])
+                k[i] = slope(terms_at(s + _C[i] * h_try, yi, frozen))
+            y1 = y + h_try * (k.T @ _B5)
+            err_vec = h_try * (k.T @ _ERR)
+            scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y1))
+            with np.errstate(invalid="ignore", over="ignore"):
+                err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+            if np.isfinite(err) and err <= 1.0:
+                accepted += 1
+                s_new = s + h_try
+                terms_now = terms_at(s_new, y1)
+                m_new = min_eigenvalue(terms_now[0])
+                margin_min = min(margin_min, m_new)
+                # k[6] is the FSAL slope at (s_new, y1)
+                hit = event(y1, m_new, k[6])
+                if hit is not None:
+                    s_event, hit = locate(s, y, k[0], s_new, y1, k[6], hit, frozen)
+                    break
+                fac = _SAFETY * (err ** -_PI_ALPHA) * (err_old ** _PI_BETA) if err > 0 else _FAC_MAX
+                h = h_try * min(_FAC_MAX, max(_FAC_MIN, fac))
+                err_old = max(err, 1e-10)
+                s, y, f_now = s_new, y1, k[6]
             else:
-                lo = mid
-        return 0.5 * (lo + hi)
-
-    pc_mode = data.interpolation == PIECEWISE_CONSTANT_LEFT
-    if status == COMPLETED:
-        for idx in range(1, s_targets.size):
-            s_end = s_targets[idx]
-            f_now = slope(terms_now)  # refresh: coefficients may kink at boundaries
-            while s < s_end - 1e-14 * max(T, 1.0):
-                if accepted + rejected >= config.max_steps:
-                    raise StepLimit(f"exceeded {config.max_steps} steps at t={T - s:.6g}")
-                h_try = min(h, s_end - s)
-                k = np.empty((7, y.size))
-                if pc_mode:
-                    # segments are piece-aligned; freeze the piece's values so
-                    # stages touching a breakpoint stay off the next piece
-                    frozen = coeffs(T - (s + 0.5 * h_try))
-                    k[0] = rhs(s, y, frozen)
-                else:
-                    frozen = None
-                    k[0] = f_now
-                for i in range(1, 7):
-                    yi = y + h_try * (k[:i].T @ _A[i])
-                    k[i] = rhs(s + _C[i] * h_try, yi, frozen)
-                y1 = y + h_try * (k.T @ _B5)
-                err_vec = h_try * (k.T @ _ERR)
-                scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y1))
-                with np.errstate(invalid="ignore", over="ignore"):
-                    err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-                if np.isfinite(err) and err <= 1.0:
-                    s_new = s + h_try
-                    f_new = k[6]  # FSAL slope at (s_new, y1)
-                    terms_now = terms_at(s_new, y1)
-                    m_new = min_eigenvalue(terms_now[0])
-                    margin_min = min(margin_min, m_new)
-                    hit_margin = m_new <= eps_pos
-                    hit_blowup = c1_norm(y1, f_new) >= config.max_norm
-                    if hit_margin or hit_blowup:
-                        cross_m = cross_b = np.inf
-                        if hit_margin:
-                            cross_m = bisect_event(s, y, k[0], s_new, y1, f_new,
-                                                   "margin", frozen)
-                        if hit_blowup:
-                            cross_b = bisect_event(s, y, k[0], s_new, y1, f_new,
-                                                   "blowup", frozen)
-                        if cross_m <= cross_b:
-                            status, t_event = CONSTRAINT_VIOLATION, T - cross_m
-                        else:
-                            status, t_event = BLOWUP, T - cross_b
-                        accepted += 1
-                        break
-                    fac = _SAFETY * (err ** -_PI_ALPHA) * (err_old ** _PI_BETA) if err > 0 else _FAC_MAX
-                    h = h_try * min(_FAC_MAX, max(_FAC_MIN, fac))
-                    err_old = max(err, 1e-10)
-                    s, y, f_now = s_new, y1, f_new
-                    accepted += 1
-                else:
-                    rejected += 1
-                    shrink = _SAFETY * err ** -0.2 if np.isfinite(err) else _FAC_MIN
-                    h = h_try * max(_FAC_MIN, min(1.0, shrink))
-                    if h < 1e-15 * T:
-                        raise StepLimit(f"step size underflow at t={T - s:.6g}")
-            if status != COMPLETED:
-                break
-            if is_output[idx]:
-                out_P.append(symmetrize(y.reshape(n, n)).copy())
+                rejected += 1
+                shrink = _SAFETY * err ** -0.2 if np.isfinite(err) else _FAC_MIN
+                h = h_try * max(_FAC_MIN, min(1.0, shrink))
+                if h < 1e-15 * T:
+                    raise StepLimit(f"step size underflow at t={T - s:.6g}")
+        if output and hit is None:
+            out_P.append(symmetrize(y.reshape(n, n)).copy())
 
     # assemble ascending-in-t outputs
-    P_desc = np.array(out_P)  # stored while t descends from T
-    stored = P_desc.shape[0]
-    grid = tau_out[config.output_points - stored:].copy()
-    P = P_desc[::-1].copy()
+    grid = tau_out[config.output_points - len(out_P):].copy()
+    P = np.array(out_P[::-1])  # out_P is stored while t descends from T
     P[-1] = symmetrize(np.asarray(data.N, dtype=float))  # terminal condition exact
 
     gain, margin = derive_gain_margin(data, grid, P)
@@ -333,8 +303,8 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
         P=P,
         gain=gain,
         margin=margin,
-        status=status,
-        t_event=t_event,
+        status=COMPLETED if hit is None else hit,
+        t_event=None if hit is None else T - s_event,
         accepted_steps=accepted,
         rejected_steps=rejected,
         margin_min_dense=float(margin_min),
@@ -349,17 +319,21 @@ def check_solution_residual(
     Central differences with the output-grid spacing at ``probe_points``
     interior times; a genuine solution stays within roughly
     10 * rel_tol * (1 + max||P||) once the grid is dense enough for the
-    stencil truncation to be negligible.
+    stencil truncation to be negligible.  Raises ValueError without a completed
+    solution or an interior point, ConstraintViolation where hat_R is not positive.
     """
     if not solution.completed:
         raise ValueError("residual check requires a completed solution")
-    grid = solution.grid
+    grid, P = solution.grid, solution.P
     n_out = grid.size
+    if n_out < 3 or probe_points < 1:
+        raise ValueError("residual check needs at least 3 stored points and 1 probe")
     h = (grid[-1] - grid[0]) / (n_out - 1)
     idx = np.unique(np.linspace(1, n_out - 2, min(probe_points, n_out - 2)).round().astype(int))
-    worst = 0.0
-    for j in idx:
-        dP = (solution.P[j + 1] - solution.P[j - 1]) / (2.0 * h)
-        res = dP + eval_f(solution.P[j], None, data, grid[j], eps_pos=0.0)
-        worst = max(worst, _fro(res))
-    return worst
+    hat, rhs, base = lq_terms(data.stacked_at(grid[idx]), symmetrize(P[idx]))
+    margin = min_eigenvalue(hat)
+    bad = np.flatnonzero(margin <= 0.0)
+    if bad.size:
+        raise ConstraintViolation(grid[idx[bad[0]]], margin[bad[0]])
+    res = (P[idx + 1] - P[idx - 1]) / (2.0 * h) + riccati_drift(hat, rhs, base)
+    return float(np.max(np.sqrt(np.sum(res * res, axis=(-2, -1)))))

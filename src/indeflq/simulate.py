@@ -246,6 +246,8 @@ def _simulate(data, policy, xi, config, n_workers, solution=None) -> SimulationR
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (data.n,):
         raise ValueError(f"xi must be an {data.n}-vector")
+    if not np.all(np.isfinite(xi)):
+        raise ValueError("xi: contains non-finite entries")
     setup = _EulerSetup(data, policy, config.n_steps, solution)
     # per-pair statistics in path-index order, independent of the partition
     parts = _for_blocks(config, data.d, lambda idx: _run_cost_block(

@@ -288,6 +288,26 @@ class TestOracleCommand:
         assert len(tab["rows"]) == 3
         assert all(1.6 <= r <= 2.6 for r in tab["ratios"])
 
+    def test_exact_agreement_gives_null_ratios(self, tmp_path, capsys):
+        # P(t) = N for every step size, so every error is 0 and no ratio exists
+        import yaml
+        doc = {
+            "dimensions": {"n": 1, "k": 1, "d": 1},
+            "horizon": 1.0,
+            "grid": {"points": 9},
+            "coefficients": {"A": [[0.0]], "B": [[0.0]], "C": [[[0.0]]], "D": [[[0.0]]],
+                             "R": [[1.0]], "Q": [[0.0]]},
+            "terminal": [[1.0]],
+        }
+        p = tmp_path / "still.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "still.json"
+        assert main(["oracle", "--spec", str(p), "--steps", "4,8,16", "--out", str(out)]) == 0
+        tab = read_report(out)["oracle"]
+        assert [r["error_vs_solver"] for r in tab["rows"]] == [0.0, 0.0, 0.0]
+        assert tab["ratios"] == [None, None]
+        assert "ratios ['nan', 'nan']" in capsys.readouterr().err
+
     def test_bad_steps_exit1(self, example_dir):
         rc = main(["oracle", "--spec", str(example_dir / "definite_2x2.yaml"),
                    "--steps", "a,b", "--quiet"])

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from indeflq.core import CoefficientPath, ProblemData, symmetrize
-from indeflq.errors import StepLimit
+from indeflq.errors import ConstraintViolation, StepLimit
 from indeflq.oracle import dp_solve
 from indeflq.riccati import (
     BLOWUP,
@@ -113,6 +113,28 @@ class TestResidual:
         sol = solve_riccati(data)
         with pytest.raises(ValueError):
             check_solution_residual(sol, data)
+
+    def test_needs_an_interior_point(self):
+        # two stored points leave no central difference to probe: the check
+        # must refuse rather than report a zero defect for a corrupted path
+        spec = parse_spec(bundled.example_doc("example504_r1"))
+        sol = solve_riccati(spec.data, SolverConfig(output_points=2))
+        sol.P[0] += 5.0
+        with pytest.raises(ValueError, match="at least 3 stored points"):
+            check_solution_residual(sol, spec.data)
+        # likewise with no probe asked for
+        sol = solve_riccati(spec.data)
+        with pytest.raises(ValueError, match="1 probe"):
+            check_solution_residual(sol, spec.data, probe_points=0)
+
+    def test_nonpositive_weight_raises(self):
+        # hat_R = 1 + P for the scalar benchmark; P = -5 inside breaks it
+        data = scalar_benchmark(1.0)
+        sol = solve_riccati(data)
+        bad = copy.deepcopy(sol)
+        bad.P[1:-1] = -5.0
+        with pytest.raises(ConstraintViolation):
+            check_solution_residual(bad, data)
 
 
 class TestInvariants:

@@ -82,6 +82,13 @@ class TestCostEstimator:
             with pytest.raises(NumericalOverflow, match="fundamental pair"):
                 fundamental_pair_check(data, np.zeros((1, 1)), SimConfig(4, 8, seed=1))
 
+    def test_nonfinite_xi_rejected(self):
+        # a NaN start state is an input error, not an explosive closed loop
+        data = scalar_benchmark(1.0)
+        for xi in ([np.nan], [np.inf]):
+            with pytest.raises(ValueError, match="xi"):
+                simulate_cost(data, ControlPolicy(), xi, SimConfig(4, 8, seed=1))
+
     def test_increments_are_the_keyed_philox_streams(self):
         seed, n_steps, d, dt = 2 ** 63 + 5, 16, 2, 0.25
         indices = np.arange(7, 12, dtype=np.uint64)
