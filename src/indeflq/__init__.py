@@ -36,8 +36,6 @@ from .errors import (
     GridMismatch,
     IndefLQError,
     NumericalOverflow,
-    PhiNonpositive,
-    PreconditionFailed,
     SpecError,
     StepLimit,
 )
@@ -78,8 +76,6 @@ __all__ = [
     "OracleResult",
     "PIECEWISE_CONSTANT_LEFT",
     "PIECEWISE_LINEAR",
-    "PhiNonpositive",
-    "PreconditionFailed",
     "ProblemData",
     "RiccatiSolution",
     "SimConfig",

@@ -31,7 +31,7 @@ from .core import (
     symmetric_part_error,
     symmetrize,
 )
-from .errors import GridMismatch, PhiNonpositive, PreconditionFailed
+from .errors import GridMismatch
 from .riccati import RiccatiSolution, derive_gain_margin
 
 __all__ = [
@@ -79,8 +79,9 @@ class SubsolutionCandidate:
     """A candidate subsolution path F with its time derivative.
 
     ``F`` and ``dF`` are read by ``core.path_samples`` on ``grid`` (one
-    symmetric matrix or one per grid point).  When ``dF`` is omitted it is filled by central differences on the grid
-    (one-sided at the ends) and checks run with a 10x inflated tolerance.
+    symmetric matrix or one per grid point).  When ``dF`` is omitted it is
+    filled by central differences on the grid (one-sided at the ends; at least
+    3 points) and checks run with a 10x inflated tolerance.
     """
 
     grid: np.ndarray
@@ -92,12 +93,14 @@ class SubsolutionCandidate:
         grid = np.asarray(self.grid, dtype=float)
         F = np.asarray(self.F, dtype=float)
         n = F.shape[-1] if F.ndim else 1  # checked against the problem in check_subsolution
-        F = _symmetric(path_samples(F, grid.size, (n, n), "F"), "F")
-        if self.dF is None:
+        F = _witness(F, grid, n, "F")
+        if self.dF is not None:
+            dF = _witness(self.dF, grid, n, "dF")
+        elif grid.size < 3:
+            raise ValueError("dF: required when the grid has fewer than 3 points")
+        else:
             dF = np.gradient(F, grid[1] - grid[0], axis=0, edge_order=2)
             self.derivative_fd = True
-        else:
-            dF = _symmetric(path_samples(self.dF, grid.size, (n, n), "dF"), "dF")
         self.grid = grid
         self.F = F
         self.dF = dF
@@ -120,6 +123,12 @@ class Certificate:
     phi: np.ndarray | None = None
     boundary: np.ndarray | None = None
     threshold: float | None = None
+
+    @classmethod
+    def failed(cls, kind, reason, t_worst=None, **witness) -> "Certificate":
+        """A failed verdict: zero margin, the reason and where it was worst."""
+        return cls(kind=kind, verdict=FAILED, epsilon=0.0, reason=reason, t_worst=t_worst,
+                   **witness)
 
     @property
     def certified(self) -> bool:
@@ -168,26 +177,18 @@ def check_subsolution(
     hat_min = float(np.min(hat_eigs))
     if hat_min <= eps_pos:
         j = int(np.argmin(hat_eigs))
-        return Certificate(
-            kind=KIND_SUBSOLUTION, verdict=FAILED, epsilon=0.0,
-            reason="effective control weight not positive along F",
-            t_worst=float(grid[j]),
-        )
+        return Certificate.failed(
+            KIND_SUBSOLUTION, "effective control weight not positive along F", float(grid[j]))
     drift = drift_eigs(0.0)
     if float(np.min(drift)) < -tol_eff:
         j = int(np.argmin(drift))
-        return Certificate(
-            kind=KIND_SUBSOLUTION, verdict=FAILED, epsilon=0.0,
-            reason="drift residual dF/dt + f(F, 0) not positive semi-definite",
-            t_worst=float(grid[j]),
-        )
+        return Certificate.failed(
+            KIND_SUBSOLUTION, "drift residual dF/dt + f(F, 0) not positive semi-definite",
+            float(grid[j]))
     term = min_eigenvalue(data.N - cand.F[-1])
     if term < -tol_eff:
-        return Certificate(
-            kind=KIND_SUBSOLUTION, verdict=FAILED, epsilon=0.0,
-            reason="terminal value F(T) not dominated by N",
-            t_worst=float(grid[-1]),
-        )
+        return Certificate.failed(
+            KIND_SUBSOLUTION, "terminal value F(T) not dominated by N", float(grid[-1]))
 
     # supremal shift keeping F a subsolution of the R-reduced problem
     eps_hi = hat_min - eps_pos
@@ -209,11 +210,8 @@ def check_subsolution(
                 hi = mid
         epsilon = lo
     if epsilon <= 0.0:
-        return Certificate(
-            kind=KIND_SUBSOLUTION, verdict=FAILED, epsilon=0.0,
-            reason="no positive margin: subsolution is not strict",
-            t_worst=None,
-        )
+        return Certificate.failed(
+            KIND_SUBSOLUTION, "no positive margin: subsolution is not strict")
     return Certificate(kind=KIND_SUBSOLUTION, verdict=CERTIFIED, epsilon=float(epsilon))
 
 
@@ -292,9 +290,10 @@ def certify_scalar_comparison(
     dd_eigs = min_eigenvalue(sumDtD)
     if float(np.min(dd_eigs)) < eps_pos:
         j = int(np.argmin(dd_eigs))
-        raise PreconditionFailed(
+        return Certificate.failed(
+            KIND_SCALAR_COMPARISON,
             f"sum_i D_i'D_i not uniformly positive (min eigenvalue "
-            f"{dd_eigs[j]:.3e} at t={times[j]:.6g})"
+            f"{dd_eigs[j]:.3e} at t={times[j]:.6g})",
         )
 
     sol = np.linalg.solve(sumDtD, Mt)
@@ -316,8 +315,10 @@ def certify_scalar_comparison(
         raise ValueError("phi evaluation overflowed; coefficients out of desk scale")
 
     if float(np.min(phi)) <= 0.0:
-        bad = np.flatnonzero(phi <= 0.0)
-        raise PhiNonpositive(float(times[bad[-1]]))
+        t_bad = float(times[np.flatnonzero(phi <= 0.0)[-1]])
+        return Certificate.failed(
+            KIND_SCALAR_COMPARISON, f"comparison function phi is nonpositive at t={t_bad:.6g}",
+            t_bad)
 
     aphi = a_vals * phi
     adm = min_eigenvalue(R_ + aphi[:, None, None] * sumDtD)
@@ -331,21 +332,12 @@ def certify_scalar_comparison(
     sumDtD_coarse = _upsilon_parts(data.stacked_at(data.grid), data.n)[0]
     boundary = -(alpha_coarse * phi_coarse)[:, None, None] * sumDtD_coarse
 
-    common = dict(
-        kind=KIND_SCALAR_COMPARISON,
-        phi=phi_coarse,
-        boundary=boundary,
-        threshold=threshold,
-    )
+    witness = dict(phi=phi_coarse, boundary=boundary, threshold=threshold)
     if eps > 0.0:
-        return Certificate(verdict=CERTIFIED, epsilon=eps, **common)
-    return Certificate(
-        verdict=FAILED,
-        epsilon=0.0,
-        reason="control weight does not clear the admissible lower bound",
-        t_worst=float(times[j]),
-        **common,
-    )
+        return Certificate(kind=KIND_SCALAR_COMPARISON, verdict=CERTIFIED, epsilon=eps, **witness)
+    return Certificate.failed(
+        KIND_SCALAR_COMPARISON, "control weight does not clear the admissible lower bound",
+        float(times[j]), **witness)
 
 
 def _threshold_alpha(t):
@@ -420,27 +412,25 @@ def certify_definite_regime(data: ProblemData, eps_pos: float = DEFAULT_EPS_POS)
     dd_eigs = min_eigenvalue(_upsilon_parts(data.stacked_at(data.grid), data.n)[0])
     dd_min = float(np.min(dd_eigs))
     if psd_q and psd_r and n_min > eps_pos and dd_min >= eps_pos:
-        try:
-            inner = certify_scalar_comparison(data, 0.01, eps_pos=eps_pos)
-        except (PreconditionFailed, PhiNonpositive) as exc:
-            reasons.append(f"case ii: {exc}")
-        else:
-            if inner.certified:
-                inner.kind = KIND_DEFINITE_TERMINAL
-                return inner
-            reasons.append(f"case ii: {inner.reason}")
+        inner = certify_scalar_comparison(data, 0.01, eps_pos=eps_pos)
+        if inner.certified:
+            inner.kind = KIND_DEFINITE_TERMINAL
+            return inner
+        reasons.append(f"case ii: {inner.reason}")
     else:
         reasons.append(
             "case ii: needs N >> 0, sum D_i'D_i >> 0 and Q, R >= 0 "
             f"(min eig N {n_min:.3e}, min eig sum D'D {dd_min:.3e})"
         )
-    return Certificate(
-        kind=KIND_DEFINITE_CONTROL, verdict=FAILED, epsilon=0.0, reason="; ".join(reasons)
-    )
+    return Certificate.failed(KIND_DEFINITE_CONTROL, "; ".join(reasons))
 
 
-def _symmetric(samples, name):
-    """The witness samples, symmetrized; ValueError when they are not symmetric."""
+def _witness(value, grid, n, name):
+    """An n x n witness path on ``grid`` (``core.path_samples``), symmetrized.
+
+    ValueError when the samples are not symmetric.
+    """
+    samples = path_samples(value, grid.size, (n, n), name)
     if symmetric_part_error(samples) > 1e-10 * max(1.0, float(np.max(np.abs(samples)))):
         raise ValueError(f"{name} must be symmetric")
     return symmetrize(samples)
@@ -459,12 +449,11 @@ def apply_shift(data: ProblemData, K, dK=None):
     ``dK`` defaults to central differences of K on the grid.
     """
     grid = data.grid
-    shape = (data.n, data.n)
-    K = _symmetric(path_samples(K, grid.size, shape, "K"), "K")
+    K = _witness(K, grid, data.n, "K")
     if dK is None:
         dK = np.gradient(K, grid[1] - grid[0], axis=0)
     else:
-        dK = _symmetric(path_samples(dK, grid.size, shape, "dK"), "dK")
+        dK = _witness(dK, grid, data.n, "dK")
 
     hat, rhs, base = lq_terms(data.stacked_at(grid), K)
     # rhs = B'K + sum_i D_i'K C_i is the transpose of the compensation defect
@@ -479,7 +468,7 @@ def shift_solution_back(
 ) -> RiccatiSolution:
     """Recover the original-problem trajectory P + K from a shifted solve."""
     grid, n = original_data.grid, original_data.n
-    K_path = CoefficientPath(grid, _symmetric(path_samples(K, grid.size, (n, n), "K"), "K"))
+    K_path = CoefficientPath(grid, _witness(K, grid, n, "K"))
     P = solution.P + K_path.at(solution.grid)
     gain, margin = derive_gain_margin(original_data, solution.grid, P)
     return RiccatiSolution(

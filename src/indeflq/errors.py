@@ -33,20 +33,6 @@ class NumericalOverflow(IndefLQError):
     """A simulated state left the representable range (explosive closed loop)."""
 
 
-class PreconditionFailed(IndefLQError):
-    """A certificate's structural precondition does not hold for the data."""
-
-
-class PhiNonpositive(IndefLQError):
-    """The scalar comparison function crossed zero, so the certificate is void."""
-
-    def __init__(self, time, message=None):
-        self.time = float(time)
-        super().__init__(
-            message or f"comparison function phi is nonpositive at t={self.time:.6g}"
-        )
-
-
 class StepLimit(IndefLQError):
     """The adaptive integrator exhausted its step budget."""
 

@@ -2,13 +2,15 @@
 
 Integrates dP/dt = -f(P, 0) from P(T) = N in reversed time with an embedded
 Dormand-Prince 5(4) pair and PI step control.  One event test runs at t = T,
-after every accepted step and inside the bisection that locates an event:
-constraint violation first (the effective control weight at or below the
-positivity floor), then blow-up.  Blow-up is declared when the trajectory
-escapes in C^1: the slope is not finite, or ||P|| or ||dP/dt|| reaches the
-configured cap.  On sampled coefficient paths a vanishing-denominator
-singularity keeps P bounded while its velocity explodes, so watching only
-||P|| would silently miss the loss of a continuous solution.
+after every accepted step, at every segment start on piecewise-constant
+coefficients (under the values of the piece that starts there) and inside
+the bisection that locates an event: constraint violation first
+(the effective control weight at or below the positivity floor), then
+blow-up.  Blow-up is declared when the trajectory escapes in C^1: the slope
+is not finite, or ||P|| or ||dP/dt|| reaches the configured cap.  On sampled
+coefficient paths a vanishing-denominator singularity keeps P bounded while
+its velocity explodes, so watching only ||P|| would silently miss the loss
+of a continuous solution.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ class RiccatiSolution:
     ``P[j]`` is the solution at ``grid[j]``; ``gain[j]`` the feedback gain
     Gamma(P[j], 0) and ``margin[j]`` the minimal eigenvalue of the effective
     control weight there.  On constraint violation or blow-up the trajectory
-    covers (t_event, T] only.
+    covers the output times in [t_event, T] only.
     """
 
     grid: np.ndarray
@@ -152,8 +154,9 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
     """Integrate the Riccati problem backward from P(T) = N.
 
     Returns a RiccatiSolution with status ``completed``,
-    ``constraint-violation`` or ``blowup``; in the two event cases the event
-    time is bracketed to within 1e-6 * T by bisection on the violating step.
+    ``constraint-violation`` or ``blowup``.  An event that holds at a segment
+    start is reported there; one that first holds after a step is bracketed to
+    within 1e-6 * T by bisection on that step.
     Raises StepLimit when the step budget is exhausted.
     """
     config = config or SolverConfig()
@@ -169,14 +172,13 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
     else:
         coeffs = data.stacked_at
 
-    def terms_at(s, y, frozen=None):
-        """lq_terms at t = T - s for y ~ P(T - s).
+    # under piecewise-constant interpolation, the coefficients of the piece
+    # being integrated, sampled once per segment at its midpoint so that
+    # stages landing exactly on a breakpoint stay on that piece
+    frozen = None
 
-        ``frozen`` overrides the coefficient lookup; under piecewise-constant
-        interpolation a step's coefficients are sampled once at its midpoint
-        so that stages landing exactly on a breakpoint stay on the piece
-        being integrated.
-        """
+    def terms_at(s, y):
+        """lq_terms at t = T - s for y ~ P(T - s), on the frozen piece if any."""
         P = y.reshape(n, n)
         P = 0.5 * (P + P.T)
         return lq_terms(frozen if frozen is not None else coeffs(T - s), P)
@@ -200,7 +202,7 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
             return BLOWUP
         return None
 
-    def locate(s0, y0, f0, s1, y1, f1, hit, frozen):
+    def locate(s0, y0, f0, s1, y1, f1, hit):
         """Earliest s in (s0, s1] where an event holds, to 1e-6 * T, and that event.
 
         ``hit`` is the event at s1; inside the step P is Hermite-interpolated.
@@ -209,7 +211,7 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
         while hi - lo > 1e-6 * T:
             mid = 0.5 * (lo + hi)
             ym = _hermite((mid - s0) / (s1 - s0), y0, f0, y1, f1, s1 - s0)
-            terms = terms_at(mid, ym, frozen)
+            terms = terms_at(mid, ym)
             found = event(ym, min_eigenvalue(terms[0]), slope(terms))
             if found is None:
                 lo = mid
@@ -236,32 +238,35 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
     accepted = rejected = 0
     err_old = 1e-4
     h = T / max(config.output_points - 1, 8)
+    margin_min = np.inf
 
-    # terms_now holds lq_terms at the last accepted point, reused for the slope
-    # refresh at the next segment start
-    terms_now = terms_at(0.0, y)
-    margin_min = min_eigenvalue(terms_now[0])
-    hit = event(y, margin_min, slope(terms_now))
+    # terms_now holds lq_terms at the last accepted point, already tested there;
+    # on piecewise-linear coefficients it serves the next segment start too
+    terms_now = None
     for s_end, output in boundaries[1:]:
-        if hit is not None:
-            break
-        f_now = slope(terms_now)  # refresh: coefficients may kink at boundaries
+        if pc_mode or terms_now is None:
+            # t = T or a new piece: the event test on this segment's terms
+            if pc_mode:
+                frozen = coeffs(T - 0.5 * (s + s_end))  # segments are piece-aligned
+            terms_now = terms_at(s, y)
+            margin_now = min_eigenvalue(terms_now[0])
+            margin_min = min(margin_min, margin_now)
+            f_now = slope(terms_now)
+            hit = event(y, margin_now, f_now)
+            if hit is not None:
+                s_event = s
+                break
+        else:
+            f_now = slope(terms_now)  # the exact slope at y, not the FSAL stage's
         while s < s_end - 1e-14 * max(T, 1.0):
             if accepted + rejected >= config.max_steps:
                 raise StepLimit(f"exceeded {config.max_steps} steps at t={T - s:.6g}")
             h_try = min(h, s_end - s)
             k = np.empty((7, y.size))
-            if pc_mode:
-                # segments are piece-aligned; freeze the piece's values so
-                # stages touching a breakpoint stay off the next piece
-                frozen = coeffs(T - (s + 0.5 * h_try))
-                k[0] = slope(terms_at(s, y, frozen))
-            else:
-                frozen = None
-                k[0] = f_now
+            k[0] = f_now
             for i in range(1, 7):
                 yi = y + h_try * (k[:i].T @ _A[i])
-                k[i] = slope(terms_at(s + _C[i] * h_try, yi, frozen))
+                k[i] = slope(terms_at(s + _C[i] * h_try, yi))
             y1 = y + h_try * (k.T @ _B5)
             err_vec = h_try * (k.T @ _ERR)
             scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y1))
@@ -271,12 +276,12 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
                 accepted += 1
                 s_new = s + h_try
                 terms_now = terms_at(s_new, y1)
-                m_new = min_eigenvalue(terms_now[0])
-                margin_min = min(margin_min, m_new)
+                margin_now = min_eigenvalue(terms_now[0])
+                margin_min = min(margin_min, margin_now)
                 # k[6] is the FSAL slope at (s_new, y1)
-                hit = event(y1, m_new, k[6])
+                hit = event(y1, margin_now, k[6])
                 if hit is not None:
-                    s_event, hit = locate(s, y, k[0], s_new, y1, k[6], hit, frozen)
+                    s_event, hit = locate(s, y, k[0], s_new, y1, k[6], hit)
                     break
                 fac = _SAFETY * (err ** -_PI_ALPHA) * (err_old ** _PI_BETA) if err > 0 else _FAC_MAX
                 h = h_try * min(_FAC_MAX, max(_FAC_MIN, fac))
@@ -288,7 +293,9 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
                 h = h_try * max(_FAC_MIN, min(1.0, shrink))
                 if h < 1e-15 * T:
                     raise StepLimit(f"step size underflow at t={T - s:.6g}")
-        if output and hit is None:
+        if hit is not None:
+            break
+        if output:
             out_P.append(symmetrize(y.reshape(n, n)).copy())
 
     # assemble ascending-in-t outputs

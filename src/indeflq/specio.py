@@ -3,9 +3,10 @@
 Problem specs are YAML documents: dimensions, horizon, a uniform sample grid,
 the coefficient paths (each one constant matrix or one sample per grid
 point, read by ``core.path_samples``), the terminal weight, and optional
-certificate / solver / simulation blocks.  Every value is read through ``_read``, so a missing key, a value of
-the wrong type and a malformed number all end in a ``SpecError`` that names
-the key path; ``parse_spec`` raises nothing else.  Sizes that drive
+certificate / solver / simulation blocks.  Every value, the certificate
+block's included, is read through ``_read``, so a missing key, a value of the
+wrong type and a malformed number all end in a ``SpecError`` that names the
+key path; ``parse_spec`` raises nothing else.  Sizes that drive
 allocation are bounded before anything is allocated.  Reports are JSON
 (stdlib ``json``; floats in Python's shortest round-trip form, so values
 read back exactly; non-finite floats become ``null``).
@@ -35,7 +36,6 @@ from .simulate import SimConfig
 __all__ = [
     "ParsedSpec",
     "parse_spec",
-    "serialize_spec",
     "load_spec_file",
     "apply_overrides",
     "dumps_report",
@@ -45,7 +45,6 @@ __all__ = [
 MAX_GRID_POINTS = 100_000
 
 _INTERPOLATIONS = (PIECEWISE_CONSTANT_LEFT, PIECEWISE_LINEAR)
-_CERT_KINDS = ("scalar-comparison", "definite", "explicit-subsolution", "shift")
 _REQUIRED = object()
 
 
@@ -77,6 +76,26 @@ def _floats(value):
         raise ValueError("non-finite entries")
     return arr
 
+
+def _alpha(value):
+    """A constant, a path on the problem grid, or the named schedule "optimal-constant"."""
+    if isinstance(value, str):
+        if value != "optimal-constant":
+            raise SpecError(f"certificate.alpha: unknown schedule {value!r}")
+        return value
+    alpha = _floats(value)
+    return float(alpha) if alpha.ndim == 0 else alpha
+
+
+# certificate kinds, the keys each one reads, and each key's cast and default;
+# checks that need the problem (alpha range, witness shapes, T = 1 for the
+# named schedule) are the certifier's
+_CERT_KEYS = {
+    "scalar-comparison": {"alpha": (_alpha, _REQUIRED)},
+    "definite": {},
+    "explicit-subsolution": {"tol": (_real, 1e-9), "F": (_floats, None), "dF": (_floats, None)},
+    "shift": {"K": (_floats, _REQUIRED), "tol": (_real, 1e-8)},
+}
 
 # solver block keys and the cast each value goes through
 _SOLVER_KEYS = {
@@ -120,48 +139,10 @@ class ParsedSpec:
 
     data: ProblemData
     solver: SolverConfig
-    certificate: dict | None
+    certificate: dict | None  # kind plus that kind's keys, cast (see _CERT_KEYS)
     simulation: SimConfig | None
     xi: np.ndarray | None
 
-    def to_doc(self) -> dict:
-        """Reconstruct the plain-dict document (constant paths re-collapsed)."""
-        d = self.data
-
-        def path_doc(path: CoefficientPath):
-            s = path.samples
-            return s[0].tolist() if np.all(s == s[0]) else s.tolist()
-
-        doc = {
-            "dimensions": {"n": d.n, "k": d.k, "d": d.d},
-            "horizon": float(d.T),
-            "grid": {"points": int(d.grid.size), "interpolation": d.interpolation},
-            "coefficients": {
-                "A": path_doc(d.A),
-                "B": path_doc(d.B),
-                "C": [path_doc(c) for c in d.C],
-                "D": [path_doc(di) for di in d.D],
-                "R": path_doc(d.R),
-                "Q": path_doc(d.Q),
-            },
-            "terminal": d.N.tolist(),
-        }
-        if self.certificate is not None:
-            doc["certificate"] = self.certificate
-        default = SolverConfig()
-        sd = {key: getattr(self.solver, key) for key in _SOLVER_KEYS
-              if getattr(self.solver, key) != getattr(default, key)}
-        if sd:
-            doc["solver"] = sd
-        if self.simulation is not None:
-            doc["simulation"] = {
-                "n_paths": int(self.simulation.n_paths),
-                "n_steps": int(self.simulation.n_steps),
-                "seed": int(self.simulation.seed),
-                "antithetic": bool(self.simulation.antithetic),
-                "xi": self.xi.tolist(),
-            }
-        return doc
 
 
 def _channels(co, key, d):
@@ -215,8 +196,11 @@ def parse_spec(doc: dict) -> ParsedSpec:
     certificate = _read(doc, "certificate", "", default=None)
     if certificate is not None:
         kind = _read(certificate, "kind", "certificate")
-        if kind not in _CERT_KINDS:
-            raise SpecError(f"certificate.kind: {kind!r} not one of {_CERT_KINDS}")
+        if not isinstance(kind, str) or kind not in _CERT_KEYS:
+            raise SpecError(f"certificate.kind: {kind!r} not one of {tuple(_CERT_KEYS)}")
+        certificate = {"kind": kind, **{
+            key: _read(certificate, key, "certificate", cast, default)
+            for key, (cast, default) in _CERT_KEYS[kind].items()}}
 
     simulation = xi = None
     mdoc = _read(doc, "simulation", "", default=None)
@@ -254,10 +238,6 @@ def parse_spec(doc: dict) -> ParsedSpec:
     return ParsedSpec(
         data=data, solver=solver, certificate=certificate, simulation=simulation, xi=xi
     )
-
-
-def serialize_spec(spec: ParsedSpec) -> str:
-    return yaml.safe_dump(spec.to_doc(), sort_keys=False, default_flow_style=None)
 
 
 def load_spec_file(path, overrides=()) -> ParsedSpec:

@@ -12,7 +12,7 @@ from indeflq.certificates import (
     shift_solution_back,
 )
 from indeflq.core import CoefficientPath, ProblemData, min_eigenvalue
-from indeflq.errors import GridMismatch, PhiNonpositive, PreconditionFailed
+from indeflq.errors import GridMismatch
 from indeflq.riccati import COMPLETED, check_solution_residual, solve_riccati
 from indeflq.specio import parse_spec
 from indeflq import bundled
@@ -83,8 +83,10 @@ class TestScalarComparison:
         data = scalar_benchmark(1.0)
         broken = ProblemData(n=1, k=1, d=1, T=1.0, A=0.0, B=1.0, C=[0.0], D=[0.0],
                              R=1.0, Q=0.0, N=[[1.0]], grid=data.grid)
-        with pytest.raises(PreconditionFailed):
-            certify_scalar_comparison(broken, 0.1)
+        cert = certify_scalar_comparison(broken, 0.1)
+        assert not cert.certified and cert.epsilon == 0.0
+        assert cert.reason.startswith("sum_i D_i'D_i not uniformly positive")
+        assert cert.t_worst is None
 
     def test_nan_alpha_rejected(self):
         data = scalar_benchmark(1.0)
@@ -107,8 +109,11 @@ class TestScalarComparison:
 
     def test_phi_nonpositive(self):
         data = scalar_benchmark(1.0).with_weights(N=np.array([[0.0]]))
-        with pytest.raises(PhiNonpositive):
-            certify_scalar_comparison(data, 0.1)
+        cert = certify_scalar_comparison(data, 0.1)
+        assert not cert.certified and cert.epsilon == 0.0
+        # phi(T) = lam_min(N) = 0 is the last nonpositive point
+        assert cert.reason == "comparison function phi is nonpositive at t=1"
+        assert cert.t_worst == 1.0
 
 
 class TestSubsolution:
@@ -161,6 +166,13 @@ class TestSubsolution:
         cert = check_subsolution(cand, data)
         # dF/dt = 0.1 > 0 and f(F) >= 0 here, so certification holds
         assert cert.certified
+
+    def test_finite_difference_needs_three_points(self):
+        grid = np.linspace(0.0, 1.0, 2)
+        with pytest.raises(ValueError, match="dF"):
+            SubsolutionCandidate(grid=grid, F=np.array([[0.5]]))
+        cand = SubsolutionCandidate(grid=grid, F=np.array([[0.5]]), dF=np.array([[0.0]]))
+        assert not cand.derivative_fd
 
     def test_monotone_in_R(self, rng_session):
         for _ in range(50):

@@ -3,16 +3,12 @@ import json
 import hypothesis
 import numpy as np
 import pytest
+import yaml
 from hypothesis import strategies as st
 
 from indeflq import bundled
 from indeflq.cli import main
-from indeflq.specio import (
-    apply_overrides,
-    dumps_report,
-    parse_spec,
-    serialize_spec,
-)
+from indeflq.specio import apply_overrides, dumps_report, parse_spec
 from indeflq.errors import SpecError
 
 
@@ -86,7 +82,6 @@ class TestSolveCommand:
     def test_dimension_mismatch_exit1(self, tmp_path, capsys):
         doc = bundled.example_doc("example504_r1")
         doc["coefficients"]["B"] = [[1.0], [2.0]]
-        import yaml
         p = tmp_path / "mismatch.yaml"
         p.write_text(yaml.safe_dump(doc))
         assert main(["solve", "--spec", str(p), "--quiet"]) == 1
@@ -139,7 +134,6 @@ class TestCertifyCommand:
     def test_missing_block_exit1(self, tmp_path):
         doc = bundled.example_doc("example504_r1")
         del doc["certificate"]
-        import yaml
         p = tmp_path / "nocert.yaml"
         p.write_text(yaml.safe_dump(doc))
         assert main(["certify", "--spec", str(p), "--quiet"]) == 1
@@ -150,7 +144,6 @@ class TestCertifyCommand:
         doc = bundled.example_doc("example504_r1")
         points = doc["grid"]["points"]
         doc["certificate"] = {"kind": "scalar-comparison", "alpha": [0.3] * points}
-        import yaml
         p = tmp_path / "alist.yaml"
         p.write_text(yaml.safe_dump(doc))
         out = tmp_path / "alist.json"
@@ -161,7 +154,6 @@ class TestCertifyCommand:
     def test_unknown_alpha_schedule_exit1(self, tmp_path):
         doc = bundled.example_doc("example504_r1")
         doc["certificate"] = {"kind": "scalar-comparison", "alpha": "nope"}
-        import yaml
         p = tmp_path / "badalpha.yaml"
         p.write_text(yaml.safe_dump(doc))
         assert main(["certify", "--spec", str(p), "--quiet"]) == 1
@@ -200,6 +192,9 @@ class TestInputErrors:
                                     "coefficients.C=[[[0.0]], [[0.0], [1.0, 2.0]]]"]),
         ("certify", "example504_r1", ["coefficients.A=[[350.0]]", "coefficients.Q=[[1.0e+300]]"]),
         ("certify", "example504_r1", ["coefficients.Q=[[[0.0]],[[0.0]]]"]),
+        # the certificate block is read by every command, not only certify
+        ("solve", "blowup_ode", ["certificate.tol=abc"]),
+        ("simulate", "example504_r1", ["certificate.alpha=foo"]),
     ])
     def test_exit1_with_one_error_line(self, example_dir, command, spec, settings, capsys):
         argv = [command, "--spec", str(example_dir / f"{spec}.yaml"), "--quiet"]
@@ -290,7 +285,6 @@ class TestOracleCommand:
 
     def test_exact_agreement_gives_null_ratios(self, tmp_path, capsys):
         # P(t) = N for every step size, so every error is 0 and no ratio exists
-        import yaml
         doc = {
             "dimensions": {"n": 1, "k": 1, "d": 1},
             "horizon": 1.0,
@@ -331,10 +325,9 @@ class TestOverrides:
 class TestSpecRoundTrip:
     @pytest.mark.parametrize("name", bundled.example_names())
     def test_parse_serialize_parse(self, name):
+        # the written example file parses to the spec its document gives
         spec1 = parse_spec(bundled.example_doc(name))
-        text = serialize_spec(spec1)
-        import yaml
-        spec2 = parse_spec(yaml.safe_load(text))
+        spec2 = parse_spec(yaml.safe_load(bundled.example_text(name)))
         d1, d2 = spec1.data, spec2.data
         assert (d1.n, d1.k, d1.d, d1.T) == (d2.n, d2.k, d2.d, d2.T)
         assert np.array_equal(d1.grid, d2.grid)
@@ -346,7 +339,9 @@ class TestSpecRoundTrip:
         for e1, e2 in zip(d1.D, d2.D):
             assert np.array_equal(e1.samples, e2.samples)
         assert np.array_equal(d1.N, d2.N)
-        assert spec1.certificate == spec2.certificate
+        assert spec1.certificate.keys() == spec2.certificate.keys()
+        for key, value in spec1.certificate.items():
+            assert np.array_equal(value, spec2.certificate[key])
         assert spec1.solver == spec2.solver
         if spec1.simulation is not None:
             assert spec1.simulation == spec2.simulation

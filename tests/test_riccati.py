@@ -231,3 +231,20 @@ class TestPiecewiseConstantKinks:
         p_exact = 1.0 / (1.5 + 0.125)
         assert sol.status == COMPLETED
         assert abs(sol.P0[0, 0] - p_exact) <= 1e-9
+
+    def test_violation_at_breakpoint(self):
+        # R jumps 1 -> -2 at t = 0.5 and R + P(0.5) < 0 on the new piece:
+        # the violation holds from the breakpoint on, with no step into it
+        grid = np.linspace(0.0, 1.0, 3)
+        R = np.array([-2.0, 1.0, 1.0])[:, None, None]
+        data = ProblemData(
+            n=1, k=1, d=1, T=1.0, A=0.0, B=1.0, C=[0.0], D=[1.0],
+            R=CoefficientPath(grid, R, "piecewise-constant-left"),
+            Q=0.0, N=[[1.0]], grid=grid,
+        )
+        for points in (2, 9, 513):
+            sol = solve_riccati(data, SolverConfig(output_points=points))
+            assert sol.status == CONSTRAINT_VIOLATION
+            assert sol.t_event == 0.5
+            assert sol.margin_min_dense < 0.0
+            assert sol.grid[0] >= 0.5

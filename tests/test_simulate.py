@@ -31,12 +31,14 @@ class TestCostEstimator:
                            A=np.zeros((2, 2)), B=np.zeros((2, 1)),
                            C=[np.zeros((2, 2))], D=[np.zeros((2, 1))],
                            R=[[1.0]], Q=np.zeros((2, 2)), N=np.eye(2), grid=grid)
-        rep = simulate_cost(data, ControlPolicy(), [1.0, -0.5],
-                            SimConfig(n_paths=50, n_steps=8, seed=1))
-        assert rep.cost_mean == 1.25
-        assert rep.cost_stderr == 0.0
-        assert rep.n_paths == 100  # antithetic pairs are two paths each
-        assert rep.rng_seconds > 0.0 and rep.step_seconds > 0.0
+        # antithetic pairs are two paths each
+        for antithetic, n_paths in ((True, 100), (False, 50)):
+            rep = simulate_cost(data, ControlPolicy(), [1.0, -0.5],
+                                SimConfig(n_paths=50, n_steps=8, seed=1, antithetic=antithetic))
+            assert rep.cost_mean == 1.25
+            assert rep.cost_stderr == 0.0
+            assert rep.n_paths == n_paths
+            assert rep.rng_seconds > 0.0 and rep.step_seconds > 0.0
 
     def test_uncontrolled_growth_quadrature(self):
         # B = D = 0, Q = 1, A = a: deterministic cost int_0^1 e^{2at} dt.
@@ -111,9 +113,10 @@ class TestCostEstimator:
             monkeypatch.setattr(simulate, "BLOCK_INCREMENTS", block)
             result = [fundamental_pair_check(spec.data, optimal.gain,
                                              SimConfig(n_paths=301, n_steps=64, seed=7))]
-            for policy in (optimal, perturbed):
-                rep = completing_square_report(spec.data, sol, policy, spec.xi,
-                                               SimConfig(n_paths=301, n_steps=64, seed=7))
+            runs = [(optimal, True), (perturbed, True), (optimal, False)]
+            for policy, antithetic in runs:
+                cfg = SimConfig(n_paths=301, n_steps=64, seed=7, antithetic=antithetic)
+                rep = completing_square_report(spec.data, sol, policy, spec.xi, cfg)
                 result += [getattr(rep, f) for f in fields]
             results.append(result)
         assert all(r == results[0] for r in results[1:])
