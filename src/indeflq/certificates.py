@@ -87,7 +87,7 @@ class SubsolutionCandidate:
     grid: np.ndarray
     F: np.ndarray
     dF: np.ndarray | None = None
-    derivative_fd: bool = field(default=False, repr=False)
+    derivative_fd: bool = field(default=False, init=False, repr=False)  # set by __post_init__
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)

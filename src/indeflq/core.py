@@ -39,9 +39,8 @@ PIECEWISE_LINEAR = "piecewise-linear"
 # into a testable predicate and guards the inverse in the gain formula.
 DEFAULT_EPS_POS = 1e-8
 
-# Construction-time symmetry tolerances for weight matrices.
+# Construction-time symmetry tolerance for weight matrices.
 SYMMETRY_TOL = 1e-12
-SYMMETRY_HARD_REL = 1e-9
 
 
 def symmetrize(M):

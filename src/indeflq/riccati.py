@@ -1,10 +1,13 @@
 """Backward integration of the Riccati terminal-value problem.
 
 Integrates dP/dt = -f(P, 0) from P(T) = N in reversed time with an embedded
-Dormand-Prince 5(4) pair and PI step control.  One event test runs at t = T,
-after every accepted step, at every segment start on piecewise-constant
-coefficients (under the values of the piece that starts there) and inside
-the bisection that locates an event: constraint violation first
+Dormand-Prince 5(4) pair and PI step control, one coefficient piece at a
+time: the whole horizon, or each coefficient-grid interval under
+piecewise-constant interpolation.  Output times only end a step.  One event
+test runs at each piece start (t = T first; under the values of the piece
+that starts there), after every accepted step (on the terms of the step's
+last stage, which sits at the accepted point) and inside the bisection that
+locates an event: constraint violation first
 (the effective control weight at or below the positivity floor), then
 blow-up.  Blow-up is declared when the trajectory escapes in C^1: the slope
 is not finite, or ||P|| or ||dP/dt|| reaches the configured cap.  On sampled
@@ -154,7 +157,7 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
     """Integrate the Riccati problem backward from P(T) = N.
 
     Returns a RiccatiSolution with status ``completed``,
-    ``constraint-violation`` or ``blowup``.  An event that holds at a segment
+    ``constraint-violation`` or ``blowup``.  An event that holds at a piece
     start is reported there; one that first holds after a step is bracketed to
     within 1e-6 * T by bisection on that step.
     Raises StepLimit when the step budget is exhausted.
@@ -163,25 +166,17 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
     config.validate()
     n, T = data.n, data.T
     nan_slope = np.full(n * n, np.nan)
-    if data.time_invariant:
-        # a property of the data: skip the per-call coefficient lookup
-        constant = data.stacked_at(0.0)
-
-        def coeffs(t):
-            return constant
-    else:
-        coeffs = data.stacked_at
-
-    # under piecewise-constant interpolation, the coefficients of the piece
-    # being integrated, sampled once per segment at its midpoint so that
-    # stages landing exactly on a breakpoint stay on that piece
-    frozen = None
+    pc_mode = data.interpolation == PIECEWISE_CONSTANT_LEFT
+    # the coefficients held over the piece being integrated, or None to look
+    # them up at every stage; a piecewise-constant piece is sampled at its
+    # midpoint, so that stages landing exactly on a breakpoint stay on it
+    frozen = data.stacked_at(0.0) if data.time_invariant and not pc_mode else None
 
     def terms_at(s, y):
         """lq_terms at t = T - s for y ~ P(T - s), on the frozen piece if any."""
         P = y.reshape(n, n)
         P = 0.5 * (P + P.T)
-        return lq_terms(frozen if frozen is not None else coeffs(T - s), P)
+        return lq_terms(frozen if frozen is not None else data.stacked_at(T - s), P)
 
     def slope(terms):
         """dy/ds = +f(P, 0) in reversed time, or NaN when hat_R degenerates."""
@@ -219,54 +214,49 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
                 hi, hit = mid, found
         return 0.5 * (lo + hi), hit
 
-    # Segment boundaries in reversed time: output times, plus coefficient-grid
-    # breakpoints under piecewise-constant interpolation (kinks in the RHS).
+    # Output times and piece ends in reversed time s = T - t, ascending.  The
+    # pieces are the whole horizon, or the coefficient-grid intervals under
+    # piecewise-constant interpolation (kinks in the RHS); a breakpoint within
+    # 1e-12 * T of an output time is that output time.
     tau_out = np.linspace(0.0, T, config.output_points)
-    s_out = np.ascontiguousarray((T - tau_out)[::-1])
-    s_out[0], s_out[-1] = 0.0, T
-    boundaries = [(float(sv), True) for sv in s_out]
-    pc_mode = data.interpolation == PIECEWISE_CONSTANT_LEFT
+    s_out = T - tau_out[::-1]
+    piece_ends = [T]
     if pc_mode:
-        for sk in (T - data.grid):
-            if np.min(np.abs(s_out - sk)) > 1e-12 * T:
-                boundaries.append((float(sk), False))
-    boundaries.sort(key=lambda b: b[0])
+        b = T - data.grid[-2:0:-1]
+        near = s_out[np.searchsorted(s_out, b - 1e-12 * T)]  # outputs are >= T / 1e5 apart
+        piece_ends = np.unique(np.where(near - b <= 1e-12 * T, near, b)).tolist() + [T]
+    s_out = s_out.tolist()
 
-    y = symmetrize(np.asarray(data.N, dtype=float)).ravel().copy()
-    out_P = [y.reshape(n, n).copy()]
+    out_P = [symmetrize(data.N)]  # stored while t descends from T
+    y = out_P[0].ravel()
     s = s_event = 0.0
     accepted = rejected = 0
     err_old = 1e-4
     h = T / max(config.output_points - 1, 8)
     margin_min = np.inf
-
-    # terms_now holds lq_terms at the last accepted point, already tested there;
-    # on piecewise-linear coefficients it serves the next segment start too
-    terms_now = None
-    for s_end, output in boundaries[1:]:
-        if pc_mode or terms_now is None:
-            # t = T or a new piece: the event test on this segment's terms
-            if pc_mode:
-                frozen = coeffs(T - 0.5 * (s + s_end))  # segments are piece-aligned
-            terms_now = terms_at(s, y)
-            margin_now = min_eigenvalue(terms_now[0])
-            margin_min = min(margin_min, margin_now)
-            f_now = slope(terms_now)
-            hit = event(y, margin_now, f_now)
-            if hit is not None:
-                s_event = s
-                break
-        else:
-            f_now = slope(terms_now)  # the exact slope at y, not the FSAL stage's
-        while s < s_end - 1e-14 * max(T, 1.0):
+    tiny = 1e-14 * max(T, 1.0)
+    j = 1  # the next output time is s_out[j]
+    for s_end in piece_ends:
+        if pc_mode:
+            frozen = data.stacked_at(T - 0.5 * (s + s_end))
+        # t = T or a new piece: the event test on this piece's terms
+        terms = terms_at(s, y)
+        margin_now = min_eigenvalue(terms[0])
+        margin_min = min(margin_min, margin_now)
+        f_now = slope(terms)
+        hit = event(y, margin_now, f_now)
+        if hit is not None:
+            s_event = s
+            break
+        while s < s_end - tiny:
             if accepted + rejected >= config.max_steps:
                 raise StepLimit(f"exceeded {config.max_steps} steps at t={T - s:.6g}")
-            h_try = min(h, s_end - s)
+            h_try = min(h, s_end - s, s_out[j] - s)
             k = np.empty((7, y.size))
             k[0] = f_now
             for i in range(1, 7):
-                yi = y + h_try * (k[:i].T @ _A[i])
-                k[i] = slope(terms_at(s + _C[i] * h_try, yi))
+                terms = terms_at(s + _C[i] * h_try, y + h_try * (k[:i].T @ _A[i]))
+                k[i] = slope(terms)
             y1 = y + h_try * (k.T @ _B5)
             err_vec = h_try * (k.T @ _ERR)
             scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y1))
@@ -275,10 +265,10 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
             if np.isfinite(err) and err <= 1.0:
                 accepted += 1
                 s_new = s + h_try
-                terms_now = terms_at(s_new, y1)
-                margin_now = min_eigenvalue(terms_now[0])
+                # the FSAL stage sits at (s_new, y1): its terms test the
+                # accepted point and k[6] starts the next step
+                margin_now = min_eigenvalue(terms[0])
                 margin_min = min(margin_min, margin_now)
-                # k[6] is the FSAL slope at (s_new, y1)
                 hit = event(y1, margin_now, k[6])
                 if hit is not None:
                     s_event, hit = locate(s, y, k[0], s_new, y1, k[6], hit)
@@ -287,6 +277,9 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
                 h = h_try * min(_FAC_MAX, max(_FAC_MIN, fac))
                 err_old = max(err, 1e-10)
                 s, y, f_now = s_new, y1, k[6]
+                while j < len(s_out) and s >= s_out[j] - tiny:
+                    out_P.append(symmetrize(y.reshape(n, n)))
+                    j += 1
             else:
                 rejected += 1
                 shrink = _SAFETY * err ** -0.2 if np.isfinite(err) else _FAC_MIN
@@ -295,14 +288,9 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
                     raise StepLimit(f"step size underflow at t={T - s:.6g}")
         if hit is not None:
             break
-        if output:
-            out_P.append(symmetrize(y.reshape(n, n)).copy())
 
-    # assemble ascending-in-t outputs
     grid = tau_out[config.output_points - len(out_P):].copy()
-    P = np.array(out_P[::-1])  # out_P is stored while t descends from T
-    P[-1] = symmetrize(np.asarray(data.N, dtype=float))  # terminal condition exact
-
+    P = np.array(out_P[::-1])
     gain, margin = derive_gain_margin(data, grid, P)
 
     return RiccatiSolution(

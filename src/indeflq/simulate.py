@@ -354,6 +354,8 @@ def hamiltonian_identity_check(
     """
     if not P_solution.completed:
         raise ValueError("identity check requires a completed Riccati solution")
+    if probe_points < 1:
+        raise ValueError("identity check needs at least 1 probe")
     grid = P_solution.grid
     idx = np.unique(
         np.linspace(0, grid.size - 1, min(probe_points, grid.size)).round().astype(int)

@@ -6,7 +6,8 @@ point, read by ``core.path_samples``), the terminal weight, and optional
 certificate / solver / simulation blocks.  Every value, the certificate
 block's included, is read through ``_read``, so a missing key, a value of the
 wrong type and a malformed number all end in a ``SpecError`` that names the
-key path; ``parse_spec`` raises nothing else.  Sizes that drive
+key path; so does a key that its mapping does not read (``_known``), and
+``parse_spec`` raises nothing else.  Sizes that drive
 allocation are bounded before anything is allocated.  Reports are JSON
 (stdlib ``json``; floats in Python's shortest round-trip form, so values
 read back exactly; non-finite floats become ``null``).
@@ -97,12 +98,6 @@ _CERT_KEYS = {
     "shift": {"K": (_floats, _REQUIRED), "tol": (_real, 1e-8)},
 }
 
-# solver block keys and the cast each value goes through
-_SOLVER_KEYS = {
-    f.name: _count if isinstance(f.default, int) else _real for f in fields(SolverConfig)
-}
-
-
 def _read(doc, key, where, cast=None, default=_REQUIRED):
     """The value of ``doc[key]`` passed through ``cast``; a null value counts as absent.
 
@@ -125,6 +120,23 @@ def _read(doc, key, where, cast=None, default=_REQUIRED):
         raise SpecError(
             f"{_key_path(where, key)}: bad value {reprlib.repr(value)} ({exc})"
         ) from None
+
+
+def _known(doc, where, keys):
+    """SpecError unless every key of the mapping ``doc`` is one of ``keys``."""
+    unknown = doc.keys() - set(keys)
+    if unknown:
+        raise SpecError(f"{where or 'spec'}: unknown keys {sorted(map(str, unknown))}")
+
+
+def _config(doc, where, config, extra=()):
+    """``config`` from block ``doc``: each field cast by its default's type, else that default."""
+    casts = {f.name: _flag if isinstance(f.default, bool) else
+             _count if isinstance(f.default, int) else _real for f in fields(config)}
+    values = {key: _read(doc, key, where, cast, getattr(config, key))
+              for key, cast in casts.items()}
+    _known(doc, where, (*casts, *extra))
+    return config(**values)
 
 
 def _key_path(where, key):
@@ -160,8 +172,11 @@ def parse_spec(doc: dict) -> ParsedSpec:
     """Validate a loaded YAML document and build the in-memory problem."""
     if not isinstance(doc, dict):
         raise SpecError("spec root must be a mapping")
+    _known(doc, "", ("dimensions", "horizon", "grid", "coefficients", "terminal",
+                     "solver", "certificate", "simulation"))
     dims = _read(doc, "dimensions", "")
     n, k, d = (_read(dims, key, "dimensions", _count) for key in ("n", "k", "d"))
+    _known(dims, "dimensions", ("n", "k", "d"))
     if min(n, k, d) < 1:
         raise SpecError("dimensions: n, k, d must be positive integers")
     T = _read(doc, "horizon", "", _real)
@@ -177,6 +192,7 @@ def parse_spec(doc: dict) -> ParsedSpec:
         raise SpecError(
             f"grid.interpolation: {interpolation!r} not one of {_INTERPOLATIONS}"
         )
+    _known(grid_doc, "grid", ("points", "interpolation"))
     grid = np.linspace(0.0, T, points)
 
     co = _read(doc, "coefficients", "")
@@ -184,33 +200,25 @@ def parse_spec(doc: dict) -> ParsedSpec:
     values = {key: _read(co, key, "coefficients", _floats) for key in shapes}
     C = _channels(co, "C", d)
     D = _channels(co, "D", d)
+    _known(co, "coefficients", (*shapes, "C", "D"))
     N = _read(doc, "terminal", "", _floats)
 
-    sdoc = _read(doc, "solver", "", default={})
-    solver = SolverConfig(**{key: _read(sdoc, key, "solver", cast, getattr(SolverConfig, key))
-                             for key, cast in _SOLVER_KEYS.items()})
-    unknown = sdoc.keys() - _SOLVER_KEYS.keys()
-    if unknown:
-        raise SpecError(f"solver: unknown options {sorted(map(str, unknown))}")
+    solver = _config(_read(doc, "solver", "", default={}), "solver", SolverConfig)
 
-    certificate = _read(doc, "certificate", "", default=None)
-    if certificate is not None:
-        kind = _read(certificate, "kind", "certificate")
+    certificate = cdoc = _read(doc, "certificate", "", default=None)
+    if cdoc is not None:
+        kind = _read(cdoc, "kind", "certificate")
         if not isinstance(kind, str) or kind not in _CERT_KEYS:
             raise SpecError(f"certificate.kind: {kind!r} not one of {tuple(_CERT_KEYS)}")
         certificate = {"kind": kind, **{
-            key: _read(certificate, key, "certificate", cast, default)
+            key: _read(cdoc, key, "certificate", cast, default)
             for key, (cast, default) in _CERT_KEYS[kind].items()}}
+        _known(cdoc, "certificate", certificate)
 
     simulation = xi = None
     mdoc = _read(doc, "simulation", "", default=None)
     if mdoc is not None:
-        simulation = SimConfig(
-            n_paths=_read(mdoc, "n_paths", "simulation", _count, SimConfig.n_paths),
-            n_steps=_read(mdoc, "n_steps", "simulation", _count, SimConfig.n_steps),
-            seed=_read(mdoc, "seed", "simulation", _count, 0),
-            antithetic=_read(mdoc, "antithetic", "simulation", _flag, True),
-        )
+        simulation = _config(mdoc, "simulation", SimConfig, extra=("xi",))
         xi = _read(mdoc, "xi", "simulation", _floats)
         if xi.shape != (n,):
             raise SpecError(f"simulation.xi: expected an {n}-vector")

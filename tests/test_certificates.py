@@ -163,6 +163,9 @@ class TestSubsolution:
         F = 0.1 * (1.0 + data.grid)[:, None, None]
         cand = SubsolutionCandidate(grid=data.grid, F=F)
         assert cand.derivative_fd
+        # only the missing dF sets it: it is no constructor argument
+        with pytest.raises(TypeError):
+            SubsolutionCandidate(grid=data.grid, F=F, dF=np.zeros_like(F), derivative_fd=True)
         cert = check_subsolution(cand, data)
         # dF/dt = 0.1 > 0 and f(F) >= 0 here, so certification holds
         assert cert.certified

@@ -6,7 +6,7 @@ import pytest
 import yaml
 from hypothesis import strategies as st
 
-from indeflq import bundled
+from indeflq import bundled, certificates, cli, oracle, riccati, simulate, specio
 from indeflq.cli import main
 from indeflq.specio import apply_overrides, dumps_report, parse_spec
 from indeflq.errors import SpecError
@@ -195,6 +195,10 @@ class TestInputErrors:
         # the certificate block is read by every command, not only certify
         ("solve", "blowup_ode", ["certificate.tol=abc"]),
         ("simulate", "example504_r1", ["certificate.alpha=foo"]),
+        # a key that its block does not read, here misspelt
+        ("certify", "blowup_ode", ["certificate.tolerance=abc", "certificate.Fx=1"]),
+        ("solve", "example504_r1", ["grid.interpolaton=piecewise-constant-left"]),
+        ("certify", "example504_r1", ["simulation.antithetc=false"]),
     ])
     def test_exit1_with_one_error_line(self, example_dir, command, spec, settings, capsys):
         argv = [command, "--spec", str(example_dir / f"{spec}.yaml"), "--quiet"]
@@ -361,6 +365,22 @@ class TestReportDeterminism:
             assert timings["simulate_rng"] > 0.0 and timings["simulate_step"] > 0.0
             outs.append(rep)
         assert outs[0] == outs[1]
+
+
+def test_cli_binds_the_traced_layer_functions():
+    # perfbench/op.py times each layer by rebinding these names in indeflq.cli;
+    # one that cli stops importing fails only a traced bench run
+    layers = {
+        specio: ("load_spec_file", "dumps_report"),
+        riccati: ("solve_riccati",),
+        certificates: ("constant_threshold_alpha_schedule", "certify_scalar_comparison",
+                       "certify_definite_regime", "check_subsolution", "apply_shift"),
+        simulate: ("completing_square_report",),
+        oracle: ("dp_solve",),
+    }
+    for module, names in layers.items():
+        for name in names:
+            assert getattr(cli, name, None) is getattr(module, name), name
 
 
 class TestReportFormat:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from indeflq.core import CoefficientPath, ProblemData, symmetrize
+from indeflq import riccati
+from indeflq.core import CoefficientPath, ProblemData, lq_terms, symmetrize
 from indeflq.errors import ConstraintViolation, StepLimit
 from indeflq.oracle import dp_solve
 from indeflq.riccati import (
@@ -248,3 +249,21 @@ class TestPiecewiseConstantKinks:
             assert sol.t_event == 0.5
             assert sol.margin_min_dense < 0.0
             assert sol.grid[0] >= 0.5
+
+
+class TestStageReuse:
+    @pytest.mark.parametrize("interpolation", ["piecewise-linear", "piecewise-constant-left"])
+    def test_lq_terms_calls_per_step(self, monkeypatch, interpolation):
+        # a step trial evaluates its six new stages; the accepted point's terms
+        # are its last stage's, so lq_terms runs only once more per coefficient
+        # piece (at its start) and once for the stored gains
+        grid = np.linspace(0.0, 1.0, 9)
+        R = CoefficientPath(grid, (1.0 + 0.5 * np.sin(3.0 * grid))[:, None, None], interpolation)
+        data = ProblemData(n=1, k=1, d=1, T=1.0, A=0.0, B=1.0, C=[0.0], D=[1.0], R=R,
+                           Q=0.0, N=[[1.0]], grid=grid)
+        calls = []
+        monkeypatch.setattr(riccati, "lq_terms", lambda *args: calls.append(1) or lq_terms(*args))
+        sol = solve_riccati(data, SolverConfig(output_points=513))
+        pieces = 8 if interpolation == "piecewise-constant-left" else 1
+        assert sol.completed
+        assert len(calls) <= 6 * (sol.accepted_steps + sol.rejected_steps) + pieces + 1

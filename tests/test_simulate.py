@@ -268,6 +268,9 @@ class TestHamiltonianIdentity:
         G_hand = -sol.P[:, 0, 0] / (1.0 + sol.P[:, 0, 0])
         assert np.max(np.abs(sol.gain[:, 0, 0] - G_hand)) < 1e-12
         assert hamiltonian_identity_check(data, sol) <= 1e-12
+        for probes in (0, -3):
+            with pytest.raises(ValueError, match="1 probe"):
+                hamiltonian_identity_check(data, sol, probe_points=probes)
 
     def test_corrupted_gain_detected(self):
         spec = definite_2x2()
