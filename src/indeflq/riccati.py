@@ -3,17 +3,22 @@
 Integrates dP/dt = -f(P, 0) from P(T) = N in reversed time with an embedded
 Dormand-Prince 5(4) pair and PI step control, one coefficient piece at a
 time: the whole horizon, or each coefficient-grid interval under
-piecewise-constant interpolation.  Output times only end a step.  One event
-test runs at each piece start (t = T first; under the values of the piece
-that starts there), after every accepted step (on the terms of the step's
-last stage, which sits at the accepted point) and inside the bisection that
-locates an event: constraint violation first
-(the effective control weight at or below the positivity floor), then
-blow-up.  Blow-up is declared when the trajectory escapes in C^1: the slope
-is not finite, or ||P|| or ||dP/dt|| reaches the configured cap.  On sampled
-coefficient paths a vanishing-denominator singularity keeps P bounded while
-its velocity explodes, so watching only ||P|| would silently miss the loss
-of a continuous solution.
+piecewise-constant interpolation.  Only the error controller and the piece
+ends set the steps; the output times a step passes are filled from the pair's
+free 4th-order continuous extension, built from the stages the step already
+holds.  One event test runs at each piece start (t = T first; under the
+values of the piece that starts there), after every accepted step (on the
+terms of the step's last stage, which sits at the accepted point) and inside
+the bisection on the continuous extension that locates an event: constraint
+violation first (the effective control weight at or below the positivity
+floor), then blow-up.  A rejected trial step no longer than the event bracket
+with a stage weight at the floor is a constraint violation inside it: where
+the weight reaches the floor with a steepening slope, no step across it would
+ever be accepted.  Blow-up is declared when the trajectory escapes in C^1:
+the slope is not finite, or ||P|| or ||dP/dt|| reaches the configured cap.
+On sampled coefficient paths a vanishing-denominator singularity keeps P
+bounded while its velocity explodes, so watching only ||P|| would silently
+miss the loss of a continuous solution.
 """
 
 from __future__ import annotations
@@ -64,7 +69,15 @@ _ERR = _B5 - np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 
-# largest output grid; every output time is a step boundary
+# 4th-order continuous extension of the pair (Hairer, Norsett & Wanner,
+# Solving ODEs I, II.6; Shampine 1986): the stage weights of its last term
+_DENSE = np.array([
+    -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+    -10690763975 / 1880347072, 701980252875 / 199316789632,
+    -1453857185 / 822651844, 69997945 / 29380423,
+])
+
+# largest output grid; output times are filled from the continuous extension
 MAX_OUTPUT_POINTS = 100_000
 
 _SAFETY = 0.9
@@ -101,8 +114,10 @@ class RiccatiSolution:
 
     ``P[j]`` is the solution at ``grid[j]``; ``gain[j]`` the feedback gain
     Gamma(P[j], 0) and ``margin[j]`` the minimal eigenvalue of the effective
-    control weight there.  On constraint violation or blow-up the trajectory
-    covers the output times in [t_event, T] only.
+    control weight there; ``margin_min_dense`` is the least margin the solver
+    met at the output times, the piece starts, the accepted step ends and the
+    stage that located a constraint violation.  On constraint violation or
+    blow-up the trajectory covers the output times in [t_event, T] only.
     """
 
     grid: np.ndarray
@@ -137,16 +152,20 @@ def derive_gain_margin(data: ProblemData, grid, P):
     return -np.linalg.solve(hat, rhs), min_eigenvalue(hat)
 
 
-def _hermite(theta, y0, f0, y1, f1, h):
-    """Cubic Hermite interpolation on one step, theta in [0, 1]."""
-    t2 = theta * theta
-    t3 = t2 * theta
-    return (
-        (2 * t3 - 3 * t2 + 1) * y0
-        + (t3 - 2 * t2 + theta) * h * f0
-        + (-2 * t3 + 3 * t2) * y1
-        + (t3 - t2) * h * f1
-    )
+def _extension(y0, y1, k, h):
+    """The continuous extension of one step from y0 to y1 with stages k, as a
+    function of theta in [0, 1]; it is y0 at 0 and y1 at 1 and costs no
+    right-hand-side evaluation."""
+    dy = y1 - y0
+    c2 = h * k[0] - dy
+    c3 = dy - h * k[6] - c2
+    c4 = h * (k.T @ _DENSE)
+
+    def at(theta):
+        rest = 1.0 - theta
+        return y0 + theta * (dy + rest * (c2 + theta * (c3 + rest * c4)))
+
+    return at
 
 
 def _fro(M):
@@ -159,8 +178,9 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
     Returns a RiccatiSolution with status ``completed``,
     ``constraint-violation`` or ``blowup``.  An event that holds at a piece
     start is reported there; one that first holds after a step is bracketed to
-    within 1e-6 * T by bisection on that step.
-    Raises StepLimit when the step budget is exhausted.
+    within 1e-6 * T by bisection on that step, and a constraint violation
+    that a rejected step of at most 1e-6 * T reaches is reported inside it.
+    Raises StepLimit when the step budget is exhausted or the step underflows.
     """
     config = config or SolverConfig()
     config.validate()
@@ -197,44 +217,43 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
             return BLOWUP
         return None
 
-    def locate(s0, y0, f0, s1, y1, f1, hit):
-        """Earliest s in (s0, s1] where an event holds, to 1e-6 * T, and that event.
+    def locate(s0, s1, at, hit):
+        """Earliest s in (s0, s1] where an event holds, to the bracket width.
 
-        ``hit`` is the event at s1; inside the step P is Hermite-interpolated.
+        ``hit`` is the event at s1; inside the step P is the continuous
+        extension ``at``.  Returns the last event-free point of the bracket,
+        its midpoint and the event.
         """
         lo, hi = s0, s1
-        while hi - lo > 1e-6 * T:
+        while hi - lo > bracket:
             mid = 0.5 * (lo + hi)
-            ym = _hermite((mid - s0) / (s1 - s0), y0, f0, y1, f1, s1 - s0)
+            ym = at((mid - s0) / (s1 - s0))
             terms = terms_at(mid, ym)
             found = event(ym, min_eigenvalue(terms[0]), slope(terms))
             if found is None:
                 lo = mid
             else:
                 hi, hit = mid, found
-        return 0.5 * (lo + hi), hit
+        return lo, 0.5 * (lo + hi), hit
 
     # Output times and piece ends in reversed time s = T - t, ascending.  The
     # pieces are the whole horizon, or the coefficient-grid intervals under
-    # piecewise-constant interpolation (kinks in the RHS); a breakpoint within
-    # 1e-12 * T of an output time is that output time.
+    # piecewise-constant interpolation (kinks in the RHS).
     tau_out = np.linspace(0.0, T, config.output_points)
     s_out = T - tau_out[::-1]
     piece_ends = [T]
     if pc_mode:
-        b = T - data.grid[-2:0:-1]
-        near = s_out[np.searchsorted(s_out, b - 1e-12 * T)]  # outputs are >= T / 1e5 apart
-        piece_ends = np.unique(np.where(near - b <= 1e-12 * T, near, b)).tolist() + [T]
-    s_out = s_out.tolist()
+        piece_ends = (T - data.grid[-2:0:-1]).tolist() + [T]
 
-    out_P = [symmetrize(data.N)]  # stored while t descends from T
-    y = out_P[0].ravel()
+    y = symmetrize(data.N).ravel()
+    out_y = [y[None]]  # blocks of outputs, stored while t descends from T
     s = s_event = 0.0
     accepted = rejected = 0
     err_old = 1e-4
-    h = T / max(config.output_points - 1, 8)
+    h = T / 512  # first trial step: the default output spacing, on any output grid
     margin_min = np.inf
     tiny = 1e-14 * max(T, 1.0)
+    bracket = 1e-6 * T  # the width to which an event time is located
     j = 1  # the next output time is s_out[j]
     for s_end in piece_ends:
         if pc_mode:
@@ -251,12 +270,14 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
         while s < s_end - tiny:
             if accepted + rejected >= config.max_steps:
                 raise StepLimit(f"exceeded {config.max_steps} steps at t={T - s:.6g}")
-            h_try = min(h, s_end - s, s_out[j] - s)
+            h_try = min(h, s_end - s)
             k = np.empty((7, y.size))
             k[0] = f_now
+            hats = []
             for i in range(1, 7):
                 terms = terms_at(s + _C[i] * h_try, y + h_try * (k[:i].T @ _A[i]))
                 k[i] = slope(terms)
+                hats.append(terms[0])
             y1 = y + h_try * (k.T @ _B5)
             err_vec = h_try * (k.T @ _ERR)
             scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y1))
@@ -270,18 +291,34 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
                 margin_now = min_eigenvalue(terms[0])
                 margin_min = min(margin_min, margin_now)
                 hit = event(y1, margin_now, k[6])
+                at = _extension(y, y1, k, h_try)
+                s_fill = s_new
                 if hit is not None:
-                    s_event, hit = locate(s, y, k[0], s_new, y1, k[6], hit)
+                    s_fill, s_event, hit = locate(s, s_new, at, hit)
+                # the output times this step passed, up to an event
+                j_next = int(np.searchsorted(s_out, s_fill + tiny, side="right"))
+                if j_next > j:
+                    y_out = at((s_out[j:j_next, None] - s) / h_try)
+                    if s_out[j_next - 1] >= s_new - tiny:
+                        y_out[-1] = y1
+                    out_y.append(y_out)
+                    j = j_next
+                if hit is not None:
                     break
                 fac = _SAFETY * (err ** -_PI_ALPHA) * (err_old ** _PI_BETA) if err > 0 else _FAC_MAX
                 h = h_try * min(_FAC_MAX, max(_FAC_MIN, fac))
                 err_old = max(err, 1e-10)
                 s, y, f_now = s_new, y1, k[6]
-                while j < len(s_out) and s >= s_out[j] - tiny:
-                    out_P.append(symmetrize(y.reshape(n, n)))
-                    j += 1
             else:
                 rejected += 1
+                # a step already as short as the event bracket that reaches a
+                # weight at the floor brackets a constraint violation
+                if h_try <= bracket:
+                    margin_now = min(map(min_eigenvalue, hats))
+                    if margin_now <= config.eps_pos:
+                        margin_min = min(margin_min, margin_now)
+                        s_event, hit = s + 0.5 * h_try, CONSTRAINT_VIOLATION
+                        break
                 shrink = _SAFETY * err ** -0.2 if np.isfinite(err) else _FAC_MIN
                 h = h_try * max(_FAC_MIN, min(1.0, shrink))
                 if h < 1e-15 * T:
@@ -289,8 +326,8 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
         if hit is not None:
             break
 
-    grid = tau_out[config.output_points - len(out_P):].copy()
-    P = np.array(out_P[::-1])
+    P = symmetrize(np.concatenate(out_y)[::-1].reshape(-1, n, n))
+    grid = tau_out[config.output_points - len(P):].copy()
     gain, margin = derive_gain_margin(data, grid, P)
 
     return RiccatiSolution(
@@ -302,7 +339,7 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
         t_event=None if hit is None else T - s_event,
         accepted_steps=accepted,
         rejected_steps=rejected,
-        margin_min_dense=float(margin_min),
+        margin_min_dense=float(min(margin_min, np.min(margin))),
     )
 
 

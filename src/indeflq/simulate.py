@@ -220,18 +220,24 @@ def _for_blocks(config: SimConfig, d: int, work, n_workers: int = 1):
     """``work(indices)`` on consecutive blocks of path indices, results in index order.
 
     A block holds about BLOCK_INCREMENTS Wiener increments; the blocks run on
-    up to ``n_workers`` threads.
+    up to ``n_workers`` threads.  No block holds a single path unless the run
+    does: a one-column block goes through a matrix-vector kernel that rounds
+    differently from the matrix-matrix one, so per-path results would depend
+    on the partition.
     """
-    size = max(1, BLOCK_INCREMENTS // max(1, config.n_steps * d))
-    starts = range(0, config.n_paths, size)
+    size = max(2, BLOCK_INCREMENTS // max(1, config.n_steps * d))
+    starts = list(range(0, config.n_paths, size))
+    if len(starts) > 1 and config.n_paths - starts[-1] == 1:
+        starts.pop()  # a lone leftover path joins the previous block
+    ends = starts[1:] + [config.n_paths]
 
-    def run(lo):
-        return work(np.arange(lo, min(config.n_paths, lo + size), dtype=np.uint64))
+    def run(lo, hi):
+        return work(np.arange(lo, hi, dtype=np.uint64))
 
     if n_workers <= 1 or len(starts) == 1:
-        return [run(lo) for lo in starts]
+        return [run(lo, hi) for lo, hi in zip(starts, ends)]
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(run, starts))
+        return list(pool.map(run, starts, ends))
 
 
 def _stderr(values):

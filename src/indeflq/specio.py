@@ -42,6 +42,10 @@ __all__ = [
     "dumps_report",
 ]
 
+# libyaml's scanner and parser where PyYAML was built with it; the constructor
+# and resolver are the same Python classes either way
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 # largest coefficient grid: every path is expanded to one sample per point
 MAX_GRID_POINTS = 100_000
 
@@ -255,7 +259,7 @@ def load_spec_file(path, overrides=()) -> ParsedSpec:
     except OSError as exc:
         raise SpecError(f"cannot read spec file {path}: {exc}") from None
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise SpecError(f"{path}: YAML parse error: {exc}") from None
     if overrides:
@@ -275,7 +279,7 @@ def apply_overrides(doc: dict, overrides) -> dict:
         if not keys:
             raise SpecError(f"override {item!r}: empty key path")
         try:
-            value = yaml.safe_load(raw)
+            value = yaml.load(raw, Loader=_YAML_LOADER)
         except yaml.YAMLError:
             value = raw
         node = doc

@@ -267,3 +267,25 @@ class TestStageReuse:
         pieces = 8 if interpolation == "piecewise-constant-left" else 1
         assert sol.completed
         assert len(calls) <= 6 * (sol.accepted_steps + sol.rejected_steps) + pieces + 1
+
+
+class TestDenseOutput:
+    @pytest.mark.parametrize("name", ["example504_r1", "shift_demo"])
+    def test_output_times_do_not_touch_step_control(self, name):
+        # output times are filled from the continuous extension, so the step
+        # sequence and P(0) are the same on every output grid
+        spec = parse_spec(bundled.example_doc(name))
+        sols = [solve_riccati(spec.data, SolverConfig(output_points=points))
+                for points in (2, 9, 513, 1025)]
+        assert len({(s.accepted_steps, s.rejected_steps) for s in sols}) == 1
+        assert len({s.P0.tobytes() for s in sols}) == 1
+
+    @pytest.mark.parametrize("points", [5, 9, 129, 513])
+    def test_smooth_approach_to_floor_is_a_violation(self, points):
+        # the effective weight of rneg017 falls to the floor with a growing
+        # slope, so every short trial step holds a stage below it: that is
+        # a constraint violation, not a step-size underflow
+        spec = parse_spec(bundled.example_doc("example504_rneg017"))
+        sol = solve_riccati(spec.data, SolverConfig(output_points=points))
+        assert sol.status == CONSTRAINT_VIOLATION
+        assert abs(sol.t_event - 0.0580431) <= 1e-6 * spec.data.T

@@ -121,6 +121,21 @@ class TestCostEstimator:
             results.append(result)
         assert all(r == results[0] for r in results[1:])
 
+    def test_per_path_costs_independent_of_block_partition(self, monkeypatch):
+        # without antithetic pairing, 64 increments per block would be one
+        # column per block; each path's cost must round as in one wide block
+        spec = definite_2x2()
+        sol = solve_riccati(spec.data, spec.solver)
+        cfg = SimConfig(n_paths=301, n_steps=64, seed=7, antithetic=False)
+        setup = simulate._EulerSetup(spec.data, ControlPolicy.from_solution(sol), cfg.n_steps, sol)
+        per_path = []
+        for block in (2_000_000, 64):
+            monkeypatch.setattr(simulate, "BLOCK_INCREMENTS", block)
+            parts = simulate._for_blocks(cfg, spec.data.d, lambda idx: simulate._run_cost_block(
+                setup, spec.xi, cfg.seed, idx, cfg.antithetic))
+            per_path.append([np.concatenate([p[i] for p in parts]) for i in (0, 1)])
+        assert [a.tobytes() for a in per_path[0]] == [a.tobytes() for a in per_path[1]]
+
     def test_reproducible_across_workers(self):
         spec = definite_2x2()
         sol = solve_riccati(spec.data, spec.solver)
