@@ -11,6 +11,12 @@ Every certificate carries the margin epsilon: the largest uniform amount by
 which the control weight R could be lowered with the witness still valid.
 A strictly positive margin is what guarantees both solvability of the Riccati
 problem and attainment of the optimal control.
+
+The scalar comparison function is integrated by one trapezoid rule in the node
+index of its alpha path, weighted by dt/dindex.  It is second order on uniform
+nodes and on the graded nodes t = u^2 of the constant-threshold schedule, whose
+alpha = 1 endpoint at t = 0 makes Upsilon singular like t^(-1/2); about 2000
+graded nodes reproduce the sharp threshold of the scalar benchmark to 1e-8.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import lambertw
 
 from .core import (
     DEFAULT_EPS_POS,
@@ -70,8 +75,8 @@ PSD_SLACK = 1e-10
 QUAD_REFINE = 4
 QUAD_MIN_PANELS = 2048
 
-# the constant-threshold alpha schedule is capped at 1 - ALPHA_CAP
-ALPHA_CAP = 1e-3
+# Halley steps of _threshold_alpha; 3 already reach full precision on t in [1e-4, 50]
+HALLEY_STEPS = 6
 
 
 @dataclass
@@ -123,6 +128,8 @@ class Certificate:
     phi: np.ndarray | None = None
     boundary: np.ndarray | None = None
     threshold: float | None = None
+    quad_nodes: int | None = None
+    quad_error: float | None = None
 
     @classmethod
     def failed(cls, kind, reason, t_worst=None, **witness) -> "Certificate":
@@ -215,14 +222,22 @@ def check_subsolution(
     return Certificate(kind=KIND_SUBSOLUTION, verdict=CERTIFIED, epsilon=float(epsilon))
 
 
-def _cumtrapz(values, h):
+def _cumtrapz(values):
+    """Running trapezoid integral of ``values`` at unit spacing."""
     out = np.zeros_like(values)
-    out[1:] = np.cumsum(0.5 * h * (values[1:] + values[:-1]))
+    out[1:] = np.cumsum(0.5 * (values[1:] + values[:-1]))
     return out
 
 
 def _normalize_alpha(alpha, data: ProblemData):
-    """Quadrature times plus alpha values on them."""
+    """Quadrature times plus alpha values on them.
+
+    A scalar alpha, or an array on the problem grid, is sampled on uniform
+    times.  A strictly increasing ``(times, values)`` path keeps its own
+    nodes, refined in the node index by the smallest integer factor that
+    gives at least the base node count and an even number of panels, so that
+    every second node again spans [0, T].
+    """
     base_points = max(QUAD_REFINE * data.m + 1, QUAD_MIN_PANELS + 1)
     if np.isscalar(alpha):
         a = float(alpha)
@@ -238,13 +253,14 @@ def _normalize_alpha(alpha, data: ProblemData):
             raise ValueError("alpha path times must be at least 2 strictly increasing points")
         if abs(a_grid[0]) > 1e-12 or abs(a_grid[-1] - data.T) > 1e-12 * max(1.0, data.T):
             raise ValueError("alpha path must span [0, T]")
-        n_pts = max(a_grid.size, base_points)
-        step = a_grid[1] - a_grid[0]
-        uniform = np.max(np.abs(np.diff(a_grid) - step)) <= 1e-12 * max(1.0, data.T)
-        if uniform and a_grid.size == n_pts:
+        panels = a_grid.size - 1
+        factor = max(1, -(-(base_points - 1) // panels))
+        factor += (panels * factor) % 2
+        if factor == 1:
             return a_grid, a_vals
-        times = np.linspace(0.0, data.T, n_pts)
-        return times, np.interp(times, a_grid, a_vals)
+        index = np.arange(panels * factor + 1) / factor
+        nodes = np.arange(a_grid.size)
+        return np.interp(index, nodes, a_grid), np.interp(index, nodes, a_vals)
     a_vals = np.asarray(alpha, dtype=float)
     if a_vals.shape != data.grid.shape:
         raise ValueError("alpha array must be sampled on the problem grid")
@@ -258,6 +274,29 @@ def _upsilon_parts(coeffs, n):
     return lq_terms((A, B, C, D, np.zeros_like(R), 0.0), np.eye(n))
 
 
+def _comparison_phi(times, upsilon, qmin, nu, singular):
+    """The comparison function phi on ``times`` (see certify_scalar_comparison).
+
+    Both integrals are trapezoid sums in the node index, weighted by the
+    Jacobian dt/dindex (``np.gradient``, second order): h on uniform nodes,
+    exact on t = T u^2.  When ``singular`` (alpha = 1 at t = 0, where
+    Upsilon is -inf but Upsilon dt/du is finite) the first integrand value
+    is the linear extrapolation 2 g_1 - g_2 of the next two.
+    """
+    jac = np.gradient(times, edge_order=2)
+    g = upsilon * jac
+    if singular:
+        g[0] = 2.0 * g[1] - g[2]
+    I = _cumtrapz(g)
+    w = np.exp(I - np.max(I))
+    Jrev = _cumtrapz((w * qmin * jac)[::-1])[::-1]
+    with np.errstate(all="ignore"):
+        phi = (w[-1] * nu + Jrev) / w
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("phi evaluation overflowed; coefficients out of desk scale")
+    return phi
+
+
 def certify_scalar_comparison(
     data: ProblemData,
     alpha,
@@ -267,22 +306,30 @@ def certify_scalar_comparison(
 
     Solves the linear comparison ODE for phi in closed form,
     phi(t) = Phi(t,T) lam_min(N) + integral_t^T Phi(t,s) lam_min(Q(s)) ds with
-    Phi(t,s) = exp(integral_t^s lam_min(Upsilon(alpha))), by composite
-    quadrature on a grid at least QUAD_REFINE times finer than the
-    coefficient grid.  Certified when phi stays positive and the control
-    weight clears the admissible lower bound -alpha phi sum_i D_i'D_i with a
-    positive margin.
+    Phi(t,s) = exp(integral_t^s lam_min(Upsilon(alpha))), by the trapezoid
+    rule in the node index of the alpha path (``_comparison_phi``), which is
+    second order on uniform and graded nodes alike.  Certified when phi stays
+    positive and the control weight clears the admissible lower bound
+    -alpha phi sum_i D_i'D_i with a positive margin.  The certificate reports
+    the node count and, as the quadrature error, the change of the threshold
+    when only every second node is used.
 
     Parameters
     ----------
     alpha : float, (times, values) pair, or array on the problem grid
-        Tuning path with values in [0, 1).
+        Tuning path with values in [0, 1).  A scalar or a grid array is
+        sampled on uniform nodes at least QUAD_REFINE times finer than the
+        coefficient grid; a (times, values) pair keeps its own nodes, graded
+        ones included.  Alpha = 1 is admitted at the first node when it sits
+        at t = 0 (the endpoint singularity of the constant-threshold
+        schedule), nowhere else.
     """
     times, a_vals = _normalize_alpha(alpha, data)
+    singular = times[0] == 0.0 and a_vals[0] == 1.0
     # written so that NaN fails: every comparison with NaN is False
-    if not np.all((a_vals >= 0.0) & (a_vals < 1.0)):
+    inside = (a_vals >= 0.0) & (a_vals < 1.0)
+    if not (np.all(inside[1:]) and (inside[0] or singular)):
         raise ValueError("alpha values must lie in [0, 1)")
-    h = times[1] - times[0]
 
     coeffs = data.stacked_at(times)
     R_, Q_ = coeffs[4], coeffs[5]
@@ -298,21 +345,14 @@ def certify_scalar_comparison(
 
     sol = np.linalg.solve(sumDtD, Mt)
     quad = np.einsum("tkn,tkr->tnr", Mt, sol)
-    ups = ups - quad / (1.0 - a_vals)[:, None, None]
+    gap = 1.0 - a_vals
+    if singular:
+        gap[0] = 1.0  # any finite value: the integrand there is extrapolated
+    ups = ups - quad / gap[:, None, None]
     upsilon = min_eigenvalue(ups)
     qmin = min_eigenvalue(Q_)
     nu = min_eigenvalue(data.N)
-
-    I = _cumtrapz(upsilon, h)
-    w = np.exp(I - np.max(I))
-    wq = w * qmin
-    panels = 0.5 * h * (wq[1:] + wq[:-1])
-    Jrev = np.zeros_like(wq)
-    Jrev[:-1] = np.cumsum(panels[::-1])[::-1]
-    with np.errstate(all="ignore"):
-        phi = (w[-1] * nu + Jrev) / w
-    if not np.all(np.isfinite(phi)):
-        raise ValueError("phi evaluation overflowed; coefficients out of desk scale")
+    phi = _comparison_phi(times, upsilon, qmin, nu, singular)
 
     if float(np.min(phi)) <= 0.0:
         t_bad = float(times[np.flatnonzero(phi <= 0.0)[-1]])
@@ -325,6 +365,8 @@ def certify_scalar_comparison(
     eps = float(np.min(adm))
     j = int(np.argmin(adm))
     threshold = -float(np.min(aphi * dd_eigs))
+    phi_half = _comparison_phi(times[::2], upsilon[::2], qmin[::2], nu, singular)
+    quad_error = abs(threshold + float(np.min(a_vals[::2] * phi_half * dd_eigs[::2])))
 
     # store witness paths on the coarse problem grid
     phi_coarse = np.interp(data.grid, times, phi)
@@ -332,7 +374,8 @@ def certify_scalar_comparison(
     sumDtD_coarse = _upsilon_parts(data.stacked_at(data.grid), data.n)[0]
     boundary = -(alpha_coarse * phi_coarse)[:, None, None] * sumDtD_coarse
 
-    witness = dict(phi=phi_coarse, boundary=boundary, threshold=threshold)
+    witness = dict(phi=phi_coarse, boundary=boundary, threshold=threshold,
+                   quad_nodes=int(times.size), quad_error=quad_error)
     if eps > 0.0:
         return Certificate(kind=KIND_SCALAR_COMPARISON, verdict=CERTIFIED, epsilon=eps, **witness)
     return Certificate.failed(
@@ -344,13 +387,26 @@ def _threshold_alpha(t):
     """Root alpha in (0, 1] of alpha - ln(alpha) = 1 + t, for t >= 0.
 
     In closed form alpha = -W0(-exp(-(1 + t))) with the principal Lambert W
-    branch.  At t = 0 the argument is the branch point -1/e, where lambertw
-    returns NaN, so alpha = 1 is set there directly.
+    branch; alpha(0) = 1 is the branch point.  Computed by HALLEY_STEPS
+    Halley steps on f(a) = (a - 1) - ln(a) - t, started from the branch-point
+    series 1 - p + p^2/3 - p^3/36 with p = sqrt(2t) for t <= 2 and from
+    exp(-(1 + t)) beyond (Corless et al., "On the Lambert W function", 1996).
+    a - 1 is exact near the branch point, so f keeps its absolute accuracy
+    where a - ln(a) is flat.
     """
     t = np.asarray(t, dtype=float)
-    with np.errstate(invalid="ignore"):
-        alpha = -lambertw(-np.exp(-(1.0 + t))).real
-    return np.where(t == 0.0, 1.0, alpha)
+    alpha = np.ones_like(t)
+    pos = t > 0.0
+    tp = t[pos]
+    p = np.sqrt(2.0 * tp)
+    a = np.where(tp <= 2.0, 1.0 - p + p * p / 3.0 - p ** 3 / 36.0, np.exp(-(1.0 + tp)))
+    for _ in range(HALLEY_STEPS):
+        e = a - 1.0
+        f = e - np.log(a) - tp
+        # a - f/f' (1 - f f''/(2 f'^2))^-1 with f' = e/a, f'' = 1/a^2
+        a = a - 2.0 * a * f * e / (2.0 * e * e - f)
+    alpha[pos] = a
+    return alpha
 
 
 def optimal_constant_alpha() -> float:
@@ -363,17 +419,19 @@ def optimal_constant_alpha() -> float:
     return float(_threshold_alpha(1.0))
 
 
-def constant_threshold_alpha_schedule(n_points: int = 2 ** 18 + 1):
+def constant_threshold_alpha_schedule(n_points: int = 2049):
     """The alpha path on [0, 1] that makes the admissible bound time-constant.
 
     Inverts t(alpha) = alpha - ln(alpha) - 1 on the decreasing branch
-    alpha in (0, 1] through the Lambert W closed form.  The exact schedule
-    touches alpha = 1 at t = 0 (an integrable endpoint singularity of the
-    comparison ODE); values are capped at 1 - ALPHA_CAP so the quadrature in
-    certify_scalar_comparison stays finite.  Returns (times, values).
+    alpha in (0, 1].  The exact schedule touches alpha = 1 at t = 0, where
+    1 - alpha ~ sqrt(2t) gives Upsilon an integrable t^(-1/2) singularity.
+    So the nodes are graded, t = u^2 with u uniform on [0, 1]: in u the
+    integrand of the comparison ODE is smooth and the trapezoid rule of
+    certify_scalar_comparison is second order.  The value at t = 0 is exactly
+    1, admitted there as the singular endpoint.  Returns (times, values).
     """
-    times = np.linspace(0.0, 1.0, int(n_points))
-    return times, np.minimum(_threshold_alpha(times), 1.0 - ALPHA_CAP)
+    times = np.linspace(0.0, 1.0, int(n_points)) ** 2
+    return times, _threshold_alpha(times)
 
 
 def certify_definite_regime(data: ProblemData, eps_pos: float = DEFAULT_EPS_POS) -> Certificate:

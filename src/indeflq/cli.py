@@ -88,7 +88,8 @@ def _solve(spec: ParsedSpec, report, args):
 
 
 def _certificate_into(report, cert: Certificate):
-    keys = ("kind", "verdict", "epsilon", "reason", "t_worst", "threshold")
+    keys = ("kind", "verdict", "epsilon", "reason", "t_worst", "threshold", "quad_nodes",
+            "quad_error")
     report["certificate"] = {key: getattr(cert, key) for key in keys}
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from indeflq.certificates import (
+    _threshold_alpha,
     SubsolutionCandidate,
     apply_shift,
     certify_definite_regime,
@@ -114,6 +116,79 @@ class TestScalarComparison:
         # phi(T) = lam_min(N) = 0 is the last nonpositive point
         assert cert.reason == "comparison function phi is nonpositive at t=1"
         assert cert.t_worst == 1.0
+
+
+class TestGradedQuadrature:
+    def test_named_schedule_reaches_sharp_threshold(self):
+        a_star = optimal_constant_alpha()
+        cert = certify_scalar_comparison(scalar_benchmark(-0.15),
+                                         constant_threshold_alpha_schedule())
+        # within 1e-8 of the sharp bound, and on its conservative side
+        assert 0.0 <= cert.threshold + a_star < 1e-8
+
+    def test_flip_within_1e7_of_sharp_threshold(self):
+        a_star = optimal_constant_alpha()
+        sched = constant_threshold_alpha_schedule()
+        assert certify_scalar_comparison(scalar_benchmark(-a_star + 1e-7), sched).certified
+        assert not certify_scalar_comparison(scalar_benchmark(-a_star - 1e-7), sched).certified
+
+    def test_threshold_alpha_against_brentq(self):
+        t = np.concatenate([np.geomspace(1e-4, 50.0, 200), np.linspace(1e-4, 50.0, 200)])
+        ref = np.array([brentq(lambda a, s=s: a - np.log(a) - 1.0 - s, 1e-30, 1.0,
+                               xtol=1e-300, rtol=1e-15) for s in t])
+        assert np.max(np.abs(_threshold_alpha(t) - ref)) <= 1e-13
+
+    def test_threshold_alpha_residual_near_branch_point(self):
+        t = np.geomspace(1e-300, 50.0, 2000)
+        a = _threshold_alpha(t)
+        assert np.all((a > 0.0) & (a <= 1.0))
+        assert np.all(np.abs(a - np.log(a) - 1.0 - t) <= 1e-15 * (1.0 + t))
+        assert _threshold_alpha(0.0) == 1.0
+
+    def test_second_order_on_graded_nodes(self):
+        a_star = optimal_constant_alpha()
+        data = scalar_benchmark(-0.15)
+        errors = [certify_scalar_comparison(data, constant_threshold_alpha_schedule(n))
+                  .threshold + a_star for n in (2049, 4097)]
+        assert errors[1] * 3.0 <= errors[0]
+
+    def test_alpha_one_only_at_first_node(self):
+        data = scalar_benchmark(1.0)
+        times = np.linspace(0.0, 1.0, 5)
+        for values in ([0.5, 1.0, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.5, 1.0]):
+            with pytest.raises(ValueError, match=r"alpha values must lie in \[0, 1\)"):
+                certify_scalar_comparison(data, (times, np.array(values)))
+        with pytest.raises(ValueError, match=r"alpha values must lie in \[0, 1\)"):
+            certify_scalar_comparison(data, 1.0)
+        cert = certify_scalar_comparison(data, (times, np.array([1.0, 0.5, 0.5, 0.5, 0.5])))
+        assert cert.certified and np.all(np.isfinite(cert.phi))
+
+    def test_quadrature_counters(self):
+        data = scalar_benchmark(-0.15)
+        a_star = optimal_constant_alpha()
+        cert = certify_scalar_comparison(data, constant_threshold_alpha_schedule())
+        assert cert.quad_nodes == 2049
+        # the every-second-node difference bounds the error of a second-order rule
+        assert cert.threshold + a_star <= cert.quad_error < 1e-8
+        # short paths are refined in the node index, odd panel counts to even ones
+        times = np.linspace(0.0, 1.0, 5)
+        short = certify_scalar_comparison(data, (times, np.full(5, 0.1)))
+        assert short.quad_nodes == 2049
+        times = np.linspace(0.0, 1.0, 3000)
+        odd = certify_scalar_comparison(data, (times, np.full(3000, 0.1)))
+        assert odd.quad_nodes == 5999
+
+    def test_counters_on_definite_kinds_only(self):
+        grid = np.linspace(0.0, 1.0, 17)
+        common = dict(n=2, k=2, d=1, T=1.0, A=np.zeros((2, 2)), B=np.zeros((2, 2)),
+                      C=[np.zeros((2, 2))], D=[np.eye(2)], Q=np.zeros((2, 2)),
+                      N=np.eye(2), grid=grid)
+        terminal = certify_definite_regime(ProblemData(R=np.zeros((2, 2)), **common))
+        assert terminal.kind == "definite-terminal-weight"
+        assert terminal.quad_nodes == 2049 and terminal.quad_error is not None
+        control = certify_definite_regime(ProblemData(R=np.eye(2), **common))
+        assert control.kind == "definite-control-weight"
+        assert control.quad_nodes is None and control.quad_error is None
 
 
 class TestSubsolution:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import hypothesis
 import numpy as np
@@ -98,6 +101,18 @@ class TestCertifyCommand:
         assert cert["verdict"] == "certified"
         assert cert["epsilon"] > 0.0
         assert abs(cert["threshold"] + 0.15859) < 1e-3
+
+    def test_quadrature_counters_reported(self, example_dir, tmp_path):
+        out = tmp_path / "c15q.json"
+        main(["certify", "--spec", str(example_dir / "example504_rneg015.yaml"),
+              "--out", str(out), "--quiet"])
+        cert = read_report(out)["certificate"]
+        assert cert["quad_nodes"] == 2049 and 0.0 < cert["quad_error"] < 1e-8
+        out = tmp_path / "d2q.json"
+        main(["certify", "--spec", str(example_dir / "definite_2x2.yaml"),
+              "--out", str(out), "--quiet"])
+        cert = read_report(out)["certificate"]
+        assert cert["quad_nodes"] is None and cert["quad_error"] is None
 
     def test_failed_exit4(self, example_dir, tmp_path):
         out = tmp_path / "c17.json"
@@ -365,6 +380,14 @@ class TestReportDeterminism:
             assert timings["simulate_rng"] > 0.0 and timings["simulate_step"] > 0.0
             outs.append(rep)
         assert outs[0] == outs[1]
+
+
+def test_cli_import_needs_no_scipy():
+    code = "import sys, indeflq.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_binds_the_traced_layer_functions():
