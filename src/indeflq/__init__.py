@@ -29,6 +29,7 @@ from .certificates import (
     check_subsolution,
     constant_threshold_alpha_schedule,
     optimal_constant_alpha,
+    quadrature_nodes,
     shift_solution_back,
 )
 from .errors import (
@@ -100,6 +101,7 @@ __all__ = [
     "min_eigenvalue",
     "optimal_constant_alpha",
     "path_samples",
+    "quadrature_nodes",
     "shift_solution_back",
     "simulate_cost",
     "solve_riccati",

@@ -17,6 +17,8 @@ index of its alpha path, weighted by dt/dindex.  It is second order on uniform
 nodes and on the graded nodes t = u^2 of the constant-threshold schedule, whose
 alpha = 1 endpoint at t = 0 makes Upsilon singular like t^(-1/2); about 2000
 graded nodes reproduce the sharp threshold of the scalar benchmark to 1e-8.
+That alpha = 1 endpoint is admitted only where the schedule itself starts a
+path, on its own graded nodes: elsewhere the integral of Upsilon can diverge.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
     "shift_solution_back",
     "optimal_constant_alpha",
     "constant_threshold_alpha_schedule",
+    "quadrature_nodes",
     "KIND_SUBSOLUTION",
     "KIND_SCALAR_COMPARISON",
     "KIND_DEFINITE_CONTROL",
@@ -229,16 +232,27 @@ def _cumtrapz(values):
     return out
 
 
+def quadrature_nodes(data: ProblemData) -> int:
+    """Least node count of the comparison-function quadrature on ``data``.
+
+    QUAD_REFINE times the coefficient-grid panels, at least QUAD_MIN_PANELS,
+    plus one: always odd, so every second node again spans [0, T].
+    """
+    return max(QUAD_REFINE * data.m + 1, QUAD_MIN_PANELS + 1)
+
+
 def _normalize_alpha(alpha, data: ProblemData):
     """Quadrature times plus alpha values on them.
 
-    A scalar alpha, or an array on the problem grid, is sampled on uniform
-    times.  A strictly increasing ``(times, values)`` path keeps its own
-    nodes, refined in the node index by the smallest integer factor that
-    gives at least the base node count and an even number of panels, so that
-    every second node again spans [0, T].
+    A scalar alpha, or an array on the problem grid, is sampled on
+    ``quadrature_nodes(data)`` uniform times.  A strictly increasing
+    ``(times, values)`` path keeps its own nodes, refined in the node index
+    by the smallest integer factor that gives at least that many nodes and an
+    even number of panels.  Times are refined linearly in the index, so on
+    every original panel the rule of ``_comparison_phi`` is the trapezoid rule
+    in t; a graded head with alpha = 1 at t = 0 does not survive refinement.
     """
-    base_points = max(QUAD_REFINE * data.m + 1, QUAD_MIN_PANELS + 1)
+    base_points = quadrature_nodes(data)
     if np.isscalar(alpha):
         a = float(alpha)
         times = np.linspace(0.0, data.T, base_points)
@@ -274,14 +288,32 @@ def _upsilon_parts(coeffs, n):
     return lq_terms((A, B, C, D, np.zeros_like(R), 0.0), np.eye(n))
 
 
+def _threshold_endpoint(times, a_vals) -> bool:
+    """Whether the path starts at the alpha = 1 endpoint of the named schedule.
+
+    The extrapolated first integrand of ``_comparison_phi`` is right only when
+    Upsilon dt/dindex is smooth in the node index up to t = 0: graded nodes
+    (t_2 = 4 t_1, so dt/dindex vanishes there) with 1 - alpha ~ sqrt(2t), as
+    on ``constant_threshold_alpha_schedule``; nodes 1 and 2 must carry its
+    values.  A path that reaches alpha = 1 otherwise, linearly in t or in
+    the index, makes the integral of Upsilon diverge like log t, so the exact
+    phi(0) is 0 and no extrapolation of the integrand is valid.
+    """
+    if times.size < 3 or times[0] != 0.0 or a_vals[0] != 1.0:
+        return False
+    graded = abs(4.0 * times[1] - times[2]) <= 1e-12 * times[2]
+    on_schedule = np.all(np.abs(a_vals[1:3] - _threshold_alpha(times[1:3])) <= 1e-12)
+    return bool(graded and on_schedule)
+
+
 def _comparison_phi(times, upsilon, qmin, nu, singular):
     """The comparison function phi on ``times`` (see certify_scalar_comparison).
 
     Both integrals are trapezoid sums in the node index, weighted by the
     Jacobian dt/dindex (``np.gradient``, second order): h on uniform nodes,
-    exact on t = T u^2.  When ``singular`` (alpha = 1 at t = 0, where
-    Upsilon is -inf but Upsilon dt/du is finite) the first integrand value
-    is the linear extrapolation 2 g_1 - g_2 of the next two.
+    exact on t = T u^2.  When ``singular`` (``_threshold_endpoint``: alpha = 1
+    at t = 0, where Upsilon is -inf but Upsilon dt/du is finite) the first
+    integrand value is the linear extrapolation 2 g_1 - g_2 of the next two.
     """
     jac = np.gradient(times, edge_order=2)
     g = upsilon * jac
@@ -318,18 +350,20 @@ def certify_scalar_comparison(
     ----------
     alpha : float, (times, values) pair, or array on the problem grid
         Tuning path with values in [0, 1).  A scalar or a grid array is
-        sampled on uniform nodes at least QUAD_REFINE times finer than the
-        coefficient grid; a (times, values) pair keeps its own nodes, graded
-        ones included.  Alpha = 1 is admitted at the first node when it sits
-        at t = 0 (the endpoint singularity of the constant-threshold
-        schedule), nowhere else.
+        sampled on ``quadrature_nodes(data)`` uniform nodes; a (times, values)
+        pair keeps its own nodes, graded ones included, refined in the node
+        index when it has fewer.  Alpha = 1 is admitted only at t = 0 of
+        ``constant_threshold_alpha_schedule`` with an odd count of at least
+        that many nodes (``_threshold_endpoint``), nowhere else.
     """
     times, a_vals = _normalize_alpha(alpha, data)
-    singular = times[0] == 0.0 and a_vals[0] == 1.0
+    singular = _threshold_endpoint(times, a_vals)
     # written so that NaN fails: every comparison with NaN is False
     inside = (a_vals >= 0.0) & (a_vals < 1.0)
     if not (np.all(inside[1:]) and (inside[0] or singular)):
-        raise ValueError("alpha values must lie in [0, 1)")
+        raise ValueError(
+            f"alpha values must lie in [0, 1); 1 only at t = 0 of the constant-threshold "
+            f"schedule with an odd node count of at least {quadrature_nodes(data)}")
 
     coeffs = data.stacked_at(times)
     R_, Q_ = coeffs[4], coeffs[5]
@@ -428,7 +462,11 @@ def constant_threshold_alpha_schedule(n_points: int = 2049):
     So the nodes are graded, t = u^2 with u uniform on [0, 1]: in u the
     integrand of the comparison ODE is smooth and the trapezoid rule of
     certify_scalar_comparison is second order.  The value at t = 0 is exactly
-    1, admitted there as the singular endpoint.  Returns (times, values).
+    1, admitted there as the singular endpoint when the schedule is used as
+    it is: pass ``n_points=quadrature_nodes(data)`` on coefficient grids of
+    more than 513 points, where fewer nodes would be refined and refused (as
+    is an even count, refined to an even number of panels).
+    Returns (times, values).
     """
     times = np.linspace(0.0, 1.0, int(n_points)) ** 2
     return times, _threshold_alpha(times)

@@ -25,6 +25,7 @@ from .certificates import (
     certify_scalar_comparison,
     check_subsolution,
     constant_threshold_alpha_schedule,
+    quadrature_nodes,
 )
 from .errors import IndefLQError, NumericalOverflow, SpecError, StepLimit
 from .oracle import dp_solve
@@ -112,7 +113,7 @@ def _run_certificate(spec: ParsedSpec) -> Certificate:
         if isinstance(alpha, str):  # "optimal-constant", the one name parse_spec admits
             if abs(data.T - 1.0) > 1e-12:
                 raise SpecError("the optimal-constant alpha schedule needs horizon T = 1")
-            alpha = constant_threshold_alpha_schedule()
+            alpha = constant_threshold_alpha_schedule(quadrature_nodes(data))
         return certify_scalar_comparison(data, alpha, eps_pos=eps_pos)
     if kind == "definite":
         return certify_definite_regime(data, eps_pos=eps_pos)

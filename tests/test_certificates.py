@@ -11,6 +11,7 @@ from indeflq.certificates import (
     check_subsolution,
     constant_threshold_alpha_schedule,
     optimal_constant_alpha,
+    quadrature_nodes,
     shift_solution_back,
 )
 from indeflq.core import CoefficientPath, ProblemData, min_eigenvalue
@@ -160,8 +161,43 @@ class TestGradedQuadrature:
                 certify_scalar_comparison(data, (times, np.array(values)))
         with pytest.raises(ValueError, match=r"alpha values must lie in \[0, 1\)"):
             certify_scalar_comparison(data, 1.0)
-        cert = certify_scalar_comparison(data, (times, np.array([1.0, 0.5, 0.5, 0.5, 0.5])))
+        # graded nodes with the schedule's sqrt head, then a constant tail
+        graded = np.linspace(0.0, 1.0, 2049) ** 2
+        head = np.maximum(_threshold_alpha(graded), 0.5)
+        cert = certify_scalar_comparison(data, (graded, head))
         assert cert.certified and np.all(np.isfinite(cert.phi))
+
+    @pytest.mark.parametrize("times, values", [
+        # reaches 1 linearly in t: the integral of Upsilon diverges like log t
+        (np.linspace(0.0, 1.0, 5), [1.0, 0.5, 0.5, 0.5, 0.5]),
+        (np.linspace(0.0, 1.0, 2049), 1.0 - np.linspace(0.0, 1.0, 2049)),
+        # graded nodes, but 1 - alpha ~ t rather than sqrt(t)
+        (np.linspace(0.0, 1.0, 2049) ** 2, 1.0 - np.linspace(0.0, 1.0, 2049) ** 2),
+        # the schedule's values on uniform nodes: dt/dindex does not vanish at 0
+        (np.linspace(0.0, 1.0, 2049), _threshold_alpha(np.linspace(0.0, 1.0, 2049))),
+    ])
+    def test_alpha_one_refused_off_the_schedule(self, times, values):
+        data = scalar_benchmark(1.0)
+        with pytest.raises(ValueError, match=r"alpha values must lie in \[0, 1\)"):
+            certify_scalar_comparison(data, (times, np.asarray(values, dtype=float)))
+
+    def test_alpha_one_refused_on_grid_arrays_and_refined_schedules(self):
+        data = scalar_benchmark(-0.15, points=2049)
+        grid_alpha = _threshold_alpha(data.grid)
+        assert grid_alpha[0] == 1.0
+        with pytest.raises(ValueError, match=r"alpha values must lie in \[0, 1\)"):
+            certify_scalar_comparison(data, grid_alpha)
+        # 2049 nodes on a 2049-point grid would be refined linearly in the index
+        with pytest.raises(ValueError, match=r"odd node count of at least 8193"):
+            certify_scalar_comparison(data, constant_threshold_alpha_schedule())
+
+    def test_schedule_sized_from_a_fine_grid(self):
+        a_star = optimal_constant_alpha()
+        data = scalar_benchmark(-0.15, points=2049)
+        cert = certify_scalar_comparison(
+            data, constant_threshold_alpha_schedule(quadrature_nodes(data)))
+        assert cert.quad_nodes == 8193
+        assert 0.0 <= cert.threshold + a_star < 1e-8
 
     def test_quadrature_counters(self):
         data = scalar_benchmark(-0.15)

@@ -166,6 +166,27 @@ class TestCertifyCommand:
         cert = read_report(out)["certificate"]
         assert cert["verdict"] == "certified"
 
+    def test_alpha_path_reaching_one_exit1(self, tmp_path, capsys):
+        doc = bundled.example_doc("example504_r1")
+        points = doc["grid"]["points"]
+        alpha = [1.0] + [0.5] * (points - 1)
+        doc["certificate"] = {"kind": "scalar-comparison", "alpha": alpha}
+        p = tmp_path / "alpha1.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        assert main(["certify", "--spec", str(p), "--quiet"]) == 1
+        assert "alpha values must lie in [0, 1)" in capsys.readouterr().err
+
+    def test_named_schedule_on_a_fine_grid(self, tmp_path):
+        doc = bundled.example_doc("example504_rneg015")
+        doc["grid"]["points"] = 2049
+        p = tmp_path / "fine.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "fine.json"
+        assert main(["certify", "--spec", str(p), "--out", str(out), "--quiet"]) == 0
+        cert = read_report(out)["certificate"]
+        assert cert["quad_nodes"] == 8193
+        assert 0.0 <= cert["threshold"] + certificates.optimal_constant_alpha() < 1e-8
+
     def test_unknown_alpha_schedule_exit1(self, tmp_path):
         doc = bundled.example_doc("example504_r1")
         doc["certificate"] = {"kind": "scalar-comparison", "alpha": "nope"}
