@@ -11,9 +11,9 @@ path), so results are independent of how paths are partitioned into blocks
 and across workers.  With antithetic pairing (the default) index ``p`` drives
 the mirrored pair (W, -W) and statistics are computed over pair averages.
 
-Paths are stepped in a column layout: a block's state is an (n, paths) array,
-each coefficient acts on all paths with one small matrix product and each
-quadratic form is a column sum.
+Paths are stepped in a column layout: one ``_euler_step`` advances a block's
+(n, paths) state on closed-loop tables built once for all steps (see
+``_EulerSetup``), and each quadratic form is a column sum.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ __all__ = [
 STATE_NORM_CAP = 1e12
 # largest run, n_paths x n_steps (pairs or plain paths times Euler steps)
 MAX_PATH_STEPS = 10 ** 8
+# most Euler steps: the closed-loop tables hold a few matrices per step
+MAX_STEPS = 10 ** 6
 # paths per block are sized so that one block draws about this many increments
 BLOCK_INCREMENTS = 2_000_000
 
@@ -64,6 +66,8 @@ class SimConfig:
             raise ValueError("n_paths and n_steps must be positive")
         if self.n_paths * self.n_steps > MAX_PATH_STEPS:
             raise ValueError(f"n_paths x n_steps must not exceed {MAX_PATH_STEPS:.0e}")
+        if self.n_steps > MAX_STEPS:
+            raise ValueError(f"n_steps must not exceed {MAX_STEPS:.0e}")
         if not (0 <= int(self.seed) < 2 ** 64):
             raise ValueError("seed must fit in 64 bits")
 
@@ -119,31 +123,35 @@ def _policy_at(value, data: ProblemData, shape, name, t):
 
 
 class _EulerSetup:
-    """Left-endpoint coefficient, policy and (with a solution) G*, hat R(P) tables."""
+    """Closed-loop tables of u = G x + v at each Euler step's left endpoint.
+
+    A perturbation v is the gain's last column on the lifted state [x; 1]
+    (A, B, C, D, Q, N and G* zero-padded by ``J``).  The state steps on
+    ``Acl = A + BG`` and ``Ccl = C + DG``; ``weights`` holds the running cost
+    ``(Q + G'RG) dt`` and, with a solution, ``(G - G*)' hat R(P) (G - G*) dt``.
+    """
 
     def __init__(self, data: ProblemData, policy: ControlPolicy, n_steps: int, solution=None):
-        self.n, self.k, self.d = data.n, data.k, data.d
+        self.n, self.d = data.n, data.d
         self.n_steps, self.dt = n_steps, data.T / n_steps
         t_left = np.arange(n_steps) * self.dt
         coeffs = data.stacked_at(t_left)
-        # C and D are (d, steps, ...); every table slice is a contiguous matrix
-        self.A, self.B, self.C, self.D, self.R, self.Q = coeffs
-        self.N = symmetrize(data.N)
-        self.G = self.v = self.G_star = self.hat_R = None
-        if policy.gain is not None:
-            self.G = _policy_at(policy.gain, data, (data.k, data.n), "gain", t_left)
+        A, B, C, D, R, Q = coeffs
+        G = (np.zeros((n_steps, data.k, data.n)) if policy.gain is None else
+             _policy_at(policy.gain, data, (data.k, data.n), "gain", t_left))
         if policy.perturb is not None:
-            self.v = _policy_at(policy.perturb, data, (data.k,), "perturbation", t_left)
+            v = _policy_at(policy.perturb, data, (data.k,), "perturbation", t_left)
+            G = np.concatenate([G, v], axis=2)
+        J = np.eye(G.shape[2], data.n)  # x -> [x; 0]
+        # Ccl is (d, steps, ...); every table slice is a contiguous matrix
+        self.Acl = J @ (A @ J.T + B @ G)
+        self.Ccl = J @ (C @ J.T + D @ G)
+        self.N = J @ symmetrize(data.N) @ J.T
+        self.weights = [(J @ Q @ J.T + G.swapaxes(-1, -2) @ R @ G) * self.dt]
         if solution is not None:
-            self.G_star = CoefficientPath(solution.grid, solution.gain).at(t_left)
-            P = CoefficientPath(solution.grid, solution.P).at(t_left)
-            self.hat_R = lq_terms(coeffs, P)[0]
-
-    def control(self, j, x):
-        u = self.G[j] @ x if self.G is not None else np.zeros((self.k, x.shape[1]))
-        if self.v is not None:
-            u = u + self.v[j]
-        return u
+            E = G - CoefficientPath(solution.grid, solution.gain).at(t_left) @ J.T
+            hat_R = lq_terms(coeffs, CoefficientPath(solution.grid, solution.P).at(t_left))[0]
+            self.weights.append(E.swapaxes(-1, -2) @ hat_R @ E * self.dt)
 
 
 def _wiener_increments(seed, indices, n_steps, d, dt):
@@ -185,35 +193,44 @@ def _quad(M, x):
     return np.sum(x * (M @ x), axis=0)
 
 
+def _euler_step(drift, diffusions, x, w, dt):
+    """x + drift x dt + sum_i diffusions[i] x w_i for states stored as x[:, ..., path].
+
+    Each matrix acts on the first axis of every path's state; ``w`` is (d, paths).
+    """
+    flat = x.reshape(x.shape[0], -1)
+    dx = (drift @ flat).reshape(x.shape) * dt
+    for M, w_i in zip(diffusions, w):
+        dx += (M @ flat).reshape(x.shape) * w_i
+    return x + dx
+
+
 def _run_cost_block(su: _EulerSetup, xi, seed, indices, antithetic):
     """Per-path (or per-pair) cost and squared-deviation sum, RNG and stepping seconds.
 
-    The state ``x`` is (n, paths) and the control ``u`` (k, paths); with
-    antithetic pairing the mirrored paths are the last half of the columns.
+    The (lifted) state ``x`` is (n, paths); with antithetic pairing the
+    mirrored paths are the last half of the columns.
     """
     t0 = time.perf_counter()
     dW = _wiener_increments(seed, indices, su.n_steps, su.d, su.dt)
     t1 = time.perf_counter()
     b = indices.size
-    x = np.repeat(xi[:, None], 2 * b if antithetic else b, axis=1)
-    cost, qacc = np.zeros((2, x.shape[1]))
+    x0 = np.append(xi, np.ones(len(su.N) - su.n))  # [xi; 1] on the lifted state
+    x = np.repeat(x0[:, None], 2 * b if antithetic else b, axis=1)
+    acc = np.zeros((2, x.shape[1]))  # cost and completing-square sums (0 without a solution)
     for j, w in enumerate(_steps(dW, antithetic)):
-        u = su.control(j, x)
-        cost += (_quad(su.R[j], u) + _quad(su.Q[j], x)) * su.dt
-        if su.hat_R is not None:
-            qacc += _quad(su.hat_R[j], u - su.G_star[j] @ x) * su.dt
-        drift = su.A[j] @ x + su.B[j] @ u
-        noise = sum((su.C[i, j] @ x + su.D[i, j] @ u) * w[i] for i in range(su.d))
-        x = x + drift * su.dt + noise
+        for a, W in zip(acc, su.weights):
+            a += _quad(W[j], x)
+        x = _euler_step(su.Acl[j], su.Ccl[:, j], x, w, su.dt)
         # written so that a NaN state fails too
-        if not float(np.max(np.sum(x * x, axis=0))) <= STATE_NORM_CAP ** 2:
+        if not float(np.max(np.sum(x[:su.n] ** 2, axis=0))) <= STATE_NORM_CAP ** 2:
             raise NumericalOverflow(
                 f"state norm exceeded {STATE_NORM_CAP:g} at step {j} (explosive closed loop)"
             )
-    cost += _quad(su.N, x)
+    acc[0] += _quad(su.N, x)
     if antithetic:
-        cost, qacc = (0.5 * (a[:b] + a[b:]) for a in (cost, qacc))
-    return cost, qacc, t1 - t0, time.perf_counter() - t1
+        acc = 0.5 * (acc[:, :b] + acc[:, b:])
+    return acc[0], acc[1], t1 - t0, time.perf_counter() - t1
 
 
 def _for_blocks(config: SimConfig, d: int, work, n_workers: int = 1):
@@ -313,32 +330,19 @@ def fundamental_pair_check(data: ProblemData, gain, config: SimConfig) -> float:
     """
     config.validate()
     su = _EulerSetup(data, ControlPolicy(gain=gain), config.n_steps)
-    n, d, n_steps, dt = su.n, su.d, su.n_steps, su.dt
-    Acl = su.A + su.B @ su.G
-    Ccl = su.C + su.D @ su.G
-    # inverse-flow drift Acl - sum_i Ccl_i Ccl_i; transposed, as Xtilde' is stepped
-    AinvT = (Acl - np.sum(Ccl @ Ccl, axis=0)).swapaxes(-1, -2)
-    CclT = Ccl.swapaxes(-1, -2)
-    eye = np.eye(n)[:, :, None]
-
-    def flow(M, Z):
-        """M times each path's matrix, for matrices stored as Z[:, :, path]."""
-        return (M @ Z.reshape(n, -1)).reshape(Z.shape)
+    # Xtilde' steps from the left with drift -(Acl - sum_i Ccl_i Ccl_i)' and diffusions -Ccl_i'
+    inv_drift = -(su.Acl - np.sum(su.Ccl @ su.Ccl, axis=0)).swapaxes(-1, -2)
+    inv_diffusions = -su.Ccl.swapaxes(-1, -2)
+    eye = np.eye(su.n)[:, :, None]
 
     def block_worst(idx):
-        dW = _wiener_increments(config.seed, idx, n_steps, d, dt)
-        # X[:, :, p] is path p's X and Y[:, :, p] its Xtilde': both flows act from the left
-        X = np.repeat(eye, (2 if config.antithetic else 1) * idx.size, axis=2)
-        Y = X.copy()
+        dW = _wiener_increments(config.seed, idx, su.n_steps, su.d, su.dt)
+        # X[:, :, p] is path p's X and Y[:, :, p] its Xtilde'
+        X = Y = np.repeat(eye, (2 if config.antithetic else 1) * idx.size, axis=2)
         worst = 0.0
         for j, w in enumerate(_steps(dW, config.antithetic)):
-            dX = flow(Acl[j], X) * dt
-            dY = -flow(AinvT[j], Y) * dt
-            for i in range(d):
-                dX += flow(Ccl[i, j], X) * w[i]
-                dY -= flow(CclT[i, j], Y) * w[i]
-            X = X + dX
-            Y = Y + dY
+            X = _euler_step(su.Acl[j], su.Ccl[:, j], X, w, su.dt)
+            Y = _euler_step(inv_drift[j], inv_diffusions[:, j], Y, w, su.dt)
             # (Xtilde X)[a, c] = sum_s Y[s, a] X[s, c], path by path
             prod = np.sum(Y[:, :, None] * X[:, None], axis=0) - eye
             worst = max(worst, float(np.sqrt(np.max(np.sum(prod * prod, axis=(0, 1))))))
@@ -346,7 +350,7 @@ def fundamental_pair_check(data: ProblemData, gain, config: SimConfig) -> float:
                 raise NumericalOverflow("fundamental pair flow overflowed")
         return worst
 
-    return max(_for_blocks(config, d, block_worst))
+    return max(_for_blocks(config, su.d, block_worst))
 
 
 def hamiltonian_identity_check(

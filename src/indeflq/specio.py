@@ -48,6 +48,9 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 # largest coefficient grid: every path is expanded to one sample per point
 MAX_GRID_POINTS = 100_000
+# largest coefficient table, grid points x entries of A, B, C, D, R and Q at
+# one point (80 MB of floats)
+MAX_TABLE_ENTRIES = 10 ** 7
 
 _INTERPOLATIONS = (PIECEWISE_CONSTANT_LEFT, PIECEWISE_LINEAR)
 _REQUIRED = object()
@@ -197,6 +200,10 @@ def parse_spec(doc: dict) -> ParsedSpec:
             f"grid.interpolation: {interpolation!r} not one of {_INTERPOLATIONS}"
         )
     _known(grid_doc, "grid", ("points", "interpolation"))
+    entries = n * n * (2 + d) + n * k * (1 + d) + k * k
+    if points * entries > MAX_TABLE_ENTRIES:
+        raise SpecError(f"coefficients: {points} grid points x {entries} entries per point "
+                        f"(n = {n}, k = {k}, d = {d}) exceed {MAX_TABLE_ENTRIES:.0e}")
     grid = np.linspace(0.0, T, points)
 
     co = _read(doc, "coefficients", "")

@@ -235,6 +235,9 @@ class TestInputErrors:
         ("certify", "blowup_ode", ["certificate.tolerance=abc", "certificate.Fx=1"]),
         ("solve", "example504_r1", ["grid.interpolaton=piecewise-constant-left"]),
         ("certify", "example504_r1", ["simulation.antithetc=false"]),
+        # sizes bounded before anything is allocated
+        ("simulate", "definite_2x2", ["simulation.n_paths=1", "simulation.n_steps=100000000"]),
+        ("solve", "definite_2x2", ["dimensions.n=1000"]),
     ])
     def test_exit1_with_one_error_line(self, example_dir, command, spec, settings, capsys):
         argv = [command, "--spec", str(example_dir / f"{spec}.yaml"), "--quiet"]
@@ -263,6 +266,24 @@ class TestInputErrors:
         doc = apply_overrides(bundled.example_doc("example504_r1"),
                               ["simulation.n_paths=100000000000000000000"])
         with pytest.raises(SpecError, match="n_paths"):
+            parse_spec(doc)
+
+
+    def test_huge_step_count_rejected_at_parse(self):
+        # one path of 1e8 steps passes the n_paths x n_steps bound, yet its
+        # per-step tables alone would take gigabytes
+        doc = apply_overrides(bundled.example_doc("definite_2x2"),
+                              ["simulation.n_paths=1", "simulation.n_steps=100000000"])
+        with pytest.raises(SpecError, match="n_steps"):
+            parse_spec(doc)
+
+    def test_coefficient_table_bounded_at_parse(self, monkeypatch):
+        # definite_2x2: 129 points x (4 * 3 + 4 * 2 + 4) = 24 entries per point
+        doc = bundled.example_doc("definite_2x2")
+        monkeypatch.setattr(specio, "MAX_TABLE_ENTRIES", 129 * 24)
+        parse_spec(doc)
+        monkeypatch.setattr(specio, "MAX_TABLE_ENTRIES", 129 * 24 - 1)
+        with pytest.raises(SpecError, match=r"129 grid points x 24 entries .*n = 2, k = 2, d = 1"):
             parse_spec(doc)
 
 

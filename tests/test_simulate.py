@@ -3,7 +3,7 @@ import pytest
 from numpy.random import Generator, Philox
 
 from indeflq import simulate
-from indeflq.core import ProblemData
+from indeflq.core import CoefficientPath, ProblemData
 from indeflq.errors import NumericalOverflow
 from indeflq.riccati import solve_riccati
 from indeflq.simulate import (
@@ -135,6 +135,50 @@ class TestCostEstimator:
                 setup, spec.xi, cfg.seed, idx, cfg.antithetic))
             per_path.append([np.concatenate([p[i] for p in parts]) for i in (0, 1)])
         assert [a.tobytes() for a in per_path[0]] == [a.tobytes() for a in per_path[1]]
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_block_matches_a_plain_loop(self, antithetic):
+        # d = 2, time-varying A, gain and perturbation on their own grids: each
+        # path's cost and completing-square sum from the closed-loop tables
+        # equal u = Gx + v stepped directly
+        rng = np.random.default_rng(2024)
+        base = random_definite_problem(rng, n=2, k=2, d=2, points=9)
+        A = base.A.samples + base.grid[:, None, None] * rng.standard_normal((2, 2))
+        data = ProblemData(n=2, k=2, d=2, T=1.0, A=A, B=base.B, C=base.C, D=base.D,
+                           R=base.R, Q=base.Q, N=base.N, grid=base.grid)
+        sol = solve_riccati(data)
+        gain = CoefficientPath(np.linspace(0.0, 1.0, 4), rng.standard_normal((4, 2, 2)))
+        perturb = CoefficientPath(np.linspace(0.0, 1.0, 3), rng.standard_normal((3, 2, 1)))
+        xi, seed, n_steps = np.array([0.7, -1.1]), 99, 32
+        indices = np.arange(3, 8, dtype=np.uint64)
+        dt = data.T / n_steps
+        dW = simulate._wiener_increments(seed, indices, n_steps, data.d, dt)
+        if antithetic:
+            dW = np.concatenate([dW, -dW], axis=2)
+        G_star, P = (CoefficientPath(sol.grid, path) for path in (sol.gain, sol.P))
+        for policy in (ControlPolicy(gain=gain, perturb=perturb), ControlPolicy(perturb=perturb)):
+            setup = simulate._EulerSetup(data, policy, n_steps, sol)
+            cost, qacc, _, _ = simulate._run_cost_block(setup, xi, seed, indices, antithetic)
+            x = np.repeat(xi[:, None], dW.shape[2], axis=1)
+            ref_cost, ref_qacc = np.zeros((2, dW.shape[2]))
+            for j in range(n_steps):
+                t = j * dt
+                Aj, Bj, Cj, Dj, Rj, Qj = data.stacked_at(t)
+                G = gain.at(t) if policy.gain is not None else np.zeros((2, 2))
+                u = G @ x + perturb.at(t)
+                ref_cost += (np.sum(u * (Rj @ u), axis=0) + np.sum(x * (Qj @ x), axis=0)) * dt
+                hat_R = Rj + sum(Di.T @ P.at(t) @ Di for Di in Dj)
+                e = u - G_star.at(t) @ x
+                ref_qacc += np.sum(e * (hat_R @ e), axis=0) * dt
+                x = (x + (Aj @ x + Bj @ u) * dt
+                     + sum((Cj[i] @ x + Dj[i] @ u) * dW[j, i] for i in range(data.d)))
+            ref_cost += np.sum(x * (data.N @ x), axis=0)
+            if antithetic:
+                ref_cost, ref_qacc = (0.5 * (r[:indices.size] + r[indices.size:])
+                                      for r in (ref_cost, ref_qacc))
+            np.testing.assert_allclose(cost, ref_cost, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(qacc, ref_qacc, rtol=1e-12, atol=0)
+            assert np.all(qacc > 0.0)
 
     def test_reproducible_across_workers(self):
         spec = definite_2x2()
