@@ -31,7 +31,7 @@ from .errors import IndefLQError, NumericalOverflow, SpecError, StepLimit
 from .oracle import dp_solve
 from .riccati import BLOWUP, COMPLETED, CONSTRAINT_VIOLATION, solve_riccati
 from .simulate import ControlPolicy, completing_square_report
-from .specio import ParsedSpec, dumps_report, load_spec_file
+from .specio import ParsedSpec, check_table_size, dumps_report, load_spec_file
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -151,6 +151,8 @@ def cmd_certify(spec: ParsedSpec, report, args) -> int:
 def cmd_simulate(spec: ParsedSpec, report, args) -> int:
     if spec.simulation is None:
         raise SpecError("spec has no simulation block")
+    check_table_size("simulation.n_steps", spec.simulation.n_steps, "Euler step",
+                     spec.data.n, spec.data.k, spec.data.d)
     sol, code = _solve(spec, report, args)
     if code is not None:
         return code
@@ -177,6 +179,7 @@ def cmd_oracle(spec: ParsedSpec, report, args) -> int:
         raise SpecError(f"--steps: expected comma-separated integers, got {args.steps!r}")
     if not steps or not all(1 <= ns <= MAX_ORACLE_STEPS for ns in steps):
         raise SpecError(f"--steps: expected step counts from 1 to {MAX_ORACLE_STEPS}")
+    check_table_size("--steps", max(steps), "DP step", spec.data.n, spec.data.k, spec.data.d)
     sol, code = _solve(spec, report, args)
     if code is not None:
         return code
@@ -188,6 +191,7 @@ def cmd_oracle(spec: ParsedSpec, report, args) -> int:
             "n_steps": ns,
             "delta": res.delta,
             "constraint_ok": res.constraint_ok,
+            "violation_step": res.violation_step,
             "P0": res.P0,
             "error_vs_solver": res.error_vs(sol.P0) if res.constraint_ok else None,
         })

@@ -40,6 +40,7 @@ __all__ = [
     "load_spec_file",
     "apply_overrides",
     "dumps_report",
+    "check_table_size",
 ]
 
 # libyaml's scanner and parser where PyYAML was built with it; the constructor
@@ -48,8 +49,9 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 # largest coefficient grid: every path is expanded to one sample per point
 MAX_GRID_POINTS = 100_000
-# largest coefficient table, grid points x entries of A, B, C, D, R and Q at
-# one point (80 MB of floats)
+# largest coefficient table, rows x entries of A, B, C, D, R and Q at one row
+# (80 MB of floats); a row is a grid point, a Monte Carlo Euler step or a DP
+# oracle step
 MAX_TABLE_ENTRIES = 10 ** 7
 
 _INTERPOLATIONS = (PIECEWISE_CONSTANT_LEFT, PIECEWISE_LINEAR)
@@ -146,6 +148,19 @@ def _config(doc, where, config, extra=()):
     return config(**values)
 
 
+def check_table_size(where, rows, row_name, n, k, d):
+    """SpecError unless ``rows`` rows of the coefficients fit in MAX_TABLE_ENTRIES.
+
+    Checked before the table is built: the coefficient grid, the Monte Carlo
+    step tables and the DP oracle's step tables each hold A, B, C, D, R and Q
+    (or a fixed multiple of them) at every row.
+    """
+    entries = n * n * (2 + d) + n * k * (1 + d) + k * k
+    if rows * entries > MAX_TABLE_ENTRIES:
+        raise SpecError(f"{where}: {rows} {row_name}s x {entries} entries per {row_name} "
+                        f"(n = {n}, k = {k}, d = {d}) exceed {MAX_TABLE_ENTRIES:.0e}")
+
+
 def _key_path(where, key):
     if isinstance(key, int):
         return f"{where}[{key}]"
@@ -200,10 +215,7 @@ def parse_spec(doc: dict) -> ParsedSpec:
             f"grid.interpolation: {interpolation!r} not one of {_INTERPOLATIONS}"
         )
     _known(grid_doc, "grid", ("points", "interpolation"))
-    entries = n * n * (2 + d) + n * k * (1 + d) + k * k
-    if points * entries > MAX_TABLE_ENTRIES:
-        raise SpecError(f"coefficients: {points} grid points x {entries} entries per point "
-                        f"(n = {n}, k = {k}, d = {d}) exceed {MAX_TABLE_ENTRIES:.0e}")
+    check_table_size("coefficients", points, "grid point", n, k, d)
     grid = np.linspace(0.0, T, points)
 
     co = _read(doc, "coefficients", "")

@@ -9,7 +9,7 @@ import pytest
 import yaml
 from hypothesis import strategies as st
 
-from indeflq import bundled, certificates, cli, oracle, riccati, simulate, specio
+from indeflq import bundled, certificates, cli, core, oracle, riccati, simulate, specio
 from indeflq.cli import main
 from indeflq.specio import apply_overrides, dumps_report, parse_spec
 from indeflq.errors import SpecError
@@ -286,6 +286,44 @@ class TestInputErrors:
         with pytest.raises(SpecError, match=r"129 grid points x 24 entries .*n = 2, k = 2, d = 1"):
             parse_spec(doc)
 
+    # n = 10, k = d = 1: 10 * 10 * 3 + 10 * 2 + 1 = 321 entries per step, so
+    # 31152 steps fit in MAX_TABLE_ENTRIES and 31153 do not
+    @staticmethod
+    def _wide_doc(n_steps):
+        zeros = np.zeros((10, 10)).tolist()
+        return {
+            "dimensions": {"n": 10, "k": 1, "d": 1},
+            "horizon": 1.0,
+            "grid": {"points": 2},
+            "coefficients": {"A": zeros, "B": np.ones((10, 1)).tolist(), "C": [zeros],
+                             "D": [np.zeros((10, 1)).tolist()], "R": [[1.0]], "Q": zeros},
+            "terminal": np.eye(10).tolist(),
+            "simulation": {"n_paths": 10, "n_steps": n_steps, "xi": np.ones(10).tolist()},
+        }
+
+    def test_step_table_bound(self):
+        specio.check_table_size("simulation.n_steps", 31152, "Euler step", 10, 1, 1)
+        with pytest.raises(SpecError, match=r"simulation.n_steps: 31153 Euler steps x 321 "):
+            specio.check_table_size("simulation.n_steps", 31153, "Euler step", 10, 1, 1)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate"],
+        ["oracle", "--steps", "64,31153"],
+    ])
+    def test_step_tables_bounded_before_any_table(self, argv, tmp_path, monkeypatch, capsys):
+        # over the cap by one step: refused before the coefficients are
+        # sampled at any step (and before the solve)
+        path = tmp_path / "wide.yaml"
+        path.write_text(yaml.safe_dump(self._wide_doc(31153 if argv == ["simulate"] else 64)))
+
+        def no_tables(*args):
+            raise AssertionError("a coefficient table was built")
+
+        monkeypatch.setattr(core.ProblemData, "stacked_at", no_tables)
+        assert main([argv[0], "--spec", str(path), "--quiet", *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "31153" in err and "exceed 1e+07" in err
+
 
 def _key_paths(doc, prefix=()):
     for key, value in doc.items():
@@ -362,6 +400,27 @@ class TestOracleCommand:
         assert [r["error_vs_solver"] for r in tab["rows"]] == [0.0, 0.0, 0.0]
         assert tab["ratios"] == [None, None]
         assert "ratios ['nan', 'nan']" in capsys.readouterr().err
+
+    def test_violation_step_reported(self, tmp_path):
+        # the continuous weight stays R = 1, while the discrete one,
+        # delta * (1 + delta * B'PB), loses positivity at coarse steps
+        doc = {
+            "dimensions": {"n": 1, "k": 1, "d": 1},
+            "horizon": 1.0,
+            "grid": {"points": 9},
+            "coefficients": {"A": [[-4.0]], "B": [[3.0]], "C": [[[0.0]]], "D": [[[0.0]]],
+                             "R": [[1.0]], "Q": [[-1.0]]},
+            "terminal": [[0.0]],
+        }
+        p = tmp_path / "coarse.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "coarse.json"
+        assert main(["oracle", "--spec", str(p), "--steps", "2,3,4", "--out", str(out),
+                     "--quiet"]) == 0
+        rows = read_report(out)["oracle"]["rows"]
+        assert [r["violation_step"] for r in rows] == [0, 1, None]
+        assert [r["constraint_ok"] for r in rows] == [False, False, True]
+        assert [r["error_vs_solver"] is None for r in rows] == [True, True, False]
 
     def test_bad_steps_exit1(self, example_dir):
         rc = main(["oracle", "--spec", str(example_dir / "definite_2x2.yaml"),

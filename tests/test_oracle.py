@@ -1,10 +1,55 @@
-import numpy as np
+import itertools
 
-from indeflq.core import ProblemData
-from indeflq.oracle import dp_solve
+import numpy as np
+import pytest
+
+from indeflq import bundled
+from indeflq.core import DEFAULT_EPS_POS, ProblemData, min_eigenvalue, symmetrize
+from indeflq.oracle import OracleResult, dp_solve
 from indeflq.riccati import solve_riccati
+from indeflq.specio import parse_spec
 
 from conftest import random_definite_problem, scalar_benchmark
+
+# the step ladder of the oracle benchmark
+LADDER = (512, 1024, 2048, 4096, 8192)
+
+
+def reference_dp_solve(data, n_steps, eps_pos=DEFAULT_EPS_POS):
+    """The recursion term by term: S, G and the next P summed over each channel."""
+    n = data.n
+    delta = data.T / n_steps
+    sq = np.sqrt(delta)
+    eye = np.eye(n)
+    P = symmetrize(np.asarray(data.N, dtype=float))
+    A_, B_, C_, D_, R_, Q_ = data.stacked_at(np.arange(n_steps) * delta)
+    for j in range(n_steps - 1, -1, -1):
+        Ad = eye + A_[j] * delta
+        Bd = B_[j] * delta
+        S = R_[j] * delta + Bd.T @ P @ Bd
+        G = Bd.T @ P @ Ad
+        Pn = Q_[j] * delta + Ad.T @ P @ Ad
+        for i in range(data.d):
+            Cd = C_[i, j] * sq
+            Dd = D_[i, j] * sq
+            DdP = Dd.T @ P
+            S = S + DdP @ Dd
+            G = G + DdP @ Cd
+            Pn = Pn + Cd.T @ P @ Cd
+        S = symmetrize(S)
+        if min_eigenvalue(S) <= eps_pos * delta:
+            return OracleResult(delta=delta, P0=None, constraint_ok=False, violation_step=j)
+        P = symmetrize(Pn - G.T @ np.linalg.solve(S, G))
+    return OracleResult(delta=delta, P0=P, constraint_ok=True)
+
+
+def assert_same_recursion(data, n_steps):
+    got, want = dp_solve(data, n_steps), reference_dp_solve(data, n_steps)
+    assert (got.constraint_ok, got.violation_step) == (want.constraint_ok, want.violation_step)
+    if want.constraint_ok:
+        scale = np.max(np.abs(want.P0))
+        assert np.max(np.abs(got.P0 - want.P0)) <= 1e-12 * scale
+    return got
 
 
 def still_data(n, Q, N, T=2.0, points=9):
@@ -82,3 +127,32 @@ class TestStructure:
         assert res.P0 is None
         assert res.violation_step is not None
         assert np.isnan(res.error_vs(np.array([[0.0]])))
+
+
+class TestAgainstReference:
+    def test_random_problems(self):
+        # definite problems, and the same with an indefinite control weight
+        # (some of which lose discrete positivity part way)
+        rng = np.random.default_rng(8128)
+        aborted = completed = 0
+        for n, k, d in itertools.product((1, 2, 3), (1, 2), (1, 2)):
+            data = random_definite_problem(rng, n=n, k=k, d=d)
+            for problem in (data, data.with_weights(R=-0.3 * np.eye(k))):
+                for n_steps in (16, 97):
+                    res = assert_same_recursion(problem, n_steps)
+                    aborted += not res.constraint_ok
+                    completed += res.constraint_ok
+        assert aborted and completed
+
+    @pytest.mark.parametrize("name", bundled.example_names())
+    def test_bundled_specs(self, name):
+        assert_same_recursion(parse_spec(bundled.example_doc(name)).data, 512)
+
+    def test_violation_ladder(self):
+        data = parse_spec(bundled.example_doc("example504_rneg017")).data
+        assert [dp_solve(data, ns).violation_step for ns in LADDER] == [25, 55, 114, 233, 471]
+
+    def test_blowup_data_completes_the_ladder(self):
+        # the continuous flow escapes; the discrete weight stays positive
+        data = parse_spec(bundled.example_doc("blowup_ode")).data
+        assert all(dp_solve(data, ns).constraint_ok for ns in LADDER)
