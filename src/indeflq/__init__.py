@@ -40,7 +40,7 @@ from .errors import (
     SpecError,
     StepLimit,
 )
-from .oracle import OracleResult, dp_solve
+from .oracle import OracleResult, dp_ladder, dp_solve
 from .riccati import (
     BLOWUP,
     COMPLETED,
@@ -92,6 +92,7 @@ __all__ = [
     "check_subsolution",
     "completing_square_report",
     "constant_threshold_alpha_schedule",
+    "dp_ladder",
     "dp_solve",
     "eval_f",
     "eval_gamma",

@@ -28,7 +28,9 @@ from .certificates import (
     quadrature_nodes,
 )
 from .errors import IndefLQError, NumericalOverflow, SpecError, StepLimit
-from .oracle import dp_solve
+# dp_solve is not called here: perfbench/op.py's tracer rebinds cli.dp_solve
+# (test_cli_binds_the_traced_layer_functions), and a traced run fails without it
+from .oracle import dp_ladder, dp_solve
 from .riccati import BLOWUP, COMPLETED, CONSTRAINT_VIOLATION, solve_riccati
 from .simulate import ControlPolicy, completing_square_report
 from .specio import ParsedSpec, check_table_size, dumps_report, load_spec_file
@@ -183,19 +185,17 @@ def cmd_oracle(spec: ParsedSpec, report, args) -> int:
     sol, code = _solve(spec, report, args)
     if code is not None:
         return code
-    rows = []
     t0 = time.perf_counter()
-    for ns in steps:
-        res = dp_solve(spec.data, ns, eps_pos=spec.solver.eps_pos)
-        rows.append({
-            "n_steps": ns,
-            "delta": res.delta,
-            "constraint_ok": res.constraint_ok,
-            "violation_step": res.violation_step,
-            "P0": res.P0,
-            "error_vs_solver": res.error_vs(sol.P0) if res.constraint_ok else None,
-        })
+    results = dp_ladder(spec.data, steps, eps_pos=spec.solver.eps_pos)
     report["timings"]["oracle"] = time.perf_counter() - t0
+    rows = [{
+        "n_steps": ns,
+        "delta": res.delta,
+        "constraint_ok": res.constraint_ok,
+        "violation_step": res.violation_step,
+        "P0": res.P0,
+        "error_vs_solver": res.error_vs(sol.P0) if res.constraint_ok else None,
+    } for ns, res in zip(steps, results)]
     errs = [r["error_vs_solver"] for r in rows if r["error_vs_solver"] is not None]
     # a zero error (the DP agrees exactly) leaves the ratio undefined: NaN, null in the report
     ratios = [a / b if b else float("nan") for a, b in zip(errs, errs[1:])]

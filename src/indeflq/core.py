@@ -58,9 +58,11 @@ def symmetric_part_error(M):
 
 def min_eigenvalue(M):
     """Smallest eigenvalue of a symmetric matrix (a float), or of each in a stack."""
+    M = np.asarray(M, dtype=float)
+    if M.shape[-1] == 1:  # a 1x1 block is symmetric already
+        return float(M[..., 0, 0]) if M.ndim == 2 else M[..., 0, 0].copy()
+    # eigvalsh reads one triangle, so the other one must agree with it
     M = symmetrize(M)
-    if M.shape[-1] == 1:
-        return float(M[..., 0, 0]) if M.ndim == 2 else M[..., 0, 0]
     return float(np.linalg.eigvalsh(M)[0]) if M.ndim == 2 else np.linalg.eigvalsh(M)[..., 0]
 
 

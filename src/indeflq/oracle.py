@@ -22,6 +22,16 @@ at once, and the value one step earlier is Pn - G' S^-1 G.  This S is not
 and its positivity is what the discrete problem needs.  The recursion keeps
 its own expression, so it stays a cross-check of the continuous solver
 rather than a second use of its kernel.
+
+A ladder of step counts runs in lockstep: one backward loop whose iteration
+i takes step N - 1 - i of every recursion with N > i, their values stacked
+along a leading axis, so each numpy call serves all of them.  The counts are
+kept in descending order, so the live ones are a prefix; a count leaves the
+stack when it completes or when its S loses positivity.  W_j and Z_j are
+built for a span of iterations at a time: a span ends where the next count
+completes, and holds at most max(steps) rows (iterations x live counts), so
+no table is larger than the one a single recursion of max(steps) steps
+needs.  ``dp_solve`` is the ladder of one count.
 """
 
 from __future__ import annotations
@@ -30,9 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_EPS_POS, ProblemData, min_eigenvalue, symmetrize
+from .core import DEFAULT_EPS_POS, ProblemData, symmetrize
 
-__all__ = ["OracleResult", "dp_solve"]
+__all__ = ["OracleResult", "dp_ladder", "dp_solve"]
 
 
 @dataclass
@@ -51,6 +61,78 @@ class OracleResult:
         return float(np.sqrt(np.sum(diff * diff)))
 
 
+def _step_tables(data: ProblemData, counts, delta, first, stop):
+    """W_j and Z_j of iterations first..stop-1 for each count: (iterations, counts, ...).
+
+    Iteration i takes step j = N - 1 - i of the count N, whose coefficients
+    are sampled at its left endpoint j * delta.
+    """
+    n, k, d = data.n, data.k, data.d
+    j = counts - 1 - np.arange(first, stop)[:, None]
+    A_, B_, C_, D_, R_, Q_ = data.stacked_at(j * delta)
+    dt = delta[:, None, None]
+    sq = np.sqrt(delta)[:, None, None, None]
+    # W[a, e] holds the d + 1 row blocks of W_j, each n x (n + k)
+    W = np.empty(j.shape + (d + 1, n, n + k))
+    W[..., 0, :, :n] = np.eye(n) + A_ * dt
+    W[..., 0, :, n:] = B_ * dt
+    W[..., 1:, :, :n] = np.moveaxis(C_, 0, -3) * sq
+    W[..., 1:, :, n:] = np.moveaxis(D_, 0, -3) * sq
+    Z = np.zeros(j.shape + (n + k, n + k))
+    Z[..., :n, :n] = Q_ * dt
+    Z[..., n:, n:] = R_ * dt
+    return W, Z
+
+
+def dp_ladder(data: ProblemData, steps, eps_pos: float = DEFAULT_EPS_POS) -> list[OracleResult]:
+    """``dp_solve`` at each step count of ``steps``, in one lockstep backward loop.
+
+    Returns one OracleResult per entry of ``steps``, in argument order; a
+    count given twice is computed once.
+    """
+    counts = sorted({int(ns) for ns in steps}, reverse=True)
+    if not counts or counts[-1] < 1:
+        raise ValueError("step counts must be at least 1")
+    n, k, d = data.n, data.k, data.d
+    rows = (d + 1) * n
+    live = np.array(counts)
+    delta = data.T / live
+    bound = eps_pos * delta
+    P = np.repeat(symmetrize(data.N)[None], live.size, axis=0)
+    done = {}
+    i = 0
+    while live.size:
+        stop = min(int(live[-1]), i + counts[0] // live.size)
+        W, Z = _step_tables(data, live, delta, i, stop)
+        for a in range(stop - i):
+            # P is symmetric, so (P W_j)' W_j = W_j' diag(P, ..., P) W_j
+            W_rows = W[a].reshape(-1, rows, n + k)
+            M = (P[:, None] @ W[a]).reshape(-1, rows, n + k).swapaxes(-1, -2) @ W_rows + Z[a]
+            # a 1x1 block is symmetric already, so only k > 1 and n > 1 symmetrize
+            S = M[:, n:, n:] if k == 1 else symmetrize(M[:, n:, n:])
+            failed = (S[:, 0, 0] if k == 1 else np.linalg.eigvalsh(S)[:, 0]) <= bound
+            if failed.any():
+                for e in np.flatnonzero(failed):
+                    done[int(live[e])] = OracleResult(delta=float(delta[e]), P0=None,
+                                                      constraint_ok=False,
+                                                      violation_step=int(live[e]) - 1 - i - a)
+                kept = ~failed
+                live, delta, bound = live[kept], delta[kept], bound[kept]
+                if not live.size:
+                    break
+                W, Z, M, S = W[:, kept], Z[:, kept], M[kept], S[kept]
+            G = M[:, n:, :n]
+            K = G / S if k == 1 else np.linalg.solve(S, G)
+            P = M[:, :n, :n] - G.swapaxes(-1, -2) @ K
+            if n > 1:
+                P = symmetrize(P)
+        i = stop
+        if live.size and live[-1] == i:  # the smallest live count has completed
+            done[i] = OracleResult(delta=float(delta[-1]), P0=P[-1].copy(), constraint_ok=True)
+            live, delta, bound, P = live[:-1], delta[:-1], bound[:-1], P[:-1]
+    return [done[int(ns)] for ns in steps]
+
+
 def dp_solve(data: ProblemData, n_steps: int, eps_pos: float = DEFAULT_EPS_POS) -> OracleResult:
     """Backward value recursion with n_steps uniform steps on [0, T].
 
@@ -59,35 +141,4 @@ def dp_solve(data: ProblemData, n_steps: int, eps_pos: float = DEFAULT_EPS_POS) 
     ``constraint_ok = False`` as soon as the discrete effective control weight
     S loses positivity (min eigenvalue at or below eps_pos * delta).
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    n, k, d = data.n, data.k, data.d
-    delta = data.T / n_steps
-    sq = np.sqrt(delta)
-    P = symmetrize(np.asarray(data.N, dtype=float))
-
-    t_left = np.arange(n_steps) * delta
-    A_, B_, C_, D_, R_, Q_ = data.stacked_at(t_left)
-    # W[j] holds the d + 1 row blocks of W_j, each n x (n + k)
-    W = np.empty((n_steps, d + 1, n, n + k))
-    W[:, 0, :, :n] = np.eye(n) + A_ * delta
-    W[:, 0, :, n:] = B_ * delta
-    W[:, 1:, :, :n] = C_.swapaxes(0, 1) * sq
-    W[:, 1:, :, n:] = D_.swapaxes(0, 1) * sq
-    rows = (d + 1) * n
-    W_rows = W.reshape(n_steps, rows, n + k)
-    Z = np.zeros((n_steps, n + k, n + k))
-    Z[:, :n, :n] = Q_ * delta
-    Z[:, n:, n:] = R_ * delta
-
-    bound = eps_pos * delta
-    for j in range(n_steps - 1, -1, -1):
-        # P is symmetric, so (P W_j)' W_j = W_j' diag(P, ..., P) W_j
-        M = (P @ W[j]).reshape(rows, n + k).T @ W_rows[j] + Z[j]
-        G = M[n:, :n]
-        S = symmetrize(M[n:, n:])
-        if min_eigenvalue(S) <= bound:
-            return OracleResult(delta=delta, P0=None, constraint_ok=False, violation_step=j)
-        K = G / S if k == 1 else np.linalg.solve(S, G)
-        P = symmetrize(M[:n, :n] - G.T @ K)
-    return OracleResult(delta=delta, P0=P, constraint_ok=True)
+    return dp_ladder(data, (n_steps,), eps_pos)[0]

@@ -23,7 +23,7 @@ from indeflq.certificates import (
 )
 from indeflq.cli import main as cli_main
 from indeflq.core import ProblemData, eval_f, eval_gamma, eval_hat_R, min_eigenvalue, symmetrize
-from indeflq.oracle import dp_solve
+from indeflq.oracle import dp_ladder
 from indeflq.riccati import (
     BLOWUP,
     COMPLETED,
@@ -151,8 +151,7 @@ def test_criterion_4_oracle_convergence():
         sol = solve_riccati(data)
         ok = ok and sol.status == COMPLETED
         errs = []
-        for ns in (64, 128, 256, 512):
-            res = dp_solve(data, ns)
+        for res in dp_ladder(data, (64, 128, 256, 512)):
             ok = ok and res.constraint_ok
             errs.append(res.error_vs(sol.P0))
         ratios = [errs[i] / errs[i + 1] for i in range(3)]

@@ -422,6 +422,22 @@ class TestOracleCommand:
         assert [r["constraint_ok"] for r in rows] == [False, False, True]
         assert [r["error_vs_solver"] is None for r in rows] == [True, True, False]
 
+    def test_rows_in_argument_order(self, example_dir, tmp_path):
+        # one lockstep recursion for the whole ladder; each row is still the
+        # recursion of its own count, and a repeated count repeats its row
+        path = example_dir / "definite_2x2.yaml"
+        out = tmp_path / "order.json"
+        assert main(["oracle", "--spec", str(path), "--steps", "4,2,4,3", "--out", str(out),
+                     "--quiet"]) == 0
+        rows = read_report(out)["oracle"]["rows"]
+        assert [r["n_steps"] for r in rows] == [4, 2, 4, 3]
+        data = specio.load_spec_file(path).data
+        for row in rows:
+            res = oracle.dp_solve(data, row["n_steps"])
+            assert row["delta"] == res.delta and row["constraint_ok"] == res.constraint_ok
+            assert np.array_equal(row["P0"], res.P0)
+        assert rows[0] == rows[2]
+
     def test_bad_steps_exit1(self, example_dir):
         rc = main(["oracle", "--spec", str(example_dir / "definite_2x2.yaml"),
                    "--steps", "a,b", "--quiet"])

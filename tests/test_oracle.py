@@ -5,7 +5,7 @@ import pytest
 
 from indeflq import bundled
 from indeflq.core import DEFAULT_EPS_POS, ProblemData, min_eigenvalue, symmetrize
-from indeflq.oracle import OracleResult, dp_solve
+from indeflq.oracle import OracleResult, dp_ladder, dp_solve
 from indeflq.riccati import solve_riccati
 from indeflq.specio import parse_spec
 
@@ -43,12 +43,18 @@ def reference_dp_solve(data, n_steps, eps_pos=DEFAULT_EPS_POS):
     return OracleResult(delta=delta, P0=P, constraint_ok=True)
 
 
-def assert_same_recursion(data, n_steps):
-    got, want = dp_solve(data, n_steps), reference_dp_solve(data, n_steps)
-    assert (got.constraint_ok, got.violation_step) == (want.constraint_ok, want.violation_step)
-    if want.constraint_ok:
-        scale = np.max(np.abs(want.P0))
-        assert np.max(np.abs(got.P0 - want.P0)) <= 1e-12 * scale
+def assert_same_recursion(data, *ladder):
+    """dp_ladder on ``ladder`` against reference_dp_solve at each count."""
+    got = dp_ladder(data, ladder)
+    assert len(got) == len(ladder)
+    for ns, res in zip(ladder, got):
+        want = reference_dp_solve(data, ns)
+        assert res.delta == want.delta
+        assert (res.constraint_ok, res.violation_step) == (want.constraint_ok,
+                                                           want.violation_step)
+        if want.constraint_ok:
+            scale = np.max(np.abs(want.P0))
+            assert np.max(np.abs(res.P0 - want.P0)) <= 1e-12 * scale
     return got
 
 
@@ -81,7 +87,7 @@ class TestConvergence:
     def test_scalar_definite_to_implicit_value(self):
         data = scalar_benchmark(1.0)
         sol = solve_riccati(data)
-        errs = [dp_solve(data, ns).error_vs(sol.P0) for ns in (64, 128, 256, 512)]
+        errs = [res.error_vs(sol.P0) for res in dp_ladder(data, (64, 128, 256, 512))]
         ratios = [errs[i] / errs[i + 1] for i in range(3)]
         order = np.log2(errs[0] / errs[-1]) / 3.0
         assert order >= 0.8
@@ -91,8 +97,7 @@ class TestConvergence:
         data = scalar_benchmark(-0.15)
         sol = solve_riccati(data)
         errs = []
-        for ns in (64, 128, 256, 512):
-            res = dp_solve(data, ns)
+        for res in dp_ladder(data, (64, 128, 256, 512)):
             assert res.constraint_ok
             errs.append(res.error_vs(sol.P0))
         ratios = [errs[i] / errs[i + 1] for i in range(3)]
@@ -102,11 +107,10 @@ class TestConvergence:
         for _ in range(3):
             data = random_definite_problem(rng_session)
             sol = solve_riccati(data)
-            errs = [dp_solve(data, ns).error_vs(sol.P0) for ns in (64, 128, 256, 512)]
-            diffs = [
-                np.linalg.norm(dp_solve(data, ns).P0 - dp_solve(data, 2 * ns).P0)
-                for ns in (64, 128, 256)
-            ]
+            ladder = dp_ladder(data, (64, 128, 256, 512))
+            errs = [res.error_vs(sol.P0) for res in ladder]
+            diffs = [np.linalg.norm(coarse.P0 - fine.P0)
+                     for coarse, fine in zip(ladder, ladder[1:])]
             ratios = [diffs[i] / diffs[i + 1] for i in range(2)]
             assert all(1.6 <= r <= 2.6 for r in ratios)
             assert errs[0] > errs[-1]
@@ -138,8 +142,7 @@ class TestAgainstReference:
         for n, k, d in itertools.product((1, 2, 3), (1, 2), (1, 2)):
             data = random_definite_problem(rng, n=n, k=k, d=d)
             for problem in (data, data.with_weights(R=-0.3 * np.eye(k))):
-                for n_steps in (16, 97):
-                    res = assert_same_recursion(problem, n_steps)
+                for res in assert_same_recursion(problem, 16, 97):
                     aborted += not res.constraint_ok
                     completed += res.constraint_ok
         assert aborted and completed
@@ -150,9 +153,59 @@ class TestAgainstReference:
 
     def test_violation_ladder(self):
         data = parse_spec(bundled.example_doc("example504_rneg017")).data
-        assert [dp_solve(data, ns).violation_step for ns in LADDER] == [25, 55, 114, 233, 471]
+        assert [res.violation_step for res in dp_ladder(data, LADDER)] == [25, 55, 114, 233, 471]
 
     def test_blowup_data_completes_the_ladder(self):
         # the continuous flow escapes; the discrete weight stays positive
         data = parse_spec(bundled.example_doc("blowup_ode")).data
-        assert all(dp_solve(data, ns).constraint_ok for ns in LADDER)
+        assert all(res.constraint_ok for res in dp_ladder(data, LADDER))
+
+
+def coarse_data():
+    """A = -4, B = 3, R = 1, Q = -1, N = 0: the discrete weight fails at 2 and 3 steps."""
+    return ProblemData(n=1, k=1, d=1, T=1.0, A=-4.0, B=3.0, C=[0.0], D=[0.0],
+                       R=1.0, Q=-1.0, N=[[0.0]], grid=np.linspace(0.0, 1.0, 9))
+
+
+class TestLockstep:
+    def test_random_ladders(self):
+        # unsorted ladders with duplicates, short enough that the max(steps)
+        # row bound splits the spans, and indefinite weights that abort some
+        rng = np.random.default_rng(4093)
+        mixed = 0
+        for n, k, d in itertools.product((1, 2, 3), (1, 2), (1, 2)):
+            data = random_definite_problem(rng, n=n, k=k, d=d)
+            for problem in (data, data.with_weights(R=-0.3 * np.eye(k))):
+                ladder = [int(ns) for ns in rng.integers(1, 40, size=6)]
+                ladder.insert(int(rng.integers(0, 6)), ladder[0])
+                got = assert_same_recursion(problem, *ladder)
+                mixed += len({res.constraint_ok for res in got}) == 2
+        assert mixed
+
+    def test_aborts_and_completions_in_one_ladder(self):
+        got = assert_same_recursion(coarse_data(), 2, 3, 4)
+        assert [res.violation_step for res in got] == [0, 1, None]
+
+    def test_duplicates_share_one_result(self):
+        got = dp_ladder(random_definite_problem(np.random.default_rng(7)), (9, 4, 9))
+        assert got[0] is got[2]
+
+    def test_tables_hold_at_most_max_steps_rows(self, monkeypatch):
+        data = random_definite_problem(np.random.default_rng(11))
+        sizes = []
+        stacked_at = ProblemData.stacked_at
+
+        def recorded(self, t):
+            sizes.append(np.size(t))
+            return stacked_at(self, t)
+
+        monkeypatch.setattr(ProblemData, "stacked_at", recorded)
+        # more spans than counts: the row bound, not only completions, ends spans
+        dp_ladder(data, (30, 28, 26, 24, 1))
+        assert len(sizes) > 5 and max(sizes) <= 30
+
+    def test_step_counts_must_be_positive(self):
+        data = coarse_data()
+        for ladder in ((), (4, 0)):
+            with pytest.raises(ValueError):
+                dp_ladder(data, ladder)

@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 from indeflq import riccati
 from indeflq.core import CoefficientPath, ProblemData, lq_terms, symmetrize
 from indeflq.errors import ConstraintViolation, StepLimit
-from indeflq.oracle import dp_solve
+from indeflq.oracle import dp_ladder
 from indeflq.riccati import (
     BLOWUP,
     COMPLETED,
@@ -185,8 +185,7 @@ class TestInvariants:
         for _ in range(20):
             data = random_definite_problem(rng_session)
             sol = solve_riccati(data)
-            e64 = dp_solve(data, 64).error_vs(sol.P0)
-            e512 = dp_solve(data, 512).error_vs(sol.P0)
+            e64, e512 = (res.error_vs(sol.P0) for res in dp_ladder(data, (64, 512)))
             if e64 < 1e-11:  # nothing to measure
                 continue
             orders.append(np.log2(e64 / e512) / 3.0)
