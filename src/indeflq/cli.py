@@ -278,6 +278,8 @@ def main(argv=None) -> int:
     except (StepLimit, NumericalOverflow) as exc:
         report["status"] = "error"
         report["error"] = str(exc)
+        if isinstance(exc, NumericalOverflow):
+            report["overflow_step"] = exc.step
         _emit(report, args.out, args.quiet, f"{args.command}: {exc}")
         return EXIT_INPUT
     except (IndefLQError, ValueError, OSError) as exc:

@@ -30,7 +30,14 @@ class GridMismatch(IndefLQError, ValueError):
 
 
 class NumericalOverflow(IndefLQError):
-    """A simulated state left the representable range (explosive closed loop)."""
+    """A simulated state left the representable range (explosive closed loop).
+
+    Carries the Euler step at which the state check failed (``step``).
+    """
+
+    def __init__(self, message, step=None):
+        self.step = step
+        super().__init__(message)
 
 
 class StepLimit(IndefLQError):

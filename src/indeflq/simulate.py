@@ -11,9 +11,16 @@ path), so results are independent of how paths are partitioned into blocks
 and across workers.  With antithetic pairing (the default) index ``p`` drives
 the mirrored pair (W, -W) and statistics are computed over pair averages.
 
-Paths are stepped in a column layout: one ``_euler_step`` advances a block's
-(n, paths) state on closed-loop tables built once for all steps (see
-``_EulerSetup``), and each quadratic form is a column sum.
+Paths are stepped in a column layout.  ``_EulerSetup`` builds, once for all
+steps, one table per step, ``T_j = [I + Acl_j dt; Ccl_1j; ...; Ccl_dj; W_j...]``
+for the closed-loop drift and diffusions and each running-cost weight, and
+one ``_euler_step`` is a single product ``T_j x`` of a block's (n, paths)
+state: each quadratic form is a column sum of the old state against its
+weight rows, and the new state is read off the drift and diffusion rows.  A
+weight table that is identically zero (the completing-square weight of the
+optimal policy) is left out of the table; its sum stays exactly 0.  The
+keyed streams are drawn path by path into the rows of a small row-major
+buffer and copied into the (steps, d, paths) block one chunk at a time.
 """
 
 from __future__ import annotations
@@ -46,6 +53,9 @@ MAX_PATH_STEPS = 10 ** 8
 MAX_STEPS = 10 ** 6
 # paths per block are sized so that one block draws about this many increments
 BLOCK_INCREMENTS = 2_000_000
+# the keyed streams are drawn into a row-major buffer of at most this size
+# (one path per row; a single path longer than this takes a row alone)
+DRAW_CHUNK_BYTES = 64 * 1024
 
 
 @dataclass
@@ -122,13 +132,25 @@ def _policy_at(value, data: ProblemData, shape, name, t):
     return value.at(t)
 
 
+def _step_table(dt, drift, diffusions, weights=()):
+    """Per-step tables ``[I + drift dt; diffusions...; weights...]``, (steps, rows, nl).
+
+    ``drift`` and each weight are (steps, nl, nl), ``diffusions`` (d, steps, nl, nl).
+    """
+    eye = np.eye(drift.shape[-1])
+    return np.concatenate([eye + drift * dt, *diffusions, *weights], axis=1)
+
+
 class _EulerSetup:
-    """Closed-loop tables of u = G x + v at each Euler step's left endpoint.
+    """Closed-loop step tables of u = G x + v at each Euler step's left endpoint.
 
     A perturbation v is the gain's last column on the lifted state [x; 1]
     (A, B, C, D, Q, N and G* zero-padded by ``J``).  The state steps on
-    ``Acl = A + BG`` and ``Ccl = C + DG``; ``weights`` holds the running cost
+    ``Acl = A + BG`` and ``Ccl = C + DG``; the running cost weights are
     ``(Q + G'RG) dt`` and, with a solution, ``(G - G*)' hat R(P) (G - G*) dt``.
+    ``table`` stacks ``[I + Acl dt; Ccl; weights]`` for each step; a weight
+    that is identically zero is left out, and ``kept`` lists the accumulators
+    (0 cost, 1 completing square) of the weights that are in.
     """
 
     def __init__(self, data: ProblemData, policy: ControlPolicy, n_steps: int, solution=None):
@@ -147,31 +169,41 @@ class _EulerSetup:
         self.Acl = J @ (A @ J.T + B @ G)
         self.Ccl = J @ (C @ J.T + D @ G)
         self.N = J @ symmetrize(data.N) @ J.T
-        self.weights = [(J @ Q @ J.T + G.swapaxes(-1, -2) @ R @ G) * self.dt]
+        weights = [(J @ Q @ J.T + G.swapaxes(-1, -2) @ R @ G) * self.dt]
         if solution is not None:
             E = G - CoefficientPath(solution.grid, solution.gain).at(t_left) @ J.T
             hat_R = lq_terms(coeffs, CoefficientPath(solution.grid, solution.P).at(t_left))[0]
-            self.weights.append(E.swapaxes(-1, -2) @ hat_R @ E * self.dt)
+            weights.append(E.swapaxes(-1, -2) @ hat_R @ E * self.dt)
+        # a zero weight adds exactly 0 to a finite state's sum: skipping it is exact
+        self.kept = [i for i, W in enumerate(weights) if W.any()]
+        self.table = _step_table(self.dt, self.Acl, self.Ccl, [weights[i] for i in self.kept])
 
 
 def _wiener_increments(seed, indices, n_steps, d, dt):
     """Wiener increments (n_steps, d, paths) for a block of path indices.
 
     Column ``p`` holds the stream of ``Generator(Philox(key=[seed, p]))``: one
-    bit generator is re-keyed per path (counter 0, buffer cleared).
+    bit generator is re-keyed per path (counter 0, buffer cleared) by writing
+    the path index into a reused key.  A chunk of paths is drawn into the rows
+    of a row-major buffer, then scaled and copied into its columns at once.
     """
     bits = Philox(0)
     gen = Generator(bits)
-    fresh = bits.state
-    path = np.empty((n_steps, d))
+    # Python ints, which the state setter reads faster than uint64 arrays
+    key = [int(seed), 0]
+    fresh = dict(bits.state, buffer=[0] * 4)  # buffer_pos 4: the buffer is empty
+    fresh["state"] = {"counter": [0] * 4, "key": key}
+    size = n_steps * d
+    chunk = np.empty((max(1, DRAW_CHUNK_BYTES // (8 * size)), size))
     dW = np.empty((n_steps, d, indices.size))
-    for col, idx in enumerate(indices):
-        fresh["state"] = {"counter": np.zeros(4, np.uint64),
-                          "key": np.array([seed, idx], dtype=np.uint64)}
-        bits.state = fresh
-        gen.standard_normal(out=path)
-        dW[:, :, col] = path
-    np.multiply(dW, np.sqrt(dt), out=dW)
+    columns = dW.reshape(size, indices.size)
+    for lo in range(0, indices.size, len(chunk)):
+        rows = chunk[:indices.size - lo]
+        for row, idx in zip(rows, indices[lo:lo + len(rows)].tolist()):
+            key[1] = idx
+            bits.state = fresh
+            gen.standard_normal(out=row)
+        np.multiply(rows.T, np.sqrt(dt), out=columns[:, lo:lo + len(rows)])
     return dW
 
 
@@ -188,21 +220,27 @@ def _steps(dW, antithetic):
         yield w
 
 
-def _quad(M, x):
-    """Column-wise quadratic forms x_p' M x_p."""
-    return np.sum(x * (M @ x), axis=0)
+def _euler_step(T_j, x, w, prod, sums=()):
+    """One Euler step of ``x`` in place, as one product with the table ``T_j``.
 
-
-def _euler_step(drift, diffusions, x, w, dt):
-    """x + drift x dt + sum_i diffusions[i] x w_i for states stored as x[:, ..., path].
-
-    Each matrix acts on the first axis of every path's state; ``w`` is (d, paths).
+    ``T_j`` is ``[I + drift dt; diffusions...; weights...]`` for states stored
+    as x[:, ..., path]: each matrix acts on the first axis, and ``w`` is
+    (d, paths).  ``prod`` is a buffer of shape (rows / nl, *x.shape); its first
+    block is free for scratch afterwards.  The column-wise quadratic forms
+    x_p' W x_p of the old state are added to ``sums``, one row per weight.
     """
-    flat = x.reshape(x.shape[0], -1)
-    dx = (drift @ flat).reshape(x.shape) * dt
-    for M, w_i in zip(diffusions, w):
-        dx += (M @ flat).reshape(x.shape) * w_i
-    return x + dx
+    flat, out = x.reshape(len(x), -1), prod.reshape(len(T_j), -1)
+    if len(x) == 1:
+        # the same single products; numpy's matmul has no BLAS kernel for an inner size of 1
+        np.multiply(T_j, flat, out=out)
+    else:
+        np.matmul(T_j, flat, out=out)
+    d = len(w)
+    for total, Wx in zip(sums, prod[1 + d:]):
+        total += np.sum(np.multiply(x, Wx, out=Wx), axis=0)
+    diffusions = prod[1:1 + d]
+    np.multiply(diffusions, w.reshape(d, *(1,) * (x.ndim - 1), -1), out=diffusions)
+    np.sum(prod[:1 + d], axis=0, out=x)
 
 
 def _run_cost_block(su: _EulerSetup, xi, seed, indices, antithetic):
@@ -217,19 +255,22 @@ def _run_cost_block(su: _EulerSetup, xi, seed, indices, antithetic):
     b = indices.size
     x0 = np.append(xi, np.ones(len(su.N) - su.n))  # [xi; 1] on the lifted state
     x = np.repeat(x0[:, None], 2 * b if antithetic else b, axis=1)
+    prod = np.empty((su.table.shape[1] // len(x), *x.shape))
+    scratch = prod[0, :su.n]
     acc = np.zeros((2, x.shape[1]))  # cost and completing-square sums (0 without a solution)
+    sums = [acc[i] for i in su.kept]
     for j, w in enumerate(_steps(dW, antithetic)):
-        for a, W in zip(acc, su.weights):
-            a += _quad(W[j], x)
-        x = _euler_step(su.Acl[j], su.Ccl[:, j], x, w, su.dt)
-        # written so that a NaN state fails too
-        if not float(np.max(np.sum(x[:su.n] ** 2, axis=0))) <= STATE_NORM_CAP ** 2:
+        _euler_step(su.table[j], x, w, prod, sums)
+        # squared column norms; written so that a NaN state fails too
+        norms = np.sum(np.square(x[:su.n], out=scratch), axis=0)
+        if not float(np.max(norms)) <= STATE_NORM_CAP ** 2:
             raise NumericalOverflow(
-                f"state norm exceeded {STATE_NORM_CAP:g} at step {j} (explosive closed loop)"
-            )
-    acc[0] += _quad(su.N, x)
+                f"state norm exceeded {STATE_NORM_CAP:g} at step {j} (explosive closed loop)", j)
+    Nx = np.matmul(su.N, x, out=prod[0])
+    acc[0] += np.sum(np.multiply(x, Nx, out=Nx), axis=0)
     if antithetic:
-        acc = 0.5 * (acc[:, :b] + acc[:, b:])
+        acc = acc[:, :b] + acc[:, b:]  # then halved in place: one temporary fewer
+        acc *= 0.5
     return acc[0], acc[1], t1 - t0, time.perf_counter() - t1
 
 
@@ -330,24 +371,34 @@ def fundamental_pair_check(data: ProblemData, gain, config: SimConfig) -> float:
     """
     config.validate()
     su = _EulerSetup(data, ControlPolicy(gain=gain), config.n_steps)
+    n, d = su.n, su.d
     # Xtilde' steps from the left with drift -(Acl - sum_i Ccl_i Ccl_i)' and diffusions -Ccl_i'
     inv_drift = -(su.Acl - np.sum(su.Ccl @ su.Ccl, axis=0)).swapaxes(-1, -2)
-    inv_diffusions = -su.Ccl.swapaxes(-1, -2)
-    eye = np.eye(su.n)[:, :, None]
+    tables = (_step_table(su.dt, su.Acl, su.Ccl),
+              _step_table(su.dt, inv_drift, -su.Ccl.swapaxes(-1, -2)))
+    eye = np.eye(n)[:, :, None]
 
     def block_worst(idx):
         dW = _wiener_increments(config.seed, idx, su.n_steps, su.d, su.dt)
         # X[:, :, p] is path p's X and Y[:, :, p] its Xtilde'
-        X = Y = np.repeat(eye, (2 if config.antithetic else 1) * idx.size, axis=2)
+        flows = [np.repeat(eye, (2 if config.antithetic else 1) * idx.size, axis=2)
+                 for _ in tables]
+        prod = np.empty((1 + d, *flows[0].shape))
+        defect = np.empty_like(flows[0])
         worst = 0.0
         for j, w in enumerate(_steps(dW, config.antithetic)):
-            X = _euler_step(su.Acl[j], su.Ccl[:, j], X, w, su.dt)
-            Y = _euler_step(inv_drift[j], inv_diffusions[:, j], Y, w, su.dt)
+            for T, F in zip(tables, flows):
+                _euler_step(T[j], F, w, prod)
+                if not np.max(np.abs(F, out=prod[0])) <= STATE_NORM_CAP:
+                    raise NumericalOverflow(f"fundamental pair flow overflowed at step {j}", j)
+            X, Y = flows
             # (Xtilde X)[a, c] = sum_s Y[s, a] X[s, c], path by path
-            prod = np.sum(Y[:, :, None] * X[:, None], axis=0) - eye
-            worst = max(worst, float(np.sqrt(np.max(np.sum(prod * prod, axis=(0, 1))))))
-            if not (np.max(np.abs(X)) <= STATE_NORM_CAP and np.max(np.abs(Y)) <= STATE_NORM_CAP):
-                raise NumericalOverflow("fundamental pair flow overflowed")
+            np.multiply(Y[0][:, None], X[0][None], out=defect)
+            for s in range(1, n):
+                defect += np.multiply(Y[s][:, None], X[s][None], out=prod[0])
+            defect -= eye
+            worst = max(worst, float(np.sqrt(np.max(np.sum(
+                np.square(defect, out=defect), axis=(0, 1))))))
         return worst
 
     return max(_for_blocks(config, su.d, block_worst))

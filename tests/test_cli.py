@@ -367,6 +367,28 @@ class TestSimulateCommand:
         assert sim["cs_residual"] <= 3 * sim["cs_stderr"] + 2.0 / 512
         assert sim["cost_stderr"] > 0.0
 
+    def test_explosive_closed_loop_reports_overflow_step(self, tmp_path):
+        # B = D = 0 leaves x' = 40 x uncontrolled: Euler steps grow the state
+        # by 1 + 40/512 each, past 1e12 after about 360 of the 512 steps
+        doc = {
+            "dimensions": {"n": 1, "k": 1, "d": 1},
+            "horizon": 1.0,
+            "grid": {"points": 9},
+            "coefficients": {"A": [[40.0]], "B": [[0.0]], "C": [[[0.0]]], "D": [[[0.0]]],
+                             "R": [[1.0]], "Q": [[0.0]]},
+            "terminal": [[0.0]],
+            "simulation": {"n_paths": 4, "n_steps": 512, "seed": 1, "xi": [1.0]},
+        }
+        p = tmp_path / "explosive.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "explosive.json"
+        assert main(["simulate", "--spec", str(p), "--out", str(out), "--quiet"]) == 1
+        rep = read_report(out)
+        assert rep["status"] == "error" and rep["simulation"] is None
+        step = rep["overflow_step"]
+        assert (1 + 40 / 512) ** step <= 1e12 < (1 + 40 / 512) ** (step + 1)
+        assert f"at step {step}" in rep["error"]
+
     def test_missing_block_exit1(self, example_dir, tmp_path):
         p = example_dir / "shift_demo.yaml"  # no simulation block
         assert main(["simulate", "--spec", str(p), "--quiet"]) == 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
@@ -73,16 +75,20 @@ class TestCostEstimator:
                           SimConfig(n_paths=2, n_steps=512, seed=3))
 
     def test_nan_state_detected(self):
-        # the first Euler step makes the state inf - inf = NaN, which a
-        # "norm > cap" test lets through (NaN compares False)
+        # the first Euler step makes the state inf - inf = NaN on the paths
+        # with a positive increment (drift row (1 + A dt) xi overflows to inf,
+        # the diffusion row C xi w to -inf), which a "norm > cap" test lets
+        # through (NaN compares False, and so does the NaN column maximum)
         grid = np.linspace(0.0, 1.0, 9)
         data = ProblemData(n=1, k=1, d=1, T=1.0, A=1e308, B=0.0, C=[-1e308], D=[0.0],
                            R=1.0, Q=1.0, N=[[1.0]], grid=grid)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalOverflow, match="at step 0"):
-                simulate_cost(data, ControlPolicy(), [10.0], SimConfig(4, 8, seed=1))
-            with pytest.raises(NumericalOverflow, match="fundamental pair"):
+            with pytest.raises(NumericalOverflow, match="at step 0") as exc:
+                simulate_cost(data, ControlPolicy(), [100.0], SimConfig(4, 8, seed=1))
+            assert exc.value.step == 0
+            with pytest.raises(NumericalOverflow, match="fundamental pair .* at step 0") as exc:
                 fundamental_pair_check(data, np.zeros((1, 1)), SimConfig(4, 8, seed=1))
+            assert exc.value.step == 0
 
     def test_nonfinite_xi_rejected(self):
         # a NaN start state is an input error, not an explosive closed loop
@@ -100,6 +106,18 @@ class TestCostEstimator:
             gen = Generator(Philox(key=np.array([seed, p], dtype=np.uint64)))
             expected = gen.standard_normal((n_steps, d)) * np.sqrt(dt)
             assert np.array_equal(dW[:, :, col], expected)
+
+    @pytest.mark.parametrize("n_paths, n_steps", [(600, 16), (3, 5000)])
+    def test_increments_across_draw_chunks(self, n_paths, n_steps):
+        # 600 paths of 16 x 2 draws are two full 64 KiB chunks and a ragged
+        # third; a path of 5000 x 2 draws is larger than a chunk and takes one
+        seed, d, dt = 2 ** 64 - 3, 2, 0.5
+        assert n_paths > 2 * max(1, simulate.DRAW_CHUNK_BYTES // (8 * n_steps * d))
+        indices = np.arange(11, 11 + n_paths, dtype=np.uint64)
+        dW = simulate._wiener_increments(seed, indices, n_steps, d, dt)
+        for col, p in enumerate(indices):
+            gen = Generator(Philox(key=np.array([seed, p], dtype=np.uint64)))
+            assert np.array_equal(dW[:, :, col], gen.standard_normal((n_steps, d)) * np.sqrt(dt))
 
     def test_independent_of_block_partition(self, monkeypatch):
         # 64 increments per block is one path per block at 64 steps, d = 1
@@ -135,6 +153,25 @@ class TestCostEstimator:
                 setup, spec.xi, cfg.seed, idx, cfg.antithetic))
             per_path.append([np.concatenate([p[i] for p in parts]) for i in (0, 1)])
         assert [a.tobytes() for a in per_path[0]] == [a.tobytes() for a in per_path[1]]
+
+    def test_block_memory(self):
+        # a block holds its increments, the state, the step product (one
+        # block per table row group: drift, diffusion, cost weight) and the
+        # two sums; the optimal policy's completing-square table is left out
+        spec = definite_2x2()
+        sol = solve_riccati(spec.data, spec.solver)
+        pairs, n_steps = 4000, 64
+        setup = simulate._EulerSetup(spec.data, ControlPolicy.from_solution(sol), n_steps, sol)
+        indices = np.arange(pairs, dtype=np.uint64)
+        dW_bytes = 8 * n_steps * spec.data.d * pairs
+        state_bytes = 8 * spec.data.n * 2 * pairs
+        tracemalloc.start()
+        try:
+            simulate._run_cost_block(setup, spec.xi, 3, indices, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= dW_bytes + 8 * state_bytes
 
     @pytest.mark.parametrize("antithetic", [True, False])
     def test_block_matches_a_plain_loop(self, antithetic):
@@ -222,6 +259,24 @@ class TestCompletingSquare:
         rep = completing_square_report(spec.data, sol, policy, spec.xi, cfg)
         assert rep.cs_rhs == 0.0  # u = G x pathwise
         assert rep.cs_residual <= 3 * rep.cs_stderr + 2.0 / cfg.n_steps
+
+    def test_zero_weight_tables_left_out(self):
+        # the optimal gain's completing-square weight, also with a zero
+        # perturbation, is exactly 0: its table is left out and the sum stays
+        # exactly 0; a small perturbation keeps its table
+        spec = definite_2x2()
+        sol = solve_riccati(spec.data, spec.solver)
+        optimal = ControlPolicy.from_solution(sol)
+        cfg = SimConfig(n_paths=2000, n_steps=128, seed=4)
+        base = completing_square_report(spec.data, sol, optimal, spec.xi, cfg)
+        zero = ControlPolicy(gain=optimal.gain, perturb=np.zeros(2))
+        small = ControlPolicy(gain=optimal.gain, perturb=np.full(2, 1e-3))
+        for policy, kept in ((optimal, [0]), (zero, [0]), (small, [0, 1])):
+            assert simulate._EulerSetup(spec.data, policy, cfg.n_steps, sol).kept == kept
+        rep = completing_square_report(spec.data, sol, zero, spec.xi, cfg)
+        assert base.cs_rhs == 0.0 and rep.cs_rhs == 0.0
+        assert abs(rep.cost_mean - base.cost_mean) <= 1e-12 * abs(base.cost_mean)
+        assert completing_square_report(spec.data, sol, small, spec.xi, cfg).cs_rhs > 0.0
 
     def test_perturbed_policy_positive_square(self):
         spec = definite_2x2()
