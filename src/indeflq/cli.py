@@ -238,7 +238,8 @@ def _build_parser():
 
     def add_common(p, needs_spec=True):
         if needs_spec:
-            p.add_argument("--spec", required=True, help="problem specification file (YAML)")
+            p.add_argument("--spec", required=True,
+                           help="problem specification file (JSON or YAML)")
             p.add_argument("--set", dest="overrides", action="append", default=[],
                            metavar="KEY.PATH=VALUE", help="patch the spec before validation")
         p.add_argument("--out", default=None, help="report path (default: stdout)")

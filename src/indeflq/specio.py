@@ -1,14 +1,16 @@
 """Problem-specification files and machine-readable reports.
 
-Problem specs are YAML documents: dimensions, horizon, a uniform sample grid,
-the coefficient paths (each one constant matrix or one sample per grid
-point, read by ``core.path_samples``), the terminal weight, and optional
-certificate / solver / simulation blocks.  Every value, the certificate
-block's included, is read through ``_read``, so a missing key, a value of the
-wrong type and a malformed number all end in a ``SpecError`` that names the
-key path; so does a key that its mapping does not read (``_known``), and
-``parse_spec`` raises nothing else.  Sizes that drive
-allocation are bounded before anything is allocated.  Reports are JSON
+Problem specs are JSON or YAML documents: dimensions, horizon, a uniform
+sample grid, the coefficient paths (each one constant matrix or one sample
+per grid point, read by ``core.path_samples``), the terminal weight, and
+optional certificate / solver / simulation blocks.  Text that is JSON is read
+by ``json.loads``, and only other text by PyYAML, imported then; nesting too
+deep to read is refused either way.  Every value, the certificate block's
+included, is read through ``_read``, so a missing key, a value of the wrong
+type and a malformed number all end in a ``SpecError`` that names the key
+path; so does a key that its mapping does not read (``_known``), and
+``parse_spec`` raises nothing else.  Sizes that drive allocation are bounded
+before anything is allocated.  Reports are JSON
 (stdlib ``json``; floats in Python's shortest round-trip form, so values
 read back exactly; non-finite floats become ``null``).
 """
@@ -21,7 +23,6 @@ import reprlib
 from dataclasses import dataclass, fields
 
 import numpy as np
-import yaml
 
 from .core import (
     PIECEWISE_CONSTANT_LEFT,
@@ -43,9 +44,11 @@ __all__ = [
     "check_table_size",
 ]
 
-# libyaml's scanner and parser where PyYAML was built with it; the constructor
-# and resolver are the same Python classes either way
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# deepest YAML nesting handed to PyYAML's composer, which recurses on the C
+# stack and crashes the interpreter at some 10^4 levels; spec arrays nest at
+# most four deep.  JSON deeper than the interpreter's recursion limit raises
+# RecursionError instead.
+MAX_YAML_NESTING = 64
 
 # largest coefficient grid: every path is expanded to one sample per point
 MAX_GRID_POINTS = 100_000
@@ -88,11 +91,18 @@ def _floats(value):
 
 
 def _alpha(value):
-    """A constant, a path on the problem grid, or the named schedule "optimal-constant"."""
+    """A constant, a path on the problem grid, or the named schedule "optimal-constant".
+
+    Any other string is a number where ``float`` reads one (YAML 1.1 reads
+    ``1e-05`` as a string), as in ``_real`` and ``_floats``.
+    """
     if isinstance(value, str):
-        if value != "optimal-constant":
-            raise SpecError(f"certificate.alpha: unknown schedule {value!r}")
-        return value
+        if value == "optimal-constant":
+            return value
+        try:
+            value = float(value)
+        except ValueError:
+            raise SpecError(f"certificate.alpha: unknown schedule {value!r}") from None
     alpha = _floats(value)
     return float(alpha) if alpha.ndim == 0 else alpha
 
@@ -191,7 +201,12 @@ def _channels(co, key, d):
 
 
 def parse_spec(doc: dict) -> ParsedSpec:
-    """Validate a loaded YAML document and build the in-memory problem."""
+    """Validate a loaded spec document (JSON or YAML) and build the in-memory problem.
+
+    ``doc`` is plain Python values as ``json`` or ``yaml`` load them; where the
+    two read a scalar differently (YAML 1.1 reads ``1e-05`` as a string) the
+    casts read both alike.
+    """
     if not isinstance(doc, dict):
         raise SpecError("spec root must be a mapping")
     _known(doc, "", ("dimensions", "horizon", "grid", "coefficients", "terminal",
@@ -271,23 +286,76 @@ def parse_spec(doc: dict) -> ParsedSpec:
     )
 
 
+class _NotYAML(SpecError):
+    """Text that neither JSON nor YAML reads."""
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def _yaml_nests_too_deep(yaml, text, loader):
+    """True where the YAML text nests deeper than MAX_YAML_NESTING.
+
+    The parser's event stream keeps its state on the heap, and stopping at the
+    limit keeps libyaml's scan of deep flow nesting, quadratic in the depth,
+    short.
+    """
+    depth = 0
+    for event in yaml.parse(text, Loader=loader):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > MAX_YAML_NESTING:
+                return True
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+    return False
+
+
+def _load_text(text, where):
+    """The document in ``text``: ``json.loads`` where the text is JSON, else YAML.
+
+    JSON is a subset of YAML and loads some 30 times faster.  NaN and Infinity
+    are not JSON; YAML reads them as strings, which the casts refuse by key.
+    Nesting too deep to read raises SpecError and text that neither reads
+    raises ``_NotYAML``, both prefixed with ``where``.
+    """
+    try:
+        return json.loads(text, parse_constant=_not_json)
+    except ValueError:
+        pass  # not JSON
+    except RecursionError:
+        raise SpecError(f"{where}: nested too deeply to read") from None
+    import yaml  # about 27 ms, paid only for text that is not JSON
+
+    # libyaml's scanner and parser where PyYAML was built with it
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    try:
+        if _yaml_nests_too_deep(yaml, text, loader):
+            raise SpecError(f"{where}: nested deeper than {MAX_YAML_NESTING} levels")
+        return yaml.load(text, Loader=loader)
+    except yaml.YAMLError as exc:
+        raise _NotYAML(f"{where}: YAML parse error: {exc}") from None
+
+
 def load_spec_file(path, overrides=()) -> ParsedSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise SpecError(f"cannot read spec file {path}: {exc}") from None
-    try:
-        doc = yaml.load(text, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
-        raise SpecError(f"{path}: YAML parse error: {exc}") from None
+    doc = _load_text(text, path)
     if overrides:
         doc = apply_overrides(doc, overrides)
     return parse_spec(doc)
 
 
 def apply_overrides(doc: dict, overrides) -> dict:
-    """Patch the document with repeatable ``key.path=value`` settings."""
+    """Patch the document with repeatable ``key.path=value`` settings.
+
+    Each value is read like a spec text; one that neither JSON nor YAML reads
+    is kept as the raw string.
+    """
     if not isinstance(doc, dict):
         raise SpecError("cannot apply overrides: spec root must be a mapping")
     for item in overrides:
@@ -298,8 +366,8 @@ def apply_overrides(doc: dict, overrides) -> dict:
         if not keys:
             raise SpecError(f"override {item!r}: empty key path")
         try:
-            value = yaml.load(raw, Loader=_YAML_LOADER)
-        except yaml.YAMLError:
+            value = _load_text(raw, f"override {key_path}")
+        except _NotYAML:
             value = raw
         node = doc
         for part in keys[:-1]:

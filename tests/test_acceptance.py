@@ -9,7 +9,6 @@ import time
 
 import numpy as np
 import pytest
-import yaml
 from scipy.optimize import brentq
 
 from indeflq import bundled
@@ -38,7 +37,7 @@ from indeflq.simulate import (
     hamiltonian_identity_check,
     simulate_cost,
 )
-from indeflq.specio import parse_spec
+from indeflq.specio import load_spec_file, parse_spec
 
 from conftest import random_definite_problem, random_scalar_data, scalar_benchmark
 
@@ -109,8 +108,7 @@ def test_criterion_1_threshold_reproduction(spec_dir):
 
 def test_criterion_2_blowup_counterexample(spec_dir):
     t0 = time.perf_counter()
-    with open(spec_dir / "blowup_ode.yaml", encoding="utf-8") as fh:
-        spec = parse_spec(yaml.safe_load(fh))
+    spec = load_spec_file(spec_dir / "blowup_ode.yaml")
     sol = solve_riccati(spec.data, spec.solver)
     ok = sol.status == BLOWUP and 0.9 < sol.t_event < 1.0
     mask = sol.grid >= 1.0

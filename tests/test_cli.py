@@ -187,6 +187,25 @@ class TestCertifyCommand:
         assert cert["quad_nodes"] == 8193
         assert 0.0 <= cert["threshold"] + certificates.optimal_constant_alpha() < 1e-8
 
+    def test_alpha_number_reads_alike_in_json_and_yaml(self, tmp_path):
+        # YAML 1.1 reads a hand-written 1e-05 as a string, JSON as a float;
+        # both are the constant 1e-05
+        doc = bundled.example_doc("example504_r1")
+        doc["certificate"]["alpha"] = 1e-05
+        texts = {"json": json.dumps(doc),
+                 "yaml": yaml.safe_dump(doc).replace("alpha: 1.0e-05", "alpha: 1e-05")}
+        assert "alpha: 1e-05" in texts["yaml"]
+        epsilons = []
+        for form, text in texts.items():
+            p = tmp_path / f"alpha_{form}.yaml"
+            p.write_text(text)
+            out = tmp_path / f"alpha_{form}.json"
+            assert main(["certify", "--spec", str(p), "--out", str(out), "--quiet"]) == 0
+            cert = read_report(out)["certificate"]
+            assert cert["verdict"] == "certified"
+            epsilons.append(cert["epsilon"])
+        assert epsilons[0] == epsilons[1] > 0.0
+
     def test_unknown_alpha_schedule_exit1(self, tmp_path):
         doc = bundled.example_doc("example504_r1")
         doc["certificate"] = {"kind": "scalar-comparison", "alpha": "nope"}
@@ -247,6 +266,49 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        "[" * 200_000 + "]" * 200_000,  # JSON: RecursionError, never YAML
+        "a: " + "[" * 200_000 + "]" * 200_000,  # YAML: refused before composing
+        "a: " + '[ "]", ' * 200_000 + "1" + "]" * 200_000,  # closers in strings
+        "- " * 200_000 + "x",  # block sequences, one per indicator
+    ], ids=["json", "yaml-flow", "yaml-quoted-closers", "yaml-block"])
+    def test_deep_nesting_exit1(self, text, tmp_path, capsys):
+        # PyYAML's composer recurses on the C stack: at this depth it crashes
+        # the interpreter instead of raising
+        p = tmp_path / "deep.yaml"
+        p.write_text(text)
+        assert main(["solve", "--spec", str(p), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "nested" in err
+
+    def test_deep_override_exit1(self, example_dir, capsys):
+        deep = "[" * 50_000 + "]" * 50_000
+        for value in (deep, "x: " + deep):
+            argv = ["solve", "--spec", str(example_dir / "example504_r1.yaml"),
+                    "--set", f"coefficients.R={value}", "--quiet"]
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: override coefficients.R: nested")
+
+    @pytest.mark.parametrize("key, value", [
+        ("horizon", float("nan")),
+        ("horizon", float("inf")),
+        ("coefficients.R", [[float("-inf")]]),
+    ])
+    def test_json_nonfinite_names_the_key(self, key, value, tmp_path, capsys):
+        # NaN and Infinity are not JSON: never read as finite numbers
+        doc = bundled.example_doc("example504_r1")
+        *parents, last = key.split(".")
+        node = doc
+        for part in parents:
+            node = node[part]
+        node[last] = value
+        p = tmp_path / "nonfinite.yaml"
+        p.write_text(json.dumps(doc))
+        assert main(["solve", "--spec", str(p), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: bad value") and "finite" in err
 
     def test_unwritable_report_exit1(self, example_dir, tmp_path, capsys):
         out = tmp_path / "no_such_dir" / "r.json"
@@ -474,36 +536,95 @@ class TestOverrides:
                    "--set", "coefficients.R=[[-0.17]]", "--out", str(out), "--quiet"])
         assert rc == 4
 
+    # each --set value and the value a YAML-only reader gives it: the same
+    # spec, or the same error, either way
+    @pytest.mark.parametrize("setting, yaml_value", [
+        ("simulation.n_paths=20000", 20000),
+        ("simulation.antithetic=true", True),
+        ("simulation.seed=null", None),
+        ("solver.rel_tol=1e-05", "1e-05"),  # YAML 1.1 needs a dot for a float
+        ("simulation.antithetic=yes", True),  # YAML 1.1 bool
+        ("simulation.n_paths=010", 8),  # YAML 1.1 octal
+        ("grid.interpolation=piecewise-linear", "piecewise-linear"),
+        ("simulation.xi=[1.0, -0.5]", [1.0, -0.5]),
+        ("simulation.n_paths=yes", True),
+        ("simulation.antithetic=010", 8),
+        ("horizon=null", None),
+        ("horizon=NaN", "NaN"),
+        ("simulation.xi=[1.0, Infinity]", [1.0, "Infinity"]),
+    ])
+    def test_set_values_read_as_yaml_reads_them(self, setting, yaml_value):
+        def outcome(doc):
+            try:
+                return parse_spec(doc)
+            except SpecError as exc:
+                return str(exc)
+
+        got = outcome(apply_overrides(bundled.example_doc("definite_2x2"), [setting]))
+        doc = bundled.example_doc("definite_2x2")
+        *parents, last = setting.split("=")[0].split(".")
+        node = doc
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[last] = yaml_value
+        want = outcome(doc)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_same_spec(got, want)
+
     def test_bad_override_exit1(self, example_dir):
         rc = main(["solve", "--spec", str(example_dir / "example504_r1.yaml"),
                    "--set", "nonsense", "--quiet"])
         assert rc == 1
 
 
-class TestSpecRoundTrip:
-    @pytest.mark.parametrize("name", bundled.example_names())
-    def test_parse_serialize_parse(self, name):
-        # the written example file parses to the spec its document gives
-        spec1 = parse_spec(bundled.example_doc(name))
-        spec2 = parse_spec(yaml.safe_load(bundled.example_text(name)))
-        d1, d2 = spec1.data, spec2.data
-        assert (d1.n, d1.k, d1.d, d1.T) == (d2.n, d2.k, d2.d, d2.T)
-        assert np.array_equal(d1.grid, d2.grid)
-        for p1, p2 in [(d1.A, d2.A), (d1.B, d2.B), (d1.R, d2.R), (d1.Q, d2.Q)]:
-            assert np.array_equal(p1.samples, p2.samples)
-            assert p1.interpolation == p2.interpolation
-        for c1, c2 in zip(d1.C, d2.C):
-            assert np.array_equal(c1.samples, c2.samples)
-        for e1, e2 in zip(d1.D, d2.D):
-            assert np.array_equal(e1.samples, e2.samples)
-        assert np.array_equal(d1.N, d2.N)
+def assert_same_spec(spec1, spec2):
+    d1, d2 = spec1.data, spec2.data
+    assert (d1.n, d1.k, d1.d, d1.T) == (d2.n, d2.k, d2.d, d2.T)
+    assert np.array_equal(d1.grid, d2.grid)
+    for p1, p2 in [(d1.A, d2.A), (d1.B, d2.B), (d1.R, d2.R), (d1.Q, d2.Q)]:
+        assert np.array_equal(p1.samples, p2.samples)
+        assert p1.interpolation == p2.interpolation
+    for c1, c2 in zip(d1.C, d2.C):
+        assert np.array_equal(c1.samples, c2.samples)
+    for e1, e2 in zip(d1.D, d2.D):
+        assert np.array_equal(e1.samples, e2.samples)
+    assert np.array_equal(d1.N, d2.N)
+    assert (spec1.certificate is None) == (spec2.certificate is None)
+    if spec1.certificate is not None:
         assert spec1.certificate.keys() == spec2.certificate.keys()
         for key, value in spec1.certificate.items():
             assert np.array_equal(value, spec2.certificate[key])
-        assert spec1.solver == spec2.solver
-        if spec1.simulation is not None:
-            assert spec1.simulation == spec2.simulation
-            assert np.array_equal(spec1.xi, spec2.xi)
+    assert spec1.solver == spec2.solver
+    assert spec1.simulation == spec2.simulation
+    assert np.array_equal(spec1.xi, spec2.xi)
+
+
+class TestSpecRoundTrip:
+    @pytest.mark.parametrize("name", bundled.example_names())
+    def test_parse_serialize_parse(self, name, tmp_path):
+        # the written example file (JSON) and the same document as YAML each
+        # load to the spec the document gives
+        spec = parse_spec(bundled.example_doc(name))
+        texts = {"json": bundled.example_text(name),
+                 "yaml": yaml.safe_dump(bundled.example_doc(name))}
+        with pytest.raises(ValueError):
+            json.loads(texts["yaml"])  # so it takes the YAML path
+        for form, text in texts.items():
+            p = tmp_path / f"{name}_{form}.yaml"
+            p.write_text(text)
+            assert_same_spec(specio.load_spec_file(p), spec)
+
+    def test_duplicate_keys_last_wins(self, tmp_path):
+        doc = bundled.example_doc("example504_r1")
+        doc["horizon"] = 2.0
+        json_text = bundled.example_text("example504_r1").replace('{', '{"horizon": 3.0,', 1)
+        yaml_text = "horizon: 3.0\n" + yaml.safe_dump(doc) + "horizon: 0.5\n"
+        for text, horizon in [(json_text, 1.0), (yaml_text, 0.5)]:
+            p = tmp_path / "dup.yaml"
+            p.write_text(text)
+            assert specio.load_spec_file(p).data.T == horizon
 
 
 class TestReportDeterminism:
@@ -523,6 +644,22 @@ class TestReportDeterminism:
 
 def test_cli_import_needs_no_scipy():
     code = "import sys, indeflq.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_json_spec_loads_no_yaml(tmp_path):
+    # a JSON spec with JSON --set values never imports yaml (about 27 ms)
+    spec = str(tmp_path / "definite_2x2.yaml")
+    code = (
+        "import sys, indeflq.cli as cli\n"
+        f"assert cli.main(['example', 'definite_2x2', '--out-dir', {str(tmp_path)!r}, "
+        "'--quiet']) == 0\n"
+        f"cli.load_spec_file({spec!r}, ['simulation.n_paths=1000'])\n"
+        "print(any(m.split('.')[0] in ('yaml', '_yaml') for m in sys.modules))"
+    )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
