@@ -28,6 +28,13 @@ def read_report(path):
         return json.load(fh)
 
 
+def set_key(doc, key_path, value):
+    *parents, last = key_path.split(".")
+    for part in parents:
+        doc = doc.setdefault(part, {})
+    doc[last] = value
+
+
 class TestExampleCommand:
     def test_all_names_materialize(self, example_dir):
         for name in bundled.example_names():
@@ -299,11 +306,7 @@ class TestInputErrors:
     def test_json_nonfinite_names_the_key(self, key, value, tmp_path, capsys):
         # NaN and Infinity are not JSON: never read as finite numbers
         doc = bundled.example_doc("example504_r1")
-        *parents, last = key.split(".")
-        node = doc
-        for part in parents:
-            node = node[part]
-        node[last] = value
+        set_key(doc, key, value)
         p = tmp_path / "nonfinite.yaml"
         p.write_text(json.dumps(doc))
         assert main(["solve", "--spec", str(p), "--quiet"]) == 1
@@ -562,11 +565,7 @@ class TestOverrides:
 
         got = outcome(apply_overrides(bundled.example_doc("definite_2x2"), [setting]))
         doc = bundled.example_doc("definite_2x2")
-        *parents, last = setting.split("=")[0].split(".")
-        node = doc
-        for part in parents:
-            node = node.setdefault(part, {})
-        node[last] = yaml_value
+        set_key(doc, setting.split("=")[0], yaml_value)
         want = outcome(doc)
         if isinstance(want, str):
             assert got == want
