@@ -31,6 +31,7 @@ from .core import (
     DEFAULT_EPS_POS,
     CoefficientPath,
     ProblemData,
+    lq_block,
     lq_terms,
     min_eigenvalue,
     path_samples,
@@ -175,15 +176,15 @@ def check_subsolution(
             f"the problem needs {data.n}x{data.n}"
         )
     tol_eff = tol * (10.0 if cand.derivative_fd else 1.0)
-    grid = data.grid
-    hat, rhs, base = lq_terms(data.stacked_at(grid), cand.F)
-    base = cand.dF + base
+    grid, n = data.grid, data.n
+    H = lq_block(data.blocks_at(grid), cand.F)
+    H[:, :n, :n] += cand.dF
 
     def drift_eigs(shift):
-        """Minimal eigenvalues of dF/dt + f(F, 0) with R lowered by ``shift``."""
-        return min_eigenvalue(riccati_drift(hat - shift * np.eye(data.k), rhs, base))
+        """Minimal eigenvalues of dF/dt + f(F, 0) with R (lower right in H) less ``shift``."""
+        return min_eigenvalue(riccati_drift(H - shift * np.diag(np.arange(n + data.k) >= n), n))
 
-    hat_eigs = min_eigenvalue(hat)
+    hat_eigs = min_eigenvalue(H[:, n:, n:])
     hat_min = float(np.min(hat_eigs))
     if hat_min <= eps_pos:
         j = int(np.argmin(hat_eigs))
@@ -282,10 +283,9 @@ def _normalize_alpha(alpha, data: ProblemData):
     return times, np.interp(times, data.grid, a_vals)
 
 
-def _upsilon_parts(coeffs, n):
+def _upsilon_parts(blocks, n):
     """sum D'D, (B + sum C'D)' and A + A' + sum C'C: lq_terms at P = I, R = Q = 0."""
-    A, B, C, D, R, _ = coeffs
-    return lq_terms((A, B, C, D, np.zeros_like(R), 0.0), np.eye(n))
+    return lq_terms((*blocks[:2], 0.0), np.eye(n))
 
 
 def _threshold_endpoint(times, a_vals) -> bool:
@@ -365,9 +365,9 @@ def certify_scalar_comparison(
             f"alpha values must lie in [0, 1); 1 only at t = 0 of the constant-threshold "
             f"schedule with an odd node count of at least {quadrature_nodes(data)}")
 
-    coeffs = data.stacked_at(times)
-    R_, Q_ = coeffs[4], coeffs[5]
-    sumDtD, Mt, ups = _upsilon_parts(coeffs, data.n)
+    blocks = data.blocks_at(times)
+    Q_, R_ = blocks[2][:, :data.n, :data.n], blocks[2][:, data.n:, data.n:]
+    sumDtD, Mt, ups = _upsilon_parts(blocks, data.n)
     dd_eigs = min_eigenvalue(sumDtD)
     if float(np.min(dd_eigs)) < eps_pos:
         j = int(np.argmin(dd_eigs))
@@ -405,7 +405,7 @@ def certify_scalar_comparison(
     # store witness paths on the coarse problem grid
     phi_coarse = np.interp(data.grid, times, phi)
     alpha_coarse = np.interp(data.grid, times, a_vals)
-    sumDtD_coarse = _upsilon_parts(data.stacked_at(data.grid), data.n)[0]
+    sumDtD_coarse = _upsilon_parts(data.blocks_at(data.grid), data.n)[0]
     boundary = -(alpha_coarse * phi_coarse)[:, None, None] * sumDtD_coarse
 
     witness = dict(phi=phi_coarse, boundary=boundary, threshold=threshold,
@@ -505,7 +505,7 @@ def certify_definite_regime(data: ProblemData, eps_pos: float = DEFAULT_EPS_POS)
         reasons.append(f"N not positive semi-definite (min {n_min:.3e})")
 
     psd_r = r_min >= -PSD_SLACK * scale_r
-    dd_eigs = min_eigenvalue(_upsilon_parts(data.stacked_at(data.grid), data.n)[0])
+    dd_eigs = min_eigenvalue(_upsilon_parts(data.blocks_at(data.grid), data.n)[0])
     dd_min = float(np.min(dd_eigs))
     if psd_q and psd_r and n_min > eps_pos and dd_min >= eps_pos:
         inner = certify_scalar_comparison(data, 0.01, eps_pos=eps_pos)
@@ -551,11 +551,11 @@ def apply_shift(data: ProblemData, K, dK=None):
     else:
         dK = _witness(dK, grid, data.n, "dK")
 
-    hat, rhs, base = lq_terms(data.stacked_at(grid), K)
+    hat, rhs, base = lq_terms(data.blocks_at(grid), K)
     # rhs = B'K + sum_i D_i'K C_i is the transpose of the compensation defect
     # K B + sum_i C_i'K D_i because K is symmetric; the norm is the same
     residual = float(np.max(np.sqrt(np.sum(rhs * rhs, axis=(-2, -1)))))
-    shifted = data.with_weights(R=hat, Q=symmetrize(base + dK), N=data.N - K[-1])
+    shifted = data.with_weights(R=symmetrize(hat), Q=symmetrize(base + dK), N=data.N - K[-1])
     return shifted, residual
 
 
@@ -576,5 +576,6 @@ def shift_solution_back(
         t_event=solution.t_event,
         accepted_steps=solution.accepted_steps,
         rejected_steps=solution.rejected_steps,
+        rhs_evaluations=solution.rhs_evaluations,
         margin_min_dense=float(np.min(margin)),
     )

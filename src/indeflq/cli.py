@@ -82,7 +82,8 @@ def _solve(spec: ParsedSpec, report, args):
     report["margin_min"] = sol.margin_min_dense
     if sol.t_event is not None:
         report["t_event"] = sol.t_event
-    report["steps"] = {"accepted": sol.accepted_steps, "rejected": sol.rejected_steps}
+    report["steps"] = {"accepted": sol.accepted_steps, "rejected": sol.rejected_steps,
+                       "rhs_evaluations": sol.rhs_evaluations}
     if sol.completed:
         report["P0"] = sol.P0
         return sol, None

@@ -4,6 +4,10 @@ Coefficients are deterministic matrix paths sampled on one uniform grid over
 [0, T].  Because the data are deterministic, the martingale part of the
 unknown vanishes and every operator below is evaluated with that part set to
 zero unless a nonzero family is passed explicitly.
+
+The Riccati generator is the Schur complement of one symmetric block,
+H(P) = [[A'P + PA + C'PC + Q, (B'P + D'PC)'], [B'P + D'PC, R + D'PD]] (summed
+over the channels); ``lq_block`` is its one implementation.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ __all__ = [
     "symmetric_part_error",
     "min_eigenvalue",
     "path_samples",
+    "lq_block",
     "lq_terms",
     "riccati_drift",
     "eval_hat_R",
@@ -97,12 +102,22 @@ def _interpolate(samples, h, piecewise_constant, t):
     ``t`` followed by the matrix shape.
     """
     m = samples.shape[0] - 1
+    if isinstance(t, float):  # the same operations on Python floats, in a third of the time
+        pos = min(max(t / h, 0.0), m)
+        j = min(int(pos), m - 1)
+        w = pos - j
+        return samples[j] if piecewise_constant else (1.0 - w) * samples[j] + w * samples[j + 1]
     pos = np.minimum(np.maximum(np.asarray(t, dtype=float) / h, 0.0), m)
     j = np.minimum(pos.astype(int), m - 1)
     if piecewise_constant:
         return samples[j]
+    # copies (take never returns a view) weighted in place: two temporaries, not three
+    lo, hi = np.take(samples, j, axis=0), np.take(samples, j + 1, axis=0)
     w = (pos - j)[..., None, None]
-    return (1.0 - w) * samples[j] + w * samples[j + 1]
+    lo *= 1.0 - w
+    hi *= w
+    lo += hi
+    return lo
 
 
 @dataclass(frozen=True)
@@ -238,30 +253,16 @@ class ProblemData:
                 raise ValueError(f"{name} samples are not symmetric (defect {err:.3e})")
         if symmetric_part_error(N) > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(N)))):
             raise ValueError("terminal weight N is not symmetric")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "N", symmetrize(N))
-        # every coefficient flattened side by side, so one locate-and-lerp
-        # serves all of them at once; _layout maps table columns back
-        paths = (A, B, *C, *D, R, Q)
-        table = np.concatenate([p.samples.reshape(grid.size, 1, -1) for p in paths], axis=2)
-        object.__setattr__(self, "_table", CoefficientPath(grid, table, interp))
-        layout = []
-        start = 0
-        for shape in ((n, n), (n, k), (d, n, n), (d, n, k), (k, k), (n, n)):
-            stop = start + int(np.prod(shape))
-            layout.append((start, stop, shape))
-            start = stop
-        object.__setattr__(self, "_layout", tuple(layout))
+        # every coefficient in one block table, rows [A B; C_1 D_1; ...; Q 0; 0 R],
+        # so one locate-and-lerp serves all of them at once (see blocks_at)
+        zero = np.zeros((grid.size, n, k))
+        table = np.block([[A.samples, B.samples],
+                          *([ci.samples, di.samples] for ci, di in zip(C, D)),
+                          [Q.samples, zero], [zero.swapaxes(1, 2), R.samples]])
+        table = CoefficientPath(grid, table, interp)
+        for name, value in dict(n=n, k=k, d=d, T=T, grid=grid, A=A, B=B, C=C, D=D, R=R, Q=Q,
+                                N=symmetrize(N), _table=table).items():
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
@@ -274,23 +275,23 @@ class ProblemData:
     @property
     def time_invariant(self) -> bool:
         """Whether every coefficient path holds one matrix over the whole grid."""
-        table = self._table.samples
-        return bool(np.all(table == table[0]))
+        return bool(np.all(self._table.samples == self._table.samples[0]))
+
+    def blocks_at(self, t):
+        """Views of the block table at scalar or vector ``t``: ``[A B]``, the
+        channels ``V_i = [C_i D_i]`` (indexed first) and ``Z = diag(Q, R)``."""
+        n, d = self.n, self.d
+        rows = self._table.at(t)
+        L = rows.ndim - 2
+        V = rows[..., n:(1 + d) * n, :].reshape(*rows.shape[:L], d, n, -1)
+        V = V.transpose(L, *range(L), L + 1, L + 2)
+        return rows[..., :n, :], V, rows[..., (1 + d) * n:, :]
 
     def stacked_at(self, t):
-        """All coefficients at scalar or vector ``t``: (A, B, C, D, R, Q).
-
-        C and D are indexed by noise channel first: shape (d,) + t.shape +
-        the matrix shape.
-        """
-        flat = self._table.at(t)[..., 0, :]
-        lead = flat.shape[:-1]
-        A, B, C, D, R, Q = (
-            flat[..., start:stop].reshape(lead + shape) for start, stop, shape in self._layout
-        )
-        L = len(lead)
-        channel_first = (L, *range(L), L + 1, L + 2)
-        return A, B, C.transpose(channel_first), D.transpose(channel_first), R, Q
+        """All coefficients at scalar or vector ``t``: (A, B, C, D, R, Q), views of
+        ``blocks_at``'s.  C and D are indexed by noise channel first."""
+        (AB, V, Z), n = self.blocks_at(t), self.n
+        return AB[..., :n], AB[..., n:], V[..., :n], V[..., n:], Z[..., n:, n:], Z[..., :n, :n]
 
     def with_weights(self, R=None, Q=None, N=None):
         """Copy of the data with some weights replaced (paths or constants)."""
@@ -304,64 +305,63 @@ class ProblemData:
         )
 
 
-def lq_terms(coeffs, P, Lambda=None):
-    """The three Riccati objects at one time or along a stack of times.
+def lq_block(blocks, P, Lambda=None):
+    """H = [[base, rhs'], [rhs, hat]] at one time or along a stack of times.
 
-    ``coeffs`` is ``(A, B, C, D, R, Q)`` as returned by
-    ``ProblemData.stacked_at``; ``P`` is (n, n) or (t, n, n) to match, and
-    ``Lambda`` (optional) holds one such matrix per noise channel.  Returns
-
-    - ``hat``  = R + sum_i D_i' P D_i, symmetrized (the effective control weight);
-    - ``rhs``  = B'P + sum_i D_i'(P C_i + Lambda_i) (the gain right-hand side,
-      hat Gamma = -rhs);
-    - ``base`` = A'P + PA + Q + sum_i (C_i'P C_i + C_i'Lambda_i + Lambda_i C_i)
-      (the drift without the quadratic term, not symmetrized).
+    H = [AB'P, 0] + [AB'P, 0]' + Z + sum_i V_i'P V_i from ``blocks`` =
+    ``ProblemData.blocks_at(t)`` and a symmetric ``P``, (n, n) or (t, n, n) to
+    match; ``Lambda`` (optional, one such matrix per noise channel) adds
+    D_i'Lambda_i to ``rhs`` and C_i'Lambda_i + Lambda_i C_i to ``base``.
     """
-    A, B, C, D, R, Q = coeffs
-    hat = np.array(R)
-    rhs = B.swapaxes(-1, -2) @ P
-    M = A.swapaxes(-1, -2) @ P
-    base = M + M.swapaxes(-1, -2) + Q
-    for i, (Ci, Di) in enumerate(zip(C, D)):
-        DtP = Di.swapaxes(-1, -2) @ P
-        hat += DtP @ Di
-        rhs += DtP @ Ci
-        Ct = Ci.swapaxes(-1, -2)
-        base += (Ct @ P) @ Ci
+    AB, V, Z = blocks
+    n = P.shape[-1]
+    ABtP = AB.swapaxes(-1, -2) @ P
+    H = np.zeros(ABtP.shape[:-1] + (ABtP.shape[-2],))  # (n + k) square
+    H[..., :n] = ABtP
+    H[..., :n, :] += ABtP.swapaxes(-1, -2)
+    H += Z
+    for i, Vi in enumerate(V):
+        H += Vi.swapaxes(-1, -2) @ P @ Vi
         if Lambda is not None:
-            rhs += Di.swapaxes(-1, -2) @ Lambda[i]
-            base += Ct @ Lambda[i] + Lambda[i] @ Ci
-    return 0.5 * (hat + hat.swapaxes(-1, -2)), rhs, base
+            H[..., :n] += Vi.swapaxes(-1, -2) @ Lambda[i]
+            H[..., :n, :n] += Lambda[i] @ Vi[..., :n]
+    return H
 
 
-def riccati_drift(hat, rhs, base):
-    """The drift f = base - rhs' hat^{-1} rhs from lq_terms, symmetrized (batched).
+def lq_terms(blocks, P, Lambda=None):
+    """(hat, rhs, base): the lower-right, lower-left and upper-left blocks of
+    ``lq_block(blocks, P, Lambda)`` as views.  hat = R + sum D'PD is the effective
+    control weight, rhs = B'P + sum D'(PC + Lambda) the gain right-hand side
+    (hat Gamma = -rhs), base = A'P + PA + Q + sum (C'PC + C'Lambda + Lambda C)."""
+    H, n = lq_block(blocks, P, Lambda), P.shape[-1]
+    return H[..., n:, n:], H[..., n:, :n], H[..., :n, :n]
 
-    Equals base - Gamma' hat_R Gamma because hat_R Gamma = -rhs.  Symmetrized
-    inline rather than through ``symmetrize``: the solver calls this at every stage.
-    """
-    f = base - rhs.swapaxes(-1, -2) @ np.linalg.solve(hat, rhs)
+
+def riccati_drift(H, n):
+    """The drift f = base - rhs' hat^{-1} rhs, symmetrized: the Schur complement of
+    hat in H = lq_block(...) with n states (batched); a 1x1 hat is a division."""
+    hat, rhs = H[..., n:, n:], H[..., n:, :n]
+    K = rhs / hat if hat.shape[-1] == 1 else np.linalg.solve(hat, rhs)
+    f = H[..., :n, :n] - rhs.swapaxes(-1, -2) @ K
     return 0.5 * (f + f.swapaxes(-1, -2))
 
 
-def _checked_terms(P, Lambda, data: ProblemData, t, eps_pos):
-    """lq_terms at time t; ConstraintViolation when hat_R is not above eps_pos."""
-    if Lambda is not None:
-        Lambda = np.asarray(Lambda, dtype=float)
-        if Lambda.shape != (data.d, data.n, data.n):
-            raise ValueError(
-                f"Lambda must have shape ({data.d}, {data.n}, {data.n}), got {Lambda.shape}"
-            )
-    hat, rhs, base = lq_terms(data.stacked_at(t), symmetrize(P), Lambda)
-    lam = min_eigenvalue(hat)
+def _checked_block(P, Lambda, data: ProblemData, t, eps_pos):
+    """lq_block at time t; ConstraintViolation when hat_R is not above eps_pos."""
+    shape = (data.d, data.n, data.n)
+    Lambda = None if Lambda is None else np.asarray(Lambda, dtype=float)
+    if Lambda is not None and Lambda.shape != shape:
+        raise ValueError(f"Lambda must have shape {shape}, got {Lambda.shape}")
+    H = lq_block(data.blocks_at(t), symmetrize(P), Lambda)
+    lam = min_eigenvalue(H[data.n:, data.n:])
     if lam <= eps_pos:
         raise ConstraintViolation(t, lam)
-    return hat, rhs, base
+    return H
 
 
 def eval_hat_R(P, data: ProblemData, t):
-    """Effective control weight R(t) + sum_i D_i(t)' P D_i(t), symmetrized."""
-    return lq_terms(data.stacked_at(t), np.asarray(P, dtype=float))[0]
+    """Effective control weight R(t) + sum_i D_i(t)' P D_i(t) of the symmetric part of P."""
+    return lq_terms(data.blocks_at(t), symmetrize(P))[0]
 
 
 def eval_gamma(P, Lambda, data: ProblemData, t, eps_pos=DEFAULT_EPS_POS):
@@ -371,8 +371,8 @@ def eval_gamma(P, Lambda, data: ProblemData, t, eps_pos=DEFAULT_EPS_POS):
     ConstraintViolation when the minimal eigenvalue of hat_R(P) is at or below
     the positivity floor.
     """
-    hat, rhs, _ = _checked_terms(P, Lambda, data, t, eps_pos)
-    return -np.linalg.solve(hat, rhs)
+    H, n = _checked_block(P, Lambda, data, t, eps_pos), data.n
+    return -np.linalg.solve(H[n:, n:], H[n:, :n])
 
 
 def eval_f(P, Lambda, data: ProblemData, t, eps_pos=DEFAULT_EPS_POS):
@@ -380,4 +380,4 @@ def eval_f(P, Lambda, data: ProblemData, t, eps_pos=DEFAULT_EPS_POS):
 
     f = A'P + PA + sum_i (C_i'P C_i + C_i' L_i + L_i C_i) + Q - Gamma' hat_R Gamma.
     """
-    return riccati_drift(*_checked_terms(P, Lambda, data, t, eps_pos))
+    return riccati_drift(_checked_block(P, Lambda, data, t, eps_pos), data.n)

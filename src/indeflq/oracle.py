@@ -17,11 +17,11 @@ and Z_j = diag(Q delta, R delta), the matrix
     M = W_j' diag(P, ..., P) W_j + Z_j = [[Pn, G'], [G, S]]
 
 holds the state block Pn, the gain term G and the discrete control weight S
-at once, and the value one step earlier is Pn - G' S^-1 G.  This S is not
-``core.lq_terms``' effective weight: S / delta = R + sum D'PD + delta B'PB,
-and its positivity is what the discrete problem needs.  The recursion keeps
-its own expression, so it stays a cross-check of the continuous solver
-rather than a second use of its kernel.
+at once, and the value one step earlier is Pn - G' S^-1 G.  M / delta is the
+discrete analogue of ``core.lq_block``'s H, computed here by its own code on
+purpose: the recursion stays a cross-check of the continuous solver rather
+than a second use of its kernel, and S / delta = R + sum D'PD + delta B'PB is
+not H's effective weight; its positivity is what the discrete problem needs.
 
 A ladder of step counts runs in lockstep: one backward loop whose iteration
 i takes step N - 1 - i of every recursion with N > i, their values stacked
@@ -69,19 +69,14 @@ def _step_tables(data: ProblemData, counts, delta, first, stop):
     """
     n, k, d = data.n, data.k, data.d
     j = counts - 1 - np.arange(first, stop)[:, None]
-    A_, B_, C_, D_, R_, Q_ = data.stacked_at(j * delta)
+    AB, V, Z = data.blocks_at(j * delta)
     dt = delta[:, None, None]
-    sq = np.sqrt(delta)[:, None, None, None]
     # W[a, e] holds the d + 1 row blocks of W_j, each n x (n + k)
     W = np.empty(j.shape + (d + 1, n, n + k))
-    W[..., 0, :, :n] = np.eye(n) + A_ * dt
-    W[..., 0, :, n:] = B_ * dt
-    W[..., 1:, :, :n] = np.moveaxis(C_, 0, -3) * sq
-    W[..., 1:, :, n:] = np.moveaxis(D_, 0, -3) * sq
-    Z = np.zeros(j.shape + (n + k, n + k))
-    Z[..., :n, :n] = Q_ * dt
-    Z[..., n:, n:] = R_ * dt
-    return W, Z
+    W[..., 0, :, :] = AB * dt
+    W[..., 0, :, :n] += np.eye(n)
+    W[..., 1:, :, :] = np.moveaxis(V, 0, -3) * np.sqrt(delta)[:, None, None, None]
+    return W, Z * dt
 
 
 def dp_ladder(data: ProblemData, steps, eps_pos: float = DEFAULT_EPS_POS) -> list[OracleResult]:

@@ -31,6 +31,7 @@ from .core import (
     DEFAULT_EPS_POS,
     PIECEWISE_CONSTANT_LEFT,
     ProblemData,
+    lq_block,
     lq_terms,
     min_eigenvalue,
     riccati_drift,
@@ -118,6 +119,7 @@ class RiccatiSolution:
     met at the output times, the piece starts, the accepted step ends and the
     stage that located a constraint violation.  On constraint violation or
     blow-up the trajectory covers the output times in [t_event, T] only.
+    ``rhs_evaluations`` counts the ``lq_block`` calls of the stages and event tests.
     """
 
     grid: np.ndarray
@@ -128,6 +130,7 @@ class RiccatiSolution:
     t_event: float | None
     accepted_steps: int
     rejected_steps: int
+    rhs_evaluations: int
     margin_min_dense: float
 
     @property
@@ -148,7 +151,7 @@ class RiccatiSolution:
 
 def derive_gain_margin(data: ProblemData, grid, P):
     """Feedback gains Gamma(P, 0) and constraint margins along a stored P path."""
-    hat, rhs, _ = lq_terms(data.stacked_at(grid), P)
+    hat, rhs, _ = lq_terms(data.blocks_at(grid), P)
     return -np.linalg.solve(hat, rhs), min_eigenvalue(hat)
 
 
@@ -190,21 +193,22 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
     # the coefficients held over the piece being integrated, or None to look
     # them up at every stage; a piecewise-constant piece is sampled at its
     # midpoint, so that stages landing exactly on a breakpoint stay on it
-    frozen = data.stacked_at(0.0) if data.time_invariant and not pc_mode else None
+    frozen = data.blocks_at(0.0) if data.time_invariant and not pc_mode else None
 
-    def terms_at(s, y):
-        """lq_terms at t = T - s for y ~ P(T - s), on the frozen piece if any."""
+    def block_at(s, y):
+        """lq_block at t = T - s for y ~ P(T - s), on the frozen piece if any."""
+        nonlocal evaluations
+        evaluations += 1
         P = y.reshape(n, n)
-        P = 0.5 * (P + P.T)
-        return lq_terms(frozen if frozen is not None else data.stacked_at(T - s), P)
+        P = P if n == 1 else 0.5 * (P + P.T)  # a 1x1 P is symmetric already
+        return lq_block(frozen if frozen is not None else data.blocks_at(T - s), P)
 
-    def slope(terms):
+    def slope(H):
         """dy/ds = +f(P, 0) in reversed time, or NaN when hat_R degenerates."""
-        hat, rhs, base = terms
-        if hat[0, 0] <= 0.0 or (hat.shape[0] > 1 and np.min(np.diagonal(hat)) <= 0.0):
+        if H[n, n] <= 0.0 or (H.shape[0] > n + 1 and np.min(np.diagonal(H)[n + 1:]) <= 0.0):
             return nan_slope  # positivity already fails; the event test reports it
         try:
-            return riccati_drift(hat, rhs, base).ravel()
+            return riccati_drift(H, n).ravel()
         except np.linalg.LinAlgError:
             return nan_slope
 
@@ -228,8 +232,8 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
         while hi - lo > bracket:
             mid = 0.5 * (lo + hi)
             ym = at((mid - s0) / (s1 - s0))
-            terms = terms_at(mid, ym)
-            found = event(ym, min_eigenvalue(terms[0]), slope(terms))
+            H = block_at(mid, ym)
+            found = event(ym, min_eigenvalue(H[n:, n:]), slope(H))
             if found is None:
                 lo = mid
             else:
@@ -241,14 +245,12 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
     # piecewise-constant interpolation (kinks in the RHS).
     tau_out = np.linspace(0.0, T, config.output_points)
     s_out = T - tau_out[::-1]
-    piece_ends = [T]
-    if pc_mode:
-        piece_ends = (T - data.grid[-2:0:-1]).tolist() + [T]
+    piece_ends = (T - data.grid[-2:0:-1]).tolist() + [T] if pc_mode else [T]
 
     y = symmetrize(data.N).ravel()
     out_y = [y[None]]  # blocks of outputs, stored while t descends from T
     s = s_event = 0.0
-    accepted = rejected = 0
+    accepted = rejected = evaluations = 0
     err_old = 1e-4
     h = T / 512  # first trial step: the default output spacing, on any output grid
     margin_min = np.inf
@@ -257,12 +259,12 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
     j = 1  # the next output time is s_out[j]
     for s_end in piece_ends:
         if pc_mode:
-            frozen = data.stacked_at(T - 0.5 * (s + s_end))
+            frozen = data.blocks_at(T - 0.5 * (s + s_end))
         # t = T or a new piece: the event test on this piece's terms
-        terms = terms_at(s, y)
-        margin_now = min_eigenvalue(terms[0])
+        H = block_at(s, y)
+        margin_now = min_eigenvalue(H[n:, n:])
         margin_min = min(margin_min, margin_now)
-        f_now = slope(terms)
+        f_now = slope(H)
         hit = event(y, margin_now, f_now)
         if hit is not None:
             s_event = s
@@ -275,9 +277,9 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
             k[0] = f_now
             hats = []
             for i in range(1, 7):
-                terms = terms_at(s + _C[i] * h_try, y + h_try * (k[:i].T @ _A[i]))
-                k[i] = slope(terms)
-                hats.append(terms[0])
+                H = block_at(s + _C[i] * h_try, y + h_try * (k[:i].T @ _A[i]))
+                k[i] = slope(H)
+                hats.append(H[n:, n:])
             y1 = y + h_try * (k.T @ _B5)
             err_vec = h_try * (k.T @ _ERR)
             scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y1))
@@ -288,7 +290,7 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
                 s_new = s + h_try
                 # the FSAL stage sits at (s_new, y1): its terms test the
                 # accepted point and k[6] starts the next step
-                margin_now = min_eigenvalue(terms[0])
+                margin_now = min_eigenvalue(H[n:, n:])
                 margin_min = min(margin_min, margin_now)
                 hit = event(y1, margin_now, k[6])
                 at = _extension(y, y1, k, h_try)
@@ -339,6 +341,7 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
         t_event=None if hit is None else T - s_event,
         accepted_steps=accepted,
         rejected_steps=rejected,
+        rhs_evaluations=evaluations,
         margin_min_dense=float(min(margin_min, np.min(margin))),
     )
 
@@ -362,10 +365,10 @@ def check_solution_residual(
         raise ValueError("residual check needs at least 3 stored points and 1 probe")
     h = (grid[-1] - grid[0]) / (n_out - 1)
     idx = np.unique(np.linspace(1, n_out - 2, min(probe_points, n_out - 2)).round().astype(int))
-    hat, rhs, base = lq_terms(data.stacked_at(grid[idx]), symmetrize(P[idx]))
-    margin = min_eigenvalue(hat)
+    H = lq_block(data.blocks_at(grid[idx]), symmetrize(P[idx]))
+    margin = min_eigenvalue(H[:, data.n:, data.n:])
     bad = np.flatnonzero(margin <= 0.0)
     if bad.size:
         raise ConstraintViolation(grid[idx[bad[0]]], margin[bad[0]])
-    res = (P[idx + 1] - P[idx - 1]) / (2.0 * h) + riccati_drift(hat, rhs, base)
+    res = (P[idx + 1] - P[idx - 1]) / (2.0 * h) + riccati_drift(H, data.n)
     return float(np.max(np.sqrt(np.sum(res * res, axis=(-2, -1)))))

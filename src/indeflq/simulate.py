@@ -157,8 +157,7 @@ class _EulerSetup:
         self.n, self.d = data.n, data.d
         self.n_steps, self.dt = n_steps, data.T / n_steps
         t_left = np.arange(n_steps) * self.dt
-        coeffs = data.stacked_at(t_left)
-        A, B, C, D, R, Q = coeffs
+        A, B, C, D, R, Q = data.stacked_at(t_left)
         G = (np.zeros((n_steps, data.k, data.n)) if policy.gain is None else
              _policy_at(policy.gain, data, (data.k, data.n), "gain", t_left))
         if policy.perturb is not None:
@@ -172,7 +171,8 @@ class _EulerSetup:
         weights = [(J @ Q @ J.T + G.swapaxes(-1, -2) @ R @ G) * self.dt]
         if solution is not None:
             E = G - CoefficientPath(solution.grid, solution.gain).at(t_left) @ J.T
-            hat_R = lq_terms(coeffs, CoefficientPath(solution.grid, solution.P).at(t_left))[0]
+            P = CoefficientPath(solution.grid, solution.P).at(t_left)
+            hat_R = lq_terms(data.blocks_at(t_left), P)[0]
             weights.append(E.swapaxes(-1, -2) @ hat_R @ E * self.dt)
         # a zero weight adds exactly 0 to a finite state's sum: skipping it is exact
         self.kept = [i for i, W in enumerate(weights) if W.any()]
@@ -424,6 +424,6 @@ def hamiltonian_identity_check(
     times = grid[idx]
     P = P_solution.P[idx]
     G = P_solution.gain[idx]
-    hat, rhs, _ = lq_terms(data.stacked_at(times), P)
+    hat, rhs, _ = lq_terms(data.blocks_at(times), P)
     defect = hat @ G + rhs
     return float(np.max(np.sqrt(np.sum(defect * defect, axis=(-2, -1)))))

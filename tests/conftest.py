@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from indeflq.core import ProblemData
+from indeflq.core import ProblemData, symmetrize
 
 
 def random_definite_problem(rng, n=None, k=None, d=None, T=1.0, points=65):
@@ -44,6 +44,24 @@ def random_scalar_data(rng, points=33):
         R=r, Q=q, N=[[nn]], grid=grid,
     )
     return data, (a, b, c, dd, r, q, nn)
+
+
+def reference_lq_terms(coeffs, P, Lambda=None):
+    """(hat, rhs, base) term by term over the channels, from stacked_at's coefficients.
+
+    The effective weight R + sum D'PD (symmetrized), the gain right-hand side
+    B'P + sum D'(PC + Lambda) and the drift base A'P + PA + Q + sum (C'PC +
+    C'Lambda + Lambda C), each added in the order of the formula.
+    """
+    A, B, C, D, R, Q = coeffs
+    tr = lambda M: M.swapaxes(-1, -2)  # noqa: E731
+    hat, rhs, base = R, tr(B) @ P, tr(A) @ P + P @ A + Q
+    for i in range(len(C)):
+        L = np.zeros_like(P) if Lambda is None else Lambda[i]
+        hat = hat + tr(D[i]) @ P @ D[i]
+        rhs = rhs + tr(D[i]) @ P @ C[i] + tr(D[i]) @ L
+        base = base + tr(C[i]) @ P @ C[i] + (tr(C[i]) @ L + L @ C[i])
+    return symmetrize(hat), rhs, base
 
 
 @pytest.fixture(scope="session")

@@ -384,7 +384,8 @@ class TestInputErrors:
         def no_tables(*args):
             raise AssertionError("a coefficient table was built")
 
-        monkeypatch.setattr(core.ProblemData, "stacked_at", no_tables)
+        # the one accessor of the coefficient table; stacked_at reads through it
+        monkeypatch.setattr(core.ProblemData, "blocks_at", no_tables)
         assert main([argv[0], "--spec", str(path), "--quiet", *argv[1:]]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "31153" in err and "exceed 1e+07" in err
@@ -637,6 +638,8 @@ class TestReportDeterminism:
             rep = read_report(out)
             timings = rep.pop("timings")
             assert timings["simulate_rng"] > 0.0 and timings["simulate_step"] > 0.0
+            steps = rep["steps"]
+            assert steps["rhs_evaluations"] >= 6 * (steps["accepted"] + steps["rejected"])
             outs.append(rep)
         assert outs[0] == outs[1]
 

@@ -9,6 +9,7 @@ from indeflq.core import (
     eval_f,
     eval_gamma,
     eval_hat_R,
+    lq_terms,
     min_eigenvalue,
     symmetrize,
 )
@@ -16,7 +17,7 @@ from indeflq.certificates import SubsolutionCandidate, apply_shift
 from indeflq.errors import ConstraintViolation, GridMismatch
 from indeflq.simulate import ControlPolicy, SimConfig, simulate_cost
 
-from conftest import random_scalar_data
+from conftest import random_scalar_data, reference_lq_terms
 
 
 def make_data(**kw):
@@ -231,6 +232,35 @@ class TestStackedAt:
                 row = vec[:, i] if name in "CD" else vec[i]
                 assert np.array_equal(row, pt), (name, t)
                 assert np.array_equal(pt, own), (name, t)
+
+
+class TestBlockKernel:
+    def test_matches_term_by_term_reference(self):
+        # random sizes, one time and a stack of times, with no Lambda and with a
+        # non-symmetric one: the three blocks of H are the term-by-term objects
+        rng = np.random.default_rng(31)
+        grid = np.linspace(0.0, 1.0, 5)
+
+        def path(rows, cols, sym=False):
+            S = rng.standard_normal((grid.size, rows, cols))
+            return S + np.swapaxes(S, -1, -2) if sym else S
+
+        for _ in range(40):
+            n, k, d = (int(v) for v in rng.integers(1, 4, size=3))
+            data = ProblemData(n=n, k=k, d=d, T=1.0, A=path(n, n), B=path(n, k),
+                               C=[path(n, n) for _ in range(d)],
+                               D=[path(n, k) for _ in range(d)],
+                               R=path(k, k, True), Q=path(n, n, True), N=np.eye(n), grid=grid)
+            for t in (float(rng.random()), rng.random(4)):
+                lead = np.shape(t)
+                P = symmetrize(3.0 * rng.standard_normal(lead + (n, n)))
+                for Lam in (None, rng.standard_normal((d, *lead, n, n))):
+                    got = lq_terms(data.blocks_at(t), P, Lam)
+                    want = reference_lq_terms(data.stacked_at(t), P, Lam)
+                    scale = 1.0 + np.linalg.norm(P) + (0.0 if Lam is None else np.linalg.norm(Lam))
+                    for name, g, w in zip(("hat", "rhs", "base"), got, want):
+                        assert g.shape == w.shape, name
+                        assert np.max(np.abs(g - w)) <= 1e-13 * scale, (name, n, k, d)
 
 
 class TestProperties:

@@ -193,13 +193,13 @@ class TestLockstep:
     def test_tables_hold_at_most_max_steps_rows(self, monkeypatch):
         data = random_definite_problem(np.random.default_rng(11))
         sizes = []
-        stacked_at = ProblemData.stacked_at
+        blocks_at = ProblemData.blocks_at
 
         def recorded(self, t):
             sizes.append(np.size(t))
-            return stacked_at(self, t)
+            return blocks_at(self, t)
 
-        monkeypatch.setattr(ProblemData, "stacked_at", recorded)
+        monkeypatch.setattr(ProblemData, "blocks_at", recorded)
         # more spans than counts: the row bound, not only completions, ends spans
         dp_ladder(data, (30, 28, 26, 24, 1))
         assert len(sizes) > 5 and max(sizes) <= 30

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from indeflq import riccati
-from indeflq.core import CoefficientPath, ProblemData, lq_terms, symmetrize
+from indeflq.core import CoefficientPath, ProblemData, lq_block, symmetrize
 from indeflq.errors import ConstraintViolation, StepLimit
 from indeflq.oracle import dp_ladder
 from indeflq.riccati import (
@@ -19,7 +19,7 @@ from indeflq.riccati import (
 from indeflq.specio import parse_spec
 from indeflq import bundled
 
-from conftest import random_definite_problem, scalar_benchmark
+from conftest import random_definite_problem, reference_lq_terms, scalar_benchmark
 
 
 def implicit_solution_root(r, t):
@@ -252,20 +252,48 @@ class TestPiecewiseConstantKinks:
 
 class TestStageReuse:
     @pytest.mark.parametrize("interpolation", ["piecewise-linear", "piecewise-constant-left"])
-    def test_lq_terms_calls_per_step(self, monkeypatch, interpolation):
-        # a step trial evaluates its six new stages; the accepted point's terms
-        # are its last stage's, so lq_terms runs only once more per coefficient
-        # piece (at its start) and once for the stored gains
+    def test_lq_block_calls_per_step(self, monkeypatch, interpolation):
+        # a step trial evaluates its six new stages; the accepted point's block
+        # is its last stage's, so the kernel runs only once more per coefficient
+        # piece (at its start); the stored gains read lq_terms apart from these
         grid = np.linspace(0.0, 1.0, 9)
         R = CoefficientPath(grid, (1.0 + 0.5 * np.sin(3.0 * grid))[:, None, None], interpolation)
         data = ProblemData(n=1, k=1, d=1, T=1.0, A=0.0, B=1.0, C=[0.0], D=[1.0], R=R,
                            Q=0.0, N=[[1.0]], grid=grid)
         calls = []
-        monkeypatch.setattr(riccati, "lq_terms", lambda *args: calls.append(1) or lq_terms(*args))
+        monkeypatch.setattr(riccati, "lq_block", lambda *args: calls.append(1) or lq_block(*args))
         sol = solve_riccati(data, SolverConfig(output_points=513))
         pieces = 8 if interpolation == "piecewise-constant-left" else 1
+        trials = sol.accepted_steps + sol.rejected_steps
         assert sol.completed
-        assert len(calls) <= 6 * (sol.accepted_steps + sol.rejected_steps) + pieces + 1
+        # the lower bound keeps the count from passing on a kernel it does not see
+        assert 6 * trials <= len(calls) <= 6 * trials + pieces + 1
+        assert sol.rhs_evaluations == len(calls)
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize(
+        "name", ["blowup_ode", "example504_r1", "example504_rneg015", "example504_rneg017"])
+    def test_scalar_specs_bitwise_as_term_by_term(self, monkeypatch, name):
+        # on the scalar specs the block kernel adds the same products in the
+        # same order as the term-by-term formula: the stored P is bitwise equal
+        spec = parse_spec(bundled.example_doc(name))
+        sol = solve_riccati(spec.data, spec.solver)
+
+        calls = []
+
+        def reference_block(blocks, P):
+            calls.append(1)
+            (AB, V, Z), n = blocks, P.shape[-1]
+            coeffs = (AB[:, :n], AB[:, n:], V[..., :n], V[..., n:], Z[n:, n:], Z[:n, :n])
+            hat, rhs, base = reference_lq_terms(coeffs, P)
+            return np.block([[base, rhs.T], [rhs, hat]])
+
+        monkeypatch.setattr(riccati, "lq_block", reference_block)
+        ref = solve_riccati(spec.data, spec.solver)
+        assert len(calls) == ref.rhs_evaluations == sol.rhs_evaluations
+        assert (sol.status, sol.t_event) == (ref.status, ref.t_event)
+        assert np.array_equal(sol.P, ref.P)
 
 
 class TestDenseOutput:
