@@ -200,7 +200,9 @@ def cmd_oracle(spec: ParsedSpec, report, args) -> int:
     errs = [r["error_vs_solver"] for r in rows if r["error_vs_solver"] is not None]
     # a zero error (the DP agrees exactly) leaves the ratio undefined: NaN, null in the report
     ratios = [a / b if b else float("nan") for a, b in zip(errs, errs[1:])]
-    report["oracle"] = {"rows": rows, "ratios": ratios}
+    # DP steps taken, each distinct count once: N, or N - violation_step when it aborted
+    taken = {ns: ns - (res.violation_step or 0) for ns, res in zip(steps, results)}
+    report["oracle"] = {"rows": rows, "ratios": ratios, "dp_steps": sum(taken.values())}
     _emit(report, args.out, args.quiet,
           f"oracle: {len(rows)} step sizes, ratios {['%.2f' % r for r in ratios]}")
     return EXIT_OK

@@ -17,21 +17,23 @@ and Z_j = diag(Q delta, R delta), the matrix
     M = W_j' diag(P, ..., P) W_j + Z_j = [[Pn, G'], [G, S]]
 
 holds the state block Pn, the gain term G and the discrete control weight S
-at once, and the value one step earlier is Pn - G' S^-1 G.  M / delta is the
-discrete analogue of ``core.lq_block``'s H, computed here by its own code on
-purpose: the recursion stays a cross-check of the continuous solver rather
-than a second use of its kernel, and S / delta = R + sum D'PD + delta B'PB is
-not H's effective weight; its positivity is what the discrete problem needs.
+at once.  S is tested first: its entry when k = 1, else one ``eigvalsh``,
+which reads the lower triangle.  Then one pivot sweep eliminates the control
+rows of M, the last one first, on pivots above eps_pos * delta > 0, and
+leaves the value one step earlier, Pn - G' S^-1 G.  P is symmetrized once,
+when its count completes.  M / delta is the discrete analogue of
+``core.lq_block``'s H, in its own code to stay an independent cross-check;
+S / delta = R + sum D'PD + delta B'PB is not H's effective weight.
 
 A ladder of step counts runs in lockstep: one backward loop whose iteration
 i takes step N - 1 - i of every recursion with N > i, their values stacked
 along a leading axis, so each numpy call serves all of them.  The counts are
 kept in descending order, so the live ones are a prefix; a count leaves the
 stack when it completes or when its S loses positivity.  W_j and Z_j are
-built for a span of iterations at a time: a span ends where the next count
-completes, and holds at most max(steps) rows (iterations x live counts), so
-no table is larger than the one a single recursion of max(steps) steps
-needs.  ``dp_solve`` is the ladder of one count.
+built for a span of iterations at a time, which ends where the next count
+completes and holds at most max(steps) rows (iterations x live counts): no
+table outgrows that of one recursion of max(steps) steps.  ``dp_solve`` is
+the ladder of one count.
 """
 
 from __future__ import annotations
@@ -83,47 +85,43 @@ def dp_ladder(data: ProblemData, steps, eps_pos: float = DEFAULT_EPS_POS) -> lis
     """``dp_solve`` at each step count of ``steps``, in one lockstep backward loop.
 
     Returns one OracleResult per entry of ``steps``, in argument order; a
-    count given twice is computed once.
+    count given twice is computed once.  Step counts must be integers of at
+    least 1 and ``eps_pos`` positive and finite, else ValueError.
     """
+    if (len(steps) == 0 or not all(float(ns).is_integer() and ns >= 1 for ns in steps)
+            or not 0.0 < eps_pos < np.inf):
+        raise ValueError("step counts must be integers of at least 1 and eps_pos positive and "
+                         f"finite, got steps {list(steps)} and eps_pos {eps_pos!r}")
     counts = sorted({int(ns) for ns in steps}, reverse=True)
-    if not counts or counts[-1] < 1:
-        raise ValueError("step counts must be at least 1")
-    n, k, d = data.n, data.k, data.d
-    rows = (d + 1) * n
+    n, k, rows = data.n, data.k, (data.d + 1) * data.n
     live = np.array(counts)
     delta = data.T / live
     bound = eps_pos * delta
-    P = np.repeat(symmetrize(data.N)[None], live.size, axis=0)
-    done = {}
-    i = 0
+    P = np.repeat(data.N[None], live.size, axis=0)
+    done, i = {}, 0
     while live.size:
         stop = min(int(live[-1]), i + counts[0] // live.size)
         W, Z = _step_tables(data, live, delta, i, stop)
+        Wt = W.reshape(stop - i, live.size, rows, n + k).swapaxes(-1, -2)
         for a in range(stop - i):
-            # P is symmetric, so (P W_j)' W_j = W_j' diag(P, ..., P) W_j
-            W_rows = W[a].reshape(-1, rows, n + k)
-            M = (P[:, None] @ W[a]).reshape(-1, rows, n + k).swapaxes(-1, -2) @ W_rows + Z[a]
-            # a 1x1 block is symmetric already, so only k > 1 and n > 1 symmetrize
-            S = M[:, n:, n:] if k == 1 else symmetrize(M[:, n:, n:])
-            failed = (S[:, 0, 0] if k == 1 else np.linalg.eigvalsh(S)[:, 0]) <= bound
+            # P is symmetric up to rounding, so W_j' (P W_j) = W_j' diag(P, ..., P) W_j
+            M = Wt[a] @ (P[:, None] @ W[a]).reshape(-1, rows, n + k)
+            M += Z[a]
+            failed = (M[:, n, n] if k == 1 else np.linalg.eigvalsh(M[:, n:, n:])[:, 0]) <= bound
             if failed.any():
-                for e in np.flatnonzero(failed):
-                    done[int(live[e])] = OracleResult(delta=float(delta[e]), P0=None,
-                                                      constraint_ok=False,
-                                                      violation_step=int(live[e]) - 1 - i - a)
+                for N in live[failed].tolist():
+                    done[N] = OracleResult(data.T / N, None, False, violation_step=N - 1 - i - a)
                 kept = ~failed
                 live, delta, bound = live[kept], delta[kept], bound[kept]
                 if not live.size:
                     break
-                W, Z, M, S = W[:, kept], Z[:, kept], M[kept], S[kept]
-            G = M[:, n:, :n]
-            K = G / S if k == 1 else np.linalg.solve(S, G)
-            P = M[:, :n, :n] - G.swapaxes(-1, -2) @ K
-            if n > 1:
-                P = symmetrize(P)
+                W, Wt, Z, M = W[:, kept], Wt[:, kept], Z[:, kept], M[kept]
+            for p in range(n + k - 1, n - 1, -1):
+                M = M[:, :p, :p] - M[:, :p, p:p + 1] @ (M[:, p:p + 1, :p] / M[:, p:p + 1, p:p + 1])
+            P = M
         i = stop
         if live.size and live[-1] == i:  # the smallest live count has completed
-            done[i] = OracleResult(delta=float(delta[-1]), P0=P[-1].copy(), constraint_ok=True)
+            done[i] = OracleResult(data.T / i, symmetrize(P[-1]), True)
             live, delta, bound, P = live[:-1], delta[:-1], bound[:-1], P[:-1]
     return [done[int(ns)] for ns in steps]
 
@@ -132,8 +130,9 @@ def dp_solve(data: ProblemData, n_steps: int, eps_pos: float = DEFAULT_EPS_POS) 
     """Backward value recursion with n_steps uniform steps on [0, T].
 
     Coefficients are sampled at the left endpoint of each step, matching the
-    simulation module's convention.  The recursion aborts with
-    ``constraint_ok = False`` as soon as the discrete effective control weight
-    S loses positivity (min eigenvalue at or below eps_pos * delta).
+    simulation module's convention.  Each step tests S (``eigvalsh`` on its
+    lower triangle when k > 1) and is then one pivot sweep; the recursion aborts
+    with ``constraint_ok = False`` once S is at or below eps_pos * delta.
+    P0 is symmetrized once, at completion.
     """
     return dp_ladder(data, (n_steps,), eps_pos)[0]

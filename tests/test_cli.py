@@ -509,6 +509,8 @@ class TestOracleCommand:
         assert [r["violation_step"] for r in rows] == [0, 1, None]
         assert [r["constraint_ok"] for r in rows] == [False, False, True]
         assert [r["error_vs_solver"] is None for r in rows] == [True, True, False]
+        # steps taken: 2 - 0 and 3 - 1 by the aborted counts, 4 by the completed one
+        assert read_report(out)["oracle"]["dp_steps"] == 8
 
     def test_rows_in_argument_order(self, example_dir, tmp_path):
         # one lockstep recursion for the whole ladder; each row is still the
@@ -525,6 +527,7 @@ class TestOracleCommand:
             assert row["delta"] == res.delta and row["constraint_ok"] == res.constraint_ok
             assert np.array_equal(row["P0"], res.P0)
         assert rows[0] == rows[2]
+        assert read_report(out)["oracle"]["dp_steps"] == 4 + 2 + 3  # the repeated 4 once
 
     def test_bad_steps_exit1(self, example_dir):
         rc = main(["oracle", "--spec", str(example_dir / "definite_2x2.yaml"),
@@ -640,6 +643,16 @@ class TestReportDeterminism:
             assert timings["simulate_rng"] > 0.0 and timings["simulate_step"] > 0.0
             steps = rep["steps"]
             assert steps["rhs_evaluations"] >= 6 * (steps["accepted"] + steps["rejected"])
+            outs.append(rep)
+        assert outs[0] == outs[1]
+        # the oracle report too, with its dp_steps count
+        outs = []
+        for i in (0, 1):
+            out = tmp_path / f"det_oracle{i}.json"
+            assert main(["oracle", "--spec", str(example_dir / "definite_2x2.yaml"),
+                         "--steps", "64,128", "--out", str(out), "--quiet"]) == 0
+            rep = read_report(out)
+            assert rep.pop("timings")["oracle"] > 0.0 and rep["oracle"]["dp_steps"] == 192
             outs.append(rep)
         assert outs[0] == outs[1]
 

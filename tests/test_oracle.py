@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from indeflq import bundled
+from indeflq import bundled, oracle
 from indeflq.core import DEFAULT_EPS_POS, ProblemData, min_eigenvalue, symmetrize
 from indeflq.oracle import OracleResult, dp_ladder, dp_solve
 from indeflq.riccati import solve_riccati
@@ -170,17 +170,24 @@ def coarse_data():
 class TestLockstep:
     def test_random_ladders(self):
         # unsorted ladders with duplicates, short enough that the max(steps)
-        # row bound splits the spans, and indefinite weights that abort some
+        # row bound splits the spans, and indefinite weights that abort some;
+        # under a large terminal weight R = -0.3 I starts positive and fails part-way
         rng = np.random.default_rng(4093)
         mixed = 0
-        for n, k, d in itertools.product((1, 2, 3), (1, 2), (1, 2)):
+        part_way = set()
+        for n, k, d in itertools.product((1, 2, 3), (1, 2, 3), (1, 2)):
             data = random_definite_problem(rng, n=n, k=k, d=d)
-            for problem in (data, data.with_weights(R=-0.3 * np.eye(k))):
+            indefinite = data.with_weights(R=-0.3 * np.eye(k))
+            for problem in (data, indefinite, indefinite.with_weights(N=8.0 * np.eye(n))):
                 ladder = [int(ns) for ns in rng.integers(1, 40, size=6)]
                 ladder.insert(int(rng.integers(0, 6)), ladder[0])
                 got = assert_same_recursion(problem, *ladder)
                 mixed += len({res.constraint_ok for res in got}) == 2
-        assert mixed
+                part_way.update(k for ns, res in zip(ladder, got)
+                                if not res.constraint_ok and res.violation_step < ns - 1)
+                # P is symmetrized once per completed count, which leaves it exactly symmetric
+                assert all(np.array_equal(res.P0, res.P0.T) for res in got if res.constraint_ok)
+        assert mixed and {2, 3} <= part_way
 
     def test_aborts_and_completions_in_one_ladder(self):
         got = assert_same_recursion(coarse_data(), 2, 3, 4)
@@ -206,6 +213,46 @@ class TestLockstep:
 
     def test_step_counts_must_be_positive(self):
         data = coarse_data()
-        for ladder in ((), (4, 0)):
+        for ladder in ((), (4, 0), (2.5,), (4, 2.5), (4, float("nan")), (4, float("inf"))):
             with pytest.raises(ValueError):
                 dp_ladder(data, ladder)
+
+    @pytest.mark.parametrize("eps_pos", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_eps_pos_must_be_positive_and_finite(self, eps_pos):
+        # a NaN or negative bound lets a non-positive S through, and the unpivoted
+        # sweep needs pivots above a positive bound
+        data = parse_spec(bundled.example_doc("example504_rneg017")).data
+        with pytest.raises(ValueError):
+            dp_ladder(data, (64, 128), eps_pos=eps_pos)
+
+    def test_call_budget(self, monkeypatch):
+        # no solve; one symmetrize per completed count; one eigvalsh at most per
+        # lockstep iteration when k > 1, none when k = 1
+        problems = []
+        for k in (1, 2):
+            data = random_definite_problem(np.random.default_rng(k), n=2, k=k, d=2)
+            problems += [data, data.with_weights(R=-0.3 * np.eye(k), N=8.0 * np.eye(2))]
+        calls = {}
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        monkeypatch.setattr(oracle, "symmetrize", counted("symmetrize", oracle.symmetrize))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        ladder = (16, 9, 16, 5, 1)
+        outcomes = set()
+        for data in problems:
+            calls.update(symmetrize=0, eigvalsh=0)
+            got = dp_ladder(data, ladder)
+            completed = {ns for ns, res in zip(ladder, got) if res.constraint_ok}
+            outcomes.update(res.constraint_ok for res in got)
+            assert calls["symmetrize"] == len(completed)
+            assert 0 < calls["eigvalsh"] <= max(ladder) if data.k > 1 else calls["eigvalsh"] == 0
+        assert outcomes == {True, False}
