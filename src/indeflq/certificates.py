@@ -23,7 +23,7 @@ path, on its own graded nodes: elsewhere the integral of Upsilon can diverge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .core import (
     lq_terms,
     min_eigenvalue,
     path_samples,
-    riccati_drift,
+    schur_complement,
     symmetric_part_error,
     symmetrize,
 )
@@ -89,8 +89,8 @@ class SubsolutionCandidate:
 
     ``F`` and ``dF`` are read by ``core.path_samples`` on ``grid`` (one
     symmetric matrix or one per grid point).  When ``dF`` is omitted it is
-    filled by central differences on the grid (one-sided at the ends; at least
-    3 points) and checks run with a 10x inflated tolerance.
+    filled by second-order differences on the grid (one-sided at the ends; at
+    least 3 points) and checks run with a 10x inflated tolerance.
     """
 
     grid: np.ndarray
@@ -102,17 +102,8 @@ class SubsolutionCandidate:
         grid = np.asarray(self.grid, dtype=float)
         F = np.asarray(self.F, dtype=float)
         n = F.shape[-1] if F.ndim else 1  # checked against the problem in check_subsolution
-        F = _witness(F, grid, n, "F")
-        if self.dF is not None:
-            dF = _witness(self.dF, grid, n, "dF")
-        elif grid.size < 3:
-            raise ValueError("dF: required when the grid has fewer than 3 points")
-        else:
-            dF = np.gradient(F, grid[1] - grid[0], axis=0, edge_order=2)
-            self.derivative_fd = True
+        self.F, self.dF, self.derivative_fd = _witness_and_slope(F, self.dF, grid, n, "F")
         self.grid = grid
-        self.F = F
-        self.dF = dF
 
     @classmethod
     def zero(cls, data: ProblemData) -> "SubsolutionCandidate":
@@ -130,7 +121,6 @@ class Certificate:
     reason: str | None = None
     t_worst: float | None = None
     phi: np.ndarray | None = None
-    boundary: np.ndarray | None = None
     threshold: float | None = None
     quad_nodes: int | None = None
     quad_error: float | None = None
@@ -182,7 +172,7 @@ def check_subsolution(
 
     def drift_eigs(shift):
         """Minimal eigenvalues of dF/dt + f(F, 0) with R (lower right in H) less ``shift``."""
-        return min_eigenvalue(riccati_drift(H - shift * np.diag(np.arange(n + data.k) >= n), n))
+        return min_eigenvalue(schur_complement(H - shift * np.diag(np.arange(n + data.k) >= n), n))
 
     hat_eigs = min_eigenvalue(H[:, n:, n:])
     hat_min = float(np.min(hat_eigs))
@@ -283,9 +273,10 @@ def _normalize_alpha(alpha, data: ProblemData):
     return times, np.interp(times, data.grid, a_vals)
 
 
-def _upsilon_parts(blocks, n):
-    """sum D'D, (B + sum C'D)' and A + A' + sum C'C: lq_terms at P = I, R = Q = 0."""
-    return lq_terms((*blocks[:2], 0.0), np.eye(n))
+def _upsilon_block(blocks, n):
+    """lq_block at P = I, R = Q = 0: [[A + A' + sum C'C, .], [(B + sum C'D)', sum D'D]];
+    Upsilon(alpha) is its Schur complement once sum D'D is scaled by 1 - alpha."""
+    return lq_block((*blocks[:2], 0.0), np.eye(n))
 
 
 def _threshold_endpoint(times, a_vals) -> bool:
@@ -365,9 +356,10 @@ def certify_scalar_comparison(
             f"alpha values must lie in [0, 1); 1 only at t = 0 of the constant-threshold "
             f"schedule with an odd node count of at least {quadrature_nodes(data)}")
 
-    blocks = data.blocks_at(times)
-    Q_, R_ = blocks[2][:, :data.n, :data.n], blocks[2][:, data.n:, data.n:]
-    sumDtD, Mt, ups = _upsilon_parts(blocks, data.n)
+    blocks, n = data.blocks_at(times), data.n
+    Q_, R_ = blocks[2][:, :n, :n], blocks[2][:, n:, n:]
+    H = _upsilon_block(blocks, n)
+    sumDtD = H[:, n:, n:].copy()
     dd_eigs = min_eigenvalue(sumDtD)
     if float(np.min(dd_eigs)) < eps_pos:
         j = int(np.argmin(dd_eigs))
@@ -377,13 +369,11 @@ def certify_scalar_comparison(
             f"{dd_eigs[j]:.3e} at t={times[j]:.6g})",
         )
 
-    sol = np.linalg.solve(sumDtD, Mt)
-    quad = np.einsum("tkn,tkr->tnr", Mt, sol)
     gap = 1.0 - a_vals
     if singular:
         gap[0] = 1.0  # any finite value: the integrand there is extrapolated
-    ups = ups - quad / gap[:, None, None]
-    upsilon = min_eigenvalue(ups)
+    H[:, n:, n:] *= gap[:, None, None]
+    upsilon = min_eigenvalue(schur_complement(H, n))
     qmin = min_eigenvalue(Q_)
     nu = min_eigenvalue(data.N)
     phi = _comparison_phi(times, upsilon, qmin, nu, singular)
@@ -402,13 +392,8 @@ def certify_scalar_comparison(
     phi_half = _comparison_phi(times[::2], upsilon[::2], qmin[::2], nu, singular)
     quad_error = abs(threshold + float(np.min(a_vals[::2] * phi_half * dd_eigs[::2])))
 
-    # store witness paths on the coarse problem grid
-    phi_coarse = np.interp(data.grid, times, phi)
-    alpha_coarse = np.interp(data.grid, times, a_vals)
-    sumDtD_coarse = _upsilon_parts(data.blocks_at(data.grid), data.n)[0]
-    boundary = -(alpha_coarse * phi_coarse)[:, None, None] * sumDtD_coarse
-
-    witness = dict(phi=phi_coarse, boundary=boundary, threshold=threshold,
+    # the witness phi on the coarse problem grid
+    witness = dict(phi=np.interp(data.grid, times, phi), threshold=threshold,
                    quad_nodes=int(times.size), quad_error=quad_error)
     if eps > 0.0:
         return Certificate(kind=KIND_SCALAR_COMPARISON, verdict=CERTIFIED, epsilon=eps, **witness)
@@ -505,7 +490,8 @@ def certify_definite_regime(data: ProblemData, eps_pos: float = DEFAULT_EPS_POS)
         reasons.append(f"N not positive semi-definite (min {n_min:.3e})")
 
     psd_r = r_min >= -PSD_SLACK * scale_r
-    dd_eigs = min_eigenvalue(_upsilon_parts(data.blocks_at(data.grid), data.n)[0])
+    n = data.n
+    dd_eigs = min_eigenvalue(_upsilon_block(data.blocks_at(data.grid), n)[:, n:, n:])
     dd_min = float(np.min(dd_eigs))
     if psd_q and psd_r and n_min > eps_pos and dd_min >= eps_pos:
         inner = certify_scalar_comparison(data, 0.01, eps_pos=eps_pos)
@@ -532,6 +518,18 @@ def _witness(value, grid, n, name):
     return symmetrize(samples)
 
 
+def _witness_and_slope(value, slope, grid, n, name):
+    """``_witness`` of a path and of its time derivative (named d + ``name``), and
+    whether the derivative was filled in: when ``slope`` is None, by second-order
+    differences (``np.gradient``, one-sided at the ends) on at least 3 points."""
+    W = _witness(value, grid, n, name)
+    if slope is not None:
+        return W, _witness(slope, grid, n, "d" + name), False
+    if grid.size < 3:
+        raise ValueError(f"d{name}: required when the grid has fewer than 3 points")
+    return W, np.gradient(W, grid[1] - grid[0], axis=0, edge_order=2), True
+
+
 def apply_shift(data: ProblemData, K, dK=None):
     """Shift the weights by a compensating path K.
 
@@ -542,14 +540,11 @@ def apply_shift(data: ProblemData, K, dK=None):
     when the residual vanishes (to tolerance): then P solves the shifted
     problem iff P + K solves the original one.
 
-    ``dK`` defaults to central differences of K on the grid.
+    ``dK`` defaults to second-order differences of K on the grid, as a
+    candidate's dF does (``_witness_and_slope``).
     """
     grid = data.grid
-    K = _witness(K, grid, data.n, "K")
-    if dK is None:
-        dK = np.gradient(K, grid[1] - grid[0], axis=0)
-    else:
-        dK = _witness(dK, grid, data.n, "dK")
+    K, dK, _ = _witness_and_slope(K, dK, grid, data.n, "K")
 
     hat, rhs, base = lq_terms(data.blocks_at(grid), K)
     # rhs = B'K + sum_i D_i'K C_i is the transpose of the compensation defect
@@ -565,17 +560,7 @@ def shift_solution_back(
     """Recover the original-problem trajectory P + K from a shifted solve."""
     grid, n = original_data.grid, original_data.n
     K_path = CoefficientPath(grid, _witness(K, grid, n, "K"))
-    P = solution.P + K_path.at(solution.grid)
+    P = solution.P + K_path.at(solution.grid)  # exactly symmetric, as both terms are
     gain, margin = derive_gain_margin(original_data, solution.grid, P)
-    return RiccatiSolution(
-        grid=solution.grid.copy(),
-        P=symmetrize(P),
-        gain=gain,
-        margin=margin,
-        status=solution.status,
-        t_event=solution.t_event,
-        accepted_steps=solution.accepted_steps,
-        rejected_steps=solution.rejected_steps,
-        rhs_evaluations=solution.rhs_evaluations,
-        margin_min_dense=float(np.min(margin)),
-    )
+    return replace(solution, grid=solution.grid.copy(), P=P, gain=gain, margin=margin,
+                   margin_min_dense=float(np.min(margin)))

@@ -7,7 +7,9 @@ zero unless a nonzero family is passed explicitly.
 
 The Riccati generator is the Schur complement of one symmetric block,
 H(P) = [[A'P + PA + C'PC + Q, (B'P + D'PC)'], [B'P + D'PC, R + D'PD]] (summed
-over the channels); ``lq_block`` is its one implementation.
+over the channels); ``lq_block`` is the one implementation of H and
+``schur_complement`` the one elimination of its effective weight R + D'PD,
+for the solver, the certificates and the DP oracle alike.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ __all__ = [
     "path_samples",
     "lq_block",
     "lq_terms",
-    "riccati_drift",
+    "schur_complement",
     "eval_hat_R",
     "eval_gamma",
     "eval_f",
@@ -337,13 +339,22 @@ def lq_terms(blocks, P, Lambda=None):
     return H[..., n:, n:], H[..., n:, :n], H[..., :n, :n]
 
 
-def riccati_drift(H, n):
-    """The drift f = base - rhs' hat^{-1} rhs, symmetrized: the Schur complement of
-    hat in H = lq_block(...) with n states (batched); a 1x1 hat is a division."""
-    hat, rhs = H[..., n:, n:], H[..., n:, :n]
-    K = rhs / hat if hat.shape[-1] == 1 else np.linalg.solve(hat, rhs)
-    f = H[..., :n, :n] - rhs.swapaxes(-1, -2) @ K
-    return 0.5 * (f + f.swapaxes(-1, -2))
+def schur_complement(H, n):
+    """base - rhs' hat^-1 rhs of H = [[base, rhs'], [rhs, hat]] with n state rows
+    (batched), by eliminating hat's rows one pivot at a time, the last one first.
+
+    No solve and no symmetrization: it reads H's lower triangle and leading block,
+    and at k = 1 it is one division.  The unpivoted elimination is backward stable
+    on a positive definite hat, whose pivots are then all positive, and only then
+    (Golub & Van Loan, Matrix Computations, 4.2): one H (2-d) is NaN at the first
+    pivot that is not > 0.  A stack is not tested; its callers test hat first.
+    """
+    for p in range(H.shape[-1] - 1, n - 1, -1):
+        if H.ndim == 2 and not H[p, p] > 0.0:
+            return np.full((n, n), np.nan)
+        row = H[..., p:p + 1, :p]
+        H = H[..., :p, :p] - row.swapaxes(-1, -2) @ (row / H[..., p:p + 1, p:p + 1])
+    return H
 
 
 def _checked_block(P, Lambda, data: ProblemData, t, eps_pos):
@@ -378,6 +389,7 @@ def eval_gamma(P, Lambda, data: ProblemData, t, eps_pos=DEFAULT_EPS_POS):
 def eval_f(P, Lambda, data: ProblemData, t, eps_pos=DEFAULT_EPS_POS):
     """Riccati drift operator f(P, Lambda) at time t (symmetric n x n).
 
-    f = A'P + PA + sum_i (C_i'P C_i + C_i' L_i + L_i C_i) + Q - Gamma' hat_R Gamma.
+    f = A'P + PA + sum_i (C_i'P C_i + C_i' L_i + L_i C_i) + Q - Gamma' hat_R Gamma,
+    the Schur complement of hat_R in H, symmetrized.
     """
-    return riccati_drift(_checked_block(P, Lambda, data, t, eps_pos), data.n)
+    return symmetrize(schur_complement(_checked_block(P, Lambda, data, t, eps_pos), data.n))

@@ -18,12 +18,13 @@ and Z_j = diag(Q delta, R delta), the matrix
 
 holds the state block Pn, the gain term G and the discrete control weight S
 at once.  S is tested first: its entry when k = 1, else one ``eigvalsh``,
-which reads the lower triangle.  Then one pivot sweep eliminates the control
-rows of M, the last one first, on pivots above eps_pos * delta > 0, and
-leaves the value one step earlier, Pn - G' S^-1 G.  P is symmetrized once,
-when its count completes.  M / delta is the discrete analogue of
-``core.lq_block``'s H, in its own code to stay an independent cross-check;
-S / delta = R + sum D'PD + delta B'PB is not H's effective weight.
+which reads the lower triangle.  Then ``core.schur_complement`` eliminates
+the control rows of M, on pivots above eps_pos * delta > 0, and leaves the
+value one step earlier, Pn - G' S^-1 G.  P is symmetrized once, when its
+count completes.  M / delta is the discrete analogue of ``core.lq_block``'s
+H, built by its own code to stay an independent cross-check: only the
+elimination is shared.  S / delta = R + sum D'PD + delta B'PB is not H's
+effective weight.
 
 A ladder of step counts runs in lockstep: one backward loop whose iteration
 i takes step N - 1 - i of every recursion with N > i, their values stacked
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_EPS_POS, ProblemData, symmetrize
+from .core import DEFAULT_EPS_POS, ProblemData, schur_complement, symmetrize
 
 __all__ = ["OracleResult", "dp_ladder", "dp_solve"]
 
@@ -116,9 +117,7 @@ def dp_ladder(data: ProblemData, steps, eps_pos: float = DEFAULT_EPS_POS) -> lis
                 if not live.size:
                     break
                 W, Wt, Z, M = W[:, kept], Wt[:, kept], Z[:, kept], M[kept]
-            for p in range(n + k - 1, n - 1, -1):
-                M = M[:, :p, :p] - M[:, :p, p:p + 1] @ (M[:, p:p + 1, :p] / M[:, p:p + 1, p:p + 1])
-            P = M
+            P = schur_complement(M, n)
         i = stop
         if live.size and live[-1] == i:  # the smallest live count has completed
             done[i] = OracleResult(data.T / i, symmetrize(P[-1]), True)
@@ -131,7 +130,7 @@ def dp_solve(data: ProblemData, n_steps: int, eps_pos: float = DEFAULT_EPS_POS) 
 
     Coefficients are sampled at the left endpoint of each step, matching the
     simulation module's convention.  Each step tests S (``eigvalsh`` on its
-    lower triangle when k > 1) and is then one pivot sweep; the recursion aborts
+    lower triangle when k > 1) and is then one ``schur_complement``; the recursion aborts
     with ``constraint_ok = False`` once S is at or below eps_pos * delta.
     P0 is symmetrized once, at completion.
     """

@@ -1,24 +1,27 @@
 """Backward integration of the Riccati terminal-value problem.
 
 Integrates dP/dt = -f(P, 0) from P(T) = N in reversed time with an embedded
-Dormand-Prince 5(4) pair and PI step control, one coefficient piece at a
-time: the whole horizon, or each coefficient-grid interval under
-piecewise-constant interpolation.  Only the error controller and the piece
-ends set the steps; the output times a step passes are filled from the pair's
-free 4th-order continuous extension, built from the stages the step already
-holds.  One event test runs at each piece start (t = T first; under the
-values of the piece that starts there), after every accepted step (on the
-terms of the step's last stage, which sits at the accepted point) and inside
-the bisection on the continuous extension that locates an event: constraint
-violation first (the effective control weight at or below the positivity
-floor), then blow-up.  A rejected trial step no longer than the event bracket
-with a stage weight at the floor is a constraint violation inside it: where
-the weight reaches the floor with a steepening slope, no step across it would
-ever be accepted.  Blow-up is declared when the trajectory escapes in C^1:
-the slope is not finite, or ||P|| or ||dP/dt|| reaches the configured cap.
-On sampled coefficient paths a vanishing-denominator singularity keeps P
-bounded while its velocity explodes, so watching only ||P|| would silently
-miss the loss of a continuous solution.
+Dormand-Prince 5(4) pair and PI step control, one coefficient piece at a time:
+the whole horizon, or each coefficient-grid interval under piecewise-constant
+interpolation.  Only the error controller and the piece ends set the steps;
+the output times a step passes are filled from the pair's free 4th-order
+continuous extension, built from the stages the step already holds.  A stage's
+slope is ``core.schur_complement`` of its block H(P): NaN unless the stage's
+effective weight is positive definite, and so are the later stages of that
+trial step, whose H is NaN.  One event test runs at each piece start (t = T
+first; under the values of the piece that starts there), after every accepted
+step (on the terms of the step's last stage, which sits at the accepted point)
+and inside the bisection on the continuous extension that locates an event:
+constraint violation first (the effective control weight at or below the
+positivity floor), then blow-up.  A rejected trial step no longer than the
+event bracket with a stage weight at the floor (read on the stages whose H is
+finite) is a constraint violation inside it: where the weight reaches the
+floor with a steepening slope, no step across it would ever be accepted.
+Blow-up is declared when the trajectory escapes in C^1: the slope is not
+finite, or ||P|| or ||dP/dt|| reaches the configured cap.  On sampled
+coefficient paths a vanishing-denominator singularity keeps P bounded while
+its velocity explodes, so watching only ||P|| would silently miss the loss of
+a continuous solution.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .core import (
     lq_block,
     lq_terms,
     min_eigenvalue,
-    riccati_drift,
+    schur_complement,
     symmetrize,
 )
 from .errors import ConstraintViolation, StepLimit
@@ -150,9 +153,16 @@ class RiccatiSolution:
 
 
 def derive_gain_margin(data: ProblemData, grid, P):
-    """Feedback gains Gamma(P, 0) and constraint margins along a stored P path."""
+    """Feedback gains Gamma(P, 0) and constraint margins along a stored P path.
+
+    The gain is NaN where the margin is not positive, as where a constraint
+    violation stops the solve: hat_R may be singular there."""
     hat, rhs, _ = lq_terms(data.blocks_at(grid), P)
-    return -np.linalg.solve(hat, rhs), min_eigenvalue(hat)
+    margin = min_eigenvalue(hat)
+    gain = np.full(rhs.shape, np.nan)
+    ok = margin > 0.0
+    gain[ok] = -np.linalg.solve(hat[ok], rhs[ok])
+    return gain, margin
 
 
 def _extension(y0, y1, k, h):
@@ -188,7 +198,6 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
     config = config or SolverConfig()
     config.validate()
     n, T = data.n, data.T
-    nan_slope = np.full(n * n, np.nan)
     pc_mode = data.interpolation == PIECEWISE_CONSTANT_LEFT
     # the coefficients held over the piece being integrated, or None to look
     # them up at every stage; a piecewise-constant piece is sampled at its
@@ -202,15 +211,6 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
         P = y.reshape(n, n)
         P = P if n == 1 else 0.5 * (P + P.T)  # a 1x1 P is symmetric already
         return lq_block(frozen if frozen is not None else data.blocks_at(T - s), P)
-
-    def slope(H):
-        """dy/ds = +f(P, 0) in reversed time, or NaN when hat_R degenerates."""
-        if H[n, n] <= 0.0 or (H.shape[0] > n + 1 and np.min(np.diagonal(H)[n + 1:]) <= 0.0):
-            return nan_slope  # positivity already fails; the event test reports it
-        try:
-            return riccati_drift(H, n).ravel()
-        except np.linalg.LinAlgError:
-            return nan_slope
 
     def event(y, margin, f):
         """Constraint violation, else blow-up (C^1 norm at the cap or not finite), else None."""
@@ -233,7 +233,7 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
             mid = 0.5 * (lo + hi)
             ym = at((mid - s0) / (s1 - s0))
             H = block_at(mid, ym)
-            found = event(ym, min_eigenvalue(H[n:, n:]), slope(H))
+            found = event(ym, min_eigenvalue(H[n:, n:]), schur_complement(H, n).ravel())
             if found is None:
                 lo = mid
             else:
@@ -247,7 +247,7 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
     s_out = T - tau_out[::-1]
     piece_ends = (T - data.grid[-2:0:-1]).tolist() + [T] if pc_mode else [T]
 
-    y = symmetrize(data.N).ravel()
+    y = data.N.ravel()
     out_y = [y[None]]  # blocks of outputs, stored while t descends from T
     s = s_event = 0.0
     accepted = rejected = evaluations = 0
@@ -264,7 +264,7 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
         H = block_at(s, y)
         margin_now = min_eigenvalue(H[n:, n:])
         margin_min = min(margin_min, margin_now)
-        f_now = slope(H)
+        f_now = schur_complement(H, n).ravel()
         hit = event(y, margin_now, f_now)
         if hit is not None:
             s_event = s
@@ -275,11 +275,11 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
             h_try = min(h, s_end - s)
             k = np.empty((7, y.size))
             k[0] = f_now
-            hats = []
+            stages = []
             for i in range(1, 7):
                 H = block_at(s + _C[i] * h_try, y + h_try * (k[:i].T @ _A[i]))
-                k[i] = slope(H)
-                hats.append(H[n:, n:])
+                k[i] = schur_complement(H, n).ravel()
+                stages.append(H)
             y1 = y + h_try * (k.T @ _B5)
             err_vec = h_try * (k.T @ _ERR)
             scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y1))
@@ -314,9 +314,11 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
             else:
                 rejected += 1
                 # a step already as short as the event bracket that reaches a
-                # weight at the floor brackets a constraint violation
+                # weight at the floor brackets a constraint violation; the stages
+                # after a NaN slope hold a NaN H and are not read
                 if h_try <= bracket:
-                    margin_now = min(map(min_eigenvalue, hats))
+                    margin_now = min(min_eigenvalue(H[n:, n:]) for H in stages
+                                     if np.isfinite(H).all())
                     if margin_now <= config.eps_pos:
                         margin_min = min(margin_min, margin_now)
                         s_event, hit = s + 0.5 * h_try, CONSTRAINT_VIOLATION
@@ -370,5 +372,5 @@ def check_solution_residual(
     bad = np.flatnonzero(margin <= 0.0)
     if bad.size:
         raise ConstraintViolation(grid[idx[bad[0]]], margin[bad[0]])
-    res = (P[idx + 1] - P[idx - 1]) / (2.0 * h) + riccati_drift(H, data.n)
+    res = (P[idx + 1] - P[idx - 1]) / (2.0 * h) + schur_complement(H, data.n)
     return float(np.max(np.sqrt(np.sum(res * res, axis=(-2, -1)))))

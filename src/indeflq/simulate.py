@@ -26,13 +26,12 @@ buffer and copied into the (steps, d, paths) block one chunk at a time.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .core import CoefficientPath, ProblemData, lq_terms, path_samples, symmetrize
+from .core import CoefficientPath, ProblemData, lq_terms, path_samples
 from .errors import GridMismatch, NumericalOverflow
 from .riccati import RiccatiSolution
 
@@ -167,7 +166,7 @@ class _EulerSetup:
         # Ccl is (d, steps, ...); every table slice is a contiguous matrix
         self.Acl = J @ (A @ J.T + B @ G)
         self.Ccl = J @ (C @ J.T + D @ G)
-        self.N = J @ symmetrize(data.N) @ J.T
+        self.N = J @ data.N @ J.T
         weights = [(J @ Q @ J.T + G.swapaxes(-1, -2) @ R @ G) * self.dt]
         if solution is not None:
             E = G - CoefficientPath(solution.grid, solution.gain).at(t_left) @ J.T
@@ -308,6 +307,8 @@ def _for_blocks(config: SimConfig, d: int, work, n_workers: int = 1):
 
     if n_workers <= 1 or len(starts) == 1:
         return [run(lo, hi) for lo, hi in zip(starts, ends)]
+    from concurrent.futures import ThreadPoolExecutor  # about 8 ms of imports, only here
+
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(run, starts, ends))
 

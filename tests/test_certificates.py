@@ -55,7 +55,6 @@ class TestScalarComparison:
                            R=np.eye(2), Q=np.zeros((2, 2)), N=np.eye(2), grid=grid)
         cert = certify_scalar_comparison(data, 0.0)
         assert np.max(np.abs(cert.phi - 1.0)) < 1e-12
-        assert np.max(np.abs(cert.boundary)) == 0.0
         assert cert.certified and abs(cert.epsilon - 1.0) < 1e-12
         failing = data.with_weights(R=np.zeros((2, 2)))
         cert2 = certify_scalar_comparison(failing, 0.0)
@@ -355,6 +354,18 @@ class TestShift:
         Qh = data.Q.samples[j] + dK + A.T @ K[j] + K[j] @ A + C.T @ K[j] @ C
         assert np.allclose(shifted.Q.samples[j], Qh, atol=1e-12)
 
+    def test_default_derivative_is_second_order_at_both_ends(self):
+        # K = K0 + t^2 K1: second-order differences give dK = 2t K1 up to rounding
+        # at every grid point, the ends included, as a candidate's dF does
+        spec = parse_spec(bundled.example_doc("shift_demo"))
+        data, t = spec.data, spec.data.grid[:, None, None]
+        K0, K1 = np.array([[0.5, 0.2], [0.2, -0.3]]), np.array([[1.0, -0.4], [-0.4, 2.0]])
+        shifted, _ = apply_shift(data, K0 + t * t * K1)
+        exact, _ = apply_shift(data, K0 + t * t * K1, dK=2.0 * t * K1)
+        assert np.max(np.abs(shifted.Q.samples - exact.Q.samples)) <= 1e-11
+        F = SubsolutionCandidate(data.grid, F=K0 + t * t * K1)
+        assert np.max(np.abs(F.dF - 2.0 * t * K1)) <= 1e-11
+
     def test_controlled_formulas(self):
         # B != 0 and D != 0: R_hat, Q_hat and the compensation residual
         # against plain matrix algebra at every grid point
@@ -362,7 +373,7 @@ class TestShift:
         Kc = np.random.default_rng(32).standard_normal((data.grid.size, 2, 2))
         K = Kc + np.swapaxes(Kc, -1, -2)
         shifted, residual = apply_shift(data, K)
-        dK = np.gradient(K, data.grid[1] - data.grid[0], axis=0)
+        dK = np.gradient(K, data.grid[1] - data.grid[0], axis=0, edge_order=2)
         worst = 0.0
         for j in range(data.grid.size):
             A, B, R, Q = (p.samples[j] for p in (data.A, data.B, data.R, data.Q))

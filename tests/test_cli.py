@@ -71,6 +71,17 @@ class TestSolveCommand:
         assert rep["status"] == "constraint-violation"
         assert 0.0 < rep["t_event"] < 0.1
 
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_singular_weight_at_the_terminal_time_exit2(self, command, example_dir, tmp_path):
+        # R = D = 0: the effective weight is exactly 0 at t = T, where the gain is undefined
+        out = tmp_path / "r0.json"
+        rc = main([command, "--spec", str(example_dir / "example504_r1.yaml"),
+                   "--set", "coefficients.R=0", "--set", "coefficients.D=[0]",
+                   "--out", str(out), "--quiet"])
+        assert rc == 2
+        rep = read_report(out)
+        assert (rep["status"], rep["t_event"]) == ("constraint-violation", 1.0)
+
     def test_blowup_exit3(self, example_dir, tmp_path):
         out = tmp_path / "bl.json"
         rc = main(["solve", "--spec", str(example_dir / "blowup_ode.yaml"),
@@ -659,6 +670,15 @@ class TestReportDeterminism:
 
 def test_cli_import_needs_no_scipy():
     code = "import sys, indeflq.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_cli_import_needs_no_thread_pool():
+    # concurrent.futures with logging (about 8 ms) loads only when threads run
+    code = "import sys, indeflq.cli; print('concurrent.futures' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)

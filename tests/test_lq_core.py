@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from indeflq.core import (
     eval_hat_R,
     lq_terms,
     min_eigenvalue,
+    schur_complement,
     symmetrize,
 )
 from indeflq.certificates import SubsolutionCandidate, apply_shift
@@ -261,6 +263,54 @@ class TestBlockKernel:
                     for name, g, w in zip(("hat", "rhs", "base"), got, want):
                         assert g.shape == w.shape, name
                         assert np.max(np.abs(g - w)) <= 1e-13 * scale, (name, n, k, d)
+
+
+class TestSchurComplement:
+    @staticmethod
+    def random_block(rng, lead, n, k):
+        """A symmetric (n + k)-square H, stacked over ``lead``, whose hat is positive definite."""
+        H = rng.standard_normal(lead + (n + k, n + k))
+        H = H + H.swapaxes(-1, -2)
+        M = rng.standard_normal(lead + (k, k))
+        H[..., n:, n:] = M @ M.swapaxes(-1, -2) + 0.5 * np.eye(k)
+        return H
+
+    def test_matches_solve_reference(self):
+        rng = np.random.default_rng(41)
+        for n in (1, 2, 3):
+            for k in (1, 2, 3):
+                for lead in ((), (7,), (3, 4)):
+                    H = self.random_block(rng, lead, n, k)
+                    hat, rhs = H[..., n:, n:], H[..., n:, :n]
+                    want = H[..., :n, :n] - rhs.swapaxes(-1, -2) @ np.linalg.solve(hat, rhs)
+                    got = schur_complement(H, n)
+                    assert got.shape == want.shape
+                    scale = np.max(np.abs(want), axis=(-2, -1))
+                    err = np.max(np.abs(got - want), axis=(-2, -1))
+                    assert np.all(err <= 1e-12 * scale), (n, k, lead)
+
+    def test_k1_is_the_division_bitwise(self):
+        rng = np.random.default_rng(43)
+        for n in (1, 2, 3):
+            for lead in ((), (9,)):
+                H = self.random_block(rng, lead, n, 1)
+                hat, rhs = H[..., n:, n:], H[..., n:, :n]
+                want = H[..., :n, :n] - rhs.swapaxes(-1, -2) @ (rhs / hat)
+                assert np.array_equal(schur_complement(H, n), want)
+
+    @pytest.mark.parametrize("hat", [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]],
+                                     [[0.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]]])
+    def test_one_block_with_a_hat_not_positive_definite_is_nan(self, hat):
+        # singular, or indefinite with a positive diagonal: NaN without a warning
+        H = np.zeros((4, 4))
+        H[:2, :2] = [[2.0, 0.5], [0.5, 1.0]]
+        H[2:, :2] = [[0.3, -0.2], [0.1, 0.4]]
+        H[:2, 2:] = H[2:, :2].T
+        H[2:, 2:] = hat
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = schur_complement(H, 2)
+        assert got.shape == (2, 2) and np.all(np.isnan(got))
 
 
 class TestProperties:

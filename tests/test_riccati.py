@@ -1,13 +1,16 @@
 import copy
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from indeflq import riccati
-from indeflq.core import CoefficientPath, ProblemData, lq_block, symmetrize
+from indeflq.core import DEFAULT_EPS_POS, CoefficientPath, ProblemData, lq_block, symmetrize
 from indeflq.errors import ConstraintViolation, StepLimit
 from indeflq.oracle import dp_ladder
+from indeflq.certificates import certify_scalar_comparison, constant_threshold_alpha_schedule
 from indeflq.riccati import (
     BLOWUP,
     COMPLETED,
@@ -316,3 +319,65 @@ class TestDenseOutput:
         sol = solve_riccati(spec.data, SolverConfig(output_points=points))
         assert sol.status == CONSTRAINT_VIOLATION
         assert abs(sol.t_event - 0.0580431) <= 1e-6 * spec.data.T
+
+
+def indefinite_problem(rng, n, k, d, points):
+    """Random coefficient paths with an indefinite R and a positive terminal weight."""
+    grid = np.linspace(0.0, 1.0, points)
+
+    def path(rows, cols, scale):
+        return scale * rng.standard_normal((points, rows, cols))
+
+    U = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    lam = rng.uniform(-1.0, 1.0, k)
+    lam[0] = -abs(lam[0]) - 0.1
+    Mn, Mq = rng.standard_normal((2, n, n))
+    return ProblemData(n=n, k=k, d=d, T=1.0, A=path(n, n, 0.5), B=path(n, k, 0.5),
+                       C=[path(n, n, 0.3) for _ in range(d)],
+                       D=[path(n, k, 1.0) for _ in range(d)],
+                       R=symmetrize(U @ np.diag(lam) @ U.T), Q=Mq + Mq.T,
+                       N=3.0 * (Mn @ Mn.T + np.eye(n)), grid=grid)
+
+
+class TestStageWeightNotPositive:
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2), k=st.integers(2, 3),
+                      d=st.integers(2, 3), points=st.integers(2, 8))
+    def test_indefinite_weights_end_in_a_status(self, seed, n, k, d, points):
+        # a stage whose weight is not positive definite has a NaN slope, and so
+        # do the stages after it; the rejected-step rule must not read their NaN H
+        data = indefinite_problem(np.random.default_rng(seed), n, k, d, points)
+        sol = solve_riccati(data, SolverConfig(output_points=9))
+        assert sol.status in (COMPLETED, CONSTRAINT_VIOLATION, BLOWUP)
+
+    def test_singular_weight_at_the_terminal_time(self):
+        # hat_R = R is singular at t = T: a constraint violation there, with a NaN gain
+        grid = np.linspace(0.0, 1.0, 5)
+        data = ProblemData(n=1, k=2, d=1, T=1.0, A=0.0, B=[[1.0, 0.5]], C=[0.0],
+                           D=[np.zeros((1, 2))], R=[[1.0, 1.0], [1.0, 1.0]], Q=0.0,
+                           N=[[1.0]], grid=grid)
+        sol = solve_riccati(data)
+        assert (sol.status, sol.t_event) == (CONSTRAINT_VIOLATION, 1.0)
+        assert sol.margin_min_dense <= DEFAULT_EPS_POS
+        assert np.all(np.isnan(sol.gain[-1]))
+
+
+def test_linalg_solve_call_budget(monkeypatch):
+    # the only linear solve is derive_gain_margin's batched one, whatever the step
+    # count; the scalar comparison eliminates by schur_complement (the DP ladder's
+    # budget is oracle's test_call_budget)
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(1) or solve(*args))
+    data = parse_spec(bundled.example_doc("definite_2x2")).data
+    steps = set()
+    for rel_tol in (1e-6, 1e-8, 1e-10):
+        calls.clear()
+        sol = solve_riccati(data, SolverConfig(rel_tol=rel_tol))
+        steps.add(sol.accepted_steps)
+        assert sol.completed and len(calls) == 1
+    assert len(steps) == 3
+    calls.clear()
+    certify_scalar_comparison(data, 0.5)
+    certify_scalar_comparison(scalar_benchmark(-0.15), constant_threshold_alpha_schedule())
+    assert calls == []
