@@ -17,24 +17,32 @@ and Z_j = diag(Q delta, R delta), the matrix
     M = W_j' diag(P, ..., P) W_j + Z_j = [[Pn, G'], [G, S]]
 
 holds the state block Pn, the gain term G and the discrete control weight S
-at once.  S is tested first: its entry when k = 1, else one ``eigvalsh``,
-which reads the lower triangle.  Then ``core.schur_complement`` eliminates
-the control rows of M, on pivots above eps_pos * delta > 0, and leaves the
-value one step earlier, Pn - G' S^-1 G.  P is symmetrized once, when its
-count completes.  M / delta is the discrete analogue of ``core.lq_block``'s
-H, built by its own code to stay an independent cross-check: only the
-elimination is shared.  S / delta = R + sum D'PD + delta B'PB is not H's
-effective weight.
+at once.  ``core.schur_complement`` eliminates the control rows of M and
+leaves the value one step earlier, Pn - G' S^-1 G; the sweep is exact when
+its pivots are above eps_pos * delta > 0, which the test of S below checks
+after the fact.  P is symmetrized once, when its count completes.  M / delta
+is the discrete analogue of ``core.lq_block``'s H, built by its own code to
+stay an independent cross-check: only the elimination is shared.
+S / delta = R + sum D'PD + delta B'PB is not H's effective weight.
 
 A ladder of step counts runs in lockstep: one backward loop whose iteration
 i takes step N - 1 - i of every recursion with N > i, their values stacked
 along a leading axis, so each numpy call serves all of them.  The counts are
-kept in descending order, so the live ones are a prefix; a count leaves the
-stack when it completes or when its S loses positivity.  W_j and Z_j are
+kept in descending order, so the live ones are a prefix.  W_j and Z_j are
 built for a span of iterations at a time, which ends where the next count
 completes and holds at most max(steps) rows (iterations x live counts): no
-table outgrows that of one recursion of max(steps) steps.  ``dp_solve`` is
-the ladder of one count.
+table outgrows that of one recursion of max(steps) steps.  Each step writes
+its M in place of its Z_j, and every live count steps through the span
+untested.  At the span's end one pass over its M finds each count's first
+failing S (its entry at or below eps_pos * delta when k = 1, else one
+``eigvalsh`` over the span's S, which reads the lower triangle) and its
+first M that is not finite.  A failing S that comes first ends the count
+with ``constraint_ok = False`` at that step; a non-finite M that comes first
+raises ``NumericalOverflow`` with its step.  A count that failed part-way
+steps on through the span's end on values that are never read, and no
+other count's values depend on them: each stacked product is per matrix.
+A count leaves the stack when it completes or fails.  ``dp_solve`` is the
+ladder of one count.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_EPS_POS, ProblemData, schur_complement, symmetrize
+from .errors import NumericalOverflow
 
 __all__ = ["OracleResult", "dp_ladder", "dp_solve"]
 
@@ -82,12 +91,37 @@ def _step_tables(data: ProblemData, counts, delta, first, stop):
     return W, Z * dt
 
 
+def _first(mask):
+    """Each column's first row where ``mask`` holds, else the row count."""
+    return np.where(mask.any(axis=0), mask.argmax(axis=0), len(mask))
+
+
+def _span_faults(M, n, bound):
+    """Where S = M[..., n:, n:] is at or below ``bound`` and where M is not finite.
+
+    M holds a span's (iterations, counts) stack of step matrices.  An S that is
+    not finite has not failed; it is an overflow.  eigvalsh reads S's lower
+    triangle, once for the whole span, and would raise on a non-finite S, which
+    is zeroed first.
+    """
+    finite = np.isfinite(M).all(axis=(-2, -1))
+    S = M[..., n:, n:]
+    if S.shape[-1] == 1:
+        return S[..., 0, 0] <= bound, ~finite
+    S_finite = np.isfinite(S).all(axis=(-2, -1))
+    lam = np.linalg.eigvalsh(np.where(S_finite[..., None, None], S, 0.0))[..., 0]
+    return S_finite & (lam <= bound), ~finite
+
+
 def dp_ladder(data: ProblemData, steps, eps_pos: float = DEFAULT_EPS_POS) -> list[OracleResult]:
     """``dp_solve`` at each step count of ``steps``, in one lockstep backward loop.
 
     Returns one OracleResult per entry of ``steps``, in argument order; a
     count given twice is computed once.  Step counts must be integers of at
-    least 1 and ``eps_pos`` positive and finite, else ValueError.
+    least 1 and ``eps_pos`` positive and finite, else ValueError.  Raises
+    NumericalOverflow when a count's value leaves the float range before its
+    S fails, with that count's DP step (the largest such count of the first
+    span where one does).
     """
     if (len(steps) == 0 or not all(float(ns).is_integer() and ns >= 1 for ns in steps)
             or not 0.0 < eps_pos < np.inf):
@@ -100,28 +134,40 @@ def dp_ladder(data: ProblemData, steps, eps_pos: float = DEFAULT_EPS_POS) -> lis
     bound = eps_pos * delta
     P = np.repeat(data.N[None], live.size, axis=0)
     done, i = {}, 0
-    while live.size:
-        stop = min(int(live[-1]), i + counts[0] // live.size)
-        W, Z = _step_tables(data, live, delta, i, stop)
-        Wt = W.reshape(stop - i, live.size, rows, n + k).swapaxes(-1, -2)
-        for a in range(stop - i):
-            # P is symmetric up to rounding, so W_j' (P W_j) = W_j' diag(P, ..., P) W_j
-            M = Wt[a] @ (P[:, None] @ W[a]).reshape(-1, rows, n + k)
-            M += Z[a]
-            failed = (M[:, n, n] if k == 1 else np.linalg.eigvalsh(M[:, n:, n:])[:, 0]) <= bound
-            if failed.any():
-                for N in live[failed].tolist():
-                    done[N] = OracleResult(data.T / N, None, False, violation_step=N - 1 - i - a)
-                kept = ~failed
-                live, delta, bound = live[kept], delta[kept], bound[kept]
-                if not live.size:
-                    break
-                W, Wt, Z, M = W[:, kept], Wt[:, kept], Z[:, kept], M[kept]
-            P = schur_complement(M, n)
-        i = stop
-        if live.size and live[-1] == i:  # the smallest live count has completed
-            done[i] = OracleResult(data.T / i, symmetrize(P[-1]), True)
-            live, delta, bound, P = live[:-1], delta[:-1], bound[:-1], P[:-1]
+    # a count that failed mid-span steps on until the span ends, through zero or
+    # negative pivots; its values are dropped at the span's end, unread
+    with np.errstate(all="ignore"):
+        while live.size:
+            stop = min(int(live[-1]), i + counts[0] // live.size)
+            W, Z = _step_tables(data, live, delta, i, stop)
+            Wt = W.reshape(stop - i, live.size, rows, n + k).swapaxes(-1, -2)
+            for a in range(stop - i):
+                # M = W_j' (P W_j) + Z_j, in place of Z_j; P is symmetric up to
+                # rounding, so W_j' (P W_j) = W_j' diag(P, ..., P) W_j
+                Z[a] += Wt[a] @ (P[:, None] @ W[a]).reshape(-1, rows, n + k)
+                P = schur_complement(Z[a], n)
+            # free each table once read, before the next span builds its own
+            del W, Wt
+            failed, overflowed = _span_faults(Z, n, bound)
+            del Z
+            fail_at, over_at = _first(failed), _first(overflowed)
+            overflow = over_at < fail_at
+            if overflow.any():
+                N = int(live[overflow][0])
+                j = N - 1 - i - int(over_at[overflow][0])
+                raise NumericalOverflow(f"DP value of {N} steps overflowed at step {j}", j)
+            stopped = fail_at < stop - i
+            for N, a in zip(live[stopped].tolist(), fail_at[stopped].tolist()):
+                done[N] = OracleResult(data.T / N, None, False, violation_step=N - 1 - i - a)
+            kept = ~stopped
+            live, delta, bound, P = live[kept], delta[kept], bound[kept], P[kept]
+            i = stop
+            if live.size and live[-1] == i:  # the smallest live count has completed
+                P0 = symmetrize(P[-1])
+                if not np.isfinite(P0).all():
+                    raise NumericalOverflow(f"DP value of {i} steps overflowed at step 0", 0)
+                done[i] = OracleResult(data.T / i, P0, True)
+                live, delta, bound, P = live[:-1], delta[:-1], bound[:-1], P[:-1]
     return [done[int(ns)] for ns in steps]
 
 
@@ -129,9 +175,12 @@ def dp_solve(data: ProblemData, n_steps: int, eps_pos: float = DEFAULT_EPS_POS) 
     """Backward value recursion with n_steps uniform steps on [0, T].
 
     Coefficients are sampled at the left endpoint of each step, matching the
-    simulation module's convention.  Each step tests S (``eigvalsh`` on its
-    lower triangle when k > 1) and is then one ``schur_complement``; the recursion aborts
-    with ``constraint_ok = False`` once S is at or below eps_pos * delta.
-    P0 is symmetrized once, at completion.
+    simulation module's convention.  Each step is one ``schur_complement``;
+    S is tested after each span of steps (its entry when k = 1, else
+    ``eigvalsh`` on its lower triangle), and the result has
+    ``constraint_ok = False`` and the step of the first S at or below
+    eps_pos * delta.  NumericalOverflow carries the step of the first
+    non-finite M when that comes first.  P0 is symmetrized once, at
+    completion.
     """
     return dp_ladder(data, (n_steps,), eps_pos)[0]

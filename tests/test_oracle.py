@@ -5,6 +5,7 @@ import pytest
 
 from indeflq import bundled, oracle
 from indeflq.core import DEFAULT_EPS_POS, ProblemData, min_eigenvalue, symmetrize
+from indeflq.errors import NumericalOverflow
 from indeflq.oracle import OracleResult, dp_ladder, dp_solve
 from indeflq.riccati import solve_riccati
 from indeflq.specio import parse_spec
@@ -225,9 +226,83 @@ class TestLockstep:
         with pytest.raises(ValueError):
             dp_ladder(data, (64, 128), eps_pos=eps_pos)
 
+    def test_failed_counts_stay_isolated(self, monkeypatch):
+        # counts that fail part-way through a span step on until it ends, on coarse_data's
+        # zero pivot into inf and NaN; the counts beside them keep the bits of their solo run
+        spans, garbage = [], []
+        step_tables, schur_complement = oracle._step_tables, oracle.schur_complement
+
+        def recorded_tables(data, counts, delta, first, stop):
+            spans.append((first, stop))
+            return step_tables(data, counts, delta, first, stop)
+
+        def recorded_schur(M, n):
+            P = schur_complement(M, n)
+            garbage.append(not np.isfinite(P).all())
+            return P
+
+        monkeypatch.setattr(oracle, "_step_tables", recorded_tables)
+        monkeypatch.setattr(oracle, "schur_complement", recorded_schur)
+        rng = np.random.default_rng(20)
+        cases = [(coarse_data(), (3, 40, 9), True)]
+        for k in (2, 3):
+            data = random_definite_problem(rng, n=2, k=k, d=2)
+            cases.append((data.with_weights(R=-0.3 * np.eye(k), N=8.0 * np.eye(2)),
+                          (64, 5, 3, 40, 2, 1), False))
+        for data, ladder, non_finite in cases:
+            spans.clear()
+            garbage.clear()
+            got = dp_ladder(data, ladder)
+            assert any(garbage) == non_finite
+            mid_span = [res.violation_step is not None
+                        and any(a <= ns - 1 - res.violation_step < b - 1 for a, b in spans)
+                        for ns, res in zip(ladder, got)]
+            assert any(mid_span) and any(res.constraint_ok for res in got)
+            for ns, res in zip(ladder, got):
+                solo = dp_solve(data, ns)
+                assert (res.constraint_ok, res.violation_step) == (solo.constraint_ok,
+                                                                   solo.violation_step)
+                if solo.constraint_ok:
+                    assert res.P0.tobytes() == solo.P0.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_overflow_raises_with_its_step(self, k):
+        # B = D = 0 under a terminal weight of 1e307: each of 64 steps scales P by
+        # f = (1 + 10/64)^2, and M leaves the float range after about 10 of them
+        data = ProblemData(n=1, k=k, d=1, T=1.0, A=10.0, B=np.zeros((1, k)), C=[0.0],
+                           D=[np.zeros((1, k))], R=np.eye(k), Q=1.0, N=[[1e307]],
+                           grid=np.linspace(0.0, 1.0, 2))
+        with pytest.raises(NumericalOverflow) as info:
+            dp_ladder(data, (64, 512))
+        step, f = info.value.step, (1 + 10 / 64) ** 2
+        # P of step 64 is the terminal weight and M of step j is f P of step j + 1,
+        # 1e307 f^(64 - j): the first M to overflow is that of the reported step
+        assert 1e307 * f ** (64 - step) > np.finfo(float).max >= 1e307 * f ** (63 - step)
+        assert f"at step {step}" in str(info.value)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_weight_overflow_is_no_violation(self, k):
+        # D'PD = 1e6 P in every entry takes S past the float range at the first step;
+        # eigvalsh raises on some non-finite S, and a zeroed S would read as a violation
+        data = ProblemData(n=1, k=k, d=1, T=1.0, A=0.0, B=np.zeros((1, k)), C=[0.0],
+                           D=[np.full((1, k), 1e3)], R=np.eye(k), Q=0.0, N=[[1e307]],
+                           grid=np.linspace(0.0, 1.0, 2))
+        with pytest.raises(NumericalOverflow) as info:
+            dp_solve(data, 64)
+        assert info.value.step == 63
+
+    def test_overflow_in_the_last_elimination(self):
+        # S = R + N is 2^-52 N: M is finite, but G' S^-1 G = 2^52 N is not
+        data = ProblemData(n=1, k=1, d=1, T=1.0, A=0.0, B=1.0, C=[0.0], D=[0.0],
+                           R=-1e300 * (1 - 2.0 ** -52), Q=0.0, N=[[1e300]],
+                           grid=np.linspace(0.0, 1.0, 2))
+        with pytest.raises(NumericalOverflow) as info:
+            dp_solve(data, 1)
+        assert info.value.step == 0
+
     def test_call_budget(self, monkeypatch):
         # no solve; one symmetrize per completed count; one eigvalsh at most per
-        # lockstep iteration when k > 1, none when k = 1
+        # span when k > 1, none when k = 1
         problems = []
         for k in (1, 2):
             data = random_definite_problem(np.random.default_rng(k), n=2, k=k, d=2)
@@ -245,14 +320,16 @@ class TestLockstep:
 
         monkeypatch.setattr(np.linalg, "solve", no_solve)
         monkeypatch.setattr(oracle, "symmetrize", counted("symmetrize", oracle.symmetrize))
+        monkeypatch.setattr(oracle, "_step_tables", counted("spans", oracle._step_tables))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
         ladder = (16, 9, 16, 5, 1)
         outcomes = set()
         for data in problems:
-            calls.update(symmetrize=0, eigvalsh=0)
+            calls.update(symmetrize=0, spans=0, eigvalsh=0)
             got = dp_ladder(data, ladder)
             completed = {ns for ns, res in zip(ladder, got) if res.constraint_ok}
             outcomes.update(res.constraint_ok for res in got)
             assert calls["symmetrize"] == len(completed)
-            assert 0 < calls["eigvalsh"] <= max(ladder) if data.k > 1 else calls["eigvalsh"] == 0
+            assert (0 < calls["eigvalsh"] <= calls["spans"] if data.k > 1
+                    else calls["eigvalsh"] == 0)
         assert outcomes == {True, False}
