@@ -31,12 +31,13 @@ along a leading axis, so each numpy call serves all of them.  The counts are
 kept in descending order, so the live ones are a prefix.  W_j and Z_j are
 built for a span of iterations at a time, which ends where the next count
 completes and holds at most max(steps) rows (iterations x live counts): no
-table outgrows that of one recursion of max(steps) steps.  Each step writes
-its M in place of its Z_j, and every live count steps through the span
-untested.  At the span's end one pass over its M finds each count's first
-failing S (its entry at or below eps_pos * delta when k = 1, else one
-``eigvalsh`` over the span's S, which reads the lower triangle) and its
-first M that is not finite.  A failing S that comes first ends the count
+table outgrows that of one recursion of max(steps) steps.  A span that starts
+at iteration i also ends by 2 i + FIRST_SPAN, so the spans double from
+FIRST_SPAN iterations.  Each step writes its M in place of its Z_j, and every
+live count steps through the span untested.  At the span's end one pass
+over its M finds each count's first failing S (its entry at or below
+eps_pos * delta when k = 1, else one ``eigvalsh`` over the span's S, which
+reads the lower triangle) and its first M that is not finite.  A failing S that comes first ends the count
 with ``constraint_ok = False`` at that step; a non-finite M that comes first
 raises ``NumericalOverflow`` with its step.  A count that failed part-way
 steps on through the span's end on values that are never read, and no
@@ -55,6 +56,10 @@ from .core import DEFAULT_EPS_POS, ProblemData, schur_complement, symmetrize
 from .errors import NumericalOverflow
 
 __all__ = ["OracleResult", "dp_ladder", "dp_solve"]
+
+# iterations of the first span; a span that starts at iteration i ends by 2 i + FIRST_SPAN,
+# so a count that fails at iteration f is stepped through at most 2 f + FIRST_SPAN
+FIRST_SPAN = 32
 
 
 @dataclass
@@ -138,7 +143,7 @@ def dp_ladder(data: ProblemData, steps, eps_pos: float = DEFAULT_EPS_POS) -> lis
     # negative pivots; its values are dropped at the span's end, unread
     with np.errstate(all="ignore"):
         while live.size:
-            stop = min(int(live[-1]), i + counts[0] // live.size)
+            stop = min(int(live[-1]), i + counts[0] // live.size, 2 * i + FIRST_SPAN)
             W, Z = _step_tables(data, live, delta, i, stop)
             Wt = W.reshape(stop - i, live.size, rows, n + k).swapaxes(-1, -2)
             for a in range(stop - i):

@@ -387,30 +387,30 @@ def fundamental_pair_check(data: ProblemData, gain, config: SimConfig) -> float:
     config.validate()
     su = _EulerSetup(data, ControlPolicy(gain=gain), config.n_steps)
     n, d = su.n, su.d
-    # Xtilde' steps from the left with drift -(Acl - sum_i Ccl_i Ccl_i)' and diffusions -Ccl_i'
+    # Xtilde' steps from the left with drift -(Acl - sum_i Ccl_i Ccl_i)' and diffusions
+    # -Ccl_i'; the state [X; Xtilde'] steps on the block-diagonal table of both flows
     inv_drift = -(su.Acl - np.sum(su.Ccl @ su.Ccl, axis=0)).swapaxes(-1, -2)
-    tables = (_step_table(su.dt, su.Acl, su.Ccl),
-              _step_table(su.dt, inv_drift, -su.Ccl.swapaxes(-1, -2)))
+    pair = np.zeros((1 + d, su.n_steps, 2 * n, 2 * n))
+    pair[:, :, :n, :n] = np.concatenate([su.Acl[None], su.Ccl])
+    pair[:, :, n:, n:] = np.concatenate([inv_drift[None], -su.Ccl.swapaxes(-1, -2)])
+    table = _step_table(su.dt, pair[0], pair[1:])
     eye = np.eye(n)[:, :, None]
 
     def block_worst(idx):
         dW = _wiener_increments(config.seed, idx, su.n_steps, su.d, su.dt)
-        # X[:, :, p] is path p's X and Y[:, :, p] its Xtilde'
-        flows = [np.repeat(eye, (2 if config.antithetic else 1) * idx.size, axis=2)
-                 for _ in tables]
-        prod = np.empty((1 + d, *flows[0].shape))
-        defect = np.empty_like(flows[0])
+        F = np.tile(eye, (2, 1, (2 if config.antithetic else 1) * idx.size))
+        X, Y = F[:n], F[n:]  # X[:, :, p] is path p's X and Y[:, :, p] its Xtilde'
+        prod = np.empty((1 + d, *F.shape))
+        defect = np.empty_like(X)
         worst = 0.0
         for j, w in enumerate(_steps(dW, config.antithetic)):
-            for T, F in zip(tables, flows):
-                _euler_step(T[j], F, w, prod)
-                if not np.max(np.abs(F, out=prod[0])) <= STATE_NORM_CAP:
-                    raise NumericalOverflow(f"fundamental pair flow overflowed at step {j}", j)
-            X, Y = flows
+            _euler_step(table[j], F, w, prod)
+            if not np.max(np.abs(F, out=prod[0])) <= STATE_NORM_CAP:
+                raise NumericalOverflow(f"fundamental pair flow overflowed at step {j}", j)
             # (Xtilde X)[a, c] = sum_s Y[s, a] X[s, c], path by path
             np.multiply(Y[0][:, None], X[0][None], out=defect)
             for s in range(1, n):
-                defect += np.multiply(Y[s][:, None], X[s][None], out=prod[0])
+                defect += np.multiply(Y[s][:, None], X[s][None], out=prod[0, :n])
             defect -= eye
             worst = max(worst, float(np.sqrt(np.max(np.sum(
                 np.square(defect, out=defect), axis=(0, 1))))))

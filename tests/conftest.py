@@ -1,7 +1,13 @@
+import hypothesis
 import numpy as np
-import pytest
+from hypothesis import strategies as st
 
 from indeflq.core import ProblemData, symmetrize
+
+# every property draws the same examples on every run, alone or in the full suite,
+# and no example database is written
+hypothesis.settings.register_profile("indeflq", derandomize=True, deadline=None, database=None)
+hypothesis.settings.load_profile("indeflq")
 
 
 def random_definite_problem(rng, n=None, k=None, d=None, T=1.0, points=65):
@@ -64,6 +70,6 @@ def reference_lq_terms(coeffs, P, Lambda=None):
     return symmetrize(hat), rhs, base
 
 
-@pytest.fixture(scope="session")
-def rng_session():
-    return np.random.default_rng(20250810)
+# the seed of one random problem, and that problem
+seeds = st.integers(0, 2 ** 32 - 1)
+problems = seeds.map(lambda seed: random_definite_problem(np.random.default_rng(seed)))

@@ -11,17 +11,27 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from indeflq import bundled
+from indeflq import bundled, simulate
 from indeflq.certificates import (
     SubsolutionCandidate,
     apply_shift,
     certify_definite_regime,
+    certify_scalar_comparison,
     check_subsolution,
+    constant_threshold_alpha_schedule,
     optimal_constant_alpha,
     shift_solution_back,
 )
 from indeflq.cli import main as cli_main
-from indeflq.core import ProblemData, eval_f, eval_gamma, eval_hat_R, min_eigenvalue, symmetrize
+from indeflq.core import (
+    CoefficientPath,
+    ProblemData,
+    eval_f,
+    eval_gamma,
+    eval_hat_R,
+    min_eigenvalue,
+    symmetrize,
+)
 from indeflq.oracle import dp_ladder
 from indeflq.riccati import (
     BLOWUP,
@@ -218,7 +228,6 @@ def test_criterion_7_fundamental_pair(definite_spec, definite_solution):
     d64 = fundamental_pair_check(gbm, np.zeros((1, 1)), SimConfig(256, 64, seed=881))
     d256 = fundamental_pair_check(gbm, np.zeros((1, 1)), SimConfig(256, 256, seed=881))
     ok = d64 / d256 >= 1.5
-    from indeflq.core import CoefficientPath
     gain_path = CoefficientPath(definite_solution.grid, definite_solution.gain)
     d2 = fundamental_pair_check(definite_spec.data, gain_path,
                                 SimConfig(256, 256, seed=881))
@@ -258,56 +267,58 @@ def test_criterion_9_shift_round_trip():
             ok, elapsed, 1.0)
 
 
-def test_criterion_10_property_suites(definite_spec, definite_solution, solved_corpus):
+def random_matrix_data(rng, psd_Q):
+    """n <= 3, k, d <= 2 on a 5-point grid: R = 0.3 MM' + I, N = 0, Q >= 0 or Q = 0."""
+    n, k, d = (int(rng.integers(1, top)) for top in (4, 3, 3))
+    M, Mq = rng.standard_normal((k, k)), rng.standard_normal((n, n))
+    return ProblemData(
+        n=n, k=k, d=d, T=1.0, A=rng.standard_normal((n, n)), B=rng.standard_normal((n, k)),
+        C=[0.5 * rng.standard_normal((n, n)) for _ in range(d)],
+        D=[0.5 * rng.standard_normal((n, k)) for _ in range(d)],
+        R=0.3 * (M @ M.T) + np.eye(k), Q=Mq @ Mq.T if psd_Q else np.zeros((n, n)),
+        N=np.zeros((n, n)), grid=np.linspace(0.0, 1.0, 5),
+    )
+
+
+def test_criterion_10_property_suites(definite_spec, definite_solution, monkeypatch):
     t0 = time.perf_counter()
     ok = True
     instances = 0
     rng = np.random.default_rng(31337)
 
-    # gain stationarity identity on 1000 random draws
-    for _ in range(1000):
-        data, _ = random_scalar_data(rng, points=5) if rng.random() < 0.5 else (None, None)
-        if data is None:
-            n = int(rng.integers(1, 4)); k = int(rng.integers(1, 3)); d = int(rng.integers(1, 3))
-            g = np.linspace(0.0, 1.0, 5)
-            M = rng.standard_normal((k, k))
-            data = ProblemData(
-                n=n, k=k, d=d, T=1.0,
-                A=rng.standard_normal((n, n)), B=rng.standard_normal((n, k)),
-                C=[0.5 * rng.standard_normal((n, n)) for _ in range(d)],
-                D=[0.5 * rng.standard_normal((n, k)) for _ in range(d)],
-                R=0.3 * (M @ M.T) + np.eye(k), Q=np.zeros((n, n)),
-                N=np.zeros((n, n)), grid=g,
-            )
-        P = symmetrize(rng.standard_normal((data.n, data.n)))
-        Lam = np.stack([symmetrize(rng.standard_normal((data.n, data.n)))
-                        for _ in range(data.d)])
-        t = float(rng.random())
-        hat = eval_hat_R(P, data, t)
-        if min_eigenvalue(hat) < 1e-3:
-            continue
-        G = eval_gamma(P, Lam, data, t)
-        A, B, C, D, R, Q = data.stacked_at(t)
-        rhs = B.T @ P + sum(D[i].T @ (P @ C[i] + Lam[i]) for i in range(data.d))
-        ok = ok and np.linalg.norm(hat @ G + rhs) <= 1e-10 * (
-            1 + np.linalg.norm(P) + np.linalg.norm(Lam))
-        # symmetry closure of the drift operator on the same draw
-        f = eval_f(P, Lam, data, t)
-        ok = ok and np.linalg.norm(f - f.T) <= 1e-12 * (1 + np.linalg.norm(f))
-        instances += 1
+    # gain stationarity identity and symmetry closure of the drift, 1000 draws of each
+    # family: Lambda != 0 with Q = 0 (half of them scalar data), and Q >= 0, whose drift
+    # is taken with Lambda = None and no floor on the weight
+    for with_lambda in (True, False):
+        for draw in range(1000):
+            if with_lambda and rng.random() < 0.5:
+                data = random_scalar_data(rng, points=5)[0]
+            else:
+                data = random_matrix_data(rng, psd_Q=not with_lambda)
+            P = symmetrize(rng.standard_normal((data.n, data.n)))
+            Lam = np.stack([symmetrize(rng.standard_normal((data.n, data.n)))
+                            for _ in range(data.d)])
+            t = float(rng.random())
+            hat = eval_hat_R(P, data, t)
+            if not with_lambda and draw % 5 == 0:
+                # on 200 draws: the effective weight is monotone in R
+                bump = rng.standard_normal((data.k, data.k))
+                data_hi = data.with_weights(R=data.R.samples[0] + bump @ bump.T)
+                ok = ok and min_eigenvalue(eval_hat_R(P, data_hi, t) - hat) >= -1e-12
+                instances += 1
+            if min_eigenvalue(hat) < 1e-3:
+                continue
+            G = eval_gamma(P, Lam, data, t)
+            A, B, C, D, R, Q = data.stacked_at(t)
+            rhs = B.T @ P + sum(D[i].T @ (P @ C[i] + Lam[i]) for i in range(data.d))
+            ok = ok and np.linalg.norm(hat @ G + rhs) <= 1e-10 * (
+                1 + np.linalg.norm(P) + np.linalg.norm(Lam))
+            f = eval_f(P, Lam, data, t) if with_lambda else eval_f(P, None, data, t, eps_pos=0.0)
+            ok = ok and np.linalg.norm(f - f.T) <= 1e-12 * (1 + np.linalg.norm(f))
+            instances += 1
 
-    # monotone dependence of the effective weight on R
-    for _ in range(200):
-        data, _ = random_scalar_data(rng, points=5)
-        bump = float(rng.random())
-        data_hi = data.with_weights(R=data.R.samples[0] + bump)
-        P = np.array([[float(rng.standard_normal())]])
-        t = float(rng.random())
-        diff = eval_hat_R(P, data_hi, t) - eval_hat_R(P, data, t)
-        ok = ok and min_eigenvalue(diff) >= -1e-12
-        instances += 1
-
-    # scalar consistency of all three evaluators
+    # scalar consistency of all three evaluators, each within 1e-11 and 1e-12 relative,
+    # and the effective weight monotone in R on scalar data
     for _ in range(200):
         data, (a, b, c, dd, r, q, nn) = random_scalar_data(rng, points=5)
         p, lam, t = float(rng.standard_normal()), float(rng.standard_normal()), float(rng.random())
@@ -315,13 +326,16 @@ def test_criterion_10_property_suites(definite_spec, definite_solution, solved_c
         ok = ok and abs(eval_hat_R([[p]], data, t)[0, 0] - hat) < 1e-12
         if hat > 1e-3:
             num = b * p + dd * (p * c + lam)
-            ok = ok and abs(eval_gamma([[p]], [[[lam]]], data, t)[0, 0] + num / hat) < 1e-11
             f_hand = 2 * a * p + c * c * p + 2 * c * lam + q - num * num / hat
-            ok = ok and abs(eval_f([[p]], [[[lam]]], data, t)[0, 0] - f_hand) < 1e-11
-        instances += 1
+            for got, want in ((eval_gamma([[p]], [[[lam]]], data, t)[0, 0], -num / hat),
+                              (eval_f([[p]], [[[lam]]], data, t)[0, 0], f_hand)):
+                ok = ok and abs(got - want) < min(1e-11, 1e-12 * (1 + abs(want)))
+        data_hi = data.with_weights(R=r + float(rng.standard_normal()) ** 2)
+        ok = ok and eval_hat_R([[p]], data_hi, t)[0, 0] - eval_hat_R([[p]], data, t)[0, 0] >= -1e-12
+        instances += 2
 
-    # subsolution margin monotone in R, and the certificate soundness chain
-    for _ in range(40):
+    # subsolution margin monotone in R
+    for _ in range(50):
         data = random_definite_problem(rng, points=17)
         cand = SubsolutionCandidate.zero(data)
         c_lo = check_subsolution(cand, data)
@@ -330,17 +344,26 @@ def test_criterion_10_property_suites(definite_spec, definite_solution, solved_c
         ok = ok and c_lo.certified and c_hi.certified
         ok = ok and c_hi.epsilon >= c_lo.epsilon - 1e-9
         instances += 1
-    for _ in range(8):
-        data = random_definite_problem(rng, points=33)
-        cert = certify_definite_regime(data)
+
+    # certified => solvable: a completed solve above the witness at every 32nd stored
+    # point, for the definite regime and the scalar example at its constant threshold
+    cases = [random_definite_problem(rng, points=33) for _ in range(8)]
+    for data in cases + [scalar_benchmark(-0.15)]:
+        if data.R.samples[0, 0, 0] < 0:
+            cert = certify_scalar_comparison(data, constant_threshold_alpha_schedule())
+        else:
+            cert = certify_definite_regime(data)
         sol = solve_riccati(data)
-        ok = ok and cert.certified and sol.status == COMPLETED
-        F0 = cert.witness_value_at_zero(data.n)
-        for j in range(0, sol.grid.size, 64):
-            ok = ok and min_eigenvalue(sol.P[j] - F0) >= -1e-6
+        ok = ok and cert.certified and cert.epsilon > 0.0 and sol.status == COMPLETED
+        F = np.zeros((data.grid.size, data.n, data.n)) if cert.phi is None else (
+            cert.phi[:, None, None] * np.eye(data.n))
+        witness = CoefficientPath(data.grid, F)
+        for j in range(0, sol.grid.size, 32):
+            ok = ok and min_eigenvalue(sol.P[j] - witness.at(sol.grid[j])) >= -1e-6
         instances += 1
 
-    # bit-reproducibility under thread-count variation
+    # bit-reproducibility under thread-count variation, over five blocks of 400 pairs
+    monkeypatch.setattr(simulate, "BLOCK_INCREMENTS", 400 * 64)
     policy = ControlPolicy.from_solution(definite_solution)
     cfg = SimConfig(n_paths=2000, n_steps=64, seed=616)
     reps = [

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -417,20 +418,39 @@ _SPEC_VALUES = st.recursive(
 )
 
 
-@hypothesis.settings(max_examples=100, deadline=None)
+# each command at small sizes, so that no drawn document builds a large table or
+# integrates a long horizon for long
+_SMALL = {
+    "solve": ["--set", "solver.max_steps=2000"],
+    "certify": [],
+    "simulate": ["--set", "solver.max_steps=2000", "--set", "simulation.n_paths=4",
+                 "--set", "simulation.n_steps=8"],
+    "oracle": ["--set", "solver.max_steps=2000", "--steps", "4,8"],
+}
+
+
+@hypothesis.settings(max_examples=100)
 @hypothesis.given(choice=st.data())
-def test_parse_spec_raises_only_spec_error(choice):
-    # one random key-path override of a bundled document: parse or SpecError
+def test_parse_spec_raises_only_spec_error(choice, tmp_path_factory):
+    # one random key-path override of a bundled document: parse or SpecError; the
+    # document, written as JSON or YAML, then runs one command to an exit code of 0-4
     doc = bundled.example_doc(choice.draw(st.sampled_from(bundled.example_names())))
     path = choice.draw(st.sampled_from(sorted(_key_paths(doc))))
     node = doc
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = choice.draw(_SPEC_VALUES)
+    spec = tmp_path_factory.getbasetemp() / "fuzz_spec"
+    # libyaml writes the long sampled tables of two bundled documents 3x faster
+    to_yaml = functools.partial(yaml.dump, Dumper=yaml.CSafeDumper)
+    spec.write_text(choice.draw(st.sampled_from([json.dumps, to_yaml]))(doc), encoding="utf-8")
     try:
         parse_spec(doc)
     except SpecError:
         pass
+    command = choice.draw(st.sampled_from(sorted(_SMALL)))
+    argv = [command, "--spec", str(spec), "--out", f"{spec}.json", "--quiet", *_SMALL[command]]
+    assert main(argv) in range(5)
 
 
 class TestSimulateCommand:

@@ -19,7 +19,7 @@ from indeflq.certificates import SubsolutionCandidate, apply_shift
 from indeflq.errors import ConstraintViolation, GridMismatch
 from indeflq.simulate import ControlPolicy, SimConfig, simulate_cost
 
-from conftest import random_scalar_data, reference_lq_terms
+from conftest import reference_lq_terms
 
 
 def make_data(**kw):
@@ -311,83 +311,3 @@ class TestSchurComplement:
             warnings.simplefilter("error")
             got = schur_complement(H, 2)
         assert got.shape == (2, 2) and np.all(np.isnan(got))
-
-
-class TestProperties:
-    def test_symmetry_closure(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            data = _random_matrix_data(rng)
-            P = symmetrize(rng.standard_normal((data.n, data.n)))
-            t = float(rng.random())
-            if min_eigenvalue(eval_hat_R(P, data, t)) < 1e-3:
-                continue
-            f = eval_f(P, None, data, t, eps_pos=0.0)
-            defect = np.linalg.norm(f - f.T)
-            assert defect <= 1e-12 * (1.0 + np.linalg.norm(f))
-
-    def test_gamma_identity_residual(self):
-        rng = np.random.default_rng(13)
-        for _ in range(1000):
-            data = _random_matrix_data(rng)
-            P = symmetrize(rng.standard_normal((data.n, data.n)))
-            Lam = np.stack([symmetrize(rng.standard_normal((data.n, data.n)))
-                            for _ in range(data.d)])
-            t = float(rng.random())
-            hat = eval_hat_R(P, data, t)
-            if min_eigenvalue(hat) < 1e-3:
-                continue
-            G = eval_gamma(P, Lam, data, t, eps_pos=1e-8)
-            A, B, C, D, R, Q = data.stacked_at(t)
-            rhs = B.T @ P + sum(D[i].T @ (P @ C[i] + Lam[i]) for i in range(data.d))
-            res = np.linalg.norm(hat @ G + rhs)
-            bound = 1e-10 * (1.0 + np.linalg.norm(P) + np.linalg.norm(Lam))
-            assert res <= bound
-
-    def test_monotone_in_R(self):
-        rng = np.random.default_rng(17)
-        for _ in range(200):
-            data = _random_matrix_data(rng)
-            bump = rng.standard_normal((data.k, data.k))
-            R1 = data.R.samples[0] + bump @ bump.T
-            data1 = data.with_weights(R=R1)
-            P = symmetrize(rng.standard_normal((data.n, data.n)))
-            t = float(rng.random())
-            d_hat = eval_hat_R(P, data1, t) - eval_hat_R(P, data, t)
-            assert min_eigenvalue(d_hat) >= -1e-12
-
-    def test_scalar_consistency(self):
-        rng = np.random.default_rng(19)
-        for _ in range(200):
-            data, (a, b, c, dd, r, q, nn) = random_scalar_data(rng)
-            p = float(rng.standard_normal())
-            lam = float(rng.standard_normal())
-            t = float(rng.random())
-            hat = r + dd * p * dd
-            assert abs(eval_hat_R([[p]], data, t)[0, 0] - hat) < 1e-12
-            if hat > 1e-3:
-                num = b * p + dd * (p * c + lam)
-                gam = -num / hat
-                G = eval_gamma([[p]], [[[lam]]], data, t)
-                assert abs(G[0, 0] - gam) < 1e-12 * (1 + abs(gam))
-                f_hand = 2 * a * p + c * c * p + 2 * c * lam + q - num * num / hat
-                f = eval_f([[p]], [[[lam]]], data, t)
-                assert abs(f[0, 0] - f_hand) < 1e-12 * (1 + abs(f_hand))
-
-
-def _random_matrix_data(rng):
-    n = int(rng.integers(1, 4))
-    k = int(rng.integers(1, 3))
-    d = int(rng.integers(1, 3))
-    grid = np.linspace(0.0, 1.0, 5)
-    M = rng.standard_normal((k, k))
-    R = 0.3 * (M @ M.T) + np.eye(k)
-    Mq = rng.standard_normal((n, n))
-    return ProblemData(
-        n=n, k=k, d=d, T=1.0,
-        A=rng.standard_normal((n, n)),
-        B=rng.standard_normal((n, k)),
-        C=[0.5 * rng.standard_normal((n, n)) for _ in range(d)],
-        D=[0.5 * rng.standard_normal((n, k)) for _ in range(d)],
-        R=R, Q=symmetrize(Mq @ Mq.T), N=np.zeros((n, n)), grid=grid,
-    )

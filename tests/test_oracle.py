@@ -1,5 +1,6 @@
 import itertools
 
+import hypothesis
 import numpy as np
 import pytest
 
@@ -10,7 +11,7 @@ from indeflq.oracle import OracleResult, dp_ladder, dp_solve
 from indeflq.riccati import solve_riccati
 from indeflq.specio import parse_spec
 
-from conftest import random_definite_problem, scalar_benchmark
+from conftest import problems, random_definite_problem, scalar_benchmark
 
 # the step ladder of the oracle benchmark
 LADDER = (512, 1024, 2048, 4096, 8192)
@@ -104,22 +105,21 @@ class TestConvergence:
         ratios = [errs[i] / errs[i + 1] for i in range(3)]
         assert all(1.6 <= r <= 2.6 for r in ratios)
 
-    def test_richardson_consistency(self, rng_session):
-        for _ in range(3):
-            data = random_definite_problem(rng_session)
-            sol = solve_riccati(data)
-            ladder = dp_ladder(data, (64, 128, 256, 512))
-            errs = [res.error_vs(sol.P0) for res in ladder]
-            diffs = [np.linalg.norm(coarse.P0 - fine.P0)
-                     for coarse, fine in zip(ladder, ladder[1:])]
-            ratios = [diffs[i] / diffs[i + 1] for i in range(2)]
-            assert all(1.6 <= r <= 2.6 for r in ratios)
-            assert errs[0] > errs[-1]
+    @hypothesis.settings(max_examples=3)
+    @hypothesis.given(data=problems)
+    def test_richardson_consistency(self, data):
+        sol = solve_riccati(data)
+        ladder = dp_ladder(data, (64, 128, 256, 512))
+        errs = [res.error_vs(sol.P0) for res in ladder]
+        diffs = [np.linalg.norm(coarse.P0 - fine.P0) for coarse, fine in zip(ladder, ladder[1:])]
+        ratios = [diffs[i] / diffs[i + 1] for i in range(2)]
+        assert all(1.6 <= r <= 2.6 for r in ratios)
+        assert errs[0] > errs[-1]
 
 
 class TestStructure:
-    def test_iterates_symmetric(self, rng_session):
-        data = random_definite_problem(rng_session)
+    def test_iterates_symmetric(self):
+        data = random_definite_problem(np.random.default_rng(9))
         res = dp_solve(data, 128)
         assert np.array_equal(res.P0, res.P0.T)
 
@@ -189,6 +189,24 @@ class TestLockstep:
                 # P is symmetrized once per completed count, which leaves it exactly symmetric
                 assert all(np.array_equal(res.P0, res.P0.T) for res in got if res.constraint_ok)
         assert mixed and {2, 3} <= part_way
+
+    def test_early_failure_ends_its_span_early(self, monkeypatch):
+        # R = -0.3 I under N = 8 I fails at iteration 66 of 2000 and 262 of 8192; the spans
+        # double from FIRST_SPAN, so the count steps at most 2 f + FIRST_SPAN iterations
+        stepped = []
+        step_tables = oracle._step_tables
+
+        def recorded(data, counts, delta, first, stop):
+            stepped.append(stop - first)
+            return step_tables(data, counts, delta, first, stop)
+
+        monkeypatch.setattr(oracle, "_step_tables", recorded)
+        data = random_definite_problem(np.random.default_rng(0), n=2, k=2, d=2)
+        data = data.with_weights(R=-0.3 * np.eye(2), N=8.0 * np.eye(2))
+        for N, failed_at in ((2000, 66), (8192, 262)):
+            stepped.clear()
+            assert N - 1 - dp_solve(data, N).violation_step == failed_at
+            assert failed_at < sum(stepped) <= 2 * failed_at + oracle.FIRST_SPAN
 
     def test_aborts_and_completions_in_one_ladder(self):
         got = assert_same_recursion(coarse_data(), 2, 3, 4)

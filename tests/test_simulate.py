@@ -1,5 +1,6 @@
 import tracemalloc
 
+import hypothesis
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
@@ -19,7 +20,7 @@ from indeflq.simulate import (
 from indeflq.specio import parse_spec
 from indeflq import bundled
 
-from conftest import random_definite_problem, scalar_benchmark
+from conftest import problems, random_definite_problem, scalar_benchmark
 
 
 def definite_2x2():
@@ -217,16 +218,6 @@ class TestCostEstimator:
             np.testing.assert_allclose(qacc, ref_qacc, rtol=1e-12, atol=0)
             assert np.all(qacc > 0.0)
 
-    def test_reproducible_across_workers(self):
-        spec = definite_2x2()
-        sol = solve_riccati(spec.data, spec.solver)
-        policy = ControlPolicy.from_solution(sol)
-        cfg = SimConfig(n_paths=3000, n_steps=64, seed=11)
-        reps = [simulate_cost(spec.data, policy, spec.xi, cfg, n_workers=w)
-                for w in (1, 2, 5)]
-        assert reps[0].cost_mean == reps[1].cost_mean == reps[2].cost_mean
-        assert reps[0].cost_stderr == reps[1].cost_stderr == reps[2].cost_stderr
-
     def test_seed_changes_draws(self):
         spec = definite_2x2()
         sol = solve_riccati(spec.data, spec.solver)
@@ -314,7 +305,7 @@ class TestCompletingSquare:
             assert gap > 0.0
             assert abs(gap - pert.cs_rhs) <= 3 * pooled + 2.0 / cfg.n_steps
 
-    def test_suboptimality_lower_bound(self, rng_session):
+    def test_suboptimality_lower_bound(self):
         # any policy's cost dominates the certificate witness value at xi
         from indeflq.certificates import certify_definite_regime
         spec = definite_2x2()
@@ -366,14 +357,41 @@ class TestFundamentalPair:
         assert defect2 <= 10.0 * defect1
 
 
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_pair_matches_two_flows_stepped_apart(self, antithetic):
+        # n = d = 2: the one block-diagonal state [X; Xtilde'] gives the defect of X and
+        # Xtilde stepped on their own, Xtilde from the right, on the same increments
+        rng = np.random.default_rng(2025)
+        data = random_definite_problem(rng, n=2, k=2, d=2, points=9)
+        gain = rng.standard_normal((2, 2))
+        cfg = SimConfig(n_paths=5, n_steps=32, seed=17, antithetic=antithetic)
+        dt = data.T / cfg.n_steps
+        dW = simulate._wiener_increments(cfg.seed, np.arange(5, dtype=np.uint64),
+                                         cfg.n_steps, 2, dt)
+        if antithetic:
+            dW = np.concatenate([dW, -dW], axis=2)
+        worst = 0.0
+        for p in range(dW.shape[2]):
+            X, Xt = np.eye(2), np.eye(2)
+            for j in range(cfg.n_steps):
+                A, B, C, D, R, Q = data.stacked_at(j * dt)
+                Acl, Ccl = A + B @ gain, C + D @ gain
+                noise = sum(Ccl[i] * dW[j, i, p] for i in range(2))
+                X, Xt = (X + Acl @ X * dt + noise @ X,
+                         Xt - Xt @ (Acl - sum(Ci @ Ci for Ci in Ccl)) * dt - Xt @ noise)
+                worst = max(worst, np.linalg.norm(Xt @ X - np.eye(2)))
+        assert worst > 0.0
+        assert fundamental_pair_check(data, gain, cfg) == pytest.approx(worst, rel=1e-12)
+
+
 class TestHamiltonianIdentity:
-    def test_defect_is_roundoff(self, rng_session):
-        for _ in range(3):
-            data = random_definite_problem(rng_session)
-            sol = solve_riccati(data)
-            defect = hamiltonian_identity_check(data, sol, probe_points=64)
-            scale = 1.0 + float(np.max(np.sqrt(np.sum(sol.P * sol.P, axis=(1, 2)))))
-            assert defect <= 1e-10 * scale
+    @hypothesis.settings(max_examples=3)
+    @hypothesis.given(data=problems)
+    def test_defect_is_roundoff(self, data):
+        sol = solve_riccati(data)
+        defect = hamiltonian_identity_check(data, sol, probe_points=64)
+        scale = 1.0 + float(np.max(np.sqrt(np.sum(sol.P * sol.P, axis=(1, 2)))))
+        assert defect <= 1e-10 * scale
 
     def test_scalar_closed_form_gain(self):
         data = scalar_benchmark(1.0)
