@@ -705,6 +705,15 @@ def test_cli_import_needs_no_thread_pool():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_needs_no_numpy_random():
+    # numpy.random (about 6.5 ms) loads only when a simulation draws
+    code = "import sys, indeflq.cli; print('numpy.random' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_json_spec_loads_no_yaml(tmp_path):
     # a JSON spec with JSON --set values never imports yaml (about 27 ms)
     spec = str(tmp_path / "definite_2x2.yaml")

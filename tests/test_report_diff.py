@@ -1,0 +1,25 @@
+import importlib.util
+from pathlib import Path
+
+_path = Path(__file__).resolve().parent.parent / "tools" / "report_diff.py"
+_spec = importlib.util.spec_from_file_location("report_diff", _path)
+report_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(report_diff)
+
+
+def test_compare_skips_timings_and_meta():
+    old = {"status": "completed", "P0": [[1.0, 0.5]], "timings": {"solve": 0.1}, "meta": {}}
+    new = {"status": "completed", "P0": [[1.0, 0.5]], "timings": {"solve": 0.2}}
+    assert report_diff.compare(old, new) == []
+
+
+def test_compare_names_each_change():
+    old = {"status": "completed", "P0": [[1.0, 0.5], [0.5, 2.0]], "steps": 3, "t_event": None}
+    new = {"status": "blowup", "P0": [[1.0, 0.5], [0.25, 2.5]], "steps": 3.0, "margin": 0.1}
+    assert report_diff.compare(old, new) == [
+        "added: margin",
+        "removed: t_event",
+        "status: 'completed' -> 'blowup'",
+        "steps: 3 -> 3.0",
+        "P0[][]: largest change 0.5 absolute, 0.5 relative",
+    ]

@@ -1,3 +1,6 @@
+import mmap
+import os
+import threading
 import tracemalloc
 
 import hypothesis
@@ -25,6 +28,38 @@ from conftest import problems, random_definite_problem, scalar_benchmark
 
 def definite_2x2():
     return parse_spec(bundled.example_doc("definite_2x2"))
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    # a block drawn by two processes waits for its child, whatever happens
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def shared_buffer(a):
+    """The mmap under an array, or None when it has none."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return a.obj if isinstance(a, memoryview) and isinstance(a.obj, mmap.mmap) else None
+
+
+def both_draws(monkeypatch, *args):
+    """``_wiener_increments(*args)`` drawn by one process, then split across two."""
+    if not simulate._splits_draw(simulate.SPLIT_INCREMENTS):
+        pytest.skip("a draw splits only on Linux with two CPUs")
+    draws = []
+    for split_from in (float("inf"), 0):
+        monkeypatch.setattr(simulate, "SPLIT_INCREMENTS", split_from)
+        draws.append(simulate._wiener_increments(*args))
+    assert shared_buffer(draws[0]) is None and shared_buffer(draws[1]) is not None
+    return draws
+
+
+def keyed_stream(seed, p, n_steps, d, dt):
+    gen = Generator(Philox(key=np.array([seed, p], dtype=np.uint64)))
+    return gen.standard_normal((n_steps, d)) * np.sqrt(dt)
 
 
 class TestCostEstimator:
@@ -98,27 +133,57 @@ class TestCostEstimator:
             with pytest.raises(ValueError, match="xi"):
                 simulate_cost(data, ControlPolicy(), xi, SimConfig(4, 8, seed=1))
 
-    def test_increments_are_the_keyed_philox_streams(self):
+    def test_increments_are_the_keyed_philox_streams(self, monkeypatch):
+        # an odd block: the child draws paths 2 to 4, this process 0 and 1
         seed, n_steps, d, dt = 2 ** 63 + 5, 16, 2, 0.25
         indices = np.arange(7, 12, dtype=np.uint64)
-        dW = simulate._wiener_increments(seed, indices, n_steps, d, dt)
-        assert dW.shape == (n_steps, d, indices.size)
-        for col, p in enumerate(indices):
-            gen = Generator(Philox(key=np.array([seed, p], dtype=np.uint64)))
-            expected = gen.standard_normal((n_steps, d)) * np.sqrt(dt)
-            assert np.array_equal(dW[:, :, col], expected)
+        for dW in both_draws(monkeypatch, seed, indices, n_steps, d, dt):
+            assert dW.shape == (n_steps, d, indices.size)
+            for col, p in enumerate(indices):
+                assert np.array_equal(dW[:, :, col], keyed_stream(seed, p, n_steps, d, dt))
 
     @pytest.mark.parametrize("n_paths, n_steps", [(600, 16), (3, 5000)])
-    def test_increments_across_draw_chunks(self, n_paths, n_steps):
+    def test_increments_across_draw_chunks(self, monkeypatch, n_paths, n_steps):
         # 600 paths of 16 x 2 draws are two full 64 KiB chunks and a ragged
         # third; a path of 5000 x 2 draws is larger than a chunk and takes one
         seed, d, dt = 2 ** 64 - 3, 2, 0.5
         assert n_paths > 2 * max(1, simulate.DRAW_CHUNK_BYTES // (8 * n_steps * d))
         indices = np.arange(11, 11 + n_paths, dtype=np.uint64)
-        dW = simulate._wiener_increments(seed, indices, n_steps, d, dt)
-        for col, p in enumerate(indices):
-            gen = Generator(Philox(key=np.array([seed, p], dtype=np.uint64)))
-            assert np.array_equal(dW[:, :, col], gen.standard_normal((n_steps, d)) * np.sqrt(dt))
+        for dW in both_draws(monkeypatch, seed, indices, n_steps, d, dt):
+            for col, p in enumerate(indices):
+                assert np.array_equal(dW[:, :, col], keyed_stream(seed, p, n_steps, d, dt))
+
+    def test_failed_child_draw_raises(self, monkeypatch):
+        # the child's half (lo > 0) fails: this process raises once it has reaped it
+        if not simulate._splits_draw(simulate.SPLIT_INCREMENTS):
+            pytest.skip("a draw splits only on Linux with two CPUs")
+        draw = simulate._draw_columns
+
+        def failing(seed, indices, lo, *args):
+            if lo > 0:
+                raise MemoryError("child")
+            draw(seed, indices, lo, *args)
+
+        monkeypatch.setattr(simulate, "SPLIT_INCREMENTS", 0)
+        monkeypatch.setattr(simulate, "_draw_columns", failing)
+        with pytest.raises(ChildProcessError, match="paths 2 to 5 .* exit status 1"):
+            simulate._wiener_increments(3, np.arange(5, dtype=np.uint64), 8, 1, 0.1)
+
+    def test_live_thread_draws_serially(self, monkeypatch):
+        # fork copies only the calling thread, so another live thread keeps the draw in one process
+        monkeypatch.setattr(simulate, "SPLIT_INCREMENTS", 0)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(30.0,))
+        waiter.start()
+        try:
+            dW = simulate._wiener_increments(4, np.arange(6, dtype=np.uint64), 8, 1, 0.1)
+        finally:
+            release.set()
+            waiter.join(timeout=30.0)
+        assert not waiter.is_alive()
+        assert shared_buffer(dW) is None
+        for col in range(6):
+            assert np.array_equal(dW[:, :, col], keyed_stream(4, col, 8, 1, 0.1))
 
     def test_independent_of_block_partition(self, monkeypatch):
         # 64 increments per block is one path per block at 64 steps, d = 1
@@ -155,10 +220,12 @@ class TestCostEstimator:
             per_path.append([np.concatenate([p[i] for p in parts]) for i in (0, 1)])
         assert [a.tobytes() for a in per_path[0]] == [a.tobytes() for a in per_path[1]]
 
-    def test_block_memory(self):
+    def test_block_memory(self, monkeypatch):
         # a block holds its increments, the state, the step product (one
         # block per table row group: drift, diffusion, cost weight) and the
-        # two sums; the optimal policy's completing-square table is left out
+        # two sums; the optimal policy's completing-square table is left out.
+        # tracemalloc does not see an mmap, so the bound holds on a serial
+        # draw, and a split draw must map exactly the increments' bytes
         spec = definite_2x2()
         sol = solve_riccati(spec.data, spec.solver)
         pairs, n_steps = 4000, 64
@@ -166,6 +233,8 @@ class TestCostEstimator:
         indices = np.arange(pairs, dtype=np.uint64)
         dW_bytes = 8 * n_steps * spec.data.d * pairs
         state_bytes = 8 * spec.data.n * 2 * pairs
+        splits = simulate._splits_draw(simulate.SPLIT_INCREMENTS)
+        monkeypatch.setattr(simulate, "SPLIT_INCREMENTS", float("inf"))
         tracemalloc.start()
         try:
             simulate._run_cost_block(setup, spec.xi, 3, indices, True)
@@ -173,6 +242,17 @@ class TestCostEstimator:
         finally:
             tracemalloc.stop()
         assert peak <= dW_bytes + 8 * state_bytes
+        if splits:
+            maps, new_map = [], mmap.mmap
+
+            def recorded(*args):
+                maps.append(new_map(*args))
+                return maps[-1]
+
+            monkeypatch.setattr(simulate, "SPLIT_INCREMENTS", 0)
+            monkeypatch.setattr(mmap, "mmap", recorded)
+            simulate._run_cost_block(setup, spec.xi, 3, indices, True)
+            assert [len(m) for m in maps] == [dW_bytes]
 
     @pytest.mark.parametrize("antithetic", [True, False])
     def test_block_matches_a_plain_loop(self, antithetic):
