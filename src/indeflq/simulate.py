@@ -25,9 +25,10 @@ buffer and copied into the (steps, d, paths) block one chunk at a time.
 Philox streams are drawn independently of one another, so on Linux a block
 of at least SPLIT_INCREMENTS increments is drawn by two processes: a forked
 child fills the second half of the paths in a shared mmap while this process
-fills the first.  The draw stays in one process for smaller blocks, on a
-single CPU, and in a process that runs other Python threads (``n_workers >
-1`` among them).  Every path keeps its stream either way.
+fills the first; if the fork fails or the child does not exit 0, this
+process draws the child's half as well.  The draw stays in one process for
+smaller blocks, on a single CPU, and in a process that runs other Python
+threads (``n_workers > 1`` among them).  Every path keeps its stream either way.
 """
 
 from __future__ import annotations
@@ -240,9 +241,11 @@ def _wiener_increments(seed, indices, n_steps, d, dt):
     however the block is drawn.  Where ``_splits_draw`` allows, the block
     lives in one anonymous shared mmap: a forked child draws the second half
     of the paths and leaves through ``os._exit`` while this process draws
-    the first half, then waits for it.  Threads would not help: each path's
-    re-keying and draw holds the GIL, and two drawing threads took twice as
-    long as one (0.155 s against 0.079 s for 20k paths of 256 normals).
+    the first half, then waits for it.  Where no child can be forked, or the
+    child does not exit 0, this process draws the child's half too.  Threads
+    would not help: each path's re-keying and draw holds the GIL, and two
+    drawing threads took twice as long as one (0.155 s against 0.079 s for
+    20k paths of 256 normals).
     """
     size, b = n_steps * d, indices.size
     if not _splits_draw(size * b):
@@ -251,7 +254,11 @@ def _wiener_increments(seed, indices, n_steps, d, dt):
         return dW
     dW = np.frombuffer(mmap.mmap(-1, 8 * size * b), dtype=float).reshape(n_steps, d, b)
     columns, half = dW.reshape(size, b), b // 2
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare (a process limit, or no memory for one)
+        _draw_columns(seed, indices, 0, b, n_steps, d, dt, columns)
+        return dW
     if pid == 0:  # the child: never returns, whatever happens
         code = 1
         try:
@@ -263,10 +270,9 @@ def _wiener_increments(seed, indices, n_steps, d, dt):
         _draw_columns(seed, indices, 0, half, n_steps, d, dt, columns)
     finally:
         status = os.waitpid(pid, 0)[1]
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        raise ChildProcessError(f"the process drawing paths {half} to {b} of a block "
-                                f"ended with exit status {code}")
+    if os.waitstatus_to_exitcode(status) != 0:
+        # the child failed or was killed (say, out of memory): draw its half here
+        _draw_columns(seed, indices, half, b, n_steps, d, dt, columns)
     return dW
 
 

@@ -34,8 +34,9 @@ def definite_2x2():
 def no_child_left():
     # a block drawn by two processes waits for its child, whatever happens
     yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    if hasattr(os, "fork"):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def shared_buffer(a):
@@ -45,15 +46,29 @@ def shared_buffer(a):
     return a.obj if isinstance(a, memoryview) and isinstance(a.obj, mmap.mmap) else None
 
 
+can_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+
+
+def force_split(monkeypatch):
+    """Split every block's draw across two processes, on one CPU too.
+
+    False, and nothing forced, where this process cannot fork safely: without
+    ``os.fork`` or while another Python thread runs.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
+    monkeypatch.setattr(simulate, "_splits_draw", lambda increments: True)
+    return True
+
+
 def both_draws(monkeypatch, *args):
-    """``_wiener_increments(*args)`` drawn by one process, then split across two."""
-    if not simulate._splits_draw(simulate.SPLIT_INCREMENTS):
-        pytest.skip("a draw splits only on Linux with two CPUs")
-    draws = []
-    for split_from in (float("inf"), 0):
-        monkeypatch.setattr(simulate, "SPLIT_INCREMENTS", split_from)
+    """``_wiener_increments(*args)`` drawn by one process and, where it can fork, by two."""
+    monkeypatch.setattr(simulate, "SPLIT_INCREMENTS", float("inf"))
+    draws = [simulate._wiener_increments(*args)]
+    assert shared_buffer(draws[0]) is None
+    if force_split(monkeypatch):
         draws.append(simulate._wiener_increments(*args))
-    assert shared_buffer(draws[0]) is None and shared_buffer(draws[1]) is not None
+        assert shared_buffer(draws[1]) is not None
     return draws
 
 
@@ -153,21 +168,52 @@ class TestCostEstimator:
             for col, p in enumerate(indices):
                 assert np.array_equal(dW[:, :, col], keyed_stream(seed, p, n_steps, d, dt))
 
-    def test_failed_child_draw_raises(self, monkeypatch):
-        # the child's half (lo > 0) fails: this process raises once it has reaped it
-        if not simulate._splits_draw(simulate.SPLIT_INCREMENTS):
-            pytest.skip("a draw splits only on Linux with two CPUs")
+    @can_fork
+    def test_failed_child_half_is_drawn_here(self, monkeypatch):
+        # the child fails its half (lo > 0): this process reaps it, then draws
+        # that half itself, so every column is still its keyed stream
+        assert force_split(monkeypatch)
+        parent, draw = os.getpid(), simulate._draw_columns
+
+        def failing_in_child(seed, indices, lo, *args):
+            if lo > 0 and os.getpid() != parent:
+                raise MemoryError("child")
+            draw(seed, indices, lo, *args)
+
+        monkeypatch.setattr(simulate, "_draw_columns", failing_in_child)
+        dW = simulate._wiener_increments(3, np.arange(5, dtype=np.uint64), 8, 1, 0.1)
+        assert shared_buffer(dW) is not None
+        for col in range(5):
+            assert np.array_equal(dW[:, :, col], keyed_stream(3, col, 8, 1, 0.1))
+
+    @can_fork
+    def test_failed_second_half_raises(self, monkeypatch):
+        # the second half (lo > 0) fails in the child and again here: this
+        # process raises once it has reaped the child
+        assert force_split(monkeypatch)
         draw = simulate._draw_columns
 
         def failing(seed, indices, lo, *args):
             if lo > 0:
-                raise MemoryError("child")
+                raise MemoryError("second half")
             draw(seed, indices, lo, *args)
 
-        monkeypatch.setattr(simulate, "SPLIT_INCREMENTS", 0)
         monkeypatch.setattr(simulate, "_draw_columns", failing)
-        with pytest.raises(ChildProcessError, match="paths 2 to 5 .* exit status 1"):
+        with pytest.raises(MemoryError, match="second half"):
             simulate._wiener_increments(3, np.arange(5, dtype=np.uint64), 8, 1, 0.1)
+
+    @can_fork
+    def test_failed_fork_draws_here(self, monkeypatch):
+        # a process limit makes fork fail: the block is drawn by this process alone
+        assert force_split(monkeypatch)
+
+        def no_fork():
+            raise BlockingIOError("Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        dW = simulate._wiener_increments(5, np.arange(4, 9, dtype=np.uint64), 8, 2, 0.1)
+        for col, p in enumerate(range(4, 9)):
+            assert np.array_equal(dW[:, :, col], keyed_stream(5, p, 8, 2, 0.1))
 
     def test_live_thread_draws_serially(self, monkeypatch):
         # fork copies only the calling thread, so another live thread keeps the draw in one process
@@ -233,7 +279,6 @@ class TestCostEstimator:
         indices = np.arange(pairs, dtype=np.uint64)
         dW_bytes = 8 * n_steps * spec.data.d * pairs
         state_bytes = 8 * spec.data.n * 2 * pairs
-        splits = simulate._splits_draw(simulate.SPLIT_INCREMENTS)
         monkeypatch.setattr(simulate, "SPLIT_INCREMENTS", float("inf"))
         tracemalloc.start()
         try:
@@ -242,14 +287,13 @@ class TestCostEstimator:
         finally:
             tracemalloc.stop()
         assert peak <= dW_bytes + 8 * state_bytes
-        if splits:
+        if force_split(monkeypatch):
             maps, new_map = [], mmap.mmap
 
             def recorded(*args):
                 maps.append(new_map(*args))
                 return maps[-1]
 
-            monkeypatch.setattr(simulate, "SPLIT_INCREMENTS", 0)
             monkeypatch.setattr(mmap, "mmap", recorded)
             simulate._run_cost_block(setup, spec.xi, 3, indices, True)
             assert [len(m) for m in maps] == [dW_bytes]
