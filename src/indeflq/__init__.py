@@ -22,7 +22,6 @@ from .core import (
 )
 from .certificates import (
     Certificate,
-    SubsolutionCandidate,
     apply_shift,
     certify_definite_regime,
     certify_scalar_comparison,
@@ -84,7 +83,6 @@ __all__ = [
     "SolverConfig",
     "SpecError",
     "StepLimit",
-    "SubsolutionCandidate",
     "apply_shift",
     "certify_definite_regime",
     "certify_scalar_comparison",

@@ -17,13 +17,13 @@ index of its alpha path, weighted by dt/dindex.  It is second order on uniform
 nodes and on the graded nodes t = u^2 of the constant-threshold schedule, whose
 alpha = 1 endpoint at t = 0 makes Upsilon singular like t^(-1/2); about 2000
 graded nodes reproduce the sharp threshold of the scalar benchmark to 1e-8.
-That alpha = 1 endpoint is admitted only where the schedule itself starts a
-path, on its own graded nodes: elsewhere the integral of Upsilon can diverge.
+That alpha = 1 endpoint is admitted only through the schedule's name,
+"optimal-constant": elsewhere the integral of Upsilon can diverge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,11 +39,9 @@ from .core import (
     symmetric_part_error,
     symmetrize,
 )
-from .errors import GridMismatch
 from .riccati import RiccatiSolution, derive_gain_margin
 
 __all__ = [
-    "SubsolutionCandidate",
     "Certificate",
     "check_subsolution",
     "certify_scalar_comparison",
@@ -84,34 +82,6 @@ HALLEY_STEPS = 6
 
 
 @dataclass
-class SubsolutionCandidate:
-    """A candidate subsolution path F with its time derivative.
-
-    ``F`` and ``dF`` are read by ``core.path_samples`` on ``grid`` (one
-    symmetric matrix or one per grid point).  When ``dF`` is omitted it is
-    filled by second-order differences on the grid (one-sided at the ends; at
-    least 3 points) and checks run with a 10x inflated tolerance.
-    """
-
-    grid: np.ndarray
-    F: np.ndarray
-    dF: np.ndarray | None = None
-    derivative_fd: bool = field(default=False, init=False, repr=False)  # set by __post_init__
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        F = np.asarray(self.F, dtype=float)
-        n = F.shape[-1] if F.ndim else 1  # checked against the problem in check_subsolution
-        self.F, self.dF, self.derivative_fd = _witness_and_slope(F, self.dF, grid, n, "F")
-        self.grid = grid
-
-    @classmethod
-    def zero(cls, data: ProblemData) -> "SubsolutionCandidate":
-        z = np.zeros((data.grid.size, data.n, data.n))
-        return cls(grid=data.grid, F=z, dF=np.zeros_like(z))
-
-
-@dataclass
 class Certificate:
     """Solvability verdict with its margin and witnessing paths."""
 
@@ -135,20 +105,20 @@ class Certificate:
     def certified(self) -> bool:
         return self.verdict == CERTIFIED
 
-    def witness_value_at_zero(self, n: int) -> np.ndarray:
-        """F(0) of the certificate's witness (zero matrix when none is carried)."""
-        if self.phi is not None:
-            return float(self.phi[0]) * np.eye(n)
-        return np.zeros((n, n))
-
 
 def check_subsolution(
-    cand: SubsolutionCandidate,
     data: ProblemData,
+    F=None,
+    dF=None,
     tol: float = 1e-9,
     eps_pos: float = DEFAULT_EPS_POS,
 ) -> Certificate:
-    """Check the three subsolution conditions and measure the margin.
+    """Check the three subsolution conditions for a witness F and measure the margin.
+
+    ``F`` and ``dF`` are read on the problem grid by ``_witness_and_slope``, as
+    ``apply_shift`` reads K: one symmetric matrix or one per grid point.  When
+    ``dF`` is omitted it is filled by second-order differences and the checks
+    run with a 10x inflated tolerance.  ``F=None`` is the zero path with dF = 0.
 
     Certified when, at every grid point, the drift residual dF/dt + f(F, 0)
     is positive semi-definite to ``tol``, the effective control weight stays
@@ -156,19 +126,13 @@ def check_subsolution(
     is the supremal uniform reduction of R under which F remains a
     subsolution, found by bisection to 1e-6 relative.
     """
-    if cand.grid.size != data.grid.size or not np.allclose(
-        cand.grid, data.grid, rtol=0.0, atol=1e-12 * max(1.0, data.T)
-    ):
-        raise GridMismatch("candidate grid differs from the problem grid")
-    if cand.F.shape[1:] != (data.n, data.n):
-        raise GridMismatch(
-            f"candidate F holds {cand.F.shape[1]}x{cand.F.shape[2]} matrices, "
-            f"the problem needs {data.n}x{data.n}"
-        )
-    tol_eff = tol * (10.0 if cand.derivative_fd else 1.0)
     grid, n = data.grid, data.n
-    H = lq_block(data.blocks_at(grid), cand.F)
-    H[:, :n, :n] += cand.dF
+    if F is None:
+        F = dF = np.zeros((n, n))
+    F, dF, derivative_fd = _witness_and_slope(F, dF, grid, n, "F")
+    tol_eff = tol * (10.0 if derivative_fd else 1.0)
+    H = lq_block(data.blocks_at(grid), F)
+    H[:, :n, :n] += dF
 
     def drift_eigs(shift):
         """Minimal eigenvalues of dF/dt + f(F, 0) with R (lower right in H) less ``shift``."""
@@ -186,7 +150,7 @@ def check_subsolution(
         return Certificate.failed(
             KIND_SUBSOLUTION, "drift residual dF/dt + f(F, 0) not positive semi-definite",
             float(grid[j]))
-    term = min_eigenvalue(data.N - cand.F[-1])
+    term = min_eigenvalue(data.N - F[-1])
     if term < -tol_eff:
         return Certificate.failed(
             KIND_SUBSOLUTION, "terminal value F(T) not dominated by N", float(grid[-1]))
@@ -232,45 +196,32 @@ def quadrature_nodes(data: ProblemData) -> int:
     return max(QUAD_REFINE * data.m + 1, QUAD_MIN_PANELS + 1)
 
 
-def _normalize_alpha(alpha, data: ProblemData):
-    """Quadrature times plus alpha values on them.
+def _alpha_path(alpha, data: ProblemData):
+    """Quadrature times, alpha values on them, and whether alpha = 1 at t = 0.
 
     A scalar alpha, or an array on the problem grid, is sampled on
-    ``quadrature_nodes(data)`` uniform times.  A strictly increasing
-    ``(times, values)`` path keeps its own nodes, refined in the node index
-    by the smallest integer factor that gives at least that many nodes and an
-    even number of panels.  Times are refined linearly in the index, so on
-    every original panel the rule of ``_comparison_phi`` is the trapezoid rule
-    in t; a graded head with alpha = 1 at t = 0 does not survive refinement.
+    ``quadrature_nodes(data)`` uniform times.  The name "optimal-constant" is
+    ``constant_threshold_alpha_schedule`` on that many graded nodes, on
+    T = 1 only; it alone starts at the singular endpoint alpha = 1.
     """
-    base_points = quadrature_nodes(data)
+    if isinstance(alpha, str):  # before np.isscalar, which is true for a string too
+        if alpha != "optimal-constant":
+            raise ValueError(f"unknown alpha schedule {alpha!r}")
+        if abs(data.T - 1.0) > 1e-12:
+            raise ValueError("the optimal-constant alpha schedule needs horizon T = 1")
+        return (*constant_threshold_alpha_schedule(quadrature_nodes(data)), True)
+    times = np.linspace(0.0, data.T, quadrature_nodes(data))
     if np.isscalar(alpha):
-        a = float(alpha)
-        times = np.linspace(0.0, data.T, base_points)
-        return times, np.full(base_points, a)
-    if isinstance(alpha, tuple):
-        a_grid = np.asarray(alpha[0], dtype=float)
-        a_vals = np.asarray(alpha[1], dtype=float)
-        if a_grid.shape != a_vals.shape or a_grid.ndim != 1:
-            raise ValueError("alpha path must be (times, values) of equal length")
-        # written so that NaN times fail too
-        if a_grid.size < 2 or not np.all(np.diff(a_grid) > 0.0):
-            raise ValueError("alpha path times must be at least 2 strictly increasing points")
-        if abs(a_grid[0]) > 1e-12 or abs(a_grid[-1] - data.T) > 1e-12 * max(1.0, data.T):
-            raise ValueError("alpha path must span [0, T]")
-        panels = a_grid.size - 1
-        factor = max(1, -(-(base_points - 1) // panels))
-        factor += (panels * factor) % 2
-        if factor == 1:
-            return a_grid, a_vals
-        index = np.arange(panels * factor + 1) / factor
-        nodes = np.arange(a_grid.size)
-        return np.interp(index, nodes, a_grid), np.interp(index, nodes, a_vals)
-    a_vals = np.asarray(alpha, dtype=float)
-    if a_vals.shape != data.grid.shape:
-        raise ValueError("alpha array must be sampled on the problem grid")
-    times = np.linspace(0.0, data.T, base_points)
-    return times, np.interp(times, data.grid, a_vals)
+        a_vals = np.full(times.size, float(alpha))
+    else:
+        a_vals = np.asarray(alpha, dtype=float)
+        if a_vals.shape != data.grid.shape:
+            raise ValueError("alpha array must be sampled on the problem grid")
+        a_vals = np.interp(times, data.grid, a_vals)
+    # written so that NaN fails: every comparison with NaN is False
+    if not np.all((a_vals >= 0.0) & (a_vals < 1.0)):
+        raise ValueError("alpha values must lie in [0, 1)")
+    return times, a_vals, False
 
 
 def _upsilon_block(blocks, n):
@@ -279,31 +230,13 @@ def _upsilon_block(blocks, n):
     return lq_block((*blocks[:2], 0.0), np.eye(n))
 
 
-def _threshold_endpoint(times, a_vals) -> bool:
-    """Whether the path starts at the alpha = 1 endpoint of the named schedule.
-
-    The extrapolated first integrand of ``_comparison_phi`` is right only when
-    Upsilon dt/dindex is smooth in the node index up to t = 0: graded nodes
-    (t_2 = 4 t_1, so dt/dindex vanishes there) with 1 - alpha ~ sqrt(2t), as
-    on ``constant_threshold_alpha_schedule``; nodes 1 and 2 must carry its
-    values.  A path that reaches alpha = 1 otherwise, linearly in t or in
-    the index, makes the integral of Upsilon diverge like log t, so the exact
-    phi(0) is 0 and no extrapolation of the integrand is valid.
-    """
-    if times.size < 3 or times[0] != 0.0 or a_vals[0] != 1.0:
-        return False
-    graded = abs(4.0 * times[1] - times[2]) <= 1e-12 * times[2]
-    on_schedule = np.all(np.abs(a_vals[1:3] - _threshold_alpha(times[1:3])) <= 1e-12)
-    return bool(graded and on_schedule)
-
-
 def _comparison_phi(times, upsilon, qmin, nu, singular):
     """The comparison function phi on ``times`` (see certify_scalar_comparison).
 
     Both integrals are trapezoid sums in the node index, weighted by the
     Jacobian dt/dindex (``np.gradient``, second order): h on uniform nodes,
-    exact on t = T u^2.  When ``singular`` (``_threshold_endpoint``: alpha = 1
-    at t = 0, where Upsilon is -inf but Upsilon dt/du is finite) the first
+    exact on t = T u^2.  When ``singular`` (the named schedule: alpha = 1 at
+    t = 0, where Upsilon is -inf but Upsilon dt/du is finite) the first
     integrand value is the linear extrapolation 2 g_1 - g_2 of the next two.
     """
     jac = np.gradient(times, edge_order=2)
@@ -339,22 +272,14 @@ def certify_scalar_comparison(
 
     Parameters
     ----------
-    alpha : float, (times, values) pair, or array on the problem grid
-        Tuning path with values in [0, 1).  A scalar or a grid array is
-        sampled on ``quadrature_nodes(data)`` uniform nodes; a (times, values)
-        pair keeps its own nodes, graded ones included, refined in the node
-        index when it has fewer.  Alpha = 1 is admitted only at t = 0 of
-        ``constant_threshold_alpha_schedule`` with an odd count of at least
-        that many nodes (``_threshold_endpoint``), nowhere else.
+    alpha : float, array on the problem grid, or "optimal-constant"
+        Tuning path with values in [0, 1), the forms a spec's certificate
+        block can write.  A scalar or a grid array is sampled on
+        ``quadrature_nodes(data)`` uniform nodes.  "optimal-constant" is
+        ``constant_threshold_alpha_schedule`` on that many graded nodes
+        (horizon T = 1 only), whose alpha = 1 at t = 0 is admitted there alone.
     """
-    times, a_vals = _normalize_alpha(alpha, data)
-    singular = _threshold_endpoint(times, a_vals)
-    # written so that NaN fails: every comparison with NaN is False
-    inside = (a_vals >= 0.0) & (a_vals < 1.0)
-    if not (np.all(inside[1:]) and (inside[0] or singular)):
-        raise ValueError(
-            f"alpha values must lie in [0, 1); 1 only at t = 0 of the constant-threshold "
-            f"schedule with an odd node count of at least {quadrature_nodes(data)}")
+    times, a_vals, singular = _alpha_path(alpha, data)
 
     blocks, n = data.blocks_at(times), data.n
     Q_, R_ = blocks[2][:, :n, :n], blocks[2][:, n:, n:]
@@ -447,11 +372,9 @@ def constant_threshold_alpha_schedule(n_points: int = 2049):
     So the nodes are graded, t = u^2 with u uniform on [0, 1]: in u the
     integrand of the comparison ODE is smooth and the trapezoid rule of
     certify_scalar_comparison is second order.  The value at t = 0 is exactly
-    1, admitted there as the singular endpoint when the schedule is used as
-    it is: pass ``n_points=quadrature_nodes(data)`` on coefficient grids of
-    more than 513 points, where fewer nodes would be refined and refused (as
-    is an even count, refined to an even number of panels).
-    Returns (times, values).
+    1; the certifier admits it as the singular endpoint when alpha is
+    "optimal-constant", which builds this schedule on
+    ``quadrature_nodes(data)`` nodes.  Returns (times, values).
     """
     times = np.linspace(0.0, 1.0, int(n_points)) ** 2
     return times, _threshold_alpha(times)
@@ -540,8 +463,8 @@ def apply_shift(data: ProblemData, K, dK=None):
     when the residual vanishes (to tolerance): then P solves the shifted
     problem iff P + K solves the original one.
 
-    ``dK`` defaults to second-order differences of K on the grid, as a
-    candidate's dF does (``_witness_and_slope``).
+    ``dK`` defaults to second-order differences of K on the grid, as
+    ``check_subsolution``'s dF does (``_witness_and_slope``).
     """
     grid = data.grid
     K, dK, _ = _witness_and_slope(K, dK, grid, data.n, "K")

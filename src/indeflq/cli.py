@@ -17,15 +17,16 @@ import time
 from pathlib import Path
 
 from . import bundled
+# constant_threshold_alpha_schedule is not called here (certify_scalar_comparison
+# builds the named schedule): perfbench/op.py's tracer reads it off cli
+# (test_cli_binds_the_traced_layer_functions), and a traced run fails without it
 from .certificates import (
     Certificate,
-    SubsolutionCandidate,
     apply_shift,
     certify_definite_regime,
     certify_scalar_comparison,
     check_subsolution,
     constant_threshold_alpha_schedule,
-    quadrature_nodes,
 )
 from .errors import IndefLQError, NumericalOverflow, SpecError, StepLimit
 # dp_solve is not called here: perfbench/op.py's tracer rebinds cli.dp_solve
@@ -112,20 +113,12 @@ def _run_certificate(spec: ParsedSpec) -> Certificate:
     block, data, eps_pos = spec.certificate, spec.data, spec.solver.eps_pos
     kind = block["kind"]
     if kind == "scalar-comparison":
-        alpha = block["alpha"]
-        if isinstance(alpha, str):  # "optimal-constant", the one name parse_spec admits
-            if abs(data.T - 1.0) > 1e-12:
-                raise SpecError("the optimal-constant alpha schedule needs horizon T = 1")
-            alpha = constant_threshold_alpha_schedule(quadrature_nodes(data))
-        return certify_scalar_comparison(data, alpha, eps_pos=eps_pos)
+        return certify_scalar_comparison(data, block["alpha"], eps_pos=eps_pos)
     if kind == "definite":
         return certify_definite_regime(data, eps_pos=eps_pos)
     if kind == "explicit-subsolution":
-        if block["F"] is None:
-            cand = SubsolutionCandidate.zero(data)
-        else:
-            cand = SubsolutionCandidate(grid=data.grid, F=block["F"], dF=block["dF"])
-        return check_subsolution(cand, data, tol=block["tol"], eps_pos=eps_pos)
+        return check_subsolution(data, block["F"], block["dF"], tol=block["tol"],
+                                 eps_pos=eps_pos)
     # kind == "shift": parse_spec admits no other kind
     shifted, residual = apply_shift(data, block["K"])
     if residual > block["tol"]:

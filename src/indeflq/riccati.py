@@ -83,6 +83,8 @@ _DENSE = np.array([
 
 # largest output grid; output times are filled from the continuous extension
 MAX_OUTPUT_POINTS = 100_000
+# stored times probed by the a posteriori checks (at most; fewer on short grids)
+PROBE_POINTS = 64
 
 _SAFETY = 0.9
 _FAC_MIN = 0.2
@@ -348,12 +350,10 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
     )
 
 
-def check_solution_residual(
-    solution: RiccatiSolution, data: ProblemData, probe_points: int = 64
-) -> float:
+def check_solution_residual(solution: RiccatiSolution, data: ProblemData) -> float:
     """A posteriori defect of dP/dt + f(P, 0) = 0 on the stored grid.
 
-    Central differences with the output-grid spacing at ``probe_points``
+    Central differences with the output-grid spacing at PROBE_POINTS
     interior times; a genuine solution stays within roughly
     10 * rel_tol * (1 + max||P||) once the grid is dense enough for the
     stencil truncation to be negligible.  Raises ValueError without a completed
@@ -363,10 +363,10 @@ def check_solution_residual(
         raise ValueError("residual check requires a completed solution")
     grid, P = solution.grid, solution.P
     n_out = grid.size
-    if n_out < 3 or probe_points < 1:
-        raise ValueError("residual check needs at least 3 stored points and 1 probe")
+    if n_out < 3:
+        raise ValueError("residual check needs at least 3 stored points")
     h = (grid[-1] - grid[0]) / (n_out - 1)
-    idx = np.unique(np.linspace(1, n_out - 2, min(probe_points, n_out - 2)).round().astype(int))
+    idx = np.unique(np.linspace(1, n_out - 2, min(PROBE_POINTS, n_out - 2)).round().astype(int))
     H = lq_block(data.blocks_at(grid[idx]), symmetrize(P[idx]))
     margin = min_eigenvalue(H[:, data.n:, data.n:])
     bad = np.flatnonzero(margin <= 0.0)

@@ -44,7 +44,7 @@ import numpy as np
 
 from .core import CoefficientPath, ProblemData, lq_terms, path_samples
 from .errors import GridMismatch, NumericalOverflow
-from .riccati import RiccatiSolution
+from .riccati import PROBE_POINTS, RiccatiSolution
 
 __all__ = [
     "SimConfig",
@@ -492,23 +492,17 @@ def fundamental_pair_check(data: ProblemData, gain, config: SimConfig) -> float:
     return max(_for_blocks(config, su.d, block_worst))
 
 
-def hamiltonian_identity_check(
-    data: ProblemData, P_solution: RiccatiSolution, probe_points: int = 64
-) -> float:
+def hamiltonian_identity_check(data: ProblemData, P_solution: RiccatiSolution) -> float:
     """Algebraic defect of the stationarity condition along a solved path.
 
-    Evaluates || hat_R(P) G + B'P + sum_i D_i'P C_i || at probe times; the
+    Evaluates || hat_R(P) G + B'P + sum_i D_i'P C_i || at PROBE_POINTS times; the
     gain is defined as the exact solution of this linear system, so the
     defect is numerical noise, of order 1e-10 (1 + ||P||).
     """
     if not P_solution.completed:
         raise ValueError("identity check requires a completed Riccati solution")
-    if probe_points < 1:
-        raise ValueError("identity check needs at least 1 probe")
     grid = P_solution.grid
-    idx = np.unique(
-        np.linspace(0, grid.size - 1, min(probe_points, grid.size)).round().astype(int)
-    )
+    idx = np.unique(np.linspace(0, grid.size - 1, min(PROBE_POINTS, grid.size)).round().astype(int))
     times = grid[idx]
     P = P_solution.P[idx]
     G = P_solution.gain[idx]

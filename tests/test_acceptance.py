@@ -13,12 +13,10 @@ from scipy.optimize import brentq
 
 from indeflq import bundled, simulate
 from indeflq.certificates import (
-    SubsolutionCandidate,
     apply_shift,
     certify_definite_regime,
     certify_scalar_comparison,
     check_subsolution,
-    constant_threshold_alpha_schedule,
     optimal_constant_alpha,
     shift_solution_back,
 )
@@ -124,9 +122,7 @@ def test_criterion_2_blowup_counterexample(spec_dir):
     mask = sol.grid >= 1.0
     branch_err = float(np.max(np.abs(sol.P[mask, 0, 0] - 1.0 / (3.0 - sol.grid[mask]))))
     ok = ok and branch_err <= 1e-6
-    cert = check_subsolution(
-        SubsolutionCandidate.zero(spec.data), spec.data, eps_pos=spec.solver.eps_pos
-    )
+    cert = check_subsolution(spec.data, eps_pos=spec.solver.eps_pos)
     ok = ok and cert.certified and cert.epsilon > 0.0
     elapsed = time.perf_counter() - t0
     _report(
@@ -242,7 +238,7 @@ def test_criterion_8_hamiltonian_identity(solved_corpus):
     ok = True
     worst_ratio = 0.0
     for data, sol in solved_corpus:
-        defect = hamiltonian_identity_check(data, sol, probe_points=64)
+        defect = hamiltonian_identity_check(data, sol)
         scale = 1.0 + float(np.max(np.sqrt(np.sum(sol.P * sol.P, axis=(1, 2)))))
         worst_ratio = max(worst_ratio, defect / (1e-10 * scale))
         ok = ok and defect <= 1e-10 * scale
@@ -337,10 +333,9 @@ def test_criterion_10_property_suites(definite_spec, definite_solution, monkeypa
     # subsolution margin monotone in R
     for _ in range(50):
         data = random_definite_problem(rng, points=17)
-        cand = SubsolutionCandidate.zero(data)
-        c_lo = check_subsolution(cand, data)
+        c_lo = check_subsolution(data)
         bump = rng.standard_normal((data.k, data.k))
-        c_hi = check_subsolution(cand, data.with_weights(R=data.R.samples[0] + bump @ bump.T))
+        c_hi = check_subsolution(data.with_weights(R=data.R.samples[0] + bump @ bump.T))
         ok = ok and c_lo.certified and c_hi.certified
         ok = ok and c_hi.epsilon >= c_lo.epsilon - 1e-9
         instances += 1
@@ -350,7 +345,7 @@ def test_criterion_10_property_suites(definite_spec, definite_solution, monkeypa
     cases = [random_definite_problem(rng, points=33) for _ in range(8)]
     for data in cases + [scalar_benchmark(-0.15)]:
         if data.R.samples[0, 0, 0] < 0:
-            cert = certify_scalar_comparison(data, constant_threshold_alpha_schedule())
+            cert = certify_scalar_comparison(data, "optimal-constant")
         else:
             cert = certify_definite_regime(data)
         sol = solve_riccati(data)

@@ -4,14 +4,13 @@ from scipy.optimize import brentq
 
 from indeflq.certificates import (
     _threshold_alpha,
-    SubsolutionCandidate,
+    _witness_and_slope,
     apply_shift,
     certify_definite_regime,
     certify_scalar_comparison,
     check_subsolution,
     constant_threshold_alpha_schedule,
     optimal_constant_alpha,
-    quadrature_nodes,
     shift_solution_back,
 )
 from indeflq.core import ProblemData, min_eigenvalue
@@ -61,11 +60,10 @@ class TestScalarComparison:
         assert not cert2.certified
 
     def test_optimal_schedule_threshold(self):
-        sched = constant_threshold_alpha_schedule()
         a_star = optimal_constant_alpha()
         outcomes = {}
         for r in (-0.15, -0.17, -0.158, -0.159):
-            cert = certify_scalar_comparison(scalar_benchmark(r), sched)
+            cert = certify_scalar_comparison(scalar_benchmark(r), "optimal-constant")
             outcomes[r] = cert
         assert outcomes[-0.15].certified
         assert not outcomes[-0.17].certified
@@ -91,14 +89,15 @@ class TestScalarComparison:
         assert cert.t_worst is None
 
     def test_nan_alpha_rejected(self):
-        data = scalar_benchmark(1.0)
-        times = np.linspace(0.0, 1.0, 5)
+        data = scalar_benchmark(1.0, points=5)
         values = np.array([0.1, 0.1, np.nan, 0.1, 0.1])
-        for alpha in (float("nan"), (times, values)):
+        for alpha in (float("nan"), values):
             with pytest.raises(ValueError, match="alpha values"):
                 certify_scalar_comparison(data, alpha)
 
     def test_alpha_path_times_must_increase(self):
+        # a path on its own times, increasing or not, is refused: alpha is a
+        # scalar, an array on the problem grid, or the named schedule
         data = scalar_benchmark(1.0)
         bad = [
             (np.array([0.0, 0.7, 0.3, 1.0]), np.array([0.1, 0.9, 0.1, 0.1])),
@@ -106,7 +105,7 @@ class TestScalarComparison:
             (np.array([0.0]), np.array([0.1])),
         ]
         for alpha in bad:
-            with pytest.raises(ValueError, match="strictly increasing"):
+            with pytest.raises(ValueError, match="alpha array must be sampled on the problem grid"):
                 certify_scalar_comparison(data, alpha)
 
     def test_phi_nonpositive(self):
@@ -121,14 +120,13 @@ class TestScalarComparison:
 class TestGradedQuadrature:
     def test_named_schedule_reaches_sharp_threshold(self):
         a_star = optimal_constant_alpha()
-        cert = certify_scalar_comparison(scalar_benchmark(-0.15),
-                                         constant_threshold_alpha_schedule())
+        cert = certify_scalar_comparison(scalar_benchmark(-0.15), "optimal-constant")
         # within 1e-8 of the sharp bound, and on its conservative side
         assert 0.0 <= cert.threshold + a_star < 1e-8
 
     def test_flip_within_1e7_of_sharp_threshold(self):
         a_star = optimal_constant_alpha()
-        sched = constant_threshold_alpha_schedule()
+        sched = "optimal-constant"
         assert certify_scalar_comparison(scalar_benchmark(-a_star + 1e-7), sched).certified
         assert not certify_scalar_comparison(scalar_benchmark(-a_star - 1e-7), sched).certified
 
@@ -146,39 +144,41 @@ class TestGradedQuadrature:
         assert _threshold_alpha(0.0) == 1.0
 
     def test_second_order_on_graded_nodes(self):
+        # the named schedule takes quadrature_nodes(data) nodes: 2049 on a 513-point
+        # grid, 4097 on a 1025-point one; the time-invariant problem is the same
         a_star = optimal_constant_alpha()
-        data = scalar_benchmark(-0.15)
-        errors = [certify_scalar_comparison(data, constant_threshold_alpha_schedule(n))
-                  .threshold + a_star for n in (2049, 4097)]
+        certs = [certify_scalar_comparison(scalar_benchmark(-0.15, points=p), "optimal-constant")
+                 for p in (513, 1025)]
+        assert [cert.quad_nodes for cert in certs] == [2049, 4097]
+        errors = [cert.threshold + a_star for cert in certs]
         assert errors[1] * 3.0 <= errors[0]
 
     def test_alpha_one_only_at_first_node(self):
-        data = scalar_benchmark(1.0)
-        times = np.linspace(0.0, 1.0, 5)
+        data = scalar_benchmark(1.0, points=5)
         for values in ([0.5, 1.0, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.5, 1.0]):
             with pytest.raises(ValueError, match=r"alpha values must lie in \[0, 1\)"):
-                certify_scalar_comparison(data, (times, np.array(values)))
+                certify_scalar_comparison(data, np.array(values))
         with pytest.raises(ValueError, match=r"alpha values must lie in \[0, 1\)"):
             certify_scalar_comparison(data, 1.0)
-        # graded nodes with the schedule's sqrt head, then a constant tail
-        graded = np.linspace(0.0, 1.0, 2049) ** 2
-        head = np.maximum(_threshold_alpha(graded), 0.5)
-        cert = certify_scalar_comparison(data, (graded, head))
+        # the named schedule starts at alpha = 1 on graded nodes
+        cert = certify_scalar_comparison(data, "optimal-constant")
         assert cert.certified and np.all(np.isfinite(cert.phi))
 
+    # alpha paths on the problem grid ``times`` that reach 1 at t = 0 off the named
+    # schedule: on uniform nodes the integral of Upsilon diverges like log t
     @pytest.mark.parametrize("times, values", [
-        # reaches 1 linearly in t: the integral of Upsilon diverges like log t
+        # linearly in t
         (np.linspace(0.0, 1.0, 5), [1.0, 0.5, 0.5, 0.5, 0.5]),
         (np.linspace(0.0, 1.0, 2049), 1.0 - np.linspace(0.0, 1.0, 2049)),
-        # graded nodes, but 1 - alpha ~ t rather than sqrt(t)
-        (np.linspace(0.0, 1.0, 2049) ** 2, 1.0 - np.linspace(0.0, 1.0, 2049) ** 2),
-        # the schedule's values on uniform nodes: dt/dindex does not vanish at 0
+        # quadratically in t
+        (np.linspace(0.0, 1.0, 2049), 1.0 - np.linspace(0.0, 1.0, 2049) ** 2),
+        # the schedule's values: dt/dindex does not vanish at 0
         (np.linspace(0.0, 1.0, 2049), _threshold_alpha(np.linspace(0.0, 1.0, 2049))),
     ])
     def test_alpha_one_refused_off_the_schedule(self, times, values):
-        data = scalar_benchmark(1.0)
+        data = scalar_benchmark(1.0, points=times.size)
         with pytest.raises(ValueError, match=r"alpha values must lie in \[0, 1\)"):
-            certify_scalar_comparison(data, (times, np.asarray(values, dtype=float)))
+            certify_scalar_comparison(data, np.asarray(values, dtype=float))
 
     def test_alpha_one_refused_on_grid_arrays_and_refined_schedules(self):
         data = scalar_benchmark(-0.15, points=2049)
@@ -186,32 +186,34 @@ class TestGradedQuadrature:
         assert grid_alpha[0] == 1.0
         with pytest.raises(ValueError, match=r"alpha values must lie in \[0, 1\)"):
             certify_scalar_comparison(data, grid_alpha)
-        # 2049 nodes on a 2049-point grid would be refined linearly in the index
-        with pytest.raises(ValueError, match=r"odd node count of at least 8193"):
-            certify_scalar_comparison(data, constant_threshold_alpha_schedule())
+        # a (times, values) path is no form a spec can write: the schedule is named
+        graded = np.linspace(0.0, 1.0, 2049) ** 2
+        with pytest.raises(ValueError, match="alpha array must be sampled on the problem"):
+            certify_scalar_comparison(data, (graded, np.full(graded.size, 0.1)))
+        with pytest.raises(ValueError, match="unknown alpha schedule 'optimal'"):
+            certify_scalar_comparison(data, "optimal")
+        with pytest.raises(ValueError, match="needs horizon T = 1"):
+            certify_scalar_comparison(scalar_benchmark(-0.15, T=2.0), "optimal-constant")
 
     def test_schedule_sized_from_a_fine_grid(self):
         a_star = optimal_constant_alpha()
         data = scalar_benchmark(-0.15, points=2049)
-        cert = certify_scalar_comparison(
-            data, constant_threshold_alpha_schedule(quadrature_nodes(data)))
+        cert = certify_scalar_comparison(data, "optimal-constant")
         assert cert.quad_nodes == 8193
         assert 0.0 <= cert.threshold + a_star < 1e-8
 
     def test_quadrature_counters(self):
         data = scalar_benchmark(-0.15)
         a_star = optimal_constant_alpha()
-        cert = certify_scalar_comparison(data, constant_threshold_alpha_schedule())
+        cert = certify_scalar_comparison(data, "optimal-constant")
         assert cert.quad_nodes == 2049
         # the every-second-node difference bounds the error of a second-order rule
         assert cert.threshold + a_star <= cert.quad_error < 1e-8
-        # short paths are refined in the node index, odd panel counts to even ones
-        times = np.linspace(0.0, 1.0, 5)
-        short = certify_scalar_comparison(data, (times, np.full(5, 0.1)))
-        assert short.quad_nodes == 2049
-        times = np.linspace(0.0, 1.0, 3000)
-        odd = certify_scalar_comparison(data, (times, np.full(3000, 0.1)))
-        assert odd.quad_nodes == 5999
+        # constants and grid arrays take as many uniform nodes: 4 per grid panel,
+        # at least 2049
+        assert certify_scalar_comparison(data, 0.1).quad_nodes == 2049
+        fine = scalar_benchmark(-0.15, points=1001)
+        assert certify_scalar_comparison(fine, np.full(1001, 0.1)).quad_nodes == 4001
 
     def test_counters_on_definite_kinds_only(self):
         grid = np.linspace(0.0, 1.0, 17)
@@ -229,20 +231,19 @@ class TestGradedQuadrature:
 class TestSubsolution:
     def test_zero_on_blowup_data(self):
         spec = parse_spec(bundled.example_doc("blowup_ode"))
-        cert = check_subsolution(SubsolutionCandidate.zero(spec.data), spec.data,
-                                 eps_pos=spec.solver.eps_pos)
+        cert = check_subsolution(spec.data, eps_pos=spec.solver.eps_pos)
         assert cert.certified and cert.epsilon > 0.0
 
     def test_zero_on_definite_data(self):
         data = random_definite_problem(np.random.default_rng(5))
-        cert = check_subsolution(SubsolutionCandidate.zero(data), data)
+        cert = check_subsolution(data)
         r_floor = float(np.min(min_eigenvalue(data.R.samples)))
         assert cert.certified
         assert abs(cert.epsilon - r_floor) <= 1e-6 * (1 + r_floor)
 
     def test_negative_weight_fails_constraint(self):
         data = scalar_benchmark(-0.1)
-        cert = check_subsolution(SubsolutionCandidate.zero(data), data)
+        cert = check_subsolution(data)
         assert not cert.certified
         assert "control weight" in cert.reason
         assert cert.t_worst is not None
@@ -253,39 +254,31 @@ class TestSubsolution:
         grid = np.linspace(0.0, 1.0, 17)
         data = ProblemData(n=1, k=1, d=1, T=1.0, A=0.0, B=0.0, C=[0.0], D=[0.0],
                            R=1.0, Q=0.0, N=[[1.0]], grid=grid)
-        cand = SubsolutionCandidate(grid=grid, F=np.array([[2.0]]),
-                                    dF=np.array([[0.0]]))
-        cert = check_subsolution(cand, data)
+        cert = check_subsolution(data, F=np.array([[2.0]]), dF=np.array([[0.0]]))
         assert not cert.certified
         assert "terminal" in cert.reason
 
     def test_grid_mismatch(self):
+        # F sampled on an 11-point grid against the problem's 257 points
         data = scalar_benchmark(1.0)
-        other = np.linspace(0.0, 1.0, 11)
-        cand = SubsolutionCandidate(grid=other, F=np.zeros((11, 1, 1)),
-                                    dF=np.zeros((11, 1, 1)))
-        with pytest.raises(GridMismatch):
-            check_subsolution(cand, data)
+        with pytest.raises(GridMismatch, match="F: expected a 1x1 matrix or 257 such samples"):
+            check_subsolution(data, F=np.zeros((11, 1, 1)), dF=np.zeros((11, 1, 1)))
+        with pytest.raises(GridMismatch, match="F: expected a 1x1 matrix"):
+            check_subsolution(data, F=np.zeros((2, 2)))
 
     def test_finite_difference_derivative(self):
         # supplying F without dF works, with inflated tolerance
         data = scalar_benchmark(1.0)
         F = 0.1 * (1.0 + data.grid)[:, None, None]
-        cand = SubsolutionCandidate(grid=data.grid, F=F)
-        assert cand.derivative_fd
-        # only the missing dF sets it: it is no constructor argument
-        with pytest.raises(TypeError):
-            SubsolutionCandidate(grid=data.grid, F=F, dF=np.zeros_like(F), derivative_fd=True)
-        cert = check_subsolution(cand, data)
+        cert = check_subsolution(data, F)
         # dF/dt = 0.1 > 0 and f(F) >= 0 here, so certification holds
         assert cert.certified
 
     def test_finite_difference_needs_three_points(self):
-        grid = np.linspace(0.0, 1.0, 2)
+        data = scalar_benchmark(1.0, points=2)
         with pytest.raises(ValueError, match="dF"):
-            SubsolutionCandidate(grid=grid, F=np.array([[0.5]]))
-        cand = SubsolutionCandidate(grid=grid, F=np.array([[0.5]]), dF=np.array([[0.0]]))
-        assert not cand.derivative_fd
+            check_subsolution(data, F=np.array([[0.0]]))
+        assert check_subsolution(data, F=np.array([[0.0]]), dF=np.array([[0.0]])).certified
 
 
 class TestDefiniteRegime:
@@ -352,8 +345,8 @@ class TestShift:
         shifted, _ = apply_shift(data, K0 + t * t * K1)
         exact, _ = apply_shift(data, K0 + t * t * K1, dK=2.0 * t * K1)
         assert np.max(np.abs(shifted.Q.samples - exact.Q.samples)) <= 1e-11
-        F = SubsolutionCandidate(data.grid, F=K0 + t * t * K1)
-        assert np.max(np.abs(F.dF - 2.0 * t * K1)) <= 1e-11
+        _, dF, _ = _witness_and_slope(K0 + t * t * K1, None, data.grid, data.n, "F")
+        assert np.max(np.abs(dF - 2.0 * t * K1)) <= 1e-11
 
     def test_controlled_formulas(self):
         # B != 0 and D != 0: R_hat, Q_hat and the compensation residual

@@ -232,6 +232,12 @@ class TestCertifyCommand:
         p.write_text(yaml.safe_dump(doc))
         assert main(["certify", "--spec", str(p), "--quiet"]) == 1
 
+    def test_named_schedule_needs_unit_horizon_exit1(self, example_dir, capsys):
+        argv = ["certify", "--spec", str(example_dir / "example504_rneg015.yaml"),
+                "--set", "horizon=2.0", "--quiet"]
+        assert main(argv) == 1
+        assert "needs horizon T = 1" in capsys.readouterr().err
+
 
     @pytest.mark.parametrize("spec, settings", [
         ("definite_2x2", ["certificate.kind=explicit-subsolution", "certificate.F=[[0.0]]"]),
@@ -418,6 +424,17 @@ _SPEC_VALUES = st.recursive(
 )
 
 
+def _scaled(value, factor):
+    """``value`` with every number in it times ``factor``; integers stay integers."""
+    if isinstance(value, list):
+        return [_scaled(item, factor) for item in value]
+    if isinstance(value, dict):
+        return {key: _scaled(item, factor) for key, item in value.items()}
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return value
+    return round(value * factor) if isinstance(value, int) else value * factor
+
+
 # each command at small sizes, so that no drawn document builds a large table or
 # integrates a long horizon for long
 _SMALL = {
@@ -432,14 +449,16 @@ _SMALL = {
 @hypothesis.settings(max_examples=100)
 @hypothesis.given(choice=st.data())
 def test_parse_spec_raises_only_spec_error(choice, tmp_path_factory):
-    # one random key-path override of a bundled document: parse or SpecError; the
-    # document, written as JSON or YAML, then runs one command to an exit code of 0-4
+    # one random key-path override of a bundled document, by a drawn value or by a
+    # scaled copy of the original one (which often still parses): parse or SpecError;
+    # the document, written as JSON or YAML, then runs one command to an exit code of 0-4
     doc = bundled.example_doc(choice.draw(st.sampled_from(bundled.example_names())))
     path = choice.draw(st.sampled_from(sorted(_key_paths(doc))))
     node = doc
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = choice.draw(_SPEC_VALUES)
+    scaled = st.floats(-4.0, 4.0).map(functools.partial(_scaled, node[path[-1]]))
+    node[path[-1]] = choice.draw(_SPEC_VALUES | scaled)
     spec = tmp_path_factory.getbasetemp() / "fuzz_spec"
     # libyaml writes the long sampled tables of two bundled documents 3x faster
     to_yaml = functools.partial(yaml.dump, Dumper=yaml.CSafeDumper)
@@ -450,7 +469,9 @@ def test_parse_spec_raises_only_spec_error(choice, tmp_path_factory):
         pass
     command = choice.draw(st.sampled_from(sorted(_SMALL)))
     argv = [command, "--spec", str(spec), "--out", f"{spec}.json", "--quiet", *_SMALL[command]]
-    assert main(argv) in range(5)
+    code = main(argv)
+    hypothesis.event(f"exit code {code}")
+    assert code in range(5)
 
 
 class TestSimulateCommand:

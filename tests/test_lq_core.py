@@ -15,7 +15,7 @@ from indeflq.core import (
     schur_complement,
     symmetrize,
 )
-from indeflq.certificates import SubsolutionCandidate, apply_shift
+from indeflq.certificates import apply_shift, check_subsolution
 from indeflq.errors import ConstraintViolation, GridMismatch
 from indeflq.simulate import ControlPolicy, SimConfig, simulate_cost
 
@@ -191,7 +191,7 @@ def _wrong_shape_at(entry):
     elif entry == "K":
         apply_shift(data, wrong)
     else:
-        SubsolutionCandidate(data.grid, F=np.zeros((17, 1, 1)), dF=wrong)
+        check_subsolution(data, F=np.zeros((17, 1, 1)), dF=wrong)
 
 
 @pytest.mark.parametrize("entry", ["C[0]", "gain", "perturbation", "K", "dF"])

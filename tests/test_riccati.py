@@ -10,7 +10,7 @@ from indeflq import riccati
 from indeflq.core import DEFAULT_EPS_POS, CoefficientPath, ProblemData, lq_block, symmetrize
 from indeflq.errors import ConstraintViolation, StepLimit
 from indeflq.oracle import dp_ladder
-from indeflq.certificates import certify_scalar_comparison, constant_threshold_alpha_schedule
+from indeflq.certificates import certify_scalar_comparison
 from indeflq.riccati import (
     BLOWUP,
     COMPLETED,
@@ -125,10 +125,6 @@ class TestResidual:
         sol.P[0] += 5.0
         with pytest.raises(ValueError, match="at least 3 stored points"):
             check_solution_residual(sol, spec.data)
-        # likewise with no probe asked for
-        sol = solve_riccati(spec.data)
-        with pytest.raises(ValueError, match="1 probe"):
-            check_solution_residual(sol, spec.data, probe_points=0)
 
     def test_nonpositive_weight_raises(self):
         # hat_R = 1 + P for the scalar benchmark; P = -5 inside breaks it
@@ -372,5 +368,5 @@ def test_linalg_solve_call_budget(monkeypatch):
     assert len(steps) == 3
     calls.clear()
     certify_scalar_comparison(data, 0.5)
-    certify_scalar_comparison(scalar_benchmark(-0.15), constant_threshold_alpha_schedule())
+    certify_scalar_comparison(scalar_benchmark(-0.15), "optimal-constant")
     assert calls == []
