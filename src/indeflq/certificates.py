@@ -118,17 +118,21 @@ def check_subsolution(
     ``F`` and ``dF`` are read on the problem grid by ``_witness_and_slope``, as
     ``apply_shift`` reads K: one symmetric matrix or one per grid point.  When
     ``dF`` is omitted it is filled by second-order differences and the checks
-    run with a 10x inflated tolerance.  ``F=None`` is the zero path with dF = 0.
+    run with a 10x inflated tolerance.  ``F=None`` is the zero path, with
+    dF = 0 where ``dF`` is omitted too.
 
     Certified when, at every grid point, the drift residual dF/dt + f(F, 0)
     is positive semi-definite to ``tol``, the effective control weight stays
     above the positivity floor, and F(T) <= N to ``tol``.  The margin epsilon
     is the supremal uniform reduction of R under which F remains a
-    subsolution, found by bisection to 1e-6 relative.
+    subsolution, found by bisection to an absolute width of 1e-6 times its
+    upper bound (the effective weight's least eigenvalue less the floor); a
+    margin below that width is not strict, and fails.
     """
     grid, n = data.grid, data.n
     if F is None:
-        F = dF = np.zeros((n, n))
+        F = np.zeros((n, n))
+        dF = F if dF is None else dF
     F, dF, derivative_fd = _witness_and_slope(F, dF, grid, n, "F")
     tol_eff = tol * (10.0 if derivative_fd else 1.0)
     H = lq_block(data.blocks_at(grid), F)
@@ -163,18 +167,19 @@ def check_subsolution(
             return False
         return float(np.min(drift_eigs(shift))) >= -tol_eff
 
+    width = 1e-6 * eps_hi  # reached in 20 halvings
     if ok(eps_hi * (1.0 - 1e-12)):
         epsilon = eps_hi
     else:
         lo, hi = 0.0, eps_hi
-        while hi - lo > 1e-6 * max(hi, 1e-30):
+        while hi - lo > width:
             mid = 0.5 * (lo + hi)
             if ok(mid):
                 lo = mid
             else:
                 hi = mid
         epsilon = lo
-    if epsilon <= 0.0:
+    if epsilon < width:
         return Certificate.failed(
             KIND_SUBSOLUTION, "no positive margin: subsolution is not strict")
     return Certificate(kind=KIND_SUBSOLUTION, verdict=CERTIFIED, epsilon=float(epsilon))

@@ -4,19 +4,20 @@ Problem specs are JSON or YAML documents: dimensions, horizon, a uniform
 sample grid, the coefficient paths (each one constant matrix or one sample
 per grid point, read by ``core.path_samples``), the terminal weight, and
 optional certificate / solver / simulation blocks.  Text that is JSON is read
-by ``json.loads``, and only other text by PyYAML, imported then; nesting too
-deep to read is refused either way.  Every value, the certificate block's
-included, is read through ``_read``, so a missing key, a value of the wrong
-type and a malformed number all end in a ``SpecError`` that names the key
-path; so does a key that its mapping does not read (``_known``), and
-``parse_spec`` raises nothing else.  Sizes that drive allocation are bounded
-before anything is allocated.  Reports are JSON
+by ``json.loads``, and only other text by PyYAML, imported then, in one pass;
+nesting past the recursion limit is refused either way.  Every value, the
+certificate block's included, is read through ``_read``, so a missing key, a
+value of the wrong type and a malformed number all end in a ``SpecError``
+that names the key path; so does a key that its mapping does not read
+(``_known``), and ``parse_spec`` raises nothing else.  Sizes that drive
+allocation are bounded before anything is allocated.  Reports are JSON
 (stdlib ``json``; floats in Python's shortest round-trip form, so values
 read back exactly; non-finite floats become ``null``).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import reprlib
@@ -43,12 +44,6 @@ __all__ = [
     "dumps_report",
     "check_table_size",
 ]
-
-# deepest YAML nesting handed to PyYAML's composer, which recurses on the C
-# stack and crashes the interpreter at some 10^4 levels; spec arrays nest at
-# most four deep.  JSON deeper than the interpreter's recursion limit raises
-# RecursionError instead.
-MAX_YAML_NESTING = 64
 
 # largest coefficient grid: every path is expanded to one sample per point
 MAX_GRID_POINTS = 100_000
@@ -286,30 +281,22 @@ def parse_spec(doc: dict) -> ParsedSpec:
     )
 
 
-class _NotYAML(SpecError):
-    """Text that neither JSON nor YAML reads."""
-
-
 def _not_json(constant):
     raise ValueError(f"{constant} is not JSON")
 
 
-def _yaml_nests_too_deep(yaml, text, loader):
-    """True where the YAML text nests deeper than MAX_YAML_NESTING.
+@functools.cache
+def _python_composer(loader):
+    """``loader`` under PyYAML's Python composer, which raises RecursionError on
+    runaway nesting as ``json.loads`` does; libyaml's crashes the interpreter."""
+    from yaml.composer import Composer
 
-    The parser's event stream keeps its state on the heap, and stopping at the
-    limit keeps libyaml's scan of deep flow nesting, quadratic in the depth,
-    short.
-    """
-    depth = 0
-    for event in yaml.parse(text, Loader=loader):
-        if isinstance(event, yaml.CollectionStartEvent):
-            depth += 1
-            if depth > MAX_YAML_NESTING:
-                return True
-        elif isinstance(event, yaml.CollectionEndEvent):
-            depth -= 1
-    return False
+    class Loader(Composer, loader):
+        def __init__(self, stream):
+            loader.__init__(self, stream)
+            Composer.__init__(self)
+
+    return Loader
 
 
 def _load_text(text, where):
@@ -317,25 +304,25 @@ def _load_text(text, where):
 
     JSON is a subset of YAML and loads some 30 times faster.  NaN and Infinity
     are not JSON; YAML reads them as strings, which the casts refuse by key.
-    Nesting too deep to read raises SpecError and text that neither reads
-    raises ``_NotYAML``, both prefixed with ``where``.
+    Nesting too deep to read and text that neither reads raise SpecError,
+    prefixed with ``where``.
     """
     try:
-        return json.loads(text, parse_constant=_not_json)
-    except ValueError:
-        pass  # not JSON
+        try:
+            return json.loads(text, parse_constant=_not_json)
+        except ValueError:
+            pass  # not JSON
+        import yaml  # about 27 ms, paid only for text that is not JSON
+
+        # libyaml's scanner and parser where PyYAML was built with it
+        has_libyaml = hasattr(yaml, "CSafeLoader")
+        loader = _python_composer(yaml.CSafeLoader) if has_libyaml else yaml.SafeLoader
+        try:
+            return yaml.load(text, Loader=loader)
+        except yaml.YAMLError as exc:
+            raise SpecError(f"{where}: YAML parse error: {exc}") from None
     except RecursionError:
         raise SpecError(f"{where}: nested too deeply to read") from None
-    import yaml  # about 27 ms, paid only for text that is not JSON
-
-    # libyaml's scanner and parser where PyYAML was built with it
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-    try:
-        if _yaml_nests_too_deep(yaml, text, loader):
-            raise SpecError(f"{where}: nested deeper than {MAX_YAML_NESTING} levels")
-        return yaml.load(text, Loader=loader)
-    except yaml.YAMLError as exc:
-        raise _NotYAML(f"{where}: YAML parse error: {exc}") from None
 
 
 def load_spec_file(path, overrides=()) -> ParsedSpec:
@@ -353,8 +340,7 @@ def load_spec_file(path, overrides=()) -> ParsedSpec:
 def apply_overrides(doc: dict, overrides) -> dict:
     """Patch the document with repeatable ``key.path=value`` settings.
 
-    Each value is read like a spec text; one that neither JSON nor YAML reads
-    is kept as the raw string.
+    Each value is read like a spec text (``_load_text``).
     """
     if not isinstance(doc, dict):
         raise SpecError("cannot apply overrides: spec root must be a mapping")
@@ -365,10 +351,7 @@ def apply_overrides(doc: dict, overrides) -> dict:
         keys = [p for p in key_path.strip().split(".") if p]
         if not keys:
             raise SpecError(f"override {item!r}: empty key path")
-        try:
-            value = _load_text(raw, f"override {key_path}")
-        except _NotYAML:
-            value = raw
+        value = _load_text(raw, f"override {key_path}")
         node = doc
         for part in keys[:-1]:
             nxt = node.get(part)

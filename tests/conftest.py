@@ -38,6 +38,22 @@ def scalar_benchmark(r, points=257, T=1.0):
     )
 
 
+def smooth_blowup_doc():
+    """A spec whose slope norm reaches ``max_norm`` inside a solver step.
+
+    A = 5, B = C = D = Q = 0, R = N = 1, T = 1: P(t) = exp(10 (1 - t)), and the
+    slope norm 10 P reaches the cap 100 at t* = 1 - ln(10)/10.
+    """
+    return {
+        "dimensions": {"n": 1, "k": 1, "d": 1},
+        "horizon": 1.0,
+        "grid": {"points": 2},
+        "coefficients": {"A": 5.0, "B": 0.0, "C": [0.0], "D": [0.0], "R": 1.0, "Q": 0.0},
+        "terminal": [[1.0]],
+        "solver": {"max_norm": 100.0},
+    }
+
+
 def random_scalar_data(rng, points=33):
     """Random scalar problem with a comfortably positive effective weight."""
     grid = np.linspace(0.0, 1.0, points)

@@ -274,6 +274,34 @@ class TestSubsolution:
         # dF/dt = 0.1 > 0 and f(F) >= 0 here, so certification holds
         assert cert.certified
 
+    def test_slope_without_witness_is_used(self):
+        # F absent is the zero path, with the given slope: dF = -100 fails the
+        # drift check as it does with F = 0 given
+        spec = parse_spec(bundled.example_doc("blowup_ode"))
+        dF = np.array([[-100.0]])
+        for F in (None, np.array([[0.0]])):
+            cert = check_subsolution(spec.data, F=F, dF=dF, eps_pos=spec.solver.eps_pos)
+            assert (cert.verdict, cert.reason, cert.t_worst) == (
+                "failed", "drift residual dF/dt + f(F, 0) not positive semi-definite", 0.0)
+
+    def test_zero_witness_checked_at_tol(self):
+        # F and dF absent: dF is exactly 0, so the drift residual Q is checked
+        # at tol, not at the 10x tolerance of a differenced slope
+        grid = np.linspace(0.0, 1.0, 5)
+        for q, certified in ((-5e-9, False), (-5e-10, True)):
+            data = ProblemData(n=1, k=1, d=1, T=1.0, A=0.0, B=1.0, C=[0.0], D=[1.0], R=1.0,
+                               Q=q, N=[[1.0]], grid=grid)
+            assert check_subsolution(data, tol=1e-9).certified is certified
+
+    def test_zero_drift_residual_is_not_strict(self):
+        # f(1, 0) = 2A - B^2/R = 0 exactly, and any reduction of R makes it
+        # negative: the bisection must not accept a shift that rounding hides
+        data = ProblemData(n=1, k=1, d=1, T=1.0, A=0.5, B=1.0, C=[0.0], D=[0.0], R=1.0,
+                           Q=0.0, N=[[1.0]], grid=np.linspace(0.0, 1.0, 5))
+        cert = check_subsolution(data, F=np.array([[1.0]]), dF=np.array([[0.0]]), tol=0.0)
+        assert (cert.verdict, cert.epsilon) == ("failed", 0.0)
+        assert cert.reason == "no positive margin: subsolution is not strict"
+
     def test_finite_difference_needs_three_points(self):
         data = scalar_benchmark(1.0, points=2)
         with pytest.raises(ValueError, match="dF"):

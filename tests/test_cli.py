@@ -15,6 +15,8 @@ from indeflq.cli import main
 from indeflq.specio import apply_overrides, dumps_report, parse_spec
 from indeflq.errors import SpecError
 
+from conftest import smooth_blowup_doc
+
 
 @pytest.fixture(scope="module")
 def example_dir(tmp_path_factory):
@@ -92,6 +94,13 @@ class TestSolveCommand:
         assert rep["status"] == "blowup"
         assert 0.9 < rep["t_event"] < 1.0
 
+    def test_smooth_blowup_exit3(self, tmp_path):
+        # an event located by bisection inside a step
+        spec, out = tmp_path / "smooth.yaml", tmp_path / "smooth.json"
+        spec.write_text(json.dumps(smooth_blowup_doc()))
+        assert main(["solve", "--spec", str(spec), "--out", str(out), "--quiet"]) == 3
+        assert read_report(out)["status"] == "blowup"
+
     def test_missing_file_exit1(self):
         assert main(["solve", "--spec", "/no/such/file.yaml", "--quiet"]) == 1
 
@@ -164,6 +173,30 @@ class TestCertifyCommand:
         cert = read_report(out)["certificate"]
         assert cert["kind"] == "explicit-subsolution"
         assert cert["epsilon"] > 0.0
+
+    @pytest.mark.parametrize("settings", [
+        ["certificate.dF=[[-100.0]]"],
+        ["certificate.dF=[[-100.0]]", "certificate.F=[[0.0]]"],
+    ], ids=["without-F", "with-F"])
+    def test_slope_of_the_zero_witness_exit4(self, example_dir, tmp_path, settings):
+        # a dF without F is the zero witness's slope, as with F = 0 given
+        out = tmp_path / "bldf.json"
+        argv = ["certify", "--spec", str(example_dir / "blowup_ode.yaml"),
+                "--out", str(out), "--quiet"]
+        for item in settings:
+            argv += ["--set", item]
+        assert main(argv) == 4
+        cert = read_report(out)["certificate"]
+        assert cert["reason"] == "drift residual dF/dt + f(F, 0) not positive semi-definite"
+
+    def test_uncompensated_shift_exit4(self, example_dir, tmp_path):
+        # K B + sum C'K D does not vanish once B has a first row
+        out = tmp_path / "shb.json"
+        rc = main(["certify", "--spec", str(example_dir / "shift_demo.yaml"),
+                   "--set", "coefficients.B=[[1.0],[0.0]]", "--out", str(out), "--quiet"])
+        assert rc == 4
+        cert = read_report(out)["certificate"]
+        assert cert["reason"] == "compensation residual 3.041e-01 exceeds 1.0e-08"
 
     def test_missing_block_exit1(self, tmp_path):
         doc = bundled.example_doc("example504_r1")
@@ -292,15 +325,17 @@ class TestInputErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("text", [
+    deep_texts = pytest.mark.parametrize("text", [
         "[" * 200_000 + "]" * 200_000,  # JSON: RecursionError, never YAML
-        "a: " + "[" * 200_000 + "]" * 200_000,  # YAML: refused before composing
+        "a: " + "[" * 200_000 + "]" * 200_000,  # YAML: RecursionError in the composer
         "a: " + '[ "]", ' * 200_000 + "1" + "]" * 200_000,  # closers in strings
         "- " * 200_000 + "x",  # block sequences, one per indicator
     ], ids=["json", "yaml-flow", "yaml-quoted-closers", "yaml-block"])
+
+    @deep_texts
     def test_deep_nesting_exit1(self, text, tmp_path, capsys):
-        # PyYAML's composer recurses on the C stack: at this depth it crashes
-        # the interpreter instead of raising
+        # libyaml's composer recurses on the C stack: at this depth it would
+        # crash the interpreter instead of raising
         p = tmp_path / "deep.yaml"
         p.write_text(text)
         assert main(["solve", "--spec", str(p), "--quiet"]) == 1
@@ -315,6 +350,16 @@ class TestInputErrors:
             assert main(argv) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: override coefficients.R: nested")
+
+    # PyYAML's own scanner and parser, under the same Python composer
+    @deep_texts
+    def test_deep_nesting_exit1_without_libyaml(self, text, tmp_path, capsys, monkeypatch):
+        monkeypatch.delattr(yaml, "CSafeLoader")
+        self.test_deep_nesting_exit1(text, tmp_path, capsys)
+
+    def test_deep_override_exit1_without_libyaml(self, example_dir, capsys, monkeypatch):
+        monkeypatch.delattr(yaml, "CSafeLoader")
+        self.test_deep_override_exit1(example_dir, capsys)
 
     @pytest.mark.parametrize("key, value", [
         ("horizon", float("nan")),
@@ -628,6 +673,12 @@ class TestOverrides:
         else:
             assert_same_spec(got, want)
 
+    @pytest.mark.parametrize("value", ["[1.0, -0.5", "@linear", "a: b: c"])
+    def test_unreadable_value_names_the_override(self, value):
+        # a value that neither JSON nor YAML reads is an error, not raw text
+        with pytest.raises(SpecError, match=r"^override simulation\.xi: YAML parse error"):
+            apply_overrides(bundled.example_doc("definite_2x2"), [f"simulation.xi={value}"])
+
     def test_bad_override_exit1(self, example_dir):
         rc = main(["solve", "--spec", str(example_dir / "example504_r1.yaml"),
                    "--set", "nonsense", "--quiet"])
@@ -670,6 +721,17 @@ class TestSpecRoundTrip:
             p = tmp_path / f"{name}_{form}.yaml"
             p.write_text(text)
             assert_same_spec(specio.load_spec_file(p), spec)
+
+    def test_yaml_parsed_once(self, tmp_path, monkeypatch):
+        # YAML text is read by one yaml.load, never walked by yaml.parse first
+        def parse(*args, **kwargs):
+            raise AssertionError("yaml.parse called")
+
+        monkeypatch.setattr(yaml, "parse", parse)
+        for name in bundled.example_names():
+            p = tmp_path / f"{name}.yaml"
+            p.write_text(yaml.safe_dump(bundled.example_doc(name)))
+            assert_same_spec(specio.load_spec_file(p), parse_spec(bundled.example_doc(name)))
 
     def test_duplicate_keys_last_wins(self, tmp_path):
         doc = bundled.example_doc("example504_r1")

@@ -186,6 +186,9 @@ def _wrong_shape_at(entry):
         make_data(C=[wrong])
     elif entry == "gain":
         simulate_cost(data, ControlPolicy(gain=wrong), [1.0], SimConfig(2, 4))
+    elif entry == "gain path":
+        gain = CoefficientPath(data.grid, np.zeros((17, 2, 1)))
+        simulate_cost(data, ControlPolicy(gain=gain), [1.0], SimConfig(2, 4))
     elif entry == "perturbation":
         simulate_cost(data, ControlPolicy(perturb=wrong[:, :, 0]), [1.0], SimConfig(2, 4))
     elif entry == "K":
@@ -194,10 +197,13 @@ def _wrong_shape_at(entry):
         check_subsolution(data, F=np.zeros((17, 1, 1)), dF=wrong)
 
 
-@pytest.mark.parametrize("entry", ["C[0]", "gain", "perturbation", "K", "dF"])
+@pytest.mark.parametrize("entry", ["C[0]", "gain", "gain path", "perturbation", "K", "dF"])
 def test_wrong_shape_names_the_input(entry):
-    # every constant-or-sampled input is read by one rule, with one message
-    if entry == "perturbation":
+    # every constant-or-sampled input is read by one rule, with one message;
+    # a CoefficientPath is read on its own grid and only its shape is checked
+    if entry == "gain path":
+        message = "gain: expected a path of shape (1, 1), got shape (2, 1)"
+    elif entry == "perturbation":
         message = "perturbation: expected a 1-vector or 17 such samples, got shape (3, 1)"
     else:
         message = f"{entry}: expected a 1x1 matrix or 17 such samples, got shape (3, 1, 1)"

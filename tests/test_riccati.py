@@ -22,7 +22,14 @@ from indeflq.riccati import (
 from indeflq.specio import parse_spec
 from indeflq import bundled
 
-from conftest import problems, random_definite_problem, reference_lq_terms, scalar_benchmark, seeds
+from conftest import (
+    problems,
+    random_definite_problem,
+    reference_lq_terms,
+    scalar_benchmark,
+    seeds,
+    smooth_blowup_doc,
+)
 
 
 def implicit_solution_root(r, t):
@@ -101,6 +108,17 @@ class TestBlowupCounterexample:
         spec = parse_spec(bundled.example_doc("blowup_ode"))
         sol = solve_riccati(spec.data, spec.solver)
         assert np.array_equal(sol.P[-1], np.array([[1.0]]))
+
+    def test_smooth_blowup_bisected_to_the_bracket(self):
+        # the slope norm crosses max_norm inside an accepted step, so the event
+        # time is bisected on the step's continuous extension
+        spec = parse_spec(smooth_blowup_doc())
+        sol = solve_riccati(spec.data, spec.solver)
+        assert sol.status == BLOWUP
+        assert abs(sol.t_event - (1.0 - np.log(10.0) / 10.0)) <= 1e-6 * spec.data.T
+        # six stages per trial step, one event test at the piece start, and
+        # one evaluation per halving of the bracket
+        assert sol.rhs_evaluations - 6 * (sol.accepted_steps + sol.rejected_steps) - 1 == 13
 
 
 class TestResidual:

@@ -9,7 +9,9 @@ bundled example spec, each in a fresh interpreter with ``PYTHONPATH`` at the
 tree's ``src``; so does ``fundamental_pair_check`` on the closed-loop gain of
 each spec that has a simulation block and completes, with the spec's
 simulation settings (no CLI command runs it).  Each tree writes its own
-bundled specs.
+bundled specs, as JSON text; ``solve`` and ``certify`` also run on each spec
+written as YAML (``yaml.safe_dump`` of the same document, labelled
+``<name> (yaml)``), so that a change to the YAML reader shows.
 
 For each command and spec the two outcomes are compared: a changed exit
 code, keys added or removed, other changed values, and for each numeric
@@ -28,7 +30,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+import yaml
+
 COMMANDS = ("solve", "certify", "simulate", "oracle", "fundamental_pair")
+YAML_COMMANDS = ("solve", "certify")
 SKIPPED = ("timings", "meta")
 
 FUNDAMENTAL_PAIR = """\
@@ -59,16 +64,22 @@ def run_tree(tree, work):
     outcomes = {}
     for name in listing.stdout.split():
         run("-m", "indeflq.cli", "example", name, "--out-dir", str(work), "--quiet")
-        spec = str(work / f"{name}.yaml")
-        for command in COMMANDS:
-            report = work / f"{command}.{name}.json"
-            if command == "fundamental_pair":
-                proc = run("-c", FUNDAMENTAL_PAIR, spec, str(report))
-            else:
-                proc = run("-m", "indeflq.cli", command, "--spec", spec,
-                           "--out", str(report), "--quiet")
-            text = report.read_text(encoding="utf-8") if report.exists() else None
-            outcomes[command, name] = (proc.returncode, None if text is None else json.loads(text))
+        spec = work / f"{name}.yaml"
+        as_yaml = work / f"{name}.as-yaml.yaml"
+        doc = json.loads(spec.read_text(encoding="utf-8"))
+        as_yaml.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        for label, path, commands in ((name, spec, COMMANDS),
+                                      (f"{name} (yaml)", as_yaml, YAML_COMMANDS)):
+            for command in commands:
+                report = work / f"{command}.{path.stem}.json"
+                if command == "fundamental_pair":
+                    proc = run("-c", FUNDAMENTAL_PAIR, str(path), str(report))
+                else:
+                    proc = run("-m", "indeflq.cli", command, "--spec", str(path),
+                               "--out", str(report), "--quiet")
+                text = report.read_text(encoding="utf-8") if report.exists() else None
+                outcomes[command, label] = (proc.returncode,
+                                            None if text is None else json.loads(text))
     return outcomes
 
 
@@ -131,7 +142,7 @@ def main(argv=None):
         elif old_report is not None:
             lines += compare(old_report, new_report)
         identical += not lines
-        print(f"{key[0]:17s} {key[1]:19s} exit {new_exit}  "
+        print(f"{key[0]:17s} {key[1]:26s} exit {new_exit}  "
               f"{'changed' if lines else 'identical'}")
         for line in lines:
             print(f"    {line}")
