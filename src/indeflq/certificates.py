@@ -163,8 +163,6 @@ def check_subsolution(
     eps_hi = hat_min - eps_pos
 
     def ok(shift):
-        if shift >= hat_min - eps_pos:
-            return False
         return float(np.min(drift_eigs(shift))) >= -tol_eff
 
     width = 1e-6 * eps_hi  # reached in 20 halvings

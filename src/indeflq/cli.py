@@ -1,11 +1,12 @@
 """Command-line surface: solve, certify, simulate, oracle, example.
 
 Exit codes: 0 success or certified, 1 input error, 2 constraint violation,
-3 blow-up, 4 certificate failed.  Every input error (a malformed spec, flag
-or certificate witness, an unreadable spec or unwritable report) is caught
-in ``main`` and ends with one ``error: ...`` line on stderr and exit 1.
-Reports go to --out (default stdout) as JSON; a one-line summary goes to
-stderr unless --quiet.
+3 blow-up, 4 certificate failed.  Each command fills the report and returns
+(exit code, summary); ``main`` writes the report, to --out (default stdout)
+as JSON, and the one-line summary to stderr unless --quiet.  Every input
+error (a malformed spec, flag or certificate witness, an unreadable spec or
+unwritable report) is caught in ``main`` and ends with one ``error: ...``
+line on stderr and exit 1.
 """
 
 from __future__ import annotations
@@ -69,13 +70,8 @@ def _emit(report, out_path, quiet, summary):
         print(summary, file=sys.stderr)
 
 
-def _solve(spec: ParsedSpec, report, args):
-    """Timed solve_riccati with its fields in the report.
-
-    Returns ``(sol, code)``.  A solve that stopped before t = 0 has its report
-    emitted here and ``code`` is the command's exit code; otherwise ``code``
-    is None and the command goes on.
-    """
+def _solve(spec: ParsedSpec, report):
+    """Timed solve_riccati with its fields in the report; returns the solution."""
     t0 = time.perf_counter()
     sol = solve_riccati(spec.data, spec.solver)
     report["timings"]["solve"] = time.perf_counter() - t0
@@ -87,25 +83,21 @@ def _solve(spec: ParsedSpec, report, args):
                        "rhs_evaluations": sol.rhs_evaluations}
     if sol.completed:
         report["P0"] = sol.P0
-        return sol, None
-    _emit(report, args.out, args.quiet, f"{args.command}: {sol.status} at t*={sol.t_event:.6g}")
-    return sol, _STATUS_EXIT[sol.status]
+    return sol
 
 
-def _certificate_into(report, cert: Certificate):
-    keys = ("kind", "verdict", "epsilon", "reason", "t_worst", "threshold", "quad_nodes",
-            "quad_error")
-    report["certificate"] = {key: getattr(cert, key) for key in keys}
+def _stopped(args, sol):
+    """Exit code and summary of a solve that stopped before t = 0."""
+    return _STATUS_EXIT[sol.status], f"{args.command}: {sol.status} at t*={sol.t_event:.6g}"
 
 
-def cmd_solve(spec: ParsedSpec, report, args) -> int:
-    sol, code = _solve(spec, report, args)
-    if code is not None:
-        return code
+def cmd_solve(spec: ParsedSpec, report, args) -> tuple[int, str]:
+    sol = _solve(spec, report)
+    if not sol.completed:
+        return _stopped(args, sol)
     if spec.xi is not None:
         report["value_at_xi"] = sol.value_at(spec.xi)
-    _emit(report, args.out, args.quiet, f"solve: {sol.status}")
-    return EXIT_OK
+    return EXIT_OK, f"solve: {sol.status}"
 
 
 def _run_certificate(spec: ParsedSpec) -> Certificate:
@@ -131,27 +123,26 @@ def _run_certificate(spec: ParsedSpec) -> Certificate:
     )
 
 
-def cmd_certify(spec: ParsedSpec, report, args) -> int:
+def cmd_certify(spec: ParsedSpec, report, args) -> tuple[int, str]:
     if spec.certificate is None:
         raise SpecError("spec has no certificate block")
     t0 = time.perf_counter()
     cert = _run_certificate(spec)
     report["timings"]["certify"] = time.perf_counter() - t0
-    _certificate_into(report, cert)
+    # the witness path phi stays out of the report
+    report["certificate"] = {field.name: getattr(cert, field.name)
+                             for field in dataclasses.fields(cert) if field.name != "phi"}
     report["status"] = cert.verdict
-    _emit(report, args.out, args.quiet,
-          f"certify: {cert.verdict} (kind {cert.kind}, epsilon {cert.epsilon:.6g})")
-    return EXIT_OK if cert.certified else EXIT_CERT_FAILED
+    return (EXIT_OK if cert.certified else EXIT_CERT_FAILED,
+            f"certify: {cert.verdict} (kind {cert.kind}, epsilon {cert.epsilon:.6g})")
 
 
-def cmd_simulate(spec: ParsedSpec, report, args) -> int:
+def cmd_simulate(spec: ParsedSpec, report, args) -> tuple[int, str]:
     if spec.simulation is None:
         raise SpecError("spec has no simulation block")
-    check_table_size("simulation.n_steps", spec.simulation.n_steps, "Euler step",
-                     spec.data.n, spec.data.k, spec.data.d)
-    sol, code = _solve(spec, report, args)
-    if code is not None:
-        return code
+    sol = _solve(spec, report)
+    if not sol.completed:
+        return _stopped(args, sol)
     report["value_at_xi"] = sol.value_at(spec.xi)
     policy = ControlPolicy.from_solution(sol)
     t0 = time.perf_counter()
@@ -162,13 +153,11 @@ def cmd_simulate(spec: ParsedSpec, report, args) -> int:
     report["timings"]["simulate_rng"] = sim.pop("rng_seconds")
     report["timings"]["simulate_step"] = sim.pop("step_seconds")
     report["simulation"] = sim
-    _emit(report, args.out, args.quiet,
-          f"simulate: cost {rep.cost_mean:.6g} +- {rep.cost_stderr:.2g}, "
-          f"value {report['value_at_xi']:.6g}, cs residual {rep.cs_residual:.3g}")
-    return EXIT_OK
+    return EXIT_OK, (f"simulate: cost {rep.cost_mean:.6g} +- {rep.cost_stderr:.2g}, "
+                     f"value {report['value_at_xi']:.6g}, cs residual {rep.cs_residual:.3g}")
 
 
-def cmd_oracle(spec: ParsedSpec, report, args) -> int:
+def cmd_oracle(spec: ParsedSpec, report, args) -> tuple[int, str]:
     try:
         steps = [int(s) for s in args.steps.split(",") if s.strip()]
     except ValueError:
@@ -176,9 +165,9 @@ def cmd_oracle(spec: ParsedSpec, report, args) -> int:
     if not steps or not all(1 <= ns <= MAX_ORACLE_STEPS for ns in steps):
         raise SpecError(f"--steps: expected step counts from 1 to {MAX_ORACLE_STEPS}")
     check_table_size("--steps", max(steps), "DP step", spec.data.n, spec.data.k, spec.data.d)
-    sol, code = _solve(spec, report, args)
-    if code is not None:
-        return code
+    sol = _solve(spec, report)
+    if not sol.completed:
+        return _stopped(args, sol)
     t0 = time.perf_counter()
     results = dp_ladder(spec.data, steps, eps_pos=spec.solver.eps_pos)
     report["timings"]["oracle"] = time.perf_counter() - t0
@@ -196,9 +185,7 @@ def cmd_oracle(spec: ParsedSpec, report, args) -> int:
     # DP steps taken, each distinct count once: N, or N - violation_step when it aborted
     taken = {ns: ns - (res.violation_step or 0) for ns, res in zip(steps, results)}
     report["oracle"] = {"rows": rows, "ratios": ratios, "dp_steps": sum(taken.values())}
-    _emit(report, args.out, args.quiet,
-          f"oracle: {len(rows)} step sizes, ratios {['%.2f' % r for r in ratios]}")
-    return EXIT_OK
+    return EXIT_OK, f"oracle: {len(rows)} step sizes, ratios {['%.2f' % r for r in ratios]}"
 
 
 def cmd_example(args) -> int:
@@ -232,12 +219,10 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_spec=True):
-        if needs_spec:
-            p.add_argument("--spec", required=True,
-                           help="problem specification file (JSON or YAML)")
-            p.add_argument("--set", dest="overrides", action="append", default=[],
-                           metavar="KEY.PATH=VALUE", help="patch the spec before validation")
+    def add_common(p):
+        p.add_argument("--spec", required=True, help="problem specification file (JSON or YAML)")
+        p.add_argument("--set", dest="overrides", action="append", default=[],
+                       metavar="KEY.PATH=VALUE", help="patch the spec before validation")
         p.add_argument("--out", default=None, help="report path (default: stdout)")
         p.add_argument("--quiet", action="store_true", help="suppress the summary line")
 
@@ -271,14 +256,16 @@ def main(argv=None) -> int:
         if args.command == "example":
             return cmd_example(args)
         spec = load_spec_file(args.spec, args.overrides)
-        return _DISPATCH[args.command](spec, report, args)
-    except (StepLimit, NumericalOverflow) as exc:
-        report["status"] = "error"
-        report["error"] = str(exc)
-        if isinstance(exc, NumericalOverflow):
-            report["overflow_step"] = exc.step
-        _emit(report, args.out, args.quiet, f"{args.command}: {exc}")
-        return EXIT_INPUT
+        try:
+            code, summary = _DISPATCH[args.command](spec, report, args)
+        except (StepLimit, NumericalOverflow) as exc:
+            report["status"] = "error"
+            report["error"] = str(exc)
+            if isinstance(exc, NumericalOverflow):
+                report["overflow_step"] = exc.step
+            code, summary = EXIT_INPUT, f"{args.command}: {exc}"
+        _emit(report, args.out, args.quiet, summary)
+        return code
     except (IndefLQError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -262,6 +262,7 @@ def parse_spec(doc: dict) -> ParsedSpec:
         solver.validate()
         if simulation is not None:
             simulation.validate()
+            check_table_size("simulation.n_steps", simulation.n_steps, "Euler step", n, k, d)
 
         def path(value, name, shape):
             return CoefficientPath(grid, path_samples(value, points, shape, name), interpolation)

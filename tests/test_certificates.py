@@ -329,6 +329,22 @@ class TestDefiniteRegime:
         assert cert.certified and cert.kind == "definite-terminal-weight"
         assert cert.epsilon > 0.0
 
+    @pytest.mark.parametrize("weights, reason", [
+        ({"Q": -1.0}, "Q not positive semi-definite (min -1.000e+00); case ii: needs"),
+        ({"N": -1.0}, "N not positive semi-definite (min -1.000e+00); case ii: needs"),
+        # case ii's preconditions hold (R = -5e-11 is within PSD_SLACK of 0), but
+        # alpha phi D'D = 0.01 * 2e-6 * 1e-4 does not lift R above 0
+        ({"R": -5e-11, "D": 0.01, "N": 2e-6},
+         "case ii: control weight does not clear the admissible lower bound"),
+    ], ids=["Q", "N", "case-ii"])
+    def test_failure_reason(self, weights, reason):
+        w = {"R": 1.0, "Q": 0.0, "N": 1.0, "D": 0.0, **weights}
+        data = ProblemData(n=1, k=1, d=1, T=1.0, A=[[0.0]], B=[[0.0]], C=[[[0.0]]],
+                           D=[[[w["D"]]]], R=[[w["R"]]], Q=[[w["Q"]]], N=[[w["N"]]],
+                           grid=np.linspace(0.0, 1.0, 17))
+        cert = certify_definite_regime(data)
+        assert not cert.certified and reason in cert.reason
+
     def test_both_fail(self):
         grid = np.linspace(0.0, 1.0, 17)
         data = ProblemData(n=2, k=2, d=1, T=1.0, A=np.zeros((2, 2)),

@@ -38,6 +38,26 @@ def set_key(doc, key_path, value):
     doc[last] = value
 
 
+def explosive_spec(tmp_path):
+    """A spec whose closed loop explodes in simulation.
+
+    B = D = 0 leaves x' = 40 x uncontrolled: Euler steps grow the state by
+    1 + 40/512 each, past 1e12 after about 360 of the 512 steps.
+    """
+    doc = {
+        "dimensions": {"n": 1, "k": 1, "d": 1},
+        "horizon": 1.0,
+        "grid": {"points": 9},
+        "coefficients": {"A": [[40.0]], "B": [[0.0]], "C": [[[0.0]]], "D": [[[0.0]]],
+                         "R": [[1.0]], "Q": [[0.0]]},
+        "terminal": [[0.0]],
+        "simulation": {"n_paths": 4, "n_steps": 512, "seed": 1, "xi": [1.0]},
+    }
+    p = tmp_path / "explosive.yaml"
+    p.write_text(yaml.safe_dump(doc))
+    return p
+
+
 class TestExampleCommand:
     def test_all_names_materialize(self, example_dir):
         for name in bundled.example_names():
@@ -383,6 +403,34 @@ class TestInputErrors:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate"],  # overflow in the Monte Carlo paths
+        ["solve", "--set", "solver.max_steps=3"],  # step limit of the solver
+    ], ids=["overflow", "step-limit"])
+    def test_unwritable_error_report_exit1(self, argv, example_dir, tmp_path, capsys):
+        # the error report of a run that stopped is written like any other
+        spec = explosive_spec(tmp_path) if argv[0] == "simulate" else (
+            example_dir / "definite_2x2.yaml")
+        out = tmp_path / "no_such_dir" / "r.json"
+        assert main([argv[0], "--spec", str(spec), *argv[1:], "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2] No such file or directory")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("oracle", ["--steps", "0"], "--steps: expected step counts from 1 to 1000000"),
+        ("oracle", ["--steps", "1000001"], "--steps: expected step counts from 1 to 1000000"),
+        ("solve", ["--set", "grid.points=1"], "grid.points: need 2 to 100000 sample points"),
+        ("solve", ["--set", "grid.points=100001"], "grid.points: need 2 to 100000 sample points"),
+        ("solve", ["--set", "=1"], "override '=1': empty key path"),
+        ("solve", ["--set", ".=1"], "override '.=1': empty key path"),
+        ("solve", ["--set", "horizon.x=1"], "override 'horizon.x=1': horizon is not a mapping"),
+    ])
+    def test_message_exit1(self, example_dir, command, flags, message, capsys):
+        argv = [command, "--spec", str(example_dir / "definite_2x2.yaml"), *flags]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_unknown_flag_exit1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--spec", "x.yaml", "--no-such-flag"])
@@ -406,8 +454,10 @@ class TestInputErrors:
             parse_spec(doc)
 
     def test_coefficient_table_bounded_at_parse(self, monkeypatch):
-        # definite_2x2: 129 points x (4 * 3 + 4 * 2 + 4) = 24 entries per point
+        # definite_2x2: 129 points x (4 * 3 + 4 * 2 + 4) = 24 entries per point;
+        # its simulation block (512 steps) would meet the lowered cap first
         doc = bundled.example_doc("definite_2x2")
+        del doc["simulation"]
         monkeypatch.setattr(specio, "MAX_TABLE_ENTRIES", 129 * 24)
         parse_spec(doc)
         monkeypatch.setattr(specio, "MAX_TABLE_ENTRIES", 129 * 24 - 1)
@@ -452,6 +502,17 @@ class TestInputErrors:
         assert main([argv[0], "--spec", str(path), "--quiet", *argv[1:]]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "31153" in err and "exceed 1e+07" in err
+
+
+    @pytest.mark.parametrize("command", ["solve", "certify", "simulate", "oracle"])
+    def test_step_table_refused_at_parse(self, command, tmp_path, capsys):
+        # every command reads the simulation block, and refuses its oversized table
+        path = tmp_path / "wide.yaml"
+        path.write_text(yaml.safe_dump(self._wide_doc(31153)))
+        assert main([command, "--spec", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: simulation.n_steps: 31153 Euler steps x 321 entries")
+        assert err.count("\n") == 1
 
 
 def _key_paths(doc, prefix=()):
@@ -531,20 +592,8 @@ class TestSimulateCommand:
         assert sim["cost_stderr"] > 0.0
 
     def test_explosive_closed_loop_reports_overflow_step(self, tmp_path):
-        # B = D = 0 leaves x' = 40 x uncontrolled: Euler steps grow the state
-        # by 1 + 40/512 each, past 1e12 after about 360 of the 512 steps
-        doc = {
-            "dimensions": {"n": 1, "k": 1, "d": 1},
-            "horizon": 1.0,
-            "grid": {"points": 9},
-            "coefficients": {"A": [[40.0]], "B": [[0.0]], "C": [[[0.0]]], "D": [[[0.0]]],
-                             "R": [[1.0]], "Q": [[0.0]]},
-            "terminal": [[0.0]],
-            "simulation": {"n_paths": 4, "n_steps": 512, "seed": 1, "xi": [1.0]},
-        }
-        p = tmp_path / "explosive.yaml"
-        p.write_text(yaml.safe_dump(doc))
         out = tmp_path / "explosive.json"
+        p = explosive_spec(tmp_path)
         assert main(["simulate", "--spec", str(p), "--out", str(out), "--quiet"]) == 1
         rep = read_report(out)
         assert rep["status"] == "error" and rep["simulation"] is None
@@ -742,6 +791,66 @@ class TestSpecRoundTrip:
             p = tmp_path / "dup.yaml"
             p.write_text(text)
             assert specio.load_spec_file(p).data.T == horizon
+
+
+class TestSummaryLine:
+    # the one stderr line of each command (no --quiet), checked against its report
+    @staticmethod
+    def run(argv, tmp_path, capsys):
+        out = tmp_path / "summary.json"
+        code = main([*argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, read_report(out), captured.err
+
+    def test_solve_completed(self, example_dir, tmp_path, capsys):
+        code, _, err = self.run(["solve", "--spec", str(example_dir / "example504_r1.yaml")],
+                                tmp_path, capsys)
+        assert code == 0 and err == "solve: completed\n"
+
+    def test_solve_stopped(self, example_dir, tmp_path, capsys):
+        code, rep, err = self.run(
+            ["solve", "--spec", str(example_dir / "example504_rneg017.yaml")], tmp_path, capsys)
+        assert code == 2 and err.startswith("solve: constraint-violation at t*=")
+        assert err == f"solve: constraint-violation at t*={rep['t_event']:.6g}\n"
+
+    def test_solve_step_limit(self, example_dir, tmp_path, capsys):
+        code, rep, err = self.run(["solve", "--spec", str(example_dir / "definite_2x2.yaml"),
+                                   "--set", "solver.max_steps=3"], tmp_path, capsys)
+        assert code == 1 and rep["status"] == "error" and err == f"solve: {rep['error']}\n"
+
+    def test_certify(self, example_dir, tmp_path, capsys):
+        code, rep, err = self.run(
+            ["certify", "--spec", str(example_dir / "example504_r1.yaml")], tmp_path, capsys)
+        cert = rep["certificate"]
+        assert code == 0 and err.startswith("certify: certified (kind scalar-comparison, ")
+        assert err == f"certify: certified (kind scalar-comparison, epsilon {cert['epsilon']:.6g})\n"
+
+    def test_simulate(self, example_dir, tmp_path, capsys):
+        code, rep, err = self.run(["simulate", "--spec", str(example_dir / "definite_2x2.yaml"),
+                                   "--set", "simulation.n_paths=200",
+                                   "--set", "simulation.n_steps=64"], tmp_path, capsys)
+        sim = rep["simulation"]
+        assert code == 0 and sim["n_paths"] == 400
+        assert err == (f"simulate: cost {sim['cost_mean']:.6g} +- {sim['cost_stderr']:.2g}, "
+                       f"value {rep['value_at_xi']:.6g}, cs residual {sim['cs_residual']:.3g}\n")
+
+    def test_oracle(self, example_dir, tmp_path, capsys):
+        code, rep, err = self.run(["oracle", "--spec", str(example_dir / "definite_2x2.yaml"),
+                                   "--steps", "16,32,64"], tmp_path, capsys)
+        ratios = rep["oracle"]["ratios"]
+        assert code == 0 and len(ratios) == 2
+        assert err == f"oracle: 3 step sizes, ratios ['{ratios[0]:.2f}', '{ratios[1]:.2f}']\n"
+
+    def test_report_on_stdout(self, example_dir, tmp_path, capsys):
+        # without --out the report is all of stdout, and the summary is on stderr
+        argv = ["solve", "--spec", str(example_dir / "example504_r1.yaml")]
+        code, rep, _ = self.run(argv, tmp_path, capsys)
+        assert main(argv) == code == 0
+        captured = capsys.readouterr()
+        streamed = json.loads(captured.out)
+        assert streamed.pop("timings").keys() == rep.pop("timings").keys()
+        assert streamed == rep and captured.err == "solve: completed\n"
 
 
 class TestReportDeterminism:

@@ -23,3 +23,18 @@ def test_compare_names_each_change():
         "steps: 3 -> 3.0",
         "P0[][]: largest change 0.5 absolute, 0.5 relative",
     ]
+
+
+def test_compare_runs_names_exit_report_and_stderr():
+    report = {"status": "completed", "timings": {"solve": 0.1}}
+    old = (0, report, "solve: completed\n")
+    assert report_diff.compare_runs(old, (0, dict(report, timings={}), "solve: completed\n")) == []
+    assert report_diff.compare_runs(old, (1, None, "error: no such file\n")) == [
+        "exit code 0 -> 1",
+        "report only in old",
+        "stderr: 'solve: completed\\n' -> 'error: no such file\\n'",
+    ]
+    # a summary that changes alone is a change
+    assert report_diff.compare_runs(old, (0, report, "solve: completed \n")) == [
+        "stderr: 'solve: completed\\n' -> 'solve: completed \\n'",
+    ]

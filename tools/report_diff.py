@@ -17,7 +17,9 @@ For each command and spec the two outcomes are compared: a changed exit
 code, keys added or removed, other changed values, and for each numeric
 field (list indices collapsed to ``[]``) the largest absolute and relative
 change.  ``timings`` and ``meta`` are skipped, since they differ from run to
-run.  Exits 0 when every report is identical apart from those, 1 otherwise.
+run.  The CLI runs without ``--quiet``, and its stderr (the summary line, or
+the ``error:`` line) is compared as text.  Exits 0 when every run is
+identical apart from ``timings`` and ``meta``, 1 otherwise.
 """
 
 import argparse
@@ -51,7 +53,7 @@ with open(sys.argv[2], "w", encoding="utf-8") as out:
 
 
 def run_tree(tree, work):
-    """``{(command, spec): (exit code, report or None)}`` of every run in ``tree``."""
+    """``{(command, spec): (exit code, report or None, stderr)}`` of every run in ``tree``."""
     env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"))
 
     def run(*args):
@@ -76,10 +78,11 @@ def run_tree(tree, work):
                     proc = run("-c", FUNDAMENTAL_PAIR, str(path), str(report))
                 else:
                     proc = run("-m", "indeflq.cli", command, "--spec", str(path),
-                               "--out", str(report), "--quiet")
+                               "--out", str(report))
                 text = report.read_text(encoding="utf-8") if report.exists() else None
                 outcomes[command, label] = (proc.returncode,
-                                            None if text is None else json.loads(text))
+                                            None if text is None else json.loads(text),
+                                            proc.stderr)
     return outcomes
 
 
@@ -119,6 +122,19 @@ def compare(old, new):
     return lines
 
 
+def compare_runs(old, new):
+    """Lines saying how run ``new`` (exit code, report or None, stderr) differs from ``old``."""
+    (old_exit, old_report, old_err), (new_exit, new_report, new_err) = old, new
+    lines = [] if old_exit == new_exit else [f"exit code {old_exit} -> {new_exit}"]
+    if (old_report is None) != (new_report is None):
+        lines.append("report only in " + ("old" if new_report is None else "new"))
+    elif old_report is not None:
+        lines += compare(old_report, new_report)
+    if old_err != new_err:
+        lines.append(f"stderr: {old_err!r} -> {new_err!r}")
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", help="the tree compared against (a checkout with src/indeflq)")
@@ -134,15 +150,10 @@ def main(argv=None):
     keys = sorted(old.keys() | new.keys(), key=lambda k: (k[1], COMMANDS.index(k[0])))
     identical = 0
     for key in keys:
-        (old_exit, old_report), (new_exit, new_report) = (
-            side.get(key, (None, None)) for side in (old, new))
-        lines = [] if old_exit == new_exit else [f"exit code {old_exit} -> {new_exit}"]
-        if (old_report is None) != (new_report is None):
-            lines.append("report only in " + ("old" if new_report is None else "new"))
-        elif old_report is not None:
-            lines += compare(old_report, new_report)
+        old_run, new_run = (side.get(key, (None, None, None)) for side in (old, new))
+        lines = compare_runs(old_run, new_run)
         identical += not lines
-        print(f"{key[0]:17s} {key[1]:26s} exit {new_exit}  "
+        print(f"{key[0]:17s} {key[1]:26s} exit {new_run[0]}  "
               f"{'changed' if lines else 'identical'}")
         for line in lines:
             print(f"    {line}")
