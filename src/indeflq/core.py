@@ -9,7 +9,8 @@ The Riccati generator is the Schur complement of one symmetric block,
 H(P) = [[A'P + PA + C'PC + Q, (B'P + D'PC)'], [B'P + D'PC, R + D'PD]] (summed
 over the channels); ``lq_block`` is the one implementation of H and
 ``schur_complement`` the one elimination of its effective weight R + D'PD,
-for the solver, the certificates and the DP oracle alike.
+for the solver, the certificates and the DP oracle alike; ``lq_block_map``
+builds H's affine map vec H = K vec P + z on frozen coefficients from it.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "min_eigenvalue",
     "path_samples",
     "lq_block",
+    "lq_block_map",
     "lq_terms",
     "schur_complement",
     "eval_hat_R",
@@ -328,6 +330,16 @@ def lq_block(blocks, P, Lambda=None):
             H[..., :n] += Vi.swapaxes(-1, -2) @ Lambda[i]
             H[..., :n, :n] += Lambda[i] @ Vi[..., :n]
     return H
+
+
+def lq_block_map(blocks):
+    """(K, z): ``K @ P.ravel() + z`` is ``lq_block(blocks, symmetrize(P)).ravel()`` to
+    rounding, on ``blocks`` = (AB, V, Z) at one time.  z is Z and column a*n + b of K is
+    lq_block without Z at E_ab = (e_a e_b' + e_b e_a') / 2, all n^2 of them in one call."""
+    (AB, V, Z), n = blocks, blocks[0].shape[0]
+    E = symmetrize(np.eye(n * n).reshape(n * n, n, n))  # row a*n + b of I is e_a e_b'
+    K = lq_block((AB, V, np.zeros_like(Z)), E).reshape(n * n, -1)
+    return np.ascontiguousarray(K.T), Z.ravel()
 
 
 def lq_terms(blocks, P, Lambda=None):

@@ -8,24 +8,27 @@ the output times a step passes are filled from the pair's free 4th-order
 continuous extension, built from the stages the step already holds.  A stage's
 slope is ``core.schur_complement`` of its block H(P): NaN unless the stage's
 effective weight is positive definite, and so are the later stages of that
-trial step, whose H is NaN.  One event test runs at each piece start (t = T
-first; under the values of the piece that starts there), after every accepted
-step (on the terms of the step's last stage, which sits at the accepted point)
-and inside the bisection on the continuous extension that locates an event:
-constraint violation first (the effective control weight at or below the
-positivity floor), then blow-up.  A rejected trial step no longer than the
-event bracket with a stage weight at the floor (read on the stages whose H is
-finite) is a constraint violation inside it: where the weight reaches the
-floor with a steepening slope, no step across it would ever be accepted.
-Blow-up is declared when the trajectory escapes in C^1: the slope is not
-finite, or ||P|| or ||dP/dt|| reaches the configured cap.  On sampled
-coefficient paths a vanishing-denominator singularity keeps P bounded while
-its velocity explodes, so watching only ||P|| would silently miss the loss of
-a continuous solution.
+trial step, whose H is NaN.  H is one product by the map ``core.lq_block_map``
+of a piece whose coefficients do not move, if the map has at most
+``MAP_MAX_ENTRIES`` entries, else ``core.lq_block`` at the stage's time.  One
+event test runs at each piece start (t = T first; under the values of the
+piece that starts there), after every accepted step (on the terms of the
+step's last stage, which sits at the accepted point) and inside the bisection
+on the continuous extension that locates an event: constraint violation first
+(the effective control weight at or below the positivity floor), then
+blow-up.  A rejected trial step no longer than the event bracket with a stage
+weight at the floor (read on the stages whose H is finite) is a constraint
+violation inside it: where the weight reaches the floor with a steepening
+slope, no step across it would ever be accepted.  Blow-up is declared when the
+trajectory escapes in C^1: the slope is not finite, or ||P|| or ||dP/dt||
+reaches the configured cap.  On sampled coefficient paths a
+vanishing-denominator singularity keeps P bounded while its velocity explodes,
+so watching only ||P|| would silently miss the loss of a continuous solution.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +38,7 @@ from .core import (
     PIECEWISE_CONSTANT_LEFT,
     ProblemData,
     lq_block,
+    lq_block_map,
     lq_terms,
     min_eigenvalue,
     schur_complement,
@@ -57,8 +61,12 @@ COMPLETED = "completed"
 CONSTRAINT_VIOLATION = "constraint-violation"
 BLOWUP = "blowup"
 
-# Dormand-Prince 5(4) tableau (FSAL).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# The largest map K of H (n^2 (n + k)^2 entries: n = k = 8) a frozen piece is
+# evaluated by; larger ones lose to lq_block (see README) and cost memory.
+MAP_MAX_ENTRIES = 16384
+
+# Dormand-Prince 5(4) tableau (FSAL); the stage times as Python floats.
+_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -124,7 +132,7 @@ class RiccatiSolution:
     met at the output times, the piece starts, the accepted step ends and the
     stage that located a constraint violation.  On constraint violation or
     blow-up the trajectory covers the output times in [t_event, T] only.
-    ``rhs_evaluations`` counts the ``lq_block`` calls of the stages and event tests.
+    ``rhs_evaluations`` counts the evaluations of H(P) for the stages and event tests.
     """
 
     grid: np.ndarray
@@ -184,7 +192,7 @@ def _extension(y0, y1, k, h):
 
 
 def _fro(M):
-    return float(np.sqrt(np.sum(M * M)))
+    return math.sqrt(np.add.reduce(M * M, axis=None))
 
 
 def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> RiccatiSolution:
@@ -199,17 +207,21 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
     """
     config = config or SolverConfig()
     config.validate()
-    n, T = data.n, data.T
+    n, m, T = data.n, data.n + data.k, data.T
     pc_mode = data.interpolation == PIECEWISE_CONSTANT_LEFT
-    # the coefficients held over the piece being integrated, or None to look
-    # them up at every stage; a piecewise-constant piece is sampled at its
-    # midpoint, so that stages landing exactly on a breakpoint stay on it
+    # the coefficients held over the piece being integrated (a piecewise-constant
+    # piece sampled at its midpoint, so that stages on a breakpoint stay on it) and
+    # their map (K, z) of H where K is small, or None to look them up at each stage
+    small = (n * m) ** 2 <= MAP_MAX_ENTRIES
     frozen = data.blocks_at(0.0) if data.time_invariant and not pc_mode else None
+    linear = lq_block_map(frozen) if frozen is not None and small else None
 
     def block_at(s, y):
-        """lq_block at t = T - s for y ~ P(T - s), on the frozen piece if any."""
+        """H at t = T - s of the symmetric part of y ~ P(T - s)."""
         nonlocal evaluations
         evaluations += 1
+        if linear is not None:
+            return (linear[0] @ y + linear[1]).reshape(m, m)
         P = y.reshape(n, n)
         P = P if n == 1 else 0.5 * (P + P.T)  # a 1x1 P is symmetric already
         return lq_block(frozen if frozen is not None else data.blocks_at(T - s), P)
@@ -262,6 +274,7 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
     for s_end in piece_ends:
         if pc_mode:
             frozen = data.blocks_at(T - 0.5 * (s + s_end))
+            linear = lq_block_map(frozen) if small else None
         # t = T or a new piece: the event test on this piece's terms
         H = block_at(s, y)
         margin_now = min_eigenvalue(H[n:, n:])
@@ -286,8 +299,9 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
             err_vec = h_try * (k.T @ _ERR)
             scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y1))
             with np.errstate(invalid="ignore", over="ignore"):
-                err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-            if np.isfinite(err) and err <= 1.0:
+                q = err_vec / scale
+                err = math.sqrt(np.add.reduce(q * q) / q.size)
+            if err <= 1.0:  # a NaN err fails: every comparison with NaN is False
                 accepted += 1
                 s_new = s + h_try
                 # the FSAL stage sits at (s_new, y1): its terms test the
@@ -325,7 +339,7 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
                         margin_min = min(margin_min, margin_now)
                         s_event, hit = s + 0.5 * h_try, CONSTRAINT_VIOLATION
                         break
-                shrink = _SAFETY * err ** -0.2 if np.isfinite(err) else _FAC_MIN
+                shrink = _SAFETY * err ** -0.2 if math.isfinite(err) else _FAC_MIN
                 h = h_try * max(_FAC_MIN, min(1.0, shrink))
                 if h < 1e-15 * T:
                     raise StepLimit(f"step size underflow at t={T - s:.6g}")

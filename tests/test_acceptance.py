@@ -27,6 +27,8 @@ from indeflq.core import (
     eval_f,
     eval_gamma,
     eval_hat_R,
+    lq_block,
+    lq_block_map,
     min_eigenvalue,
     symmetrize,
 )
@@ -355,6 +357,22 @@ def test_criterion_10_property_suites(definite_spec, definite_solution, monkeypa
         witness = CoefficientPath(data.grid, F)
         for j in range(0, sol.grid.size, 32):
             ok = ok and min_eigenvalue(sol.P[j] - witness.at(sol.grid[j])) >= -1e-6
+        instances += 1
+
+    # the affine map of H on frozen blocks is lq_block of P's symmetric part, for a
+    # non-symmetric P of norm up to the blow-up cap and channels down to 1e-4, n <= 3,
+    # k <= 3, d <= 2: each entry within 1e-13 of the size of its terms (lq_block on
+    # absolute values), so an R kept at |R| is not rounded at |R| |P|
+    for _ in range(300):
+        n, k, d = (int(rng.integers(1, top)) for top in (4, 4, 3))
+        blocks = (rng.standard_normal((n, n + k)),
+                  10.0 ** -rng.uniform(0, 4) * rng.standard_normal((d, n, n + k)),
+                  symmetrize(rng.standard_normal((n + k, n + k))))
+        P = 10.0 ** rng.uniform(0, 8) * rng.standard_normal((n, n))
+        K, z = lq_block_map(blocks)
+        H = lq_block(blocks, symmetrize(P)).ravel()
+        size = lq_block(tuple(np.abs(b) for b in blocks), symmetrize(np.abs(P))).ravel()
+        ok = ok and bool(np.all(np.abs(K @ P.ravel() + z - H) <= 1e-13 * (1 + size)))
         instances += 1
 
     # bit-reproducibility under thread-count variation, over five blocks of 400 pairs

@@ -38,3 +38,16 @@ def test_compare_runs_names_exit_report_and_stderr():
     assert report_diff.compare_runs(old, (0, report, "solve: completed \n")) == [
         "stderr: 'solve: completed\\n' -> 'solve: completed \\n'",
     ]
+
+
+def test_largest_relative_change_over_all_runs():
+    same = {"status": "completed", "P0": [[1.0]], "timings": {"solve": 0.1}}
+    pairs = {
+        ("solve", "a"): (same, dict(same, timings={"solve": 0.5})),
+        ("oracle", "a"): ({"ratios": [2.0, 1.0], "rows": 3}, {"ratios": [2.0, 1.5], "rows": 4}),
+        ("solve", "b"): ({"P0": [[4.0, -2.0]]}, {"P0": [[4.0, -2.2]]}),
+    }
+    assert report_diff.largest_relative_change(pairs) == (
+        "largest relative change: 0.5, ratios[] of oracle on a")
+    assert report_diff.largest_relative_change({("solve", "a"): (same, same)}) == (
+        "largest relative change: none, no numeric field changed")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from indeflq import riccati
+from indeflq import core, riccati
 from indeflq.core import DEFAULT_EPS_POS, CoefficientPath, ProblemData, lq_block, symmetrize
 from indeflq.errors import ConstraintViolation, StepLimit
 from indeflq.oracle import dp_ladder
@@ -260,25 +260,61 @@ class TestPiecewiseConstantKinks:
             assert sol.grid[0] >= 0.5
 
 
+def count_calls(monkeypatch, calls, kernel, *modules):
+    """Replace ``kernel`` by ``calls``-counting ``kernel`` in each of ``modules``."""
+    for module in modules:
+        monkeypatch.setattr(module, kernel.__name__,
+                            lambda *args: calls.append(1) or kernel(*args))
+
+
 class TestStageReuse:
     @pytest.mark.parametrize("interpolation", ["piecewise-linear", "piecewise-constant-left"])
     def test_lq_block_calls_per_step(self, monkeypatch, interpolation):
         # a step trial evaluates its six new stages; the accepted point's block
-        # is its last stage's, so the kernel runs only once more per coefficient
-        # piece (at its start); the stored gains read lq_terms apart from these
+        # is its last stage's, so H is evaluated only once more per coefficient
+        # piece (at its start).  Each evaluation takes one slope; lq_block runs
+        # per evaluation on time-varying linear data, but once per frozen
+        # piece, for its map; once more for the stored gains (through lq_terms)
         grid = np.linspace(0.0, 1.0, 9)
         R = CoefficientPath(grid, (1.0 + 0.5 * np.sin(3.0 * grid))[:, None, None], interpolation)
         data = ProblemData(n=1, k=1, d=1, T=1.0, A=0.0, B=1.0, C=[0.0], D=[1.0], R=R,
                            Q=0.0, N=[[1.0]], grid=grid)
-        calls = []
-        monkeypatch.setattr(riccati, "lq_block", lambda *args: calls.append(1) or lq_block(*args))
+        slopes, kernel = [], []
+        count_calls(monkeypatch, slopes, core.schur_complement, riccati)
+        count_calls(monkeypatch, kernel, lq_block, riccati, core)
         sol = solve_riccati(data, SolverConfig(output_points=513))
-        pieces = 8 if interpolation == "piecewise-constant-left" else 1
+        frozen = interpolation == "piecewise-constant-left"
+        pieces = 8 if frozen else 1
         trials = sol.accepted_steps + sol.rejected_steps
         assert sol.completed
         # the lower bound keeps the count from passing on a kernel it does not see
-        assert 6 * trials <= len(calls) <= 6 * trials + pieces + 1
-        assert sol.rhs_evaluations == len(calls)
+        assert 6 * trials <= len(slopes) <= 6 * trials + pieces + 1
+        assert sol.rhs_evaluations == len(slopes)
+        assert len(kernel) == (pieces if frozen else sol.rhs_evaluations) + 1
+
+    def test_large_frozen_piece_calls_lq_block(self, monkeypatch):
+        # n = k = 12 gives K 82944 entries, above MAP_MAX_ENTRIES: time-invariant
+        # data then call lq_block at each evaluation and build no map, and agree
+        # with the map's solve when the bound is raised
+        n = k = 12
+        rng = np.random.default_rng(3)
+        data = ProblemData(n=n, k=k, d=1, T=1.0,
+                           A=-0.5 * np.eye(n) + 0.03 * rng.standard_normal((n, n)),
+                           B=0.3 * rng.standard_normal((n, k)),
+                           C=[0.03 * rng.standard_normal((n, n))],
+                           D=[0.03 * rng.standard_normal((n, k))],
+                           R=np.eye(k), Q=np.eye(n), N=np.eye(n), grid=np.linspace(0.0, 1.0, 2))
+        assert (n * (n + k)) ** 2 > riccati.MAP_MAX_ENTRIES
+        maps, kernel = [], []
+        count_calls(monkeypatch, maps, core.lq_block_map, riccati)
+        count_calls(monkeypatch, kernel, lq_block, riccati, core)
+        sol = solve_riccati(data, SolverConfig(output_points=9))
+        assert sol.completed and not maps
+        assert len(kernel) == sol.rhs_evaluations + 1
+        monkeypatch.setattr(riccati, "MAP_MAX_ENTRIES", (n * (n + k)) ** 2)
+        mapped = solve_riccati(data, SolverConfig(output_points=9))
+        assert len(maps) == 1 and mapped.accepted_steps == sol.accepted_steps
+        assert np.max(np.abs(mapped.P - sol.P)) <= 1e-12 * np.max(np.abs(sol.P))
 
 
 class TestBlockKernel:
@@ -286,22 +322,28 @@ class TestBlockKernel:
         "name", ["blowup_ode", "example504_r1", "example504_rneg015", "example504_rneg017"])
     def test_scalar_specs_bitwise_as_term_by_term(self, monkeypatch, name):
         # on the scalar specs the block kernel adds the same products in the
-        # same order as the term-by-term formula: the stored P is bitwise equal
+        # same order as the term-by-term formula, and the affine map of a
+        # frozen piece built from either kernel gives the same H: the stored
+        # P is bitwise equal
         spec = parse_spec(bundled.example_doc(name))
         sol = solve_riccati(spec.data, spec.solver)
 
         calls = []
 
-        def reference_block(blocks, P):
+        def reference_block(blocks, P, Lambda=None):
             calls.append(1)
             (AB, V, Z), n = blocks, P.shape[-1]
-            coeffs = (AB[:, :n], AB[:, n:], V[..., :n], V[..., n:], Z[n:, n:], Z[:n, :n])
-            hat, rhs, base = reference_lq_terms(coeffs, P)
-            return np.block([[base, rhs.T], [rhs, hat]])
+            coeffs = (AB[..., :n], AB[..., n:], V[..., :n], V[..., n:],
+                      Z[..., n:, n:], Z[..., :n, :n])
+            hat, rhs, base = reference_lq_terms(coeffs, P, Lambda)
+            return np.block([[base, rhs.swapaxes(-1, -2)], [rhs, hat]])
 
-        monkeypatch.setattr(riccati, "lq_block", reference_block)
+        for module in (riccati, core):
+            monkeypatch.setattr(module, "lq_block", reference_block)
         ref = solve_riccati(spec.data, spec.solver)
-        assert len(calls) == ref.rhs_evaluations == sol.rhs_evaluations
+        assert ref.rhs_evaluations == sol.rhs_evaluations
+        # the map's one call or one per evaluation, and one for the stored gains
+        assert len(calls) == (1 if spec.data.time_invariant else ref.rhs_evaluations) + 1
         assert (sol.status, sol.t_event) == (ref.status, ref.t_event)
         assert np.array_equal(sol.P, ref.P)
 
@@ -328,12 +370,13 @@ class TestDenseOutput:
         assert abs(sol.t_event - 0.0580431) <= 1e-6 * spec.data.T
 
 
-def indefinite_problem(rng, n, k, d, points):
-    """Random coefficient paths with an indefinite R and a positive terminal weight."""
+def indefinite_problem(rng, n, k, d, points, constant=False):
+    """Random coefficient paths with an indefinite R and a positive terminal weight
+    (time-invariant when ``constant``)."""
     grid = np.linspace(0.0, 1.0, points)
 
     def path(rows, cols, scale):
-        return scale * rng.standard_normal((points, rows, cols))
+        return scale * rng.standard_normal((rows, cols) if constant else (points, rows, cols))
 
     U = np.linalg.qr(rng.standard_normal((k, k)))[0]
     lam = rng.uniform(-1.0, 1.0, k)
@@ -349,11 +392,12 @@ def indefinite_problem(rng, n, k, d, points):
 class TestStageWeightNotPositive:
     @hypothesis.settings(max_examples=60)
     @hypothesis.given(seed=seeds, n=st.integers(1, 2), k=st.integers(2, 3),
-                      d=st.integers(2, 3), points=st.integers(2, 8))
-    def test_indefinite_weights_end_in_a_status(self, seed, n, k, d, points):
+                      d=st.integers(2, 3), points=st.integers(2, 8), constant=st.booleans())
+    def test_indefinite_weights_end_in_a_status(self, seed, n, k, d, points, constant):
         # a stage whose weight is not positive definite has a NaN slope, and so
-        # do the stages after it; the rejected-step rule must not read their NaN H
-        data = indefinite_problem(np.random.default_rng(seed), n, k, d, points)
+        # do the stages after it; the rejected-step rule must not read their NaN H,
+        # whether lq_block or a frozen piece's map (constant data) forms it
+        data = indefinite_problem(np.random.default_rng(seed), n, k, d, points, constant)
         sol = solve_riccati(data, SolverConfig(output_points=9))
         assert sol.status in (COMPLETED, CONSTRAINT_VIOLATION, BLOWUP)
 

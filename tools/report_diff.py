@@ -18,8 +18,10 @@ code, keys added or removed, other changed values, and for each numeric
 field (list indices collapsed to ``[]``) the largest absolute and relative
 change.  ``timings`` and ``meta`` are skipped, since they differ from run to
 run.  The CLI runs without ``--quiet``, and its stderr (the summary line, or
-the ``error:`` line) is compared as text.  Exits 0 when every run is
-identical apart from ``timings`` and ``meta``, 1 otherwise.
+the ``error:`` line) is compared as text.  The last line gives the largest
+relative change over every changed numeric field of every run, and where it
+is.  Exits 0 when every run is identical apart from ``timings`` and ``meta``,
+1 otherwise.
 """
 
 import argparse
@@ -99,13 +101,11 @@ def leaves(value, path=""):
         yield path, value
 
 
-def compare(old, new):
-    """Lines saying how report ``new`` differs from ``old``; none when they are identical."""
-    a, b = dict(leaves(old)), dict(leaves(new))
-    lines = [f"{label}: {', '.join(sorted(keys))}"
-             for label, keys in (("added", b.keys() - a.keys()), ("removed", a.keys() - b.keys()))
-             if keys]
-    numeric = {}
+def field_changes(a, b):
+    """(numeric, lines) over the leaves ``a`` and ``b`` of two reports present in both:
+    ``{field: [largest absolute, largest relative change]}`` for the numeric ones that
+    differ, list indices as ``[]``, and a line for each other value that differs."""
+    numeric, lines = {}, []
     for key in sorted(a.keys() & b.keys()):
         x, y = a[key], b[key]
         if type(x) is type(y) and x == y:
@@ -117,9 +117,19 @@ def compare(old, new):
             worst[0], worst[1] = max(worst[0], change), max(worst[1], relative)
         else:
             lines.append(f"{key}: {x!r} -> {y!r}")
-    lines += [f"{field}: largest change {change:.3g} absolute, {relative:.3g} relative"
-              for field, (change, relative) in numeric.items()]
-    return lines
+    return numeric, lines
+
+
+def compare(old, new):
+    """Lines saying how report ``new`` differs from ``old``; none when they are identical."""
+    a, b = dict(leaves(old)), dict(leaves(new))
+    numeric, changed = field_changes(a, b)
+    return ([f"{label}: {', '.join(sorted(keys))}"
+             for label, keys in (("added", b.keys() - a.keys()), ("removed", a.keys() - b.keys()))
+             if keys]
+            + changed
+            + [f"{field}: largest change {change:.3g} absolute, {relative:.3g} relative"
+               for field, (change, relative) in numeric.items()])
 
 
 def compare_runs(old, new):
@@ -133,6 +143,18 @@ def compare_runs(old, new):
     if old_err != new_err:
         lines.append(f"stderr: {old_err!r} -> {new_err!r}")
     return lines
+
+
+def largest_relative_change(pairs):
+    """The line naming the largest relative change over the changed numeric fields of
+    ``pairs``, ``{(command, spec): (old report, new report)}`` with both reports present."""
+    worst = max(((relative, field, key) for key, (old, new) in pairs.items()
+                 for field, (_, relative) in
+                 field_changes(dict(leaves(old)), dict(leaves(new)))[0].items()), default=None)
+    if worst is None:
+        return "largest relative change: none, no numeric field changed"
+    relative, field, (command, spec) = worst
+    return f"largest relative change: {relative:.3g}, {field} of {command} on {spec}"
 
 
 def main(argv=None):
@@ -158,6 +180,9 @@ def main(argv=None):
         for line in lines:
             print(f"    {line}")
     print(f"{identical} of {len(keys)} runs identical apart from {' and '.join(SKIPPED)}")
+    print(largest_relative_change({key: (old[key][1], new[key][1])
+                                   for key in old.keys() & new.keys()
+                                   if None not in (old[key][1], new[key][1])}))
     return 0 if identical == len(keys) else 1
 
 
