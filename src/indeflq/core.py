@@ -281,6 +281,12 @@ class ProblemData:
         """Whether every coefficient path holds one matrix over the whole grid."""
         return bool(np.all(self._table.samples == self._table.samples[0]))
 
+    @property
+    def jumps(self) -> np.ndarray:
+        """Interior grid indices j where some coefficient's sample j differs from sample j - 1."""
+        samples = self._table.samples
+        return np.flatnonzero(np.any(samples[1:-1] != samples[:-2], axis=(1, 2))) + 1
+
     def blocks_at(self, t):
         """Views of the block table at scalar or vector ``t``: ``[A B]``, the
         channels ``V_i = [C_i D_i]`` (indexed first) and ``Z = diag(Q, R)``."""

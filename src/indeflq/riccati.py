@@ -2,17 +2,17 @@
 
 Integrates dP/dt = -f(P, 0) from P(T) = N in reversed time with an embedded
 Dormand-Prince 5(4) pair and PI step control, one coefficient piece at a time:
-the whole horizon, or each coefficient-grid interval under piecewise-constant
-interpolation.  Only the error controller and the piece ends set the steps;
-the output times a step passes are filled from the pair's free 4th-order
-continuous extension, built from the stages the step already holds.  A stage's
-slope is ``core.schur_complement`` of its block H(P): NaN unless the stage's
-effective weight is positive definite, and so are the later stages of that
-trial step, whose H is NaN.  H is one product by the map ``core.lq_block_map``
-of a piece whose coefficients do not move, if the map has at most
-``MAP_MAX_ENTRIES`` entries, else ``core.lq_block`` at the stage's time.  One
-event test runs at each piece start (t = T first; under the values of the
-piece that starts there), after every accepted step (on the terms of the
+the whole horizon or, under piecewise-constant interpolation, each span
+between the grid points where a coefficient jumps.  Only the error controller
+and the piece ends set the steps; the output times a step passes are filled
+from the pair's free 4th-order continuous extension, built from the stages the
+step already holds.  A stage's slope is ``core.schur_complement`` of its block
+H(P): NaN unless the stage's effective weight is positive definite, and so are
+the later stages of that trial step, whose H is NaN.  H is one product by the
+map ``core.lq_block_map`` of a piece whose coefficients do not move, if the map
+has at most ``MAP_MAX_ENTRIES`` entries, else ``core.lq_block`` at the stage's
+time.  One event test runs at each piece start (t = T first; under the values
+of the piece that starts there), after every accepted step (on the terms of the
 step's last stage, which sits at the accepted point) and inside the bisection
 on the continuous extension that locates an event: constraint violation first
 (the effective control weight at or below the positivity floor), then
@@ -255,11 +255,11 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
         return lo, 0.5 * (lo + hi), hit
 
     # Output times and piece ends in reversed time s = T - t, ascending.  The
-    # pieces are the whole horizon, or the coefficient-grid intervals under
-    # piecewise-constant interpolation (kinks in the RHS).
+    # pieces are the whole horizon or, under piecewise-constant interpolation,
+    # the spans between the grid points where a coefficient jumps (kinks in the RHS).
     tau_out = np.linspace(0.0, T, config.output_points)
     s_out = T - tau_out[::-1]
-    piece_ends = (T - data.grid[-2:0:-1]).tolist() + [T] if pc_mode else [T]
+    piece_ends = (T - data.grid[data.jumps[::-1]]).tolist() + [T] if pc_mode else [T]
 
     y = data.N.ravel()
     out_y = [y[None]]  # blocks of outputs, stored while t descends from T

@@ -22,19 +22,19 @@ optimal policy) is left out of the table; its sum stays exactly 0.  The
 keyed streams are drawn path by path into the rows of a small row-major
 buffer and copied into the (steps, d, paths) block one chunk at a time.
 
-Philox streams are drawn independently of one another, so on Linux a block
-of at least SPLIT_INCREMENTS increments is drawn by two processes: a forked
-child fills the second half of the paths in a shared mmap while this process
-fills the first; if the fork fails or the child does not exit 0, this
-process draws the child's half as well.  The draw stays in one process for
-smaller blocks, on a single CPU, and in a process that runs other Python
-threads (``n_workers > 1`` among them).  Every path keeps its stream either way.
+A block, drawn and stepped, is a pure function of its path indices, so on
+Linux a run of at least SPLIT_INCREMENTS increments shares its blocks with one
+forked child (``_run_shared``): this process takes them from the front, the
+child from the back, until the two meet.  The run stays in one process when
+smaller, on a single CPU, and in a process that runs other Python threads
+(``n_workers > 1`` among them).  Every path keeps its stream either way.
 """
 
 from __future__ import annotations
 
 import mmap
 import os
+import pickle
 import sys
 import threading
 import time
@@ -66,10 +66,9 @@ BLOCK_INCREMENTS = 2_000_000
 # the keyed streams are drawn into a row-major buffer of at most this size
 # (one path per row; a single path longer than this takes a row alone)
 DRAW_CHUNK_BYTES = 64 * 1024
-# a block of at least this many increments is drawn by two processes: the
-# second one saves half the draw, about 7 ns per increment, against about
-# 1.6-1.8 ms to fork and wait with 50-75 MB resident, so from here on it
-# saves at least twice what it costs
+# a run of at least this many increments shares its blocks with one forked
+# child; at this size it about breaks even on two cores (one block becomes two,
+# each paying the per-step call overhead), at twice this size it saves 15-33 %
 SPLIT_INCREMENTS = 2 ** 19
 
 
@@ -118,7 +117,9 @@ class ControlPolicy:
 @dataclass
 class SimulationReport:
     """Cost statistics, both sides of the completing-the-square identity, and
-    the seconds spent drawing increments and stepping paths, summed over blocks."""
+    the seconds spent drawing increments and stepping paths, summed over
+    blocks; a shared run sums both processes' blocks, so the two seconds can
+    together exceed its wall time."""
 
     cost_mean: float
     cost_stderr: float
@@ -194,14 +195,16 @@ class _EulerSetup:
         self.table = _step_table(self.dt, self.Acl, self.Ccl, [weights[i] for i in self.kept])
 
 
-def _draw_columns(seed, indices, lo, hi, n_steps, d, dt, columns):
-    """Fill ``columns[:, lo:hi]`` of a (n_steps * d, paths) view with paths ``lo:hi``.
+def _wiener_increments(seed, indices, n_steps, d, dt):
+    """Wiener increments (n_steps, d, paths) for a block of path indices.
 
     Column ``p`` holds the stream of ``Generator(Philox(key=[seed, p]))``
     times ``sqrt(dt)``: one bit generator is re-keyed per path (counter 0,
     buffer cleared) by writing the path index into a reused key.  A chunk of
     paths is drawn into the rows of a row-major buffer, then scaled and copied
-    into its columns at once.
+    into its columns at once.  Threads would not help: each path's re-keying
+    and draw holds the GIL, and two drawing threads took twice as long as one
+    (0.155 s against 0.079 s for 20k paths of 256 normals).
     """
     from numpy.random import Generator, Philox  # about 6.5 ms of imports, only when drawing
 
@@ -211,68 +214,17 @@ def _draw_columns(seed, indices, lo, hi, n_steps, d, dt, columns):
     key = [int(seed), 0]
     fresh = dict(bits.state, buffer=[0] * 4)  # buffer_pos 4: the buffer is empty
     fresh["state"] = {"counter": [0] * 4, "key": key}
-    size = n_steps * d
+    size, b = n_steps * d, indices.size
+    dW = np.empty((n_steps, d, b))
+    columns = dW.reshape(size, b)
     chunk = np.empty((max(1, DRAW_CHUNK_BYTES // (8 * size)), size))
-    for start in range(lo, hi, len(chunk)):
-        rows = chunk[:hi - start]
+    for start in range(0, b, len(chunk)):
+        rows = chunk[:b - start]
         for row, idx in zip(rows, indices[start:start + len(rows)].tolist()):
             key[1] = idx
             bits.state = fresh
             gen.standard_normal(out=row)
         np.multiply(rows.T, np.sqrt(dt), out=columns[:, start:start + len(rows)])
-
-
-def _splits_draw(increments):
-    """Whether a block of ``increments`` normals is drawn by two processes.
-
-    Only on Linux, with a second CPU to run on, from a process with no other
-    Python thread (fork copies only the calling thread, so a lock another
-    thread holds would stay held in the child) and for a block large enough
-    to pay for the fork.
-    """
-    return (sys.platform == "linux" and increments >= SPLIT_INCREMENTS
-            and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1)
-
-
-def _wiener_increments(seed, indices, n_steps, d, dt):
-    """Wiener increments (n_steps, d, paths) for a block of path indices.
-
-    Column ``p`` holds path ``p``'s keyed Philox stream (``_draw_columns``),
-    however the block is drawn.  Where ``_splits_draw`` allows, the block
-    lives in one anonymous shared mmap: a forked child draws the second half
-    of the paths and leaves through ``os._exit`` while this process draws
-    the first half, then waits for it.  Where no child can be forked, or the
-    child does not exit 0, this process draws the child's half too.  Threads
-    would not help: each path's re-keying and draw holds the GIL, and two
-    drawing threads took twice as long as one (0.155 s against 0.079 s for
-    20k paths of 256 normals).
-    """
-    size, b = n_steps * d, indices.size
-    if not _splits_draw(size * b):
-        dW = np.empty((n_steps, d, b))
-        _draw_columns(seed, indices, 0, b, n_steps, d, dt, dW.reshape(size, b))
-        return dW
-    dW = np.frombuffer(mmap.mmap(-1, 8 * size * b), dtype=float).reshape(n_steps, d, b)
-    columns, half = dW.reshape(size, b), b // 2
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare (a process limit, or no memory for one)
-        _draw_columns(seed, indices, 0, b, n_steps, d, dt, columns)
-        return dW
-    if pid == 0:  # the child: never returns, whatever happens
-        code = 1
-        try:
-            _draw_columns(seed, indices, half, b, n_steps, d, dt, columns)
-            code = 0
-        finally:
-            os._exit(code)
-    try:
-        _draw_columns(seed, indices, 0, half, n_steps, d, dt, columns)
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if os.waitstatus_to_exitcode(status) != 0:
-        # the child failed or was killed (say, out of memory): draw its half here
-        _draw_columns(seed, indices, half, b, n_steps, d, dt, columns)
     return dW
 
 
@@ -357,33 +309,105 @@ def _run_cost_block(su: _EulerSetup, xi, seed, indices, antithetic):
     return acc[0], acc[1], t1 - t0, time.perf_counter() - t1
 
 
+def _splits_run(increments):
+    """Whether a run of ``increments`` normals shares its blocks with a forked child.
+
+    Only on Linux, with a second CPU to run on, from a process with no other
+    Python thread (fork copies only the calling thread, so a lock another
+    thread holds would stay held in the child) and for a run large enough
+    to pay for the fork.
+    """
+    return (sys.platform == "linux" and increments >= SPLIT_INCREMENTS
+            and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1)
+
+
+def _run_shared(count, run):
+    """``[run(i) for i in range(count)]``, the blocks shared with one forked child.
+
+    This process claims blocks from the front and the child from the back:
+    each writes the block it is about to run into a shared 16-byte header and
+    stops at a block the other has claimed.  The child pickles ``{i: run(i)}``
+    down a pipe and leaves through ``os._exit``.  This process then runs, in
+    index order, every block it has no result for: all if the fork fails, the
+    child's if the child does not exit 0, so an error is the one a serial run
+    raises.  An error here kills and reaps the child, which may be blocked
+    writing its results.
+    """
+    from numpy.random import Philox  # noqa: F401 -- imported once, before the fork
+
+    header = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)  # front, back
+    header[:] = -1, count
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare (a process limit, or no memory for one)
+        os.close(read)
+        os.close(write)
+        return [run(i) for i in range(count)]
+    if pid == 0:  # the child: never returns, whatever happens
+        code = 1
+        try:
+            os.close(read)
+            done = {}
+            for i in range(count - 1, -1, -1):
+                header[1] = i
+                if header[0] >= i:
+                    break
+                done[i] = run(i)
+            with open(write, "wb") as pipe:
+                pickle.dump(done, pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    results = {}
+    try:
+        with open(read, "rb") as pipe:
+            for i in range(count):
+                header[0] = i
+                if header[1] <= i:
+                    break
+                results[i] = run(i)
+            sent = pipe.read()
+    except BaseException:
+        from signal import SIGKILL  # about 0.5 ms of imports, only on this path
+
+        os.kill(pid, SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0:
+        results = {**pickle.loads(sent), **results}
+    return [results[i] if i in results else run(i) for i in range(count)]
+
+
 def _for_blocks(config: SimConfig, d: int, work, n_workers: int = 1):
     """``work(indices)`` on consecutive blocks of path indices, results in index order.
 
-    A block holds about BLOCK_INCREMENTS Wiener increments; the blocks run on
-    up to ``n_workers`` threads.  With one worker a large block's draw is
-    split across two processes (``_wiener_increments``); worker threads keep
-    each draw in their own thread, since fork copies only the calling
-    thread.  No block holds a single path unless the run
-    does: a one-column block goes through a matrix-vector kernel that rounds
-    differently from the matrix-matrix one, so per-path results would depend
-    on the partition.
+    The blocks are equal to within a path and hold at most BLOCK_INCREMENTS
+    Wiener increments each (two paths at least).  No block holds a single path
+    unless the run does: a one-column block goes through a matrix-vector
+    kernel that rounds differently from the matrix-matrix one, so per-path
+    results would depend on the partition.  Where ``_splits_run`` allows, a
+    one-worker run has two blocks or more and shares them with a forked child;
+    otherwise the blocks run on up to ``n_workers`` threads.
     """
-    size = max(2, BLOCK_INCREMENTS // max(1, config.n_steps * d))
-    starts = list(range(0, config.n_paths, size))
-    if len(starts) > 1 and config.n_paths - starts[-1] == 1:
-        starts.pop()  # a lone leftover path joins the previous block
-    ends = starts[1:] + [config.n_paths]
+    per_path = max(1, config.n_steps * d)
+    split = n_workers <= 1 and _splits_run(config.n_paths * per_path)
+    count = -(-config.n_paths // max(2, BLOCK_INCREMENTS // per_path))
+    count = min(max(count, 2 if split else 1), max(1, config.n_paths // 2))
+    bounds = [config.n_paths * i // count for i in range(count + 1)]
 
-    def run(lo, hi):
-        return work(np.arange(lo, hi, dtype=np.uint64))
+    def run(i):
+        return work(np.arange(bounds[i], bounds[i + 1], dtype=np.uint64))
 
-    if n_workers <= 1 or len(starts) == 1:
-        return [run(lo, hi) for lo, hi in zip(starts, ends)]
+    if split and count > 1:
+        return _run_shared(count, run)
+    if n_workers <= 1 or count == 1:
+        return [run(i) for i in range(count)]
     from concurrent.futures import ThreadPoolExecutor  # about 8 ms of imports, only here
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(run, starts, ends))
+        return list(pool.map(run, range(count)))
 
 
 def _stderr(values):

@@ -1,5 +1,8 @@
+import os
+
 import hypothesis
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from indeflq.core import ProblemData, symmetrize
@@ -8,6 +11,15 @@ from indeflq.core import ProblemData, symmetrize
 # and no example database is written
 hypothesis.settings.register_profile("indeflq", derandomize=True, deadline=None, database=None)
 hypothesis.settings.load_profile("indeflq")
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    # a run shared with a forked child reaps it, whatever happens
+    yield
+    if hasattr(os, "fork"):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def random_definite_problem(rng, n=None, k=None, d=None, T=1.0, points=65):

@@ -259,6 +259,21 @@ class TestPiecewiseConstantKinks:
             assert sol.margin_min_dense < 0.0
             assert sol.grid[0] >= 0.5
 
+    def test_constant_data_are_one_piece(self):
+        # time-invariant coefficients jump at no grid point: left-constant
+        # interpolation takes the piecewise-linear solve's steps and stores its P
+        sols = []
+        for interpolation in ("piecewise-linear", "piecewise-constant-left"):
+            doc = bundled.example_doc("definite_2x2")
+            doc["grid"]["interpolation"] = interpolation
+            spec = parse_spec(doc)
+            assert spec.data.jumps.size == 0
+            sols.append(solve_riccati(spec.data, spec.solver))
+        linear, constant = sols
+        assert (constant.accepted_steps, constant.rhs_evaluations) == (26, 157)
+        assert (linear.accepted_steps, linear.rhs_evaluations) == (26, 157)
+        assert constant.P.tobytes() == linear.P.tobytes()
+
 
 def count_calls(monkeypatch, calls, kernel, *modules):
     """Replace ``kernel`` by ``calls``-counting ``kernel`` in each of ``modules``."""

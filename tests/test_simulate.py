@@ -1,6 +1,9 @@
 import mmap
 import os
+import select
+import signal
 import threading
+import time
 import tracemalloc
 
 import hypothesis
@@ -30,46 +33,37 @@ def definite_2x2():
     return parse_spec(bundled.example_doc("definite_2x2"))
 
 
-@pytest.fixture(autouse=True)
-def no_child_left():
-    # a block drawn by two processes waits for its child, whatever happens
-    yield
-    if hasattr(os, "fork"):
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-
-def shared_buffer(a):
-    """The mmap under an array, or None when it has none."""
-    while isinstance(a, np.ndarray):
-        a = a.base
-    return a.obj if isinstance(a, memoryview) and isinstance(a.obj, mmap.mmap) else None
-
-
 can_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
 
 
 def force_split(monkeypatch):
-    """Split every block's draw across two processes, on one CPU too.
+    """Share every run's blocks with a forked child, on one CPU too.
 
     False, and nothing forced, where this process cannot fork safely: without
     ``os.fork`` or while another Python thread runs.
     """
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return False
-    monkeypatch.setattr(simulate, "_splits_draw", lambda increments: True)
+    monkeypatch.setattr(simulate, "_splits_run", lambda increments: True)
     return True
 
 
-def both_draws(monkeypatch, *args):
-    """``_wiener_increments(*args)`` drawn by one process and, where it can fork, by two."""
-    monkeypatch.setattr(simulate, "SPLIT_INCREMENTS", float("inf"))
-    draws = [simulate._wiener_increments(*args)]
-    assert shared_buffer(draws[0]) is None
-    if force_split(monkeypatch):
-        draws.append(simulate._wiener_increments(*args))
-        assert shared_buffer(draws[1]) is not None
-    return draws
+def count_forks(monkeypatch):
+    """A list that gains an entry each time this process calls ``os.fork``."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def shared_counts(count):
+    """(2, count) call counts that a forked child shares: row 0 this process, row 1 others."""
+    return np.frombuffer(mmap.mmap(-1, 16 * count), dtype=np.int64).reshape(2, count)
+
+
+def wait_for(fd):
+    """One byte from ``fd``, failing instead of hanging when none comes within 30 s."""
+    assert select.select([fd], [], [], 30.0)[0], "no signal within 30 s"
+    assert os.read(fd, 1)
 
 
 def keyed_stream(seed, p, n_steps, d, dt):
@@ -148,88 +142,24 @@ class TestCostEstimator:
             with pytest.raises(ValueError, match="xi"):
                 simulate_cost(data, ControlPolicy(), xi, SimConfig(4, 8, seed=1))
 
-    def test_increments_are_the_keyed_philox_streams(self, monkeypatch):
-        # an odd block: the child draws paths 2 to 4, this process 0 and 1
+    def test_increments_are_the_keyed_philox_streams(self):
         seed, n_steps, d, dt = 2 ** 63 + 5, 16, 2, 0.25
         indices = np.arange(7, 12, dtype=np.uint64)
-        for dW in both_draws(monkeypatch, seed, indices, n_steps, d, dt):
-            assert dW.shape == (n_steps, d, indices.size)
-            for col, p in enumerate(indices):
-                assert np.array_equal(dW[:, :, col], keyed_stream(seed, p, n_steps, d, dt))
+        dW = simulate._wiener_increments(seed, indices, n_steps, d, dt)
+        assert dW.shape == (n_steps, d, indices.size)
+        for col, p in enumerate(indices):
+            assert np.array_equal(dW[:, :, col], keyed_stream(seed, p, n_steps, d, dt))
 
     @pytest.mark.parametrize("n_paths, n_steps", [(600, 16), (3, 5000)])
-    def test_increments_across_draw_chunks(self, monkeypatch, n_paths, n_steps):
+    def test_increments_across_draw_chunks(self, n_paths, n_steps):
         # 600 paths of 16 x 2 draws are two full 64 KiB chunks and a ragged
         # third; a path of 5000 x 2 draws is larger than a chunk and takes one
         seed, d, dt = 2 ** 64 - 3, 2, 0.5
         assert n_paths > 2 * max(1, simulate.DRAW_CHUNK_BYTES // (8 * n_steps * d))
         indices = np.arange(11, 11 + n_paths, dtype=np.uint64)
-        for dW in both_draws(monkeypatch, seed, indices, n_steps, d, dt):
-            for col, p in enumerate(indices):
-                assert np.array_equal(dW[:, :, col], keyed_stream(seed, p, n_steps, d, dt))
-
-    @can_fork
-    def test_failed_child_half_is_drawn_here(self, monkeypatch):
-        # the child fails its half (lo > 0): this process reaps it, then draws
-        # that half itself, so every column is still its keyed stream
-        assert force_split(monkeypatch)
-        parent, draw = os.getpid(), simulate._draw_columns
-
-        def failing_in_child(seed, indices, lo, *args):
-            if lo > 0 and os.getpid() != parent:
-                raise MemoryError("child")
-            draw(seed, indices, lo, *args)
-
-        monkeypatch.setattr(simulate, "_draw_columns", failing_in_child)
-        dW = simulate._wiener_increments(3, np.arange(5, dtype=np.uint64), 8, 1, 0.1)
-        assert shared_buffer(dW) is not None
-        for col in range(5):
-            assert np.array_equal(dW[:, :, col], keyed_stream(3, col, 8, 1, 0.1))
-
-    @can_fork
-    def test_failed_second_half_raises(self, monkeypatch):
-        # the second half (lo > 0) fails in the child and again here: this
-        # process raises once it has reaped the child
-        assert force_split(monkeypatch)
-        draw = simulate._draw_columns
-
-        def failing(seed, indices, lo, *args):
-            if lo > 0:
-                raise MemoryError("second half")
-            draw(seed, indices, lo, *args)
-
-        monkeypatch.setattr(simulate, "_draw_columns", failing)
-        with pytest.raises(MemoryError, match="second half"):
-            simulate._wiener_increments(3, np.arange(5, dtype=np.uint64), 8, 1, 0.1)
-
-    @can_fork
-    def test_failed_fork_draws_here(self, monkeypatch):
-        # a process limit makes fork fail: the block is drawn by this process alone
-        assert force_split(monkeypatch)
-
-        def no_fork():
-            raise BlockingIOError("Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        dW = simulate._wiener_increments(5, np.arange(4, 9, dtype=np.uint64), 8, 2, 0.1)
-        for col, p in enumerate(range(4, 9)):
-            assert np.array_equal(dW[:, :, col], keyed_stream(5, p, 8, 2, 0.1))
-
-    def test_live_thread_draws_serially(self, monkeypatch):
-        # fork copies only the calling thread, so another live thread keeps the draw in one process
-        monkeypatch.setattr(simulate, "SPLIT_INCREMENTS", 0)
-        release = threading.Event()
-        waiter = threading.Thread(target=release.wait, args=(30.0,))
-        waiter.start()
-        try:
-            dW = simulate._wiener_increments(4, np.arange(6, dtype=np.uint64), 8, 1, 0.1)
-        finally:
-            release.set()
-            waiter.join(timeout=30.0)
-        assert not waiter.is_alive()
-        assert shared_buffer(dW) is None
-        for col in range(6):
-            assert np.array_equal(dW[:, :, col], keyed_stream(4, col, 8, 1, 0.1))
+        dW = simulate._wiener_increments(seed, indices, n_steps, d, dt)
+        for col, p in enumerate(indices):
+            assert np.array_equal(dW[:, :, col], keyed_stream(seed, p, n_steps, d, dt))
 
     def test_independent_of_block_partition(self, monkeypatch):
         # 64 increments per block is one path per block at 64 steps, d = 1
@@ -266,12 +196,10 @@ class TestCostEstimator:
             per_path.append([np.concatenate([p[i] for p in parts]) for i in (0, 1)])
         assert [a.tobytes() for a in per_path[0]] == [a.tobytes() for a in per_path[1]]
 
-    def test_block_memory(self, monkeypatch):
+    def test_block_memory(self):
         # a block holds its increments, the state, the step product (one
         # block per table row group: drift, diffusion, cost weight) and the
-        # two sums; the optimal policy's completing-square table is left out.
-        # tracemalloc does not see an mmap, so the bound holds on a serial
-        # draw, and a split draw must map exactly the increments' bytes
+        # two sums; the optimal policy's completing-square table is left out
         spec = definite_2x2()
         sol = solve_riccati(spec.data, spec.solver)
         pairs, n_steps = 4000, 64
@@ -279,7 +207,6 @@ class TestCostEstimator:
         indices = np.arange(pairs, dtype=np.uint64)
         dW_bytes = 8 * n_steps * spec.data.d * pairs
         state_bytes = 8 * spec.data.n * 2 * pairs
-        monkeypatch.setattr(simulate, "SPLIT_INCREMENTS", float("inf"))
         tracemalloc.start()
         try:
             simulate._run_cost_block(setup, spec.xi, 3, indices, True)
@@ -287,16 +214,6 @@ class TestCostEstimator:
         finally:
             tracemalloc.stop()
         assert peak <= dW_bytes + 8 * state_bytes
-        if force_split(monkeypatch):
-            maps, new_map = [], mmap.mmap
-
-            def recorded(*args):
-                maps.append(new_map(*args))
-                return maps[-1]
-
-            monkeypatch.setattr(mmap, "mmap", recorded)
-            simulate._run_cost_block(setup, spec.xi, 3, indices, True)
-            assert [len(m) for m in maps] == [dW_bytes]
 
     @pytest.mark.parametrize("antithetic", [True, False])
     def test_block_matches_a_plain_loop(self, antithetic):
@@ -508,6 +425,231 @@ class TestFundamentalPair:
                 worst = max(worst, np.linalg.norm(Xt @ X - np.eye(2)))
         assert worst > 0.0
         assert fundamental_pair_check(data, gain, cfg) == pytest.approx(worst, rel=1e-12)
+
+
+class TestSharedRun:
+    """Runs whose blocks are shared with a forked child (``simulate._run_shared``)."""
+
+    @staticmethod
+    def outputs(spec, sol, runs, fields=("cost_mean", "cost_stderr", "n_paths", "cs_lhs",
+                                          "cs_rhs", "cs_residual", "cs_stderr")):
+        """Every report field but the seconds of each (policy, config) run."""
+        reps = [completing_square_report(spec.data, sol, policy, spec.xi, cfg)
+                for policy, cfg in runs]
+        return [[getattr(rep, f) for f in fields] for rep in reps]
+
+    @staticmethod
+    def seven_blocks(monkeypatch):
+        """definite_2x2, its solution and one optimal-policy run of seven blocks of 43 pairs."""
+        spec = definite_2x2()
+        sol = solve_riccati(spec.data, spec.solver)
+        monkeypatch.setattr(simulate, "BLOCK_INCREMENTS", 64 * 45)
+        return spec, sol, [(ControlPolicy.from_solution(sol), SimConfig(301, 64, seed=7))]
+
+    @can_fork
+    def test_split_run_equals_serial(self, monkeypatch):
+        # seven blocks of 43 pairs or paths: each report and the fundamental-pair
+        # defect bit for bit, with one fork per call
+        spec = definite_2x2()
+        sol = solve_riccati(spec.data, spec.solver)
+        optimal = ControlPolicy.from_solution(sol)
+        perturbed = ControlPolicy(gain=optimal.gain, perturb=np.array([0.3, -0.2]))
+        cfg = SimConfig(n_paths=301, n_steps=64, seed=7)
+        monkeypatch.setattr(simulate, "BLOCK_INCREMENTS", 64 * 45)
+        results = []
+        for split in (False, True):
+            if split:
+                assert force_split(monkeypatch)
+                forks = count_forks(monkeypatch)
+            rep = simulate_cost(spec.data, perturbed, spec.xi, cfg)
+            results.append([
+                (rep.cost_mean, rep.cost_stderr, rep.n_paths),
+                self.outputs(spec, sol, [(perturbed, cfg), (optimal, SimConfig(
+                    n_paths=301, n_steps=64, seed=7, antithetic=False))]),
+                fundamental_pair_check(spec.data, optimal.gain, cfg),
+            ])
+        assert results[1] == results[0]
+        assert len(forks) == 4
+        assert rep.rng_seconds > 0.0 and rep.step_seconds > 0.0
+
+    @can_fork
+    @pytest.mark.parametrize("meet", ["slow child", "child takes all"])
+    def test_claimers_meet(self, monkeypatch, meet):
+        # a slow child runs only the last block, which it claimed first; a
+        # child forked long before this process claims runs every block; no
+        # block runs twice
+        count, parent = 6, os.getpid()
+        calls = shared_counts(count)
+        started, go = os.pipe(), os.pipe()
+
+        def run(i):
+            here = os.getpid() == parent
+            calls[0 if here else 1, i] += 1
+            if meet == "slow child" and not here:
+                os.write(started[1], b"s")  # hold the child's block until the rest are run
+                wait_for(go[0])
+            elif meet == "slow child" and i == 0:
+                wait_for(started[0])
+            elif meet == "slow child" and i == count - 2:
+                os.write(go[1], b"g")
+            elif not here and i == 0:
+                os.write(started[1], b"s")
+            return i * i
+
+        if meet == "child takes all":
+            fork = os.fork
+
+            def late_fork():
+                pid = fork()
+                if pid:
+                    wait_for(started[0])  # the child is on block 0
+                return pid
+
+            monkeypatch.setattr(os, "fork", late_fork)
+        try:
+            assert simulate._run_shared(count, run) == [i * i for i in range(count)]
+        finally:
+            for fd in (*started, *go):
+                os.close(fd)
+        child = [0] * (count - 1) + [1] if meet == "slow child" else [1] * count
+        assert calls[1].tolist() == child
+        assert calls[0].tolist() == [1 - c for c in child]
+
+    @can_fork
+    def test_failed_child_blocks_run_here(self, monkeypatch):
+        # the child fails every block it takes: this process reaps it, then
+        # runs the child's blocks too, and the reports are the serial ones
+        spec, sol, runs = self.seven_blocks(monkeypatch)
+        serial = self.outputs(spec, sol, runs)
+        assert force_split(monkeypatch)
+        parent, draw = os.getpid(), simulate._wiener_increments
+
+        def failing_in_child(*args):
+            if os.getpid() != parent:
+                raise MemoryError("child")
+            return draw(*args)
+
+        monkeypatch.setattr(simulate, "_wiener_increments", failing_in_child)
+        assert self.outputs(spec, sol, runs) == serial
+
+    @can_fork
+    def test_failed_child_raises_the_serial_error(self, monkeypatch):
+        # blocks from path 150 on overflow, the child's first: it exits 1, and
+        # this process raises the overflow of the first such block, as a serial run does
+        spec, sol, runs = self.seven_blocks(monkeypatch)
+        block = simulate._run_cost_block
+
+        def overflowing(setup, xi, seed, indices, antithetic):
+            if indices[0] >= 150:
+                raise NumericalOverflow(f"block from path {indices[0]}", int(indices[-1]))
+            return block(setup, xi, seed, indices, antithetic)
+
+        monkeypatch.setattr(simulate, "_run_cost_block", overflowing)
+        errors = []
+        for split in (False, True):
+            if split:
+                assert force_split(monkeypatch)
+                forks = count_forks(monkeypatch)
+            with pytest.raises(NumericalOverflow) as exc:
+                self.outputs(spec, sol, runs)
+            errors.append((str(exc.value), exc.value.step))
+        assert errors[1] == errors[0] == ("block from path 172", 214)
+        assert forks == [1]
+
+    @can_fork
+    @pytest.mark.parametrize("child", ["blocked writing", "still running"])
+    def test_error_here_kills_the_child(self, monkeypatch, child):
+        # two blocks of 10k pairs: the child has run the back one and holds
+        # 160 KB of results, more than a pipe takes, or is still running it,
+        # when the front one overflows here; the call raises that overflow at
+        # once and reaps the child
+        spec = definite_2x2()
+        sol = solve_riccati(spec.data, spec.solver)
+        runs = [(ControlPolicy.from_solution(sol), SimConfig(n_paths=20_000, n_steps=8, seed=3))]
+        assert force_split(monkeypatch)
+        forks = count_forks(monkeypatch)
+        parent, block = os.getpid(), simulate._run_cost_block
+        done, never = os.pipe(), os.pipe()
+
+        def overflowing(setup, xi, seed, indices, antithetic):
+            if os.getpid() == parent:
+                wait_for(done[0])
+                raise NumericalOverflow("state norm exceeded 1e+12 at step 3", 3)
+            if child == "still running":
+                os.write(done[1], b"s")
+                wait_for(never[0])
+            result = block(setup, xi, seed, indices, antithetic)
+            os.write(done[1], b"d")
+            return result
+
+        monkeypatch.setattr(simulate, "_run_cost_block", overflowing)
+
+        def hung(signum, frame):
+            raise TimeoutError("no return within 30 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        t0 = time.monotonic()
+        try:
+            with pytest.raises(NumericalOverflow, match="at step 3"):
+                self.outputs(spec, sol, runs)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            for fd in (*done, *never):
+                os.close(fd)
+        assert time.monotonic() - t0 < 10.0
+        assert forks == [1]
+
+    @can_fork
+    def test_claims_under_contention(self):
+        # 100 shared runs of 2 to 9 blocks of no work, where the two claimers
+        # race at every block: each result is there, and at most one block runs twice
+        parent = os.getpid()
+        for trial in range(100):
+            count = 2 + trial % 8
+            calls = shared_counts(count)
+
+            def run(i):
+                calls[0 if os.getpid() == parent else 1, i] += 1
+                return -i
+
+            assert simulate._run_shared(count, run) == [-i for i in range(count)]
+            assert calls.max() <= 1 and calls.sum() <= count + 1
+
+    @can_fork
+    def test_failed_fork_runs_here(self, monkeypatch):
+        # a process limit makes fork fail: every block runs in this process
+        spec, sol, runs = self.seven_blocks(monkeypatch)
+        serial = self.outputs(spec, sol, runs)
+        assert force_split(monkeypatch)
+        forks = []
+
+        def no_fork():
+            forks.append(1)
+            raise BlockingIOError("Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert self.outputs(spec, sol, runs) == serial
+        assert forks == [1]
+
+    def test_live_thread_keeps_the_run_serial(self, monkeypatch):
+        # fork copies only the calling thread, so another live thread keeps the run in one process
+        spec, sol, runs = self.seven_blocks(monkeypatch)
+        serial = self.outputs(spec, sol, runs)
+        monkeypatch.setattr(simulate, "SPLIT_INCREMENTS", 0)
+        forks = count_forks(monkeypatch) if hasattr(os, "fork") else []
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(30.0,))
+        waiter.start()
+        try:
+            assert not simulate._splits_run(10 ** 9)
+            assert self.outputs(spec, sol, runs) == serial
+        finally:
+            release.set()
+            waiter.join(timeout=30.0)
+        assert not waiter.is_alive()
+        assert forks == []
 
 
 class TestHamiltonianIdentity:
