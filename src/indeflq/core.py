@@ -51,6 +51,16 @@ DEFAULT_EPS_POS = 1e-8
 # Construction-time symmetry tolerance for weight matrices.
 SYMMETRY_TOL = 1e-12
 
+# The largest map K of H or of the DP oracle's step (n^2 (n + k)^2 entries: n = k = 8) the
+# solver and the oracle build on frozen data; larger ones cost memory, and both lose to their
+# direct products near n = k = 12 (see README): an oracle step (d = 1, 512..8192 ladder) takes
+# 20.4 us by map against 24.5 us at n = k = 4, and 50.4 against 57.0 us at n = k = 8.
+MAP_MAX_ENTRIES = 16384
+
+# largest coefficient table, rows x entries of A, B, C, D, R and Q at one row (80 MB of
+# floats), a row being a grid point, a Monte Carlo or DP step; twice the DP step maps, too
+MAX_TABLE_ENTRIES = 10 ** 7
+
 
 def symmetrize(M):
     """Project onto the symmetric part, (M + M') / 2 (batched over leading axes)."""

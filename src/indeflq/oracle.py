@@ -7,7 +7,7 @@ the diffusions.  Its value matrix at time zero converges to P(0) of the
 continuous problem at first order in the step, which is what the acceptance
 tests exercise.
 
-Each step is one block product.  With the step's stacked transition
+Each step forms one matrix.  With the step's stacked transition
 
     W_j = [[I + A delta,     B delta    ],
            [C_i sqrt(delta), D_i sqrt(delta)]]   (one row block per channel i)
@@ -25,25 +25,30 @@ is the discrete analogue of ``core.lq_block``'s H, built by its own code to
 stay an independent cross-check: only the elimination is shared.
 S / delta = R + sum D'PD + delta B'PB is not H's effective weight.
 
+On time-invariant data each count's step is one product vec M = Kz [vec P; 1]
+by its map Kz = [sum_e W_e' kron W_e' | vec Z_j] over the row blocks W_e of W_j,
+built once per call from the oracle's own W and Z (not ``core.lq_block_map``)
+where K has at most ``core.MAP_MAX_ENTRIES`` entries and twice the maps of all
+counts fit in ``core.MAX_TABLE_ENTRIES``; else each step is the block product.
+
 A ladder of step counts runs in lockstep: one backward loop whose iteration
 i takes step N - 1 - i of every recursion with N > i, their values stacked
 along a leading axis, so each numpy call serves all of them.  The counts are
-kept in descending order, so the live ones are a prefix.  W_j and Z_j are
-built for a span of iterations at a time, which ends where the next count
-completes and holds at most max(steps) rows (iterations x live counts): no
-table outgrows that of one recursion of max(steps) steps.  A span that starts
-at iteration i also ends by 2 i + FIRST_SPAN, so the spans double from
-FIRST_SPAN iterations.  Each step writes its M in place of its Z_j, and every
-live count steps through the span untested.  At the span's end one pass
-over its M finds each count's first failing S (its entry at or below
-eps_pos * delta when k = 1, else one ``eigvalsh`` over the span's S, which
-reads the lower triangle) and its first M that is not finite.  A failing S that comes first ends the count
-with ``constraint_ok = False`` at that step; a non-finite M that comes first
-raises ``NumericalOverflow`` with its step.  A count that failed part-way
-steps on through the span's end on values that are never read, and no
-other count's values depend on them: each stacked product is per matrix.
-A count leaves the stack when it completes or fails.  ``dp_solve`` is the
-ladder of one count.
+kept in descending order, so the live ones are a prefix.  The loop runs one
+span of iterations at a time, which ends where the next count completes; its
+M, and W_j and Z_j of a block product, hold at most max(steps) rows
+(iterations x live counts), as one recursion of max(steps) steps does.  A span
+that starts at iteration i also ends by 2 i + FIRST_SPAN, so the spans double
+from FIRST_SPAN iterations.  Every live count steps through the span untested.
+At the span's end one pass over its M finds each count's first failing S (its
+entry at or below eps_pos * delta when k = 1, else one ``eigvalsh`` over the
+span's S, which reads the lower triangle) and its first M that is not finite.
+A failing S that comes first ends the count with ``constraint_ok = False`` at
+that step; a non-finite M that comes first raises ``NumericalOverflow`` with
+its step.  A count that failed part-way steps on through the span's end on
+values that are never read, and no other count's values depend on them: each
+stacked product is per matrix.  A count leaves the stack when it completes or
+fails.  ``dp_solve`` is the ladder of one count.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import DEFAULT_EPS_POS, ProblemData, schur_complement, symmetrize
 from .errors import NumericalOverflow
 
@@ -78,18 +84,14 @@ class OracleResult:
         return float(np.sqrt(np.sum(diff * diff)))
 
 
-def _step_tables(data: ProblemData, counts, delta, first, stop):
-    """W_j and Z_j of iterations first..stop-1 for each count: (iterations, counts, ...).
-
-    Iteration i takes step j = N - 1 - i of the count N, whose coefficients
-    are sampled at its left endpoint j * delta.
-    """
-    n, k, d = data.n, data.k, data.d
-    j = counts - 1 - np.arange(first, stop)[:, None]
-    AB, V, Z = data.blocks_at(j * delta)
+def _step_tables(blocks, delta):
+    """W_j and Z_j of ``blocks`` = ``ProblemData.blocks_at`` at each count's step times
+    (leading axes that end in one per count) or at one time for every count."""
+    AB, V, Z = blocks
+    n, m = AB.shape[-2:]
     dt = delta[:, None, None]
-    # W[a, e] holds the d + 1 row blocks of W_j, each n x (n + k)
-    W = np.empty(j.shape + (d + 1, n, n + k))
+    # W[..., e] holds the d + 1 row blocks of W_j, each n x (n + k)
+    W = np.empty(np.broadcast_shapes(AB.shape[:-2], delta.shape) + (1 + len(V), n, m))
     W[..., 0, :, :] = AB * dt
     W[..., 0, :, :n] += np.eye(n)
     W[..., 1:, :, :] = np.moveaxis(V, 0, -3) * np.sqrt(delta)[:, None, None, None]
@@ -133,28 +135,46 @@ def dp_ladder(data: ProblemData, steps, eps_pos: float = DEFAULT_EPS_POS) -> lis
         raise ValueError("step counts must be integers of at least 1 and eps_pos positive and "
                          f"finite, got steps {list(steps)} and eps_pos {eps_pos!r}")
     counts = sorted({int(ns) for ns in steps}, reverse=True)
-    n, k, rows = data.n, data.k, (data.d + 1) * data.n
+    n, k, m, rows = data.n, data.k, data.n + data.k, (data.d + 1) * data.n
     live = np.array(counts)
     delta = data.T / live
     bound = eps_pos * delta
     P = np.repeat(data.N[None], live.size, axis=0)
+    # step maps only where twice their stack fits: building it, or dropping a count, copies it
+    Kz = None
+    if (data.time_invariant and (n * m) ** 2 <= core.MAP_MAX_ENTRIES
+            and 2 * live.size * m * m * (n * n + 1) <= core.MAX_TABLE_ENTRIES):
+        W, Z = _step_tables(data.blocks_at(0.0), delta)
+        Kz = np.concatenate((np.einsum("ceap,cebq->cpqab", W, W).reshape(live.size, m * m, -1),
+                             Z.reshape(live.size, -1, 1)), axis=2)
     done, i = {}, 0
     # a count that failed mid-span steps on until the span ends, through zero or
     # negative pivots; its values are dropped at the span's end, unread
     with np.errstate(all="ignore"):
         while live.size:
             stop = min(int(live[-1]), i + counts[0] // live.size, 2 * i + FIRST_SPAN)
-            W, Z = _step_tables(data, live, delta, i, stop)
-            Wt = W.reshape(stop - i, live.size, rows, n + k).swapaxes(-1, -2)
-            for a in range(stop - i):
-                # M = W_j' (P W_j) + Z_j, in place of Z_j; P is symmetric up to
-                # rounding, so W_j' (P W_j) = W_j' diag(P, ..., P) W_j
-                Z[a] += Wt[a] @ (P[:, None] @ W[a]).reshape(-1, rows, n + k)
-                P = schur_complement(Z[a], n)
-            # free each table once read, before the next span builds its own
-            del W, Wt
-            failed, overflowed = _span_faults(Z, n, bound)
-            del Z
+            if Kz is not None:
+                # [vec P; 1] of each count, and P as a view of it
+                Pv = np.concatenate((P.reshape(-1, n * n, 1), np.ones((live.size, 1, 1))), axis=1)
+                P = Pv[:, :-1, 0].reshape(-1, n, n)
+                M = np.empty((stop - i, live.size, m * m, 1))
+                Ms = M.reshape(stop - i, live.size, m, m)
+                for Ma, Msa in zip(M, Ms):
+                    np.matmul(Kz, Pv, out=Ma)
+                    P[...] = schur_complement(Msa, n)
+            else:
+                j = live - 1 - np.arange(i, stop)[:, None]
+                W, Ms = _step_tables(data.blocks_at(j * delta), delta)
+                Wt = W.reshape(stop - i, live.size, rows, m).swapaxes(-1, -2)
+                for a in range(stop - i):
+                    # M = W_j' (P W_j) + Z_j, in place of Z_j; P is symmetric up to
+                    # rounding, so W_j' (P W_j) = W_j' diag(P, ..., P) W_j
+                    Ms[a] += Wt[a] @ (P[:, None] @ W[a]).reshape(-1, rows, m)
+                    P = schur_complement(Ms[a], n)
+                # free each table once read, before the next span builds its own
+                del W, Wt
+            failed, overflowed = _span_faults(Ms, n, bound)
+            del Ms
             fail_at, over_at = _first(failed), _first(overflowed)
             overflow = over_at < fail_at
             if overflow.any():
@@ -164,15 +184,16 @@ def dp_ladder(data: ProblemData, steps, eps_pos: float = DEFAULT_EPS_POS) -> lis
             stopped = fail_at < stop - i
             for N, a in zip(live[stopped].tolist(), fail_at[stopped].tolist()):
                 done[N] = OracleResult(data.T / N, None, False, violation_step=N - 1 - i - a)
-            kept = ~stopped
-            live, delta, bound, P = live[kept], delta[kept], bound[kept], P[kept]
             i = stop
-            if live.size and live[-1] == i:  # the smallest live count has completed
+            if live[-1] == i and not stopped[-1]:  # the smallest live count has completed
                 P0 = symmetrize(P[-1])
                 if not np.isfinite(P0).all():
                     raise NumericalOverflow(f"DP value of {i} steps overflowed at step 0", 0)
                 done[i] = OracleResult(data.T / i, P0, True)
-                live, delta, bound, P = live[:-1], delta[:-1], bound[:-1], P[:-1]
+                stopped[-1] = True
+            kept = ~stopped
+            live, delta, bound, P = live[kept], delta[kept], bound[kept], P[kept]
+            Kz = None if Kz is None else Kz[kept]
     return [done[int(ns)] for ns in steps]
 
 

@@ -10,7 +10,7 @@ step already holds.  A stage's slope is ``core.schur_complement`` of its block
 H(P): NaN unless the stage's effective weight is positive definite, and so are
 the later stages of that trial step, whose H is NaN.  H is one product by the
 map ``core.lq_block_map`` of a piece whose coefficients do not move, if the map
-has at most ``MAP_MAX_ENTRIES`` entries, else ``core.lq_block`` at the stage's
+has at most ``core.MAP_MAX_ENTRIES`` entries, else ``core.lq_block`` at the stage's
 time.  One event test runs at each piece start (t = T first; under the values
 of the piece that starts there), after every accepted step (on the terms of the
 step's last stage, which sits at the accepted point) and inside the bisection
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import (
     DEFAULT_EPS_POS,
     PIECEWISE_CONSTANT_LEFT,
@@ -60,10 +61,6 @@ __all__ = [
 COMPLETED = "completed"
 CONSTRAINT_VIOLATION = "constraint-violation"
 BLOWUP = "blowup"
-
-# The largest map K of H (n^2 (n + k)^2 entries: n = k = 8) a frozen piece is
-# evaluated by; larger ones lose to lq_block (see README) and cost memory.
-MAP_MAX_ENTRIES = 16384
 
 # Dormand-Prince 5(4) tableau (FSAL); the stage times as Python floats.
 _C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
@@ -212,7 +209,7 @@ def solve_riccati(data: ProblemData, config: SolverConfig | None = None) -> Ricc
     # the coefficients held over the piece being integrated (a piecewise-constant
     # piece sampled at its midpoint, so that stages on a breakpoint stay on it) and
     # their map (K, z) of H where K is small, or None to look them up at each stage
-    small = (n * m) ** 2 <= MAP_MAX_ENTRIES
+    small = (n * m) ** 2 <= core.MAP_MAX_ENTRIES
     frozen = data.blocks_at(0.0) if data.time_invariant and not pc_mode else None
     linear = lq_block_map(frozen) if frozen is not None and small else None
 

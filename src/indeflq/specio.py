@@ -26,6 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import (
+    MAX_TABLE_ENTRIES,
     PIECEWISE_CONSTANT_LEFT,
     PIECEWISE_LINEAR,
     CoefficientPath,
@@ -47,11 +48,6 @@ __all__ = [
 
 # largest coefficient grid: every path is expanded to one sample per point
 MAX_GRID_POINTS = 100_000
-# largest coefficient table, rows x entries of A, B, C, D, R and Q at one row
-# (80 MB of floats); a row is a grid point, a Monte Carlo Euler step or a DP
-# oracle step
-MAX_TABLE_ENTRIES = 10 ** 7
-
 _INTERPOLATIONS = (PIECEWISE_CONSTANT_LEFT, PIECEWISE_LINEAR)
 _REQUIRED = object()
 

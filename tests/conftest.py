@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from indeflq.core import ProblemData, symmetrize
+from indeflq.core import CoefficientPath, ProblemData, symmetrize
 
 # every property draws the same examples on every run, alone or in the full suite,
 # and no example database is written
@@ -39,6 +39,21 @@ def random_definite_problem(rng, n=None, k=None, d=None, T=1.0, points=65):
     Mn = rng.standard_normal((n, n))
     N = 0.3 * (Mn @ Mn.T)
     return ProblemData(n=n, k=k, d=d, T=T, A=A, B=B, C=C, D=D, R=R, Q=Q, N=N, grid=grid)
+
+
+def random_varying_problem(rng, interpolation, n=None, k=None, d=None):
+    """random_definite_problem on 2-9 grid points, each coefficient path scaled by its
+    own factor in [0.5, 1.5] at each point: time-varying, R >> 0 and Q >= 0 kept."""
+    points = int(rng.integers(2, 10))
+    data = random_definite_problem(rng, n=n, k=k, d=d, points=points)
+
+    def vary(path):
+        scale = rng.uniform(0.5, 1.5, (points, 1, 1))
+        return CoefficientPath(data.grid, path.samples * scale, interpolation)
+
+    return ProblemData(n=data.n, k=data.k, d=data.d, T=data.T, A=vary(data.A), B=vary(data.B),
+                       C=[vary(c) for c in data.C], D=[vary(dd) for dd in data.D],
+                       R=vary(data.R), Q=vary(data.Q), N=data.N, grid=data.grid)
 
 
 def scalar_benchmark(r, points=257, T=1.0):

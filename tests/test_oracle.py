@@ -1,20 +1,23 @@
 import itertools
+import tracemalloc
 
 import hypothesis
 import numpy as np
 import pytest
 
-from indeflq import bundled, oracle
-from indeflq.core import DEFAULT_EPS_POS, ProblemData, min_eigenvalue, symmetrize
+from indeflq import bundled, core, oracle
+from indeflq.core import (DEFAULT_EPS_POS, PIECEWISE_CONSTANT_LEFT, PIECEWISE_LINEAR,
+                          ProblemData, min_eigenvalue, symmetrize)
 from indeflq.errors import NumericalOverflow
 from indeflq.oracle import OracleResult, dp_ladder, dp_solve
 from indeflq.riccati import solve_riccati
 from indeflq.specio import parse_spec
 
-from conftest import problems, random_definite_problem, scalar_benchmark
+from conftest import problems, random_definite_problem, random_varying_problem, scalar_benchmark
 
 # the step ladder of the oracle benchmark
 LADDER = (512, 1024, 2048, 4096, 8192)
+INTERPOLATIONS = (PIECEWISE_LINEAR, PIECEWISE_CONSTANT_LEFT)
 
 
 def reference_dp_solve(data, n_steps, eps_pos=DEFAULT_EPS_POS):
@@ -58,6 +61,32 @@ def assert_same_recursion(data, *ladder):
             scale = np.max(np.abs(want.P0))
             assert np.max(np.abs(res.P0 - want.P0)) <= 1e-12 * scale
     return got
+
+
+def record_spans(monkeypatch):
+    """A list of each span's (first, stop, live counts), recorded from ``_span_faults``, whose
+    M holds one row of step matrices per iteration and live count on either step path."""
+    spans, span_faults = [], oracle._span_faults
+
+    def recorded(M, n, bound):
+        first = spans[-1][1] if spans else 0
+        spans.append((first, first + M.shape[0], M.shape[1]))
+        return span_faults(M, n, bound)
+
+    monkeypatch.setattr(oracle, "_span_faults", recorded)
+    return spans
+
+
+def record_blocks_at(monkeypatch):
+    """A list of the shape of the times of each ``ProblemData.blocks_at`` call."""
+    shapes, blocks_at = [], ProblemData.blocks_at
+
+    def recorded(self, t):
+        shapes.append(np.shape(t))
+        return blocks_at(self, t)
+
+    monkeypatch.setattr(ProblemData, "blocks_at", recorded)
+    return shapes
 
 
 def still_data(n, Q, N, T=2.0, points=9):
@@ -136,16 +165,21 @@ class TestStructure:
 
 class TestAgainstReference:
     def test_random_problems(self):
-        # definite problems, and the same with an indefinite control weight
-        # (some of which lose discrete positivity part way)
-        rng = np.random.default_rng(8128)
+        # definite problems, time-invariant (the step map) and time-varying (the block
+        # product), and the same with an indefinite control weight (some of which lose
+        # discrete positivity part way)
+        rng, varying_rng = np.random.default_rng(8128), np.random.default_rng(8129)
         aborted = completed = 0
         for n, k, d in itertools.product((1, 2, 3), (1, 2), (1, 2)):
-            data = random_definite_problem(rng, n=n, k=k, d=d)
-            for problem in (data, data.with_weights(R=-0.3 * np.eye(k))):
-                for res in assert_same_recursion(problem, 16, 97):
-                    aborted += not res.constraint_ok
-                    completed += res.constraint_ok
+            invariant = random_definite_problem(rng, n=n, k=k, d=d)
+            varying = random_varying_problem(varying_rng, INTERPOLATIONS[(n + k + d) % 2],
+                                             n=n, k=k, d=d)
+            assert invariant.time_invariant and not varying.time_invariant
+            for data in (invariant, varying):
+                for problem in (data, data.with_weights(R=-0.3 * np.eye(k))):
+                    for res in assert_same_recursion(problem, 16, 97):
+                        aborted += not res.constraint_ok
+                        completed += res.constraint_ok
         assert aborted and completed
 
     @pytest.mark.parametrize("name", bundled.example_names())
@@ -156,16 +190,41 @@ class TestAgainstReference:
         data = parse_spec(bundled.example_doc("example504_rneg017")).data
         assert [res.violation_step for res in dp_ladder(data, LADDER)] == [25, 55, 114, 233, 471]
 
+    def test_large_frozen_data_take_the_block_product(self, monkeypatch):
+        # n = k = 12: K would hold 82944 entries, above MAP_MAX_ENTRIES, so time-invariant
+        # data step by the block product, as time-varying data do
+        n = k = 12
+        rng = np.random.default_rng(3)
+        data = ProblemData(n=n, k=k, d=1, T=1.0,
+                           A=-0.5 * np.eye(n) + 0.03 * rng.standard_normal((n, n)),
+                           B=0.3 * rng.standard_normal((n, k)),
+                           C=[0.03 * rng.standard_normal((n, n))],
+                           D=[0.03 * rng.standard_normal((n, k))],
+                           R=np.eye(k), Q=np.eye(n), N=np.eye(n), grid=np.linspace(0.0, 1.0, 2))
+        assert data.time_invariant and (n * (n + k)) ** 2 > core.MAP_MAX_ENTRIES
+
+        calls = record_blocks_at(monkeypatch)
+        got = dp_ladder(data, (16, 9))
+        # one blocks_at per span, each at (iterations, counts) step times: no map is built
+        assert len(calls) > 1 and all(len(shape) == 2 for shape in calls)
+        monkeypatch.undo()
+        assert all(res.constraint_ok for res in assert_same_recursion(data, 16, 9))
+        assert all(res.P0.tobytes() == ref.P0.tobytes() for res, ref in
+                   zip(got, dp_ladder(data, (16, 9))))
+
     def test_blowup_data_completes_the_ladder(self):
         # the continuous flow escapes; the discrete weight stays positive
         data = parse_spec(bundled.example_doc("blowup_ode")).data
         assert all(res.constraint_ok for res in dp_ladder(data, LADDER))
 
 
-def coarse_data():
-    """A = -4, B = 3, R = 1, Q = -1, N = 0: the discrete weight fails at 2 and 3 steps."""
-    return ProblemData(n=1, k=1, d=1, T=1.0, A=-4.0, B=3.0, C=[0.0], D=[0.0],
-                       R=1.0, Q=-1.0, N=[[0.0]], grid=np.linspace(0.0, 1.0, 9))
+def coarse_data(varying=False):
+    """A = -4 (or -4 + t/2), B = 3, R = 1, Q = -1, N = 0: the discrete weight fails at 2
+    and 3 steps."""
+    grid = np.linspace(0.0, 1.0, 9)
+    A = (-4.0 + 0.5 * grid)[:, None, None] if varying else -4.0
+    return ProblemData(n=1, k=1, d=1, T=1.0, A=A, B=3.0, C=[0.0], D=[0.0],
+                       R=1.0, Q=-1.0, N=[[0.0]], grid=grid)
 
 
 class TestLockstep:
@@ -173,40 +232,45 @@ class TestLockstep:
         # unsorted ladders with duplicates, short enough that the max(steps)
         # row bound splits the spans, and indefinite weights that abort some;
         # under a large terminal weight R = -0.3 I starts positive and fails part-way
-        rng = np.random.default_rng(4093)
+        # time-invariant data (the step map) and time-varying data (the block product)
+        rng, varying_rng = np.random.default_rng(4093), np.random.default_rng(4094)
         mixed = 0
-        part_way = set()
+        part_way = {True: set(), False: set()}
         for n, k, d in itertools.product((1, 2, 3), (1, 2, 3), (1, 2)):
-            data = random_definite_problem(rng, n=n, k=k, d=d)
-            indefinite = data.with_weights(R=-0.3 * np.eye(k))
-            for problem in (data, indefinite, indefinite.with_weights(N=8.0 * np.eye(n))):
-                ladder = [int(ns) for ns in rng.integers(1, 40, size=6)]
-                ladder.insert(int(rng.integers(0, 6)), ladder[0])
-                got = assert_same_recursion(problem, *ladder)
-                mixed += len({res.constraint_ok for res in got}) == 2
-                part_way.update(k for ns, res in zip(ladder, got)
-                                if not res.constraint_ok and res.violation_step < ns - 1)
-                # P is symmetrized once per completed count, which leaves it exactly symmetric
-                assert all(np.array_equal(res.P0, res.P0.T) for res in got if res.constraint_ok)
-        assert mixed and {2, 3} <= part_way
+            interp = INTERPOLATIONS[(n + k + d) % 2]
+            for draws, data in ((rng, random_definite_problem(rng, n=n, k=k, d=d)),
+                                (varying_rng, random_varying_problem(varying_rng, interp,
+                                                                     n=n, k=k, d=d))):
+                indefinite = data.with_weights(R=-0.3 * np.eye(k))
+                for problem in (data, indefinite, indefinite.with_weights(N=8.0 * np.eye(n))):
+                    ladder = [int(ns) for ns in draws.integers(1, 40, size=6)]
+                    ladder.insert(int(draws.integers(0, 6)), ladder[0])
+                    got = assert_same_recursion(problem, *ladder)
+                    mixed += len({res.constraint_ok for res in got}) == 2
+                    part_way[data.time_invariant].update(
+                        k for ns, res in zip(ladder, got)
+                        if not res.constraint_ok and res.violation_step < ns - 1)
+                    # P is symmetrized once per completed count, which leaves it exactly symmetric
+                    assert all(np.array_equal(res.P0, res.P0.T) for res in got if res.constraint_ok)
+        assert mixed and {2, 3} <= part_way[True] and {2, 3} <= part_way[False]
 
     def test_early_failure_ends_its_span_early(self, monkeypatch):
-        # R = -0.3 I under N = 8 I fails at iteration 66 of 2000 and 262 of 8192; the spans
+        # R = -0.3 I under N = 8 I fails at iteration 66 of 2000 and 262 of 8192 on
+        # time-invariant data, and at 80 and 318 on a piecewise-constant variation; the spans
         # double from FIRST_SPAN, so the count steps at most 2 f + FIRST_SPAN iterations
-        stepped = []
-        step_tables = oracle._step_tables
-
-        def recorded(data, counts, delta, first, stop):
-            stepped.append(stop - first)
-            return step_tables(data, counts, delta, first, stop)
-
-        monkeypatch.setattr(oracle, "_step_tables", recorded)
-        data = random_definite_problem(np.random.default_rng(0), n=2, k=2, d=2)
-        data = data.with_weights(R=-0.3 * np.eye(2), N=8.0 * np.eye(2))
-        for N, failed_at in ((2000, 66), (8192, 262)):
-            stepped.clear()
-            assert N - 1 - dp_solve(data, N).violation_step == failed_at
-            assert failed_at < sum(stepped) <= 2 * failed_at + oracle.FIRST_SPAN
+        spans = record_spans(monkeypatch)
+        cases = []
+        for data, fails in (
+                (random_definite_problem(np.random.default_rng(0), n=2, k=2, d=2), (66, 262)),
+                (random_varying_problem(np.random.default_rng(0), PIECEWISE_CONSTANT_LEFT,
+                                        n=2, k=2, d=2), (80, 318))):
+            cases.append(data.time_invariant)
+            data = data.with_weights(R=-0.3 * np.eye(2), N=8.0 * np.eye(2))
+            for N, failed_at in zip((2000, 8192), fails):
+                spans.clear()
+                assert N - 1 - dp_solve(data, N).violation_step == failed_at
+                assert failed_at < spans[-1][1] <= 2 * failed_at + oracle.FIRST_SPAN
+        assert cases == [True, False]
 
     def test_aborts_and_completions_in_one_ladder(self):
         got = assert_same_recursion(coarse_data(), 2, 3, 4)
@@ -217,18 +281,15 @@ class TestLockstep:
         assert got[0] is got[2]
 
     def test_tables_hold_at_most_max_steps_rows(self, monkeypatch):
-        data = random_definite_problem(np.random.default_rng(11))
-        sizes = []
-        blocks_at = ProblemData.blocks_at
-
-        def recorded(self, t):
-            sizes.append(np.size(t))
-            return blocks_at(self, t)
-
-        monkeypatch.setattr(ProblemData, "blocks_at", recorded)
-        # more spans than counts: the row bound, not only completions, ends spans
-        dp_ladder(data, (30, 28, 26, 24, 1))
-        assert len(sizes) > 5 and max(sizes) <= 30
+        # a span's M holds iterations x live counts step matrices on either step path, as
+        # the W_j and Z_j tables of the block product do
+        spans = record_spans(monkeypatch)
+        rng = np.random.default_rng(11)
+        for data in (random_definite_problem(rng), random_varying_problem(rng, PIECEWISE_LINEAR)):
+            spans.clear()
+            # more spans than counts: the row bound, not only completions, ends spans
+            dp_ladder(data, (30, 28, 26, 24, 1))
+            assert len(spans) > 5 and max((b - a) * live for a, b, live in spans) <= 30
 
     def test_step_counts_must_be_positive(self):
         data = coarse_data()
@@ -247,33 +308,31 @@ class TestLockstep:
     def test_failed_counts_stay_isolated(self, monkeypatch):
         # counts that fail part-way through a span step on until it ends, on coarse_data's
         # zero pivot into inf and NaN; the counts beside them keep the bits of their solo run
-        spans, garbage = [], []
-        step_tables, schur_complement = oracle._step_tables, oracle.schur_complement
-
-        def recorded_tables(data, counts, delta, first, stop):
-            spans.append((first, stop))
-            return step_tables(data, counts, delta, first, stop)
+        # on time-invariant data and on time-varying ones
+        spans, garbage = record_spans(monkeypatch), []
+        schur_complement = oracle.schur_complement
 
         def recorded_schur(M, n):
             P = schur_complement(M, n)
             garbage.append(not np.isfinite(P).all())
             return P
 
-        monkeypatch.setattr(oracle, "_step_tables", recorded_tables)
         monkeypatch.setattr(oracle, "schur_complement", recorded_schur)
-        rng = np.random.default_rng(20)
-        cases = [(coarse_data(), (3, 40, 9), True)]
+        rng, varying_rng = np.random.default_rng(20), np.random.default_rng(22)
+        cases = [(coarse_data(), (3, 40, 9), True), (coarse_data(varying=True), (3, 40, 9), True)]
         for k in (2, 3):
-            data = random_definite_problem(rng, n=2, k=k, d=2)
-            cases.append((data.with_weights(R=-0.3 * np.eye(k), N=8.0 * np.eye(2)),
-                          (64, 5, 3, 40, 2, 1), False))
+            for data in (random_definite_problem(rng, n=2, k=k, d=2),
+                         random_varying_problem(varying_rng, PIECEWISE_LINEAR, n=2, k=k, d=2)):
+                cases.append((data.with_weights(R=-0.3 * np.eye(k), N=8.0 * np.eye(2)),
+                              (64, 5, 3, 40, 2, 1), False))
+        assert [data.time_invariant for data, _, _ in cases] == [True, False] * 3
         for data, ladder, non_finite in cases:
             spans.clear()
             garbage.clear()
             got = dp_ladder(data, ladder)
             assert any(garbage) == non_finite
             mid_span = [res.violation_step is not None
-                        and any(a <= ns - 1 - res.violation_step < b - 1 for a, b in spans)
+                        and any(a <= ns - 1 - res.violation_step < b - 1 for a, b, _ in spans)
                         for ns, res in zip(ladder, got)]
             assert any(mid_span) and any(res.constraint_ok for res in got)
             for ns, res in zip(ladder, got):
@@ -282,6 +341,27 @@ class TestLockstep:
                                                                    solo.violation_step)
                 if solo.constraint_ok:
                     assert res.P0.tobytes() == solo.P0.tobytes()
+
+    def test_step_maps_keep_the_table_bound(self, monkeypatch):
+        # n = k = 8: each count's map holds 256 x 65 = 16640 entries; under a bound of
+        # 1.2e5 entries 3 counts step by their maps (twice their size fits), and 4 and 20
+        # distinct ones by the block product (20 maps would take 2.7 MB); no call's
+        # allocations peak above the bound
+        bound = 120_000
+        monkeypatch.setattr(core, "MAX_TABLE_ENTRIES", bound)
+        calls = record_blocks_at(monkeypatch)
+        data = random_definite_problem(np.random.default_rng(5), n=8, k=8, d=1)
+        # the maps read blocks_at once, at one time; the block product once per span
+        for ladder, mapped in (((20, 19, 18), True), ((20, 19, 18, 17), False),
+                               (range(1, 21), False)):
+            calls.clear()
+            tracemalloc.start()
+            try:
+                assert all(res.constraint_ok for res in dp_ladder(data, list(ladder)))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert ([len(shape) for shape in calls] == [0]) == mapped and peak <= 8 * bound
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_overflow_raises_with_its_step(self, k):
@@ -320,11 +400,13 @@ class TestLockstep:
 
     def test_call_budget(self, monkeypatch):
         # no solve; one symmetrize per completed count; one eigvalsh at most per
-        # span when k > 1, none when k = 1
+        # span when k > 1, none when k = 1; one blocks_at on time-invariant data
         problems = []
         for k in (1, 2):
-            data = random_definite_problem(np.random.default_rng(k), n=2, k=k, d=2)
-            problems += [data, data.with_weights(R=-0.3 * np.eye(k), N=8.0 * np.eye(2))]
+            for data in (random_definite_problem(np.random.default_rng(k), n=2, k=k, d=2),
+                         random_varying_problem(np.random.default_rng(k), PIECEWISE_LINEAR,
+                                                n=2, k=k, d=2)):
+                problems += [data, data.with_weights(R=-0.3 * np.eye(k), N=8.0 * np.eye(2))]
         calls = {}
 
         def counted(name, f):
@@ -338,16 +420,18 @@ class TestLockstep:
 
         monkeypatch.setattr(np.linalg, "solve", no_solve)
         monkeypatch.setattr(oracle, "symmetrize", counted("symmetrize", oracle.symmetrize))
-        monkeypatch.setattr(oracle, "_step_tables", counted("spans", oracle._step_tables))
+        monkeypatch.setattr(oracle, "_span_faults", counted("spans", oracle._span_faults))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(ProblemData, "blocks_at", counted("blocks_at", ProblemData.blocks_at))
         ladder = (16, 9, 16, 5, 1)
-        outcomes = set()
+        outcomes = {True: set(), False: set()}
         for data in problems:
-            calls.update(symmetrize=0, spans=0, eigvalsh=0)
+            calls.update(symmetrize=0, spans=0, eigvalsh=0, blocks_at=0)
             got = dp_ladder(data, ladder)
             completed = {ns for ns, res in zip(ladder, got) if res.constraint_ok}
-            outcomes.update(res.constraint_ok for res in got)
+            outcomes[data.time_invariant].update(res.constraint_ok for res in got)
             assert calls["symmetrize"] == len(completed)
             assert (0 < calls["eigvalsh"] <= calls["spans"] if data.k > 1
                     else calls["eigvalsh"] == 0)
-        assert outcomes == {True, False}
+            assert (calls["blocks_at"] == 1) == data.time_invariant
+        assert outcomes == {True: {True, False}, False: {True, False}}

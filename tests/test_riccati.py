@@ -319,14 +319,14 @@ class TestStageReuse:
                            C=[0.03 * rng.standard_normal((n, n))],
                            D=[0.03 * rng.standard_normal((n, k))],
                            R=np.eye(k), Q=np.eye(n), N=np.eye(n), grid=np.linspace(0.0, 1.0, 2))
-        assert (n * (n + k)) ** 2 > riccati.MAP_MAX_ENTRIES
+        assert (n * (n + k)) ** 2 > core.MAP_MAX_ENTRIES
         maps, kernel = [], []
         count_calls(monkeypatch, maps, core.lq_block_map, riccati)
         count_calls(monkeypatch, kernel, lq_block, riccati, core)
         sol = solve_riccati(data, SolverConfig(output_points=9))
         assert sol.completed and not maps
         assert len(kernel) == sol.rhs_evaluations + 1
-        monkeypatch.setattr(riccati, "MAP_MAX_ENTRIES", (n * (n + k)) ** 2)
+        monkeypatch.setattr(core, "MAP_MAX_ENTRIES", (n * (n + k)) ** 2)
         mapped = solve_riccati(data, SolverConfig(output_points=9))
         assert len(maps) == 1 and mapped.accepted_steps == sol.accepted_steps
         assert np.max(np.abs(mapped.P - sol.P)) <= 1e-12 * np.max(np.abs(sol.P))
