@@ -6,15 +6,15 @@ Exit codes: 0 success or certified, 1 input error, 2 constraint violation,
 as JSON, and the one-line summary to stderr unless --quiet.  Every input
 error (a malformed spec, flag or certificate witness, an unreadable spec or
 unwritable report) is caught in ``main`` and ends with one ``error: ...``
-line on stderr and exit 1.
+line on stderr and exit 1.  Flags are read by one table, ``_COMMANDS``.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import sys
 import time
+import types
 from pathlib import Path
 
 from . import bundled
@@ -205,59 +205,79 @@ def cmd_example(args) -> int:
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors on exit 1 (exit 2 means constraint violation)."""
-
-    def error(self, message):
-        self.exit(EXIT_INPUT, f"error: {message}\n{self.format_usage()}")
-
-
-def _build_parser():
-    parser = _Parser(
-        prog="indeflq",
-        description="Indefinite linear-quadratic stochastic control toolkit",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--spec", required=True, help="problem specification file (JSON or YAML)")
-        p.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="KEY.PATH=VALUE", help="patch the spec before validation")
-        p.add_argument("--out", default=None, help="report path (default: stdout)")
-        p.add_argument("--quiet", action="store_true", help="suppress the summary line")
-
-    add_common(sub.add_parser("solve", help="integrate the Riccati problem"))
-    add_common(sub.add_parser("certify", help="run the spec's certificate block"))
-    add_common(sub.add_parser("simulate", help="Monte Carlo verification of the feedback"))
-    p_oracle = sub.add_parser("oracle", help="discrete dynamic-programming cross-check")
-    add_common(p_oracle)
-    p_oracle.add_argument("--steps", default="64,128,256,512",
-                          help="comma-separated step counts (default 64,128,256,512)")
-    p_ex = sub.add_parser("example", help="materialize a bundled example spec")
-    p_ex.add_argument("name", nargs="?", default=None)
-    p_ex.add_argument("--out-dir", default=".", help="directory for the written file")
-    p_ex.add_argument("--list", action="store_true", help="list available example names")
-    p_ex.add_argument("--quiet", action="store_true")
-    return parser
-
-
-_DISPATCH = {
-    "solve": cmd_solve,
-    "certify": cmd_certify,
-    "simulate": cmd_simulate,
-    "oracle": cmd_oracle,
+_COMMON_FLAGS = {
+    "--spec": ("spec", "SPEC", None, "problem specification file (JSON or YAML)"),
+    "--set": ("overrides", "KEY.PATH=VALUE", [], "patch the spec before validation; repeatable"),
+    "--out": ("out", "OUT", None, "report path (default: stdout)"),
+    "--quiet": ("quiet", None, False, "suppress the summary line"),
+}
+# command -> (handler, help, {flag: (dest, metavar or None for a switch, default, help)});
+# a list default collects each use, "[name]" is positional, a unique prefix selects a flag
+_COMMANDS = {
+    "solve": (cmd_solve, "integrate the Riccati problem", _COMMON_FLAGS),
+    "certify": (cmd_certify, "run the spec's certificate block", _COMMON_FLAGS),
+    "simulate": (cmd_simulate, "Monte Carlo verification of the feedback", _COMMON_FLAGS),
+    "oracle": (cmd_oracle, "discrete dynamic-programming cross-check", {**_COMMON_FLAGS,
+        "--steps": ("steps", "N,N,...", "64,128,256,512", "step counts (default 64,128,256,512)")}),
+    "example": (cmd_example, "materialize a bundled example spec", {
+        "[name]": ("name", None, None, "example to write (default: list the names)"),
+        "--out-dir": ("out_dir", "DIR", ".", "directory for the written file"),
+        "--list": ("list", None, False, "list available example names"),
+        "--quiet": ("quiet", None, False, "suppress the line naming the written file"),
+    }),
 }
 
 
+def _help(command):
+    rows = ([(name, text) for name, (_, text, _) in _COMMANDS.items()] if command is None else
+            [(f"{f} {m or ''}", text) for f, (_, m, _, text) in _COMMANDS[command][2].items()])
+    return f"usage: indeflq {command or 'COMMAND'} [flags]\n\n" + "\n".join(
+        f"  {label:24s}{text}" for label, text in [*rows, ("-h, --help", "show this help")])
+
+
+def _parse_args(argv):
+    """The command's fields read from argv, or help text when argv asks for it."""
+    command = argv[0] if argv else "nothing"
+    if command in ("-h", "--help"):
+        return _help(None)
+    if command not in _COMMANDS:
+        raise ValueError(f"expected a command ({', '.join(_COMMANDS)}), got {command}")
+    flags = _COMMANDS[command][2]
+    fields = {dest: default for dest, _, default, _ in flags.values()}
+    for item in (items := iter(argv[1:])):
+        name, eq, value = item.partition("=")
+        found = [f for f in (*flags, "--help") if f[:2] == "--" == name[:2] and f.startswith(name)]
+        if item[:1] != "-" and fields.get("name", 0) is None:
+            fields["name"] = item
+            continue
+        if name == "-h" or found == ["--help"]:
+            return _help(command)
+        dest, meta, default, _ = flags[found[0]] if len(found) == 1 else (None,) * 4
+        if dest is None or eq and not meta:
+            raise ValueError(f"ambiguous option: {name} could match {', '.join(found)}"
+                             if found[1:] else f"unrecognized arguments: {item}")
+        # a missing value, or one that starts with "-" and is no number, reads as a flag
+        value = value if eq or not meta else next(items, "--")
+        if not eq and value[:1] == "-" and value[1:2] not in "0123456789.":
+            raise ValueError(f"argument {found[0]}: expected one argument")
+        fields[dest] = [*fields[dest], value] if default == [] else value if meta else True
+    if fields.get("spec", "") is None:
+        raise ValueError("the following arguments are required: --spec")
+    return types.SimpleNamespace(command=command, **fields)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     report = _empty_report()
     try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):
+            print(args)
+            return EXIT_OK
         if args.command == "example":
             return cmd_example(args)
         spec = load_spec_file(args.spec, args.overrides)
         try:
-            code, summary = _DISPATCH[args.command](spec, report, args)
+            code, summary = _COMMANDS[args.command][0](spec, report, args)
         except (StepLimit, NumericalOverflow) as exc:
             report["status"] = "error"
             report["error"] = str(exc)

@@ -58,6 +58,38 @@ def explosive_spec(tmp_path):
     return p
 
 
+# argv -> exit code and the whole stderr: one error line; "SPEC" stands for
+# the path of definite_2x2.yaml
+ARGV_ERRORS = [
+    (["oracle", "--spec", "SPEC", "--steps", "0"], 1,
+     "error: --steps: expected step counts from 1 to 1000000\n"),
+    (["oracle", "--spec", "SPEC", "--steps", "1000001"], 1,
+     "error: --steps: expected step counts from 1 to 1000000\n"),
+    (["solve", "--spec", "SPEC", "--set", "grid.points=1"], 1,
+     "error: grid.points: need 2 to 100000 sample points\n"),
+    (["solve", "--spec", "SPEC", "--set", "grid.points=100001"], 1,
+     "error: grid.points: need 2 to 100000 sample points\n"),
+    (["solve", "--spec", "SPEC", "--set", "=1"], 1, "error: override '=1': empty key path\n"),
+    (["solve", "--spec", "SPEC", "--set", ".=1"], 1, "error: override '.=1': empty key path\n"),
+    (["solve", "--spec", "SPEC", "--set", "horizon.x=1"], 1,
+     "error: override 'horizon.x=1': horizon is not a mapping\n"),
+    (["solve", "--spec", "x.yaml", "--no-such-flag"], 1,
+     "error: unrecognized arguments: --no-such-flag\n"),
+    ([], 1, "error: expected a command (solve, certify, simulate, oracle, example), got nothing\n"),
+    (["bogus"], 1,
+     "error: expected a command (solve, certify, simulate, oracle, example), got bogus\n"),
+    (["solve"], 1, "error: the following arguments are required: --spec\n"),
+    (["solve", "--spec", "SPEC", "--set"], 1, "error: argument --set: expected one argument\n"),
+    (["solve", "--spec", "SPEC", "--out", "--quiet"], 1,
+     "error: argument --out: expected one argument\n"),
+    (["solve", "--spec", "SPEC", "--quiet=1"], 1, "error: unrecognized arguments: --quiet=1\n"),
+    (["oracle", "--spec", "SPEC", "--s", "5"], 1,
+     "error: ambiguous option: --s could match --spec, --set, --steps\n"),
+    (["example", "definite_2x2", "extra"], 1, "error: unrecognized arguments: extra\n"),
+    (["solve", "--spec", "SPEC", "extra"], 1, "error: unrecognized arguments: extra\n"),
+]
+
+
 class TestExampleCommand:
     def test_all_names_materialize(self, example_dir):
         for name in bundled.example_names():
@@ -417,25 +449,13 @@ class TestInputErrors:
         assert err.startswith("error: [Errno 2] No such file or directory")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("command, flags, message", [
-        ("oracle", ["--steps", "0"], "--steps: expected step counts from 1 to 1000000"),
-        ("oracle", ["--steps", "1000001"], "--steps: expected step counts from 1 to 1000000"),
-        ("solve", ["--set", "grid.points=1"], "grid.points: need 2 to 100000 sample points"),
-        ("solve", ["--set", "grid.points=100001"], "grid.points: need 2 to 100000 sample points"),
-        ("solve", ["--set", "=1"], "override '=1': empty key path"),
-        ("solve", ["--set", ".=1"], "override '.=1': empty key path"),
-        ("solve", ["--set", "horizon.x=1"], "override 'horizon.x=1': horizon is not a mapping"),
-    ])
-    def test_message_exit1(self, example_dir, command, flags, message, capsys):
-        argv = [command, "--spec", str(example_dir / "definite_2x2.yaml"), *flags]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-
-    def test_unknown_flag_exit1(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--spec", "x.yaml", "--no-such-flag"])
-        assert exc.value.code == 1
-        assert capsys.readouterr().err.startswith("error:")
+    @pytest.mark.parametrize("argv, code, stderr", ARGV_ERRORS, ids=[
+        f"{(argv or ['none'])[0]}-flags{i}-{stderr[len('error: '):-1]}"
+        for i, (argv, _, stderr) in enumerate(ARGV_ERRORS)])
+    def test_message_exit1(self, example_dir, argv, code, stderr, capsys):
+        spec = str(example_dir / "definite_2x2.yaml")
+        assert main([spec if item == "SPEC" else item for item in argv]) == code
+        assert capsys.readouterr().err == stderr
 
     def test_huge_path_count_rejected_at_parse(self):
         # bounded before anything is allocated: parse_spec alone refuses it
@@ -880,30 +900,23 @@ class TestReportDeterminism:
         assert outs[0] == outs[1]
 
 
-def test_cli_import_needs_no_scipy():
-    code = "import sys, indeflq.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+@pytest.fixture(scope="module")
+def cli_import_modules():
+    """The modules a fresh interpreter holds once it has imported indeflq.cli."""
+    code = "import sys, indeflq.cli; print(' '.join(sys.modules))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "False"
+    return set(out.stdout.split())
 
 
-def test_cli_import_needs_no_thread_pool():
-    # concurrent.futures with logging (about 8 ms) loads only when threads run
-    code = "import sys, indeflq.cli; print('concurrent.futures' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "False"
-
-
-def test_cli_import_needs_no_numpy_random():
-    # numpy.random (about 6.5 ms) loads only when a simulation draws
-    code = "import sys, indeflq.cli; print('numpy.random' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "False"
+# scipy is a test-only dependency; concurrent.futures with logging (about 8 ms)
+# loads only when threads run, numpy.random (about 6.5 ms) only when a
+# simulation draws; argparse (about 1.8 ms, more to build the parsers) never,
+# since cli reads argv with its own flag table
+@pytest.mark.parametrize("module", ["scipy", "concurrent.futures", "numpy.random", "argparse"])
+def test_cli_import_leaves_out(module, cli_import_modules):
+    assert module not in cli_import_modules
 
 
 def test_json_spec_loads_no_yaml(tmp_path):
@@ -961,3 +974,43 @@ class TestOverridesUnit:
     def test_bad_override_raises(self):
         with pytest.raises(SpecError):
             apply_overrides({}, ["novalue"])
+
+
+class TestFlagTable:
+    # the fields argparse gave for these argv before cli read flags by its own table
+    @pytest.mark.parametrize("argv, fields", [
+        (["solve", "--spec", "s.yaml"],
+         {"spec": "s.yaml", "overrides": [], "out": None, "quiet": False}),
+        (["certify", "--spec=s.yaml", "--set", "a=1", "--set=b.c=2", "--se", "d=[1, 2]",
+          "--out", "r.json", "--quiet"],
+         {"spec": "s.yaml", "overrides": ["a=1", "b.c=2", "d=[1, 2]"], "out": "r.json",
+          "quiet": True}),
+        (["simulate", "--sp", "s.yaml", "--o=r.json", "--q", "--set", "x=-1"],
+         {"spec": "s.yaml", "overrides": ["x=-1"], "out": "r.json", "quiet": True}),
+        (["solve", "--spec", "a", "--spec", "b", "--out", "o1", "--out", "o2"],
+         {"spec": "b", "overrides": [], "out": "o2", "quiet": False}),
+        (["oracle", "--spec", "s.yaml"],
+         {"spec": "s.yaml", "overrides": [], "out": None, "quiet": False,
+          "steps": "64,128,256,512"}),
+        (["oracle", "--spec", "s.yaml", "--st=8,16", "--steps", "-5", "--out", "-"],
+         {"spec": "s.yaml", "overrides": [], "out": "-", "quiet": False, "steps": "-5"}),
+        (["example"], {"name": None, "out_dir": ".", "list": False, "quiet": False}),
+        (["example", "--quiet", "definite_2x2", "--out-d", "d"],
+         {"name": "definite_2x2", "out_dir": "d", "list": False, "quiet": True}),
+        (["example", "--l", "--out-dir=x/y"],
+         {"name": None, "out_dir": "x/y", "list": True, "quiet": False}),
+    ])
+    def test_fields_as_argparse_read_them(self, argv, fields):
+        assert vars(cli._parse_args(argv)) == {"command": argv[0], **fields}
+
+    @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_names_every_flag(self, command, flag, capsys):
+        assert main([flag] if command is None else [command, flag]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: indeflq") and err == ""
+        names = cli._COMMANDS if command is None else cli._COMMANDS[command][2]
+        for name in names:
+            assert f"  {name} " in out
+            # a unique prefix selects a flag, so no name may be a prefix of another
+            assert [other for other in names if other.startswith(name)] == [name]
