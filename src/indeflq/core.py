@@ -9,8 +9,8 @@ The Riccati generator is the Schur complement of one symmetric block,
 H(P) = [[A'P + PA + C'PC + Q, (B'P + D'PC)'], [B'P + D'PC, R + D'PD]] (summed
 over the channels); ``lq_block`` is the one implementation of H and
 ``schur_complement`` the one elimination of its effective weight R + D'PD,
-for the solver, the certificates and the DP oracle alike; ``lq_block_map``
-builds H's affine map vec H = K vec P + z on frozen coefficients from it.
+for the solver, the certificates and (as ``schur_steps``) the DP oracle;
+``lq_block_map`` builds H's affine map vec H = K vec P + z on frozen data from it.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
     "lq_block_map",
     "lq_terms",
     "schur_complement",
+    "schur_steps",
     "eval_hat_R",
     "eval_gamma",
     "eval_f",
@@ -367,22 +368,47 @@ def lq_terms(blocks, P, Lambda=None):
     return H[..., n:, n:], H[..., n:, :n], H[..., :n, :n]
 
 
+def _views(H, p):
+    """What eliminating pivot p of H reads: its row, that row as a column, the pivot, the lead."""
+    row = H[..., p:p + 1, :p]
+    return row, row.swapaxes(-1, -2), H[..., p:p + 1, p:p + 1], H[..., :p, :p]
+
+
+def _pivot(row, col, pivot, lead, out=None):
+    """lead - col (row / pivot) of ``_views``, into ``out`` where given.  The outer product is a
+    multiply, col @ (row / pivot) but for the sign of a zero subtracted from a -0 lead."""
+    return np.subtract(lead, col * (row / pivot), out=out)
+
+
 def schur_complement(H, n):
     """base - rhs' hat^-1 rhs of H = [[base, rhs'], [rhs, hat]] with n state rows
     (batched), by eliminating hat's rows one pivot at a time, the last one first.
 
-    No solve and no symmetrization: it reads H's lower triangle and leading block,
-    and at k = 1 it is one division.  The unpivoted elimination is backward stable
-    on a positive definite hat, whose pivots are then all positive, and only then
-    (Golub & Van Loan, Matrix Computations, 4.2): one H (2-d) is NaN at the first
-    pivot that is not > 0.  A stack is not tested; its callers test hat first.
+    No solve and no symmetrization: each pivot (``_pivot``) is a division, a multiply and a
+    subtraction, and it reads H's lower triangle and leading block.  The unpivoted elimination
+    is backward stable on a positive definite hat, whose pivots are then all positive, and only
+    then (Golub & Van Loan, Matrix Computations, 4.2): one H (2-d) is NaN at the first pivot
+    that is not > 0.  A stack is not tested; its callers test hat first.
     """
     for p in range(H.shape[-1] - 1, n - 1, -1):
         if H.ndim == 2 and not H[p, p] > 0.0:
             return np.full((n, n), np.nan)
-        row = H[..., p:p + 1, :p]
-        H = H[..., :p, :p] - row.swapaxes(-1, -2) @ (row / H[..., p:p + 1, p:p + 1])
+        H = _pivot(*_views(H, p))
     return H
+
+
+def schur_steps(Ms, n, out):
+    """Yield each Ms[a] of a stack of steps to be filled, then write schur_complement(Ms[a], n)
+    into ``out``, bit for bit, untested: per pivot three ufunc calls on views built once."""
+    q, dims = range(Ms.shape[-1] - 1, n - 1, -1), Ms.shape[1:-2]
+    # each pivot's result: out for the last, else a buffer the next one reads by fixed views
+    outs = [np.empty(dims + (p, p)) for p in q[:-1]] + [out]
+    later = [(*_views(H, p), dest) for p, H, dest in zip(q[1:], outs, outs[1:])]
+    for Ma, row, col, pivot, lead in zip(Ms, *_views(Ms, q[0])):
+        yield Ma
+        _pivot(row, col, pivot, lead, outs[0])
+        for views in later:
+            _pivot(*views)
 
 
 def _checked_block(P, Lambda, data: ProblemData, t, eps_pos):

@@ -17,12 +17,12 @@ and Z_j = diag(Q delta, R delta), the matrix
     M = W_j' diag(P, ..., P) W_j + Z_j = [[Pn, G'], [G, S]]
 
 holds the state block Pn, the gain term G and the discrete control weight S
-at once.  ``core.schur_complement`` eliminates the control rows of M and
-leaves the value one step earlier, Pn - G' S^-1 G; the sweep is exact when
-its pivots are above eps_pos * delta > 0, which the test of S below checks
-after the fact.  P is symmetrized once, when its count completes.  M / delta
-is the discrete analogue of ``core.lq_block``'s H, built by its own code to
-stay an independent cross-check: only the elimination is shared.
+at once.  ``core.schur_steps`` (``core.schur_complement`` over a span) eliminates
+the control rows of each M into P, the value one step earlier, Pn - G' S^-1 G;
+the sweep is exact when its pivots are above eps_pos * delta > 0, which the
+test of S below checks after the fact.  P is symmetrized once, when its count
+completes.  M / delta is the discrete analogue of ``core.lq_block``'s H, built
+by its own code to stay an independent cross-check: only the elimination is shared.
 S / delta = R + sum D'PD + delta B'PB is not H's effective weight.
 
 On time-invariant data each count's step is one product vec M = Kz [vec P; 1]
@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import DEFAULT_EPS_POS, ProblemData, schur_complement, symmetrize
+from .core import DEFAULT_EPS_POS, ProblemData, schur_steps, symmetrize
 from .errors import NumericalOverflow
 
 __all__ = ["OracleResult", "dp_ladder", "dp_solve"]
@@ -157,20 +157,18 @@ def dp_ladder(data: ProblemData, steps, eps_pos: float = DEFAULT_EPS_POS) -> lis
                 # [vec P; 1] of each count, and P as a view of it
                 Pv = np.concatenate((P.reshape(-1, n * n, 1), np.ones((live.size, 1, 1))), axis=1)
                 P = Pv[:, :-1, 0].reshape(-1, n, n)
-                M = np.empty((stop - i, live.size, m * m, 1))
-                Ms = M.reshape(stop - i, live.size, m, m)
-                for Ma, Msa in zip(M, Ms):
+                Ms = np.empty((stop - i, live.size, m, m))
+                # the generator first: it eliminates each M into P when zip asks for the next
+                for _, Ma in zip(schur_steps(Ms, n, P), Ms.reshape(stop - i, -1, m * m, 1)):
                     np.matmul(Kz, Pv, out=Ma)
-                    P[...] = schur_complement(Msa, n)
             else:
                 j = live - 1 - np.arange(i, stop)[:, None]
                 W, Ms = _step_tables(data.blocks_at(j * delta), delta)
                 Wt = W.reshape(stop - i, live.size, rows, m).swapaxes(-1, -2)
-                for a in range(stop - i):
+                for a, Ma in enumerate(schur_steps(Ms, n, P)):
                     # M = W_j' (P W_j) + Z_j, in place of Z_j; P is symmetric up to
                     # rounding, so W_j' (P W_j) = W_j' diag(P, ..., P) W_j
-                    Ms[a] += Wt[a] @ (P[:, None] @ W[a]).reshape(-1, rows, m)
-                    P = schur_complement(Ms[a], n)
+                    Ma += Wt[a] @ (P[:, None] @ W[a]).reshape(-1, rows, m)
                 # free each table once read, before the next span builds its own
                 del W, Wt
             failed, overflowed = _span_faults(Ms, n, bound)
@@ -201,8 +199,8 @@ def dp_solve(data: ProblemData, n_steps: int, eps_pos: float = DEFAULT_EPS_POS) 
     """Backward value recursion with n_steps uniform steps on [0, T].
 
     Coefficients are sampled at the left endpoint of each step, matching the
-    simulation module's convention.  Each step is one ``schur_complement``;
-    S is tested after each span of steps (its entry when k = 1, else
+    simulation module's convention.  Each step is one ``core.schur_steps``
+    elimination; S is tested after each span of steps (its entry when k = 1, else
     ``eigvalsh`` on its lower triangle), and the result has
     ``constraint_ok = False`` and the step of the first S at or below
     eps_pos * delta.  NumericalOverflow carries the step of the first

@@ -1,8 +1,10 @@
 import re
 import warnings
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from indeflq.core import (
     CoefficientPath,
@@ -13,6 +15,7 @@ from indeflq.core import (
     lq_terms,
     min_eigenvalue,
     schur_complement,
+    schur_steps,
     symmetrize,
 )
 from indeflq.certificates import apply_shift, check_subsolution
@@ -317,3 +320,43 @@ class TestSchurComplement:
             warnings.simplefilter("error")
             got = schur_complement(H, 2)
         assert got.shape == (2, 2) and np.all(np.isnan(got))
+
+    @hypothesis.settings(max_examples=60)
+    @hypothesis.given(n=st.integers(1, 3), k=st.integers(1, 3), counts=st.integers(1, 5),
+                      steps=st.integers(1, 4), strided=st.booleans(),
+                      seed=st.integers(0, 2 ** 32 - 1))
+    def test_span_form_is_schur_complement_bitwise(self, n, k, counts, steps, strided, seed):
+        # each step's out against schur_complement of its stack and against the elimination
+        # by matmul, bit for bit, through zero and negative pivots and infinite entries into
+        # inf and NaN; out strided like the oracle's P, a view of [vec P; 1]
+        rng = np.random.default_rng(seed)
+        m = n + k
+        filled = rng.standard_normal((steps, counts, m, m))
+        special = rng.choice([0.0, -0.0, -1.0, np.inf, -np.inf], size=filled.shape)
+        hit = rng.random(filled.shape) < 0.2
+        filled[hit] = special[hit]
+        Ms = np.full_like(filled, np.nan)
+        out = np.empty((counts, n * n + strided))[:, :n * n].reshape(counts, n, n)
+        got = []
+        with np.errstate(all="ignore"):
+            for a, Ma in enumerate(schur_steps(Ms, n, out)):
+                Ma[...] = filled[a]
+                if a:
+                    got.append(out.copy())
+            got.append(out.copy())
+            assert len(got) == steps
+            for H, P in zip(filled, got):
+                assert np.array_equal(P.view(np.uint64), schur_complement(H, n).view(np.uint64))
+            # matmul's outer product sums from +0, so -0 - 0 can differ in the sign of
+            # the zero; on entries without -0 (a sum's, as in the oracle's M) the bits agree
+            H = filled + 0.0
+            want = schur_complement(H, n)
+            for p in range(m - 1, n - 1, -1):
+                row = H[..., p:p + 1, :p]
+                H = H[..., :p, :p] - row.swapaxes(-1, -2) @ (row / H[..., p:p + 1, p:p + 1])
+            assert np.array_equal(want.view(np.uint64), H.view(np.uint64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            H = filled[0, 0].copy()
+            H[m - 1, m - 1] = rng.choice([0.0, -0.0, -1.0, -np.inf])
+            assert np.all(np.isnan(schur_complement(H, n)))

@@ -310,14 +310,17 @@ class TestLockstep:
         # zero pivot into inf and NaN; the counts beside them keep the bits of their solo run
         # on time-invariant data and on time-varying ones
         spans, garbage = record_spans(monkeypatch), []
-        schur_complement = oracle.schur_complement
+        schur_steps = oracle.schur_steps
 
-        def recorded_schur(M, n):
-            P = schur_complement(M, n)
-            garbage.append(not np.isfinite(P).all())
-            return P
+        def recorded_steps(Ms, n, out):
+            # each step's elimination into out runs when the next step is asked for
+            for a, Ma in enumerate(schur_steps(Ms, n, out)):
+                if a:
+                    garbage.append(not np.isfinite(out).all())
+                yield Ma
+            garbage.append(not np.isfinite(out).all())
 
-        monkeypatch.setattr(oracle, "schur_complement", recorded_schur)
+        monkeypatch.setattr(oracle, "schur_steps", recorded_steps)
         rng, varying_rng = np.random.default_rng(20), np.random.default_rng(22)
         cases = [(coarse_data(), (3, 40, 9), True), (coarse_data(varying=True), (3, 40, 9), True)]
         for k in (2, 3):

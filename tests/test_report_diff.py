@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 _path = Path(__file__).resolve().parent.parent / "tools" / "report_diff.py"
@@ -51,3 +53,33 @@ def test_largest_relative_change_over_all_runs():
         "largest relative change: 0.5, ratios[] of oracle on a")
     assert report_diff.largest_relative_change({("solve", "a"): (same, same)}) == (
         "largest relative change: none, no numeric field changed")
+
+
+
+def test_run_tree_runs_the_oracle_ladder_too(tmp_path, monkeypatch):
+    # one bundled spec "a", and a fake interpreter whose report is its argv up to the report path
+    reports = []
+
+    def run(argv, **kwargs):
+        args = argv[1:]
+        if args[-2:] == ["example", "--list"]:
+            return subprocess.CompletedProcess(argv, 0, "a\n", "")
+        if "--out-dir" in args:
+            (tmp_path / "a.yaml").write_text("{}", encoding="utf-8")
+        else:  # the report path follows --out, or is last
+            i = args.index("--out") + 1 if "--out" in args else len(args) - 1
+            reports.append(args[i])
+            Path(args[i]).write_text(json.dumps(args[:i]), encoding="utf-8")
+        return subprocess.CompletedProcess(argv, 0, "", "")
+
+    monkeypatch.setattr(report_diff.subprocess, "run", run)
+    outcomes = report_diff.run_tree(tmp_path, tmp_path)
+    oracle = ["-m", "indeflq.cli", "oracle", "--spec", str(tmp_path / "a.yaml")]
+    assert outcomes["oracle", "a (ladder)"] == (
+        0, oracle + ["--steps", "512,1024,2048,4096,8192", "--out"], "")
+    assert outcomes["oracle", "a"][1] == oracle + ["--out"]
+    assert sorted(outcomes) == sorted(
+        [(command, "a") for command in report_diff.COMMANDS]
+        + [(command, "a (yaml)") for command in report_diff.YAML_COMMANDS]
+        + [("oracle", "a (ladder)")])
+    assert len(set(reports)) == len(reports) == len(outcomes)  # each run its own report

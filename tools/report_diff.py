@@ -11,7 +11,9 @@ each spec that has a simulation block and completes, with the spec's
 simulation settings (no CLI command runs it).  Each tree writes its own
 bundled specs, as JSON text; ``solve`` and ``certify`` also run on each spec
 written as YAML (``yaml.safe_dump`` of the same document, labelled
-``<name> (yaml)``), so that a change to the YAML reader shows.
+``<name> (yaml)``), so that a change to the YAML reader shows; and ``oracle``
+also runs with ``--steps 512,1024,2048,4096,8192``, the ladder the benchmark
+times, labelled ``<name> (ladder)``.
 
 For each command and spec the two outcomes are compared: a changed exit
 code, keys added or removed, other changed values, and for each numeric
@@ -38,6 +40,7 @@ import yaml
 
 COMMANDS = ("solve", "certify", "simulate", "oracle", "fundamental_pair")
 YAML_COMMANDS = ("solve", "certify")
+LADDER = ("--steps", "512,1024,2048,4096,8192")
 SKIPPED = ("timings", "meta")
 
 FUNDAMENTAL_PAIR = """\
@@ -72,14 +75,15 @@ def run_tree(tree, work):
         as_yaml = work / f"{name}.as-yaml.yaml"
         doc = json.loads(spec.read_text(encoding="utf-8"))
         as_yaml.write_text(yaml.safe_dump(doc), encoding="utf-8")
-        for label, path, commands in ((name, spec, COMMANDS),
-                                      (f"{name} (yaml)", as_yaml, YAML_COMMANDS)):
+        for label, path, commands, flags in ((name, spec, COMMANDS, ()),
+                                             (f"{name} (yaml)", as_yaml, YAML_COMMANDS, ()),
+                                             (f"{name} (ladder)", spec, ("oracle",), LADDER)):
             for command in commands:
-                report = work / f"{command}.{path.stem}.json"
+                report = work / f"{command}.{len(outcomes)}.json"
                 if command == "fundamental_pair":
                     proc = run("-c", FUNDAMENTAL_PAIR, str(path), str(report))
                 else:
-                    proc = run("-m", "indeflq.cli", command, "--spec", str(path),
+                    proc = run("-m", "indeflq.cli", command, "--spec", str(path), *flags,
                                "--out", str(report))
                 text = report.read_text(encoding="utf-8") if report.exists() else None
                 outcomes[command, label] = (proc.returncode,
@@ -175,7 +179,7 @@ def main(argv=None):
         old_run, new_run = (side.get(key, (None, None, None)) for side in (old, new))
         lines = compare_runs(old_run, new_run)
         identical += not lines
-        print(f"{key[0]:17s} {key[1]:26s} exit {new_run[0]}  "
+        print(f"{key[0]:17s} {key[1]:28s} exit {new_run[0]}  "
               f"{'changed' if lines else 'identical'}")
         for line in lines:
             print(f"    {line}")
