@@ -240,6 +240,8 @@ class ProblemData:
         if T <= 0.0:
             raise ValueError("horizon T must be positive")
         grid = np.asarray(self.grid, dtype=float)
+        if grid.ndim != 1 or grid.size < 2:
+            raise ValueError("grid must hold at least two times")
         if abs(grid[-1] - T) > 1e-12 * max(T, 1.0):
             raise ValueError("grid must end at the horizon T")
         given = [self.A, self.B, self.R, self.Q, *self.C, *self.D]

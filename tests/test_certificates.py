@@ -13,7 +13,7 @@ from indeflq.certificates import (
     optimal_constant_alpha,
     shift_solution_back,
 )
-from indeflq.core import ProblemData, min_eigenvalue
+from indeflq.core import DEFAULT_EPS_POS, ProblemData, min_eigenvalue
 from indeflq.errors import GridMismatch
 from indeflq.riccati import COMPLETED, check_solution_residual, solve_riccati
 from indeflq.specio import parse_spec
@@ -301,6 +301,20 @@ class TestSubsolution:
         cert = check_subsolution(data, F=np.array([[1.0]]), dF=np.array([[0.0]]), tol=0.0)
         assert (cert.verdict, cert.epsilon) == ("failed", 0.0)
         assert cert.reason == "no positive margin: subsolution is not strict"
+
+    def test_margin_at_its_closed_form(self):
+        # scalar time-invariant data, constant F and dF = 0: F stays a subsolution
+        # with R less s while base - rhs^2 / (hat - s) >= -tol, so the supremal
+        # shift is hat - rhs^2 / (base + tol); the bisection stops below it,
+        # within 1e-6 of eps_hi
+        a, b, c, d, r, q, tol = 0.3, 1.0, 0.2, 0.5, 0.4, 2.0, 1e-9
+        data = ProblemData(n=1, k=1, d=1, T=1.0, A=a, B=b, C=[c], D=[d], R=r, Q=q, N=[[1.0]],
+                           grid=np.linspace(0.0, 1.0, 5))
+        for f in (0.2, 0.5, 0.8):
+            base, rhs, hat = 2 * a * f + c * c * f + q, b * f + c * d * f, r + d * d * f
+            star, eps_hi = hat - rhs ** 2 / (base + tol), hat - DEFAULT_EPS_POS
+            cert = check_subsolution(data, F=np.array([[f]]), dF=np.array([[0.0]]), tol=tol)
+            assert star - 1e-6 * eps_hi <= cert.epsilon <= star
 
     def test_finite_difference_needs_three_points(self):
         data = scalar_benchmark(1.0, points=2)

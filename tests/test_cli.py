@@ -1,6 +1,8 @@
+import collections
 import functools
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -18,11 +20,59 @@ from indeflq.errors import SpecError
 from conftest import smooth_blowup_doc
 
 
+def scalar_doc(a, b, q, terminal, **blocks):
+    """A spec with n = k = d = 1 on 9 grid points, C = D = 0 and R = 1."""
+    return {
+        "dimensions": {"n": 1, "k": 1, "d": 1},
+        "horizon": 1.0,
+        "grid": {"points": 9},
+        "coefficients": {"A": [[a]], "B": [[b]], "C": [[[0.0]]], "D": [[[0.0]]],
+                         "R": [[1.0]], "Q": [[q]]},
+        "terminal": [[terminal]],
+        **blocks,
+    }
+
+
+# n = 10, k = d = 1: 10 * 10 * 3 + 10 * 2 + 1 = 321 entries per step, so
+# 31152 steps fit in MAX_TABLE_ENTRIES and 31153 do not
+def wide_doc(n_steps):
+    zeros = np.zeros((10, 10)).tolist()
+    return {
+        "dimensions": {"n": 10, "k": 1, "d": 1},
+        "horizon": 1.0,
+        "grid": {"points": 2},
+        "coefficients": {"A": zeros, "B": np.ones((10, 1)).tolist(), "C": [zeros],
+                         "D": [np.zeros((10, 1)).tolist()], "R": [[1.0]], "Q": zeros},
+        "terminal": np.eye(10).tolist(),
+        "simulation": {"n_paths": 10, "n_steps": n_steps, "xi": np.ones(10).tolist()},
+    }
+
+
+# specs written beside the bundled examples, each as <name>.yaml
+SPECS = {
+    "malformed": "dimensions: {n: 1, k: 1}\nhorizon: 1.0\n",
+    # B = D = 0 leaves x' = 40 x uncontrolled: Euler steps grow the state by
+    # 1 + 40/512 each, past 1e12 after about 360 of the 512 steps
+    "explosive": scalar_doc(40.0, 0.0, 0.0, 0.0,
+                            simulation={"n_paths": 4, "n_steps": 512, "seed": 1, "xi": [1.0]}),
+    # P(t) = N for every step size, so every oracle error is 0 and no ratio exists
+    "still": scalar_doc(0.0, 0.0, 0.0, 1.0),
+    # the continuous weight stays R = 1, while the discrete one,
+    # delta * (1 + delta * B'PB), loses positivity at coarse steps
+    "coarse": scalar_doc(-4.0, 3.0, -1.0, 0.0),
+    # an event located by bisection inside a step
+    "smooth_blowup": smooth_blowup_doc(),
+    "wide": wide_doc(31153),
+}
+
+
 @pytest.fixture(scope="module")
 def example_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("specs")
     for name in bundled.example_names():
         assert main(["example", name, "--out-dir", str(d), "--quiet"]) == 0
+    for name, doc in SPECS.items():
+        (d / f"{name}.yaml").write_text(doc if isinstance(doc, str) else yaml.safe_dump(doc))
     return d
 
 
@@ -38,62 +88,329 @@ def set_key(doc, key_path, value):
     doc[last] = value
 
 
-def explosive_spec(tmp_path):
-    """A spec whose closed loop explodes in simulation.
-
-    B = D = 0 leaves x' = 40 x uncontrolled: Euler steps grow the state by
-    1 + 40/512 each, past 1e12 after about 360 of the 512 steps.
-    """
-    doc = {
-        "dimensions": {"n": 1, "k": 1, "d": 1},
-        "horizon": 1.0,
-        "grid": {"points": 9},
-        "coefficients": {"A": [[40.0]], "B": [[0.0]], "C": [[[0.0]]], "D": [[[0.0]]],
-                         "R": [[1.0]], "Q": [[0.0]]},
-        "terminal": [[0.0]],
-        "simulation": {"n_paths": 4, "n_steps": 512, "seed": 1, "xi": [1.0]},
-    }
-    p = tmp_path / "explosive.yaml"
-    p.write_text(yaml.safe_dump(doc))
-    return p
+def run_cli(argv, example_dir):
+    """``main`` on a shell-quoted argv; ``<name>`` is the spec ``name`` in ``example_dir``."""
+    return main([str(example_dir / f"{item[1:-1]}.yaml") if item[:1] == "<" else item
+                 for item in shlex.split(argv)])
 
 
-# argv -> exit code and the whole stderr: one error line; "SPEC" stands for
-# the path of definite_2x2.yaml
+# Each row of ARGV_ERRORS and RUNS is one test.  Its name is its pytest id,
+# "Class::test" or "Class::test[param]", and rows that share a test are its
+# parameters.  A name is a str.format template of the row: {command} is the
+# first argv word ("none" for no words), {spec} the first <spec> in argv,
+# {message} the stderr line less "error: " and {index} the row's place among
+# the rows of its template.
+MESSAGE = "TestInputErrors::test_message_exit1[{command}-flags{index}-{message}]"
+ONE_LINE = "TestInputErrors::test_exit1_with_one_error_line[{command}-{spec}-settings{index}]"
+WITNESS = "TestCertifyCommand::test_malformed_witness_exit1[{spec}-settings{index}]"
+NO_DIR = "error: [Errno 2] No such file or directory: '/no/such/dir/r.json'\n"
+
+# (name, argv, exit code, stderr): stderr is one line, and starts with the given
+# text; a text that ends in a newline is the whole line
 ARGV_ERRORS = [
-    (["oracle", "--spec", "SPEC", "--steps", "0"], 1,
+    (MESSAGE, "oracle --spec <definite_2x2> --steps 0", 1,
      "error: --steps: expected step counts from 1 to 1000000\n"),
-    (["oracle", "--spec", "SPEC", "--steps", "1000001"], 1,
+    (MESSAGE, "oracle --spec <definite_2x2> --steps 1000001", 1,
      "error: --steps: expected step counts from 1 to 1000000\n"),
-    (["solve", "--spec", "SPEC", "--set", "grid.points=1"], 1,
+    (MESSAGE, "solve --spec <definite_2x2> --set grid.points=1", 1,
      "error: grid.points: need 2 to 100000 sample points\n"),
-    (["solve", "--spec", "SPEC", "--set", "grid.points=100001"], 1,
+    (MESSAGE, "solve --spec <definite_2x2> --set grid.points=100001", 1,
      "error: grid.points: need 2 to 100000 sample points\n"),
-    (["solve", "--spec", "SPEC", "--set", "=1"], 1, "error: override '=1': empty key path\n"),
-    (["solve", "--spec", "SPEC", "--set", ".=1"], 1, "error: override '.=1': empty key path\n"),
-    (["solve", "--spec", "SPEC", "--set", "horizon.x=1"], 1,
+    (MESSAGE, "solve --spec <definite_2x2> --set =1", 1, "error: override '=1': empty key path\n"),
+    (MESSAGE, "solve --spec <definite_2x2> --set .=1", 1,
+     "error: override '.=1': empty key path\n"),
+    (MESSAGE, "solve --spec <definite_2x2> --set horizon.x=1", 1,
      "error: override 'horizon.x=1': horizon is not a mapping\n"),
-    (["solve", "--spec", "x.yaml", "--no-such-flag"], 1,
+    (MESSAGE, "solve --spec x.yaml --no-such-flag", 1,
      "error: unrecognized arguments: --no-such-flag\n"),
-    ([], 1, "error: expected a command (solve, certify, simulate, oracle, example), got nothing\n"),
-    (["bogus"], 1,
+    (MESSAGE, "", 1,
+     "error: expected a command (solve, certify, simulate, oracle, example), got nothing\n"),
+    (MESSAGE, "bogus", 1,
      "error: expected a command (solve, certify, simulate, oracle, example), got bogus\n"),
-    (["solve"], 1, "error: the following arguments are required: --spec\n"),
-    (["solve", "--spec", "SPEC", "--set"], 1, "error: argument --set: expected one argument\n"),
-    (["solve", "--spec", "SPEC", "--out", "--quiet"], 1,
+    (MESSAGE, "solve", 1, "error: the following arguments are required: --spec\n"),
+    (MESSAGE, "solve --spec <definite_2x2> --set", 1,
+     "error: argument --set: expected one argument\n"),
+    (MESSAGE, "solve --spec <definite_2x2> --out --quiet", 1,
      "error: argument --out: expected one argument\n"),
-    (["solve", "--spec", "SPEC", "--quiet=1"], 1, "error: unrecognized arguments: --quiet=1\n"),
-    (["oracle", "--spec", "SPEC", "--s", "5"], 1,
+    (MESSAGE, "solve --spec <definite_2x2> --quiet=1", 1,
+     "error: unrecognized arguments: --quiet=1\n"),
+    (MESSAGE, "oracle --spec <definite_2x2> --s 5", 1,
      "error: ambiguous option: --s could match --spec, --set, --steps\n"),
-    (["example", "definite_2x2", "extra"], 1, "error: unrecognized arguments: extra\n"),
-    (["solve", "--spec", "SPEC", "extra"], 1, "error: unrecognized arguments: extra\n"),
-    (["oracle", "--spec", "SPEC", "--steps", "a,b"], 1,
+    (MESSAGE, "example definite_2x2 extra", 1, "error: unrecognized arguments: extra\n"),
+    (MESSAGE, "solve --spec <definite_2x2> extra", 1, "error: unrecognized arguments: extra\n"),
+    (MESSAGE, "oracle --spec <definite_2x2> --steps a,b", 1,
      "error: --steps: expected comma-separated integers, got 'a,b'\n"),
-    (["oracle", "--spec", "SPEC", "--steps", "2.5"], 1,
+    (MESSAGE, "oracle --spec <definite_2x2> --steps 2.5", 1,
      "error: --steps: expected comma-separated integers, got '2.5'\n"),
-    (["oracle", "--spec", "SPEC", "--steps", ""], 1,
+    (MESSAGE, "oracle --spec <definite_2x2> --steps ''", 1,
      "error: --steps: expected step counts from 1 to 1000000\n"),
+    # each malformed input ends in exit 1 with one error line, never a traceback
+    (ONE_LINE, "certify --spec <example504_r1> --quiet --set grid.points=abc", 1,
+     "error: grid.points: bad value 'abc' (expected an integer)\n"),
+    (ONE_LINE, "certify --spec <example504_r1> --quiet --set simulation.n_paths=abc", 1,
+     "error: simulation.n_paths: bad value 'abc' (expected an integer)\n"),
+    (ONE_LINE, """certify --spec <example504_r1> --quiet --set 'simulation.xi="ab"'""", 1,
+     "error: simulation.xi: bad value 'ab' (could not convert string to float: 'ab')\n"),
+    (ONE_LINE, """certify --spec <example504_r1> --quiet --set 'coefficients.R="x"'""", 1,
+     "error: coefficients.R: bad value 'x' (could not convert string to float: 'x')\n"),
+    (ONE_LINE, "certify --spec <example504_r1> --quiet --set certificate.alpha=1.5", 1,
+     "error: alpha values must lie in [0, 1)\n"),
+    (ONE_LINE, "certify --spec <example504_r1> --quiet --set 'certificate.alpha=[0.1,0.2]'", 1,
+     "error: alpha array must be sampled on the problem grid\n"),
+    (ONE_LINE, "certify --spec <example504_r1> --quiet --set grid=5", 1,
+     "error: grid: must be a mapping\n"),
+    (ONE_LINE, "certify --spec <example504_r1> --quiet --set grid.points=3.7", 1,
+     "error: grid.points: bad value 3.7 (expected an integer)\n"),
+    (ONE_LINE, "certify --spec <example504_r1> --quiet --set simulation.antithetic=maybe", 1,
+     "error: simulation.antithetic: bad value 'maybe' (expected true or false)\n"),
+    (ONE_LINE, "certify --spec <blowup_ode> --quiet --set certificate.tol=abc", 1,
+     "error: certificate.tol: bad value 'abc' (could not convert string to float: 'abc')\n"),
+    # the rest of the line is numpy's own wording
+    (ONE_LINE, "solve --spec <example504_r1> --quiet --set dimensions.d=2 --set "
+     "'coefficients.D=[[[1.0]], [[1.0]]]' --set 'coefficients.C=[[[0.0]], [[0.0], [1.0, 2.0]]]'",
+     1, "error: coefficients.C[1]: bad value [[0.0], [1.0, 2.0]] ("),
+    (ONE_LINE, "certify --spec <example504_r1> --quiet --set 'coefficients.A=[[350.0]]' "
+     "--set 'coefficients.Q=[[1.0e+300]]'", 1,
+     "error: phi evaluation overflowed; coefficients out of desk scale\n"),
+    (ONE_LINE, "certify --spec <example504_r1> --quiet --set 'coefficients.Q=[[[0.0]],[[0.0]]]'", 1,
+     "error: problem validation failed: coefficients.Q: expected a 1x1 matrix or 257 such "
+     "samples, got shape (2, 1, 1)\n"),
+    # the certificate block is read by every command, not only certify
+    (ONE_LINE, "solve --spec <blowup_ode> --quiet --set certificate.tol=abc", 1,
+     "error: certificate.tol: bad value 'abc' (could not convert string to float: 'abc')\n"),
+    (ONE_LINE, "simulate --spec <example504_r1> --quiet --set certificate.alpha=foo", 1,
+     "error: certificate.alpha: unknown schedule 'foo'\n"),
+    # a key that its block does not read, here misspelt
+    (ONE_LINE, "certify --spec <blowup_ode> --quiet --set certificate.tolerance=abc "
+     "--set certificate.Fx=1", 1, "error: certificate: unknown keys ['Fx', 'tolerance']\n"),
+    (ONE_LINE, "solve --spec <example504_r1> --quiet "
+     "--set grid.interpolaton=piecewise-constant-left", 1,
+     "error: grid: unknown keys ['interpolaton']\n"),
+    (ONE_LINE, "certify --spec <example504_r1> --quiet --set simulation.antithetc=false", 1,
+     "error: simulation: unknown keys ['antithetc']\n"),
+    # sizes bounded before anything is allocated
+    (ONE_LINE, "simulate --spec <definite_2x2> --quiet --set simulation.n_paths=1 "
+     "--set simulation.n_steps=100000000", 1,
+     "error: problem validation failed: n_steps must not exceed 1e+06\n"),
+    (ONE_LINE, "solve --spec <definite_2x2> --quiet --set dimensions.n=1000", 1,
+     "error: coefficients: 129 grid points x 3004004 entries per grid point "
+     "(n = 1000, k = 2, d = 1) exceed 1e+07\n"),
+    ("TestInputErrors::test_huge_path_count_rejected_at_parse",
+     "solve --spec <example504_r1> --set simulation.n_paths=100000000000000000000 --quiet", 1,
+     "error: problem validation failed: n_paths x n_steps must not exceed 1e+08\n"),
+    # one path of 1e8 steps passes the n_paths x n_steps bound, yet its per-step
+    # tables alone would take gigabytes
+    ("TestInputErrors::test_huge_step_count_rejected_at_parse", "solve --spec <definite_2x2> "
+     "--set simulation.n_paths=1 --set simulation.n_steps=100000000 --quiet", 1,
+     "error: problem validation failed: n_steps must not exceed 1e+06\n"),
+    # every command reads the simulation block, and refuses its oversized table
+    *(("TestInputErrors::test_step_table_refused_at_parse[{command}]", f"{command} --spec <wide>",
+       1, "error: simulation.n_steps: 31153 Euler steps x 321 entries per Euler step "
+       "(n = 10, k = 1, d = 1) exceed 1e+07\n")
+      for command in ("solve", "certify", "simulate", "oracle")),
+    ("TestInputErrors::test_unwritable_report_exit1",
+     "solve --spec <example504_r1> --out /no/such/dir/r.json --quiet", 1, NO_DIR),
+    # the error report of a run that stopped is written like any other
+    ("TestInputErrors::test_unwritable_error_report_exit1[overflow]",
+     "simulate --spec <explosive> --out /no/such/dir/r.json", 1, NO_DIR),
+    ("TestInputErrors::test_unwritable_error_report_exit1[step-limit]",
+     "solve --spec <definite_2x2> --set solver.max_steps=3 --out /no/such/dir/r.json", 1, NO_DIR),
+    ("TestExampleCommand::test_unknown_name", "example does_not_exist", 1,
+     f"error: unknown example 'does_not_exist'; available: {', '.join(bundled.example_names())}\n"),
+    ("TestSolveCommand::test_missing_file_exit1", "solve --spec /no/such/file.yaml --quiet", 1,
+     "error: cannot read spec file /no/such/file.yaml: [Errno 2] No such file or directory: "
+     "'/no/such/file.yaml'\n"),
+    ("TestSolveCommand::test_malformed_spec_exit1", "solve --spec <malformed> --quiet", 1,
+     "error: dimensions: missing required key 'd'\n"),
+    ("TestSolveCommand::test_dimension_mismatch_exit1",
+     "solve --spec <example504_r1> --set 'coefficients.B=[[1.0], [2.0]]' --quiet", 1,
+     "error: problem validation failed: coefficients.B: expected a 1x1 matrix or 257 such "
+     "samples, got shape (2, 1)\n"),
+    # a null block reads as absent
+    ("TestCertifyCommand::test_missing_block_exit1",
+     "certify --spec <example504_r1> --set certificate=null --quiet", 1,
+     "error: spec has no certificate block\n"),
+    ("TestCertifyCommand::test_alpha_path_reaching_one_exit1",
+     f"certify --spec <example504_r1> --set 'certificate.alpha={[1.0] + [0.5] * 256}' --quiet",
+     1, "error: alpha values must lie in [0, 1)\n"),
+    ("TestCertifyCommand::test_unknown_alpha_schedule_exit1",
+     "certify --spec <example504_r1> --set certificate.alpha=nope --quiet", 1,
+     "error: certificate.alpha: unknown schedule 'nope'\n"),
+    ("TestCertifyCommand::test_named_schedule_needs_unit_horizon_exit1",
+     "certify --spec <example504_rneg015> --set horizon=2.0 --quiet", 1,
+     "error: the optimal-constant alpha schedule needs horizon T = 1\n"),
+    # a witness path of the wrong shape or an asymmetric one is an input
+    # error, never broadcast against the problem and never a traceback
+    (WITNESS, "certify --spec <definite_2x2> --quiet --set certificate.kind=explicit-subsolution "
+     "--set 'certificate.F=[[0.0]]'", 1,
+     "error: F: expected a 2x2 matrix or 129 such samples, got shape (1, 1)\n"),
+    (WITNESS, "certify --spec <shift_demo> --quiet --set 'certificate.K=[[0.0]]'", 1,
+     "error: K: expected a 2x2 matrix or 1025 such samples, got shape (1, 1)\n"),
+    (WITNESS, "certify --spec <shift_demo> --quiet "
+     "--set 'certificate.K=[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]'", 1,
+     "error: K: expected a 2x2 matrix or 1025 such samples, got shape (3, 2)\n"),
+    (WITNESS, "certify --spec <shift_demo> --quiet --set 'certificate.K=[[0.0, 1.0], [0.0, 0.0]]'",
+     1, "error: K must be symmetric\n"),
+    ("TestSimulateCommand::test_missing_block_exit1", "simulate --spec <shift_demo> --quiet", 1,
+     "error: spec has no simulation block\n"),
+    ("TestOverrides::test_bad_override_exit1",
+     "solve --spec <example504_r1> --set nonsense --quiet", 1,
+     "error: override 'nonsense': expected key.path=value\n"),
 ]
+
+
+def check_argv_error(row, example_dir, tmp_path, capsys):
+    argv, code, expected = row
+    assert run_cli(argv, example_dir) == code
+    err = capsys.readouterr().err
+    assert err.startswith(expected) and err.count("\n") == 1, err
+
+
+def positive(value):
+    return value > 0.0
+
+
+# (name, argv, exit code, {report field: value or predicate}[, summary]): each
+# field, a dotted path where "*" maps the rest over a list, equals its value or
+# meets its predicate.  A row with a summary, a str.format template over the
+# report, runs without --quiet and finds that one line on stderr; one without
+# runs with --quiet and finds stderr empty.
+RUNS = [
+    ("TestSolveCommand::test_scalar_benchmark_exit0", "solve --spec <example504_r1>", 0,
+     {"status": "completed", "P0.0.0": pytest.approx(0.6422007040598737, abs=1e-6),
+      "value_at_xi": lambda value: value is not None}),
+    ("TestSolveCommand::test_constraint_violation_exit2", "solve --spec <example504_rneg017>", 2,
+     {"status": "constraint-violation", "t_event": lambda t: 0.0 < t < 0.1}),
+    # R = D = 0: the effective weight is exactly 0 at t = T, where the gain is undefined
+    *(("TestSolveCommand::test_singular_weight_at_the_terminal_time_exit2[{command}]",
+       f"{command} --spec <example504_r1> --set coefficients.R=0 --set 'coefficients.D=[0]'", 2,
+       {"status": "constraint-violation", "t_event": 1.0}) for command in ("solve", "oracle")),
+    ("TestSolveCommand::test_blowup_exit3", "solve --spec <blowup_ode>", 3,
+     {"status": "blowup", "t_event": lambda t: 0.9 < t < 1.0}),
+    ("TestSolveCommand::test_smooth_blowup_exit3", "solve --spec <smooth_blowup>", 3,
+     {"status": "blowup"}),
+    ("TestCertifyCommand::test_certified_exit0", "certify --spec <example504_rneg015>", 0,
+     {"certificate.verdict": "certified", "certificate.epsilon": positive,
+      "certificate.threshold": lambda threshold: abs(threshold + 0.15859) < 1e-3}),
+    ("TestCertifyCommand::test_failed_exit4", "certify --spec <example504_rneg017>", 4,
+     {"certificate.verdict": "failed", "certificate.reason": bool}),
+    ("TestCertifyCommand::test_definite_kind", "certify --spec <definite_2x2>", 0,
+     {"certificate.kind": "definite-control-weight"}),
+    ("TestCertifyCommand::test_shift_kind", "certify --spec <shift_demo>", 0,
+     {"certificate.kind": "shift"}),
+    # certified even though the solve blows up
+    ("TestCertifyCommand::test_zero_subsolution_on_blowup_data", "certify --spec <blowup_ode>", 0,
+     {"certificate.kind": "explicit-subsolution", "certificate.epsilon": positive}),
+    # a dF without F is the zero witness's slope, as with F = 0 given
+    *((f"TestCertifyCommand::test_slope_of_the_zero_witness_exit4[{form}]",
+       f"certify --spec <blowup_ode> --set 'certificate.dF=[[-100.0]]'{settings}", 4,
+       {"certificate.reason": "drift residual dF/dt + f(F, 0) not positive semi-definite"})
+      for form, settings in (("without-F", ""), ("with-F", " --set 'certificate.F=[[0.0]]'"))),
+    # K B + sum C'K D does not vanish once B has a first row
+    ("TestCertifyCommand::test_uncompensated_shift_exit4",
+     "certify --spec <shift_demo> --set 'coefficients.B=[[1.0],[0.0]]'", 4,
+     {"certificate.reason": "compensation residual 3.041e-01 exceeds 1.0e-08"}),
+    # a per-grid-point alpha list is accepted and certifies like the constant it samples
+    ("TestCertifyCommand::test_alpha_as_explicit_path",
+     f"certify --spec <example504_r1> --set 'certificate.alpha={[0.3] * 257}'", 0,
+     {"certificate.verdict": "certified"}),
+    ("TestCertifyCommand::test_named_schedule_on_a_fine_grid",
+     "certify --spec <example504_rneg015> --set grid.points=2049", 0,
+     {"certificate.quad_nodes": 8193, "certificate.threshold": lambda threshold:
+      0.0 <= threshold + certificates.optimal_constant_alpha() < 1e-8}),
+    # drive the certified weight below the threshold from the CLI
+    ("TestOverrides::test_set_patches_before_validation",
+     "certify --spec <example504_rneg015> --set 'coefficients.R=[[-0.17]]'", 4, {}),
+    ("TestSimulateCommand::test_definite_reports_cs_fields",
+     "simulate --spec <definite_2x2> --set simulation.n_paths=2000", 0,
+     {"simulation.n_paths": 4000, "simulation.cost_stderr": positive,
+      "simulation": lambda sim: sim["cs_residual"] <= 3 * sim["cs_stderr"] + 2.0 / 512}),
+    # Euler steps grow the state by 1 + 40/512 each, past 1e12 at the overflow step
+    ("TestSimulateCommand::test_explosive_closed_loop_reports_overflow_step",
+     "simulate --spec <explosive>", 1,
+     {"status": "error", "simulation": None,
+      "overflow_step": lambda step: (1 + 40 / 512) ** step <= 1e12 < (1 + 40 / 512) ** (step + 1),
+      "error": "state norm exceeded 1e+12 at step 367 (explosive closed loop)"}),
+    ("TestOracleCommand::test_error_table_with_first_order_ratios",
+     "oracle --spec <definite_2x2> --steps 64,128,256", 0,
+     {"oracle.rows": lambda rows: len(rows) == 3,
+      "oracle.ratios": lambda ratios: all(1.6 <= r <= 2.6 for r in ratios)}),
+    ("TestOracleCommand::test_exact_agreement_gives_null_ratios",
+     "oracle --spec <still> --steps 4,8,16", 0,
+     {"oracle.rows.*.error_vs_solver": [0.0, 0.0, 0.0], "oracle.ratios": [None, None]},
+     "oracle: 3 step sizes, ratios ['nan', 'nan']\n"),
+    # steps taken: 2 - 0 and 3 - 1 by the aborted counts, 4 by the completed one
+    ("TestOracleCommand::test_violation_step_reported", "oracle --spec <coarse> --steps 2,3,4", 0,
+     {"oracle.rows.*.violation_step": [0, 1, None],
+      "oracle.rows.*.constraint_ok": [False, False, True],
+      "oracle.rows.*.error_vs_solver":
+          lambda errs: [e is None for e in errs] == [True, True, False],
+      "oracle.dp_steps": 8}),
+    # the one stderr line of each command, checked against its report
+    ("TestSummaryLine::test_solve_completed", "solve --spec <example504_r1>", 0, {},
+     "solve: completed\n"),
+    ("TestSummaryLine::test_solve_stopped", "solve --spec <example504_rneg017>", 2, {},
+     "solve: constraint-violation at t*={t_event:.6g}\n"),
+    ("TestSummaryLine::test_solve_step_limit",
+     "solve --spec <definite_2x2> --set solver.max_steps=3", 1, {"status": "error"},
+     "solve: {error}\n"),
+    ("TestSummaryLine::test_certify", "certify --spec <example504_r1>", 0, {},
+     "certify: certified (kind scalar-comparison, epsilon {certificate[epsilon]:.6g})\n"),
+    ("TestSummaryLine::test_simulate",
+     "simulate --spec <definite_2x2> --set simulation.n_paths=200 --set simulation.n_steps=64",
+     0, {"simulation.n_paths": 400},
+     "simulate: cost {simulation[cost_mean]:.6g} +- {simulation[cost_stderr]:.2g}, "
+     "value {value_at_xi:.6g}, cs residual {simulation[cs_residual]:.3g}\n"),
+    ("TestSummaryLine::test_oracle", "oracle --spec <definite_2x2> --steps 16,32,64", 0,
+     {"oracle.ratios": lambda ratios: len(ratios) == 2},
+     "oracle: 3 step sizes, ratios ['{oracle[ratios][0]:.2f}', '{oracle[ratios][1]:.2f}']\n"),
+]
+
+
+def report_field(value, path):
+    head, _, rest = path.partition(".")
+    if head == "*":
+        return [report_field(item, rest) for item in value]
+    value = value[int(head) if isinstance(value, list) else head]
+    return report_field(value, rest) if rest else value
+
+
+def check_run(row, example_dir, tmp_path, capsys):
+    argv, code, fields, *summary = row
+    out = tmp_path / "report.json"
+    quiet = "" if summary else " --quiet"
+    assert run_cli(f"{argv}{quiet} --out {shlex.quote(str(out))}", example_dir) == code
+    captured = capsys.readouterr()
+    report = read_report(out)
+    assert captured.out == ""
+    assert captured.err == (summary[0].format(**report) if summary else "")
+    for path, want in fields.items():
+        got = report_field(report, path)
+        assert want(got) if callable(want) else got == want, (path, got)
+
+
+def add_row_tests(table, check):
+    """One test per row of ``table``, set on the class its name gives, running ``check``."""
+    tests, seen = {}, collections.Counter()
+    for template, argv, *row in table:
+        words = shlex.split(argv) or ["none"]
+        expected = row[-1] if isinstance(row[-1], str) else ""
+        name = template.format(
+            command=words[0], spec=next((w[1:-1] for w in words if w[:1] == "<"), ""),
+            message=expected.removeprefix("error: ").removesuffix("\n"), index=seen[template])
+        seen[template] += 1
+        test, _, param = name.partition("[")
+        tests.setdefault(test, {})[param[:-1]] = (argv, *row)
+    for test, rows in tests.items():
+        owner, function = test.split("::")
+        if list(rows) == [""]:
+            def run(self, example_dir, tmp_path, capsys, row=rows[""]):
+                check(row, example_dir, tmp_path, capsys)
+        else:
+            @pytest.mark.parametrize("row", list(rows.values()), ids=list(rows))
+            def run(self, row, example_dir, tmp_path, capsys):
+                check(row, example_dir, tmp_path, capsys)
+        setattr(globals().setdefault(owner, type(owner, (), {})), function, run)
 
 
 class TestExampleCommand:
@@ -101,93 +418,13 @@ class TestExampleCommand:
         for name in bundled.example_names():
             assert (example_dir / f"{name}.yaml").exists()
 
-    def test_unknown_name(self, capsys):
-        assert main(["example", "does_not_exist"]) == 1
-        err = capsys.readouterr().err
-        assert "blowup_ode" in err  # lists available names
-
     def test_list(self, capsys):
         assert main(["example", "--list"]) == 0
         out = capsys.readouterr().out.split()
         assert out == bundled.example_names()
 
 
-class TestSolveCommand:
-    def test_scalar_benchmark_exit0(self, example_dir, tmp_path):
-        out = tmp_path / "r1.json"
-        rc = main(["solve", "--spec", str(example_dir / "example504_r1.yaml"),
-                   "--out", str(out), "--quiet"])
-        assert rc == 0
-        rep = read_report(out)
-        assert rep["status"] == "completed"
-        assert abs(rep["P0"][0][0] - 0.6422007040598737) <= 1e-6
-        assert rep["value_at_xi"] is not None
-
-    def test_constraint_violation_exit2(self, example_dir, tmp_path):
-        out = tmp_path / "r17.json"
-        rc = main(["solve", "--spec", str(example_dir / "example504_rneg017.yaml"),
-                   "--out", str(out), "--quiet"])
-        assert rc == 2
-        rep = read_report(out)
-        assert rep["status"] == "constraint-violation"
-        assert 0.0 < rep["t_event"] < 0.1
-
-    @pytest.mark.parametrize("command", ["solve", "oracle"])
-    def test_singular_weight_at_the_terminal_time_exit2(self, command, example_dir, tmp_path):
-        # R = D = 0: the effective weight is exactly 0 at t = T, where the gain is undefined
-        out = tmp_path / "r0.json"
-        rc = main([command, "--spec", str(example_dir / "example504_r1.yaml"),
-                   "--set", "coefficients.R=0", "--set", "coefficients.D=[0]",
-                   "--out", str(out), "--quiet"])
-        assert rc == 2
-        rep = read_report(out)
-        assert (rep["status"], rep["t_event"]) == ("constraint-violation", 1.0)
-
-    def test_blowup_exit3(self, example_dir, tmp_path):
-        out = tmp_path / "bl.json"
-        rc = main(["solve", "--spec", str(example_dir / "blowup_ode.yaml"),
-                   "--out", str(out), "--quiet"])
-        assert rc == 3
-        rep = read_report(out)
-        assert rep["status"] == "blowup"
-        assert 0.9 < rep["t_event"] < 1.0
-
-    def test_smooth_blowup_exit3(self, tmp_path):
-        # an event located by bisection inside a step
-        spec, out = tmp_path / "smooth.yaml", tmp_path / "smooth.json"
-        spec.write_text(json.dumps(smooth_blowup_doc()))
-        assert main(["solve", "--spec", str(spec), "--out", str(out), "--quiet"]) == 3
-        assert read_report(out)["status"] == "blowup"
-
-    def test_missing_file_exit1(self):
-        assert main(["solve", "--spec", "/no/such/file.yaml", "--quiet"]) == 1
-
-    def test_malformed_spec_exit1(self, tmp_path, capsys):
-        bad = tmp_path / "bad.yaml"
-        bad.write_text("dimensions: {n: 1, k: 1}\nhorizon: 1.0\n")
-        assert main(["solve", "--spec", str(bad), "--quiet"]) == 1
-        assert "dimensions" in capsys.readouterr().err
-
-    def test_dimension_mismatch_exit1(self, tmp_path, capsys):
-        doc = bundled.example_doc("example504_r1")
-        doc["coefficients"]["B"] = [[1.0], [2.0]]
-        p = tmp_path / "mismatch.yaml"
-        p.write_text(yaml.safe_dump(doc))
-        assert main(["solve", "--spec", str(p), "--quiet"]) == 1
-        assert "coefficients.B" in capsys.readouterr().err
-
-
 class TestCertifyCommand:
-    def test_certified_exit0(self, example_dir, tmp_path):
-        out = tmp_path / "c15.json"
-        rc = main(["certify", "--spec", str(example_dir / "example504_rneg015.yaml"),
-                   "--out", str(out), "--quiet"])
-        assert rc == 0
-        cert = read_report(out)["certificate"]
-        assert cert["verdict"] == "certified"
-        assert cert["epsilon"] > 0.0
-        assert abs(cert["threshold"] + 0.15859) < 1e-3
-
     def test_quadrature_counters_reported(self, example_dir, tmp_path):
         out = tmp_path / "c15q.json"
         main(["certify", "--spec", str(example_dir / "example504_rneg015.yaml"),
@@ -199,103 +436,6 @@ class TestCertifyCommand:
               "--out", str(out), "--quiet"])
         cert = read_report(out)["certificate"]
         assert cert["quad_nodes"] is None and cert["quad_error"] is None
-
-    def test_failed_exit4(self, example_dir, tmp_path):
-        out = tmp_path / "c17.json"
-        rc = main(["certify", "--spec", str(example_dir / "example504_rneg017.yaml"),
-                   "--out", str(out), "--quiet"])
-        assert rc == 4
-        cert = read_report(out)["certificate"]
-        assert cert["verdict"] == "failed"
-        assert cert["reason"]
-
-    def test_definite_kind(self, example_dir, tmp_path):
-        out = tmp_path / "d22.json"
-        rc = main(["certify", "--spec", str(example_dir / "definite_2x2.yaml"),
-                   "--out", str(out), "--quiet"])
-        assert rc == 0
-        assert read_report(out)["certificate"]["kind"] == "definite-control-weight"
-
-    def test_shift_kind(self, example_dir, tmp_path):
-        out = tmp_path / "sh.json"
-        rc = main(["certify", "--spec", str(example_dir / "shift_demo.yaml"),
-                   "--out", str(out), "--quiet"])
-        assert rc == 0
-        assert read_report(out)["certificate"]["kind"] == "shift"
-
-    def test_zero_subsolution_on_blowup_data(self, example_dir, tmp_path):
-        out = tmp_path / "blc.json"
-        rc = main(["certify", "--spec", str(example_dir / "blowup_ode.yaml"),
-                   "--out", str(out), "--quiet"])
-        assert rc == 0  # certified even though the solve blows up
-        cert = read_report(out)["certificate"]
-        assert cert["kind"] == "explicit-subsolution"
-        assert cert["epsilon"] > 0.0
-
-    @pytest.mark.parametrize("settings", [
-        ["certificate.dF=[[-100.0]]"],
-        ["certificate.dF=[[-100.0]]", "certificate.F=[[0.0]]"],
-    ], ids=["without-F", "with-F"])
-    def test_slope_of_the_zero_witness_exit4(self, example_dir, tmp_path, settings):
-        # a dF without F is the zero witness's slope, as with F = 0 given
-        out = tmp_path / "bldf.json"
-        argv = ["certify", "--spec", str(example_dir / "blowup_ode.yaml"),
-                "--out", str(out), "--quiet"]
-        for item in settings:
-            argv += ["--set", item]
-        assert main(argv) == 4
-        cert = read_report(out)["certificate"]
-        assert cert["reason"] == "drift residual dF/dt + f(F, 0) not positive semi-definite"
-
-    def test_uncompensated_shift_exit4(self, example_dir, tmp_path):
-        # K B + sum C'K D does not vanish once B has a first row
-        out = tmp_path / "shb.json"
-        rc = main(["certify", "--spec", str(example_dir / "shift_demo.yaml"),
-                   "--set", "coefficients.B=[[1.0],[0.0]]", "--out", str(out), "--quiet"])
-        assert rc == 4
-        cert = read_report(out)["certificate"]
-        assert cert["reason"] == "compensation residual 3.041e-01 exceeds 1.0e-08"
-
-    def test_missing_block_exit1(self, tmp_path):
-        doc = bundled.example_doc("example504_r1")
-        del doc["certificate"]
-        p = tmp_path / "nocert.yaml"
-        p.write_text(yaml.safe_dump(doc))
-        assert main(["certify", "--spec", str(p), "--quiet"]) == 1
-
-    def test_alpha_as_explicit_path(self, tmp_path):
-        # a per-grid-point alpha list is accepted and certifies like the
-        # constant it samples
-        doc = bundled.example_doc("example504_r1")
-        points = doc["grid"]["points"]
-        doc["certificate"] = {"kind": "scalar-comparison", "alpha": [0.3] * points}
-        p = tmp_path / "alist.yaml"
-        p.write_text(yaml.safe_dump(doc))
-        out = tmp_path / "alist.json"
-        assert main(["certify", "--spec", str(p), "--out", str(out), "--quiet"]) == 0
-        cert = read_report(out)["certificate"]
-        assert cert["verdict"] == "certified"
-
-    def test_alpha_path_reaching_one_exit1(self, tmp_path, capsys):
-        doc = bundled.example_doc("example504_r1")
-        points = doc["grid"]["points"]
-        alpha = [1.0] + [0.5] * (points - 1)
-        doc["certificate"] = {"kind": "scalar-comparison", "alpha": alpha}
-        p = tmp_path / "alpha1.yaml"
-        p.write_text(yaml.safe_dump(doc))
-        assert main(["certify", "--spec", str(p), "--quiet"]) == 1
-        assert "alpha values must lie in [0, 1)" in capsys.readouterr().err
-
-    def test_named_schedule_on_a_fine_grid(self, tmp_path):
-        doc = bundled.example_doc("example504_rneg015")
-        doc["grid"]["points"] = 2049
-        p = tmp_path / "fine.yaml"
-        p.write_text(yaml.safe_dump(doc))
-        out = tmp_path / "fine.json"
-        assert main(["certify", "--spec", str(p), "--out", str(out), "--quiet"]) == 0
-        cert = read_report(out)["certificate"]
-        assert cert["quad_nodes"] == 8193
-        assert 0.0 <= cert["threshold"] + certificates.optimal_constant_alpha() < 1e-8
 
     def test_alpha_number_reads_alike_in_json_and_yaml(self, tmp_path):
         # YAML 1.1 reads a hand-written 1e-05 as a string, JSON as a float;
@@ -316,73 +456,8 @@ class TestCertifyCommand:
             epsilons.append(cert["epsilon"])
         assert epsilons[0] == epsilons[1] > 0.0
 
-    def test_unknown_alpha_schedule_exit1(self, tmp_path):
-        doc = bundled.example_doc("example504_r1")
-        doc["certificate"] = {"kind": "scalar-comparison", "alpha": "nope"}
-        p = tmp_path / "badalpha.yaml"
-        p.write_text(yaml.safe_dump(doc))
-        assert main(["certify", "--spec", str(p), "--quiet"]) == 1
-
-    def test_named_schedule_needs_unit_horizon_exit1(self, example_dir, capsys):
-        argv = ["certify", "--spec", str(example_dir / "example504_rneg015.yaml"),
-                "--set", "horizon=2.0", "--quiet"]
-        assert main(argv) == 1
-        assert "needs horizon T = 1" in capsys.readouterr().err
-
-
-    @pytest.mark.parametrize("spec, settings", [
-        ("definite_2x2", ["certificate.kind=explicit-subsolution", "certificate.F=[[0.0]]"]),
-        ("shift_demo", ["certificate.K=[[0.0]]"]),
-        ("shift_demo", ["certificate.K=[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]"]),
-        ("shift_demo", ["certificate.K=[[0.0, 1.0], [0.0, 0.0]]"]),
-    ])
-    def test_malformed_witness_exit1(self, example_dir, spec, settings, capsys):
-        # a witness path of the wrong shape or an asymmetric one is an input
-        # error, never broadcast against the problem and never a traceback
-        argv = ["certify", "--spec", str(example_dir / f"{spec}.yaml"), "--quiet"]
-        for item in settings:
-            argv += ["--set", item]
-        assert main(argv) == 1
-        assert capsys.readouterr().err.startswith("error:")
-
 
 class TestInputErrors:
-    # each malformed input ends in exit 1 with one error line, never a traceback
-    @pytest.mark.parametrize("command, spec, settings", [
-        ("certify", "example504_r1", ["grid.points=abc"]),
-        ("certify", "example504_r1", ["simulation.n_paths=abc"]),
-        ("certify", "example504_r1", ['simulation.xi="ab"']),
-        ("certify", "example504_r1", ['coefficients.R="x"']),
-        ("certify", "example504_r1", ["certificate.alpha=1.5"]),
-        ("certify", "example504_r1", ["certificate.alpha=[0.1,0.2]"]),
-        ("certify", "example504_r1", ["grid=5"]),
-        ("certify", "example504_r1", ["grid.points=3.7"]),
-        ("certify", "example504_r1", ["simulation.antithetic=maybe"]),
-        ("certify", "blowup_ode", ["certificate.tol=abc"]),
-        ("solve", "example504_r1", ["dimensions.d=2", "coefficients.D=[[[1.0]], [[1.0]]]",
-                                    "coefficients.C=[[[0.0]], [[0.0], [1.0, 2.0]]]"]),
-        ("certify", "example504_r1", ["coefficients.A=[[350.0]]", "coefficients.Q=[[1.0e+300]]"]),
-        ("certify", "example504_r1", ["coefficients.Q=[[[0.0]],[[0.0]]]"]),
-        # the certificate block is read by every command, not only certify
-        ("solve", "blowup_ode", ["certificate.tol=abc"]),
-        ("simulate", "example504_r1", ["certificate.alpha=foo"]),
-        # a key that its block does not read, here misspelt
-        ("certify", "blowup_ode", ["certificate.tolerance=abc", "certificate.Fx=1"]),
-        ("solve", "example504_r1", ["grid.interpolaton=piecewise-constant-left"]),
-        ("certify", "example504_r1", ["simulation.antithetc=false"]),
-        # sizes bounded before anything is allocated
-        ("simulate", "definite_2x2", ["simulation.n_paths=1", "simulation.n_steps=100000000"]),
-        ("solve", "definite_2x2", ["dimensions.n=1000"]),
-    ])
-    def test_exit1_with_one_error_line(self, example_dir, command, spec, settings, capsys):
-        argv = [command, "--spec", str(example_dir / f"{spec}.yaml"), "--quiet"]
-        for item in settings:
-            argv += ["--set", item]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert "Traceback" not in err
-
     deep_texts = pytest.mark.parametrize("text", [
         "[" * 200_000 + "]" * 200_000,  # JSON: RecursionError, never YAML
         "a: " + "[" * 200_000 + "]" * 200_000,  # YAML: RecursionError in the composer
@@ -434,51 +509,6 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key}: bad value") and "finite" in err
 
-    def test_unwritable_report_exit1(self, example_dir, tmp_path, capsys):
-        out = tmp_path / "no_such_dir" / "r.json"
-        argv = ["solve", "--spec", str(example_dir / "example504_r1.yaml"), "--out", str(out),
-                "--quiet"]
-        assert main(argv) == 1
-        assert capsys.readouterr().err.startswith("error:")
-
-    @pytest.mark.parametrize("argv", [
-        ["simulate"],  # overflow in the Monte Carlo paths
-        ["solve", "--set", "solver.max_steps=3"],  # step limit of the solver
-    ], ids=["overflow", "step-limit"])
-    def test_unwritable_error_report_exit1(self, argv, example_dir, tmp_path, capsys):
-        # the error report of a run that stopped is written like any other
-        spec = explosive_spec(tmp_path) if argv[0] == "simulate" else (
-            example_dir / "definite_2x2.yaml")
-        out = tmp_path / "no_such_dir" / "r.json"
-        assert main([argv[0], "--spec", str(spec), *argv[1:], "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: [Errno 2] No such file or directory")
-        assert err.count("\n") == 1
-
-    @pytest.mark.parametrize("argv, code, stderr", ARGV_ERRORS, ids=[
-        f"{(argv or ['none'])[0]}-flags{i}-{stderr[len('error: '):-1]}"
-        for i, (argv, _, stderr) in enumerate(ARGV_ERRORS)])
-    def test_message_exit1(self, example_dir, argv, code, stderr, capsys):
-        spec = str(example_dir / "definite_2x2.yaml")
-        assert main([spec if item == "SPEC" else item for item in argv]) == code
-        assert capsys.readouterr().err == stderr
-
-    def test_huge_path_count_rejected_at_parse(self):
-        # bounded before anything is allocated: parse_spec alone refuses it
-        doc = apply_overrides(bundled.example_doc("example504_r1"),
-                              ["simulation.n_paths=100000000000000000000"])
-        with pytest.raises(SpecError, match="n_paths"):
-            parse_spec(doc)
-
-
-    def test_huge_step_count_rejected_at_parse(self):
-        # one path of 1e8 steps passes the n_paths x n_steps bound, yet its
-        # per-step tables alone would take gigabytes
-        doc = apply_overrides(bundled.example_doc("definite_2x2"),
-                              ["simulation.n_paths=1", "simulation.n_steps=100000000"])
-        with pytest.raises(SpecError, match="n_steps"):
-            parse_spec(doc)
-
     def test_coefficient_table_bounded_at_parse(self, monkeypatch):
         # definite_2x2: 129 points x (4 * 3 + 4 * 2 + 4) = 24 entries per point;
         # its simulation block (512 steps) would meet the lowered cap first
@@ -489,21 +519,6 @@ class TestInputErrors:
         monkeypatch.setattr(specio, "MAX_TABLE_ENTRIES", 129 * 24 - 1)
         with pytest.raises(SpecError, match=r"129 grid points x 24 entries .*n = 2, k = 2, d = 1"):
             parse_spec(doc)
-
-    # n = 10, k = d = 1: 10 * 10 * 3 + 10 * 2 + 1 = 321 entries per step, so
-    # 31152 steps fit in MAX_TABLE_ENTRIES and 31153 do not
-    @staticmethod
-    def _wide_doc(n_steps):
-        zeros = np.zeros((10, 10)).tolist()
-        return {
-            "dimensions": {"n": 10, "k": 1, "d": 1},
-            "horizon": 1.0,
-            "grid": {"points": 2},
-            "coefficients": {"A": zeros, "B": np.ones((10, 1)).tolist(), "C": [zeros],
-                             "D": [np.zeros((10, 1)).tolist()], "R": [[1.0]], "Q": zeros},
-            "terminal": np.eye(10).tolist(),
-            "simulation": {"n_paths": 10, "n_steps": n_steps, "xi": np.ones(10).tolist()},
-        }
 
     def test_step_table_bound(self):
         specio.check_table_size("simulation.n_steps", 31152, "Euler step", 10, 1, 1)
@@ -518,7 +533,7 @@ class TestInputErrors:
         # over the cap by one step: refused before the coefficients are
         # sampled at any step (and before the solve)
         path = tmp_path / "wide.yaml"
-        path.write_text(yaml.safe_dump(self._wide_doc(31153 if argv == ["simulate"] else 64)))
+        path.write_text(yaml.safe_dump(wide_doc(31153 if argv == ["simulate"] else 64)))
 
         def no_tables(*args):
             raise AssertionError("a coefficient table was built")
@@ -528,17 +543,6 @@ class TestInputErrors:
         assert main([argv[0], "--spec", str(path), "--quiet", *argv[1:]]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "31153" in err and "exceed 1e+07" in err
-
-
-    @pytest.mark.parametrize("command", ["solve", "certify", "simulate", "oracle"])
-    def test_step_table_refused_at_parse(self, command, tmp_path, capsys):
-        # every command reads the simulation block, and refuses its oversized table
-        path = tmp_path / "wide.yaml"
-        path.write_text(yaml.safe_dump(self._wide_doc(31153)))
-        assert main([command, "--spec", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: simulation.n_steps: 31153 Euler steps x 321 entries")
-        assert err.count("\n") == 1
 
 
 def _key_paths(doc, prefix=()):
@@ -606,84 +610,7 @@ def test_parse_spec_raises_only_spec_error(choice, tmp_path_factory):
     assert code in range(5)
 
 
-class TestSimulateCommand:
-    def test_definite_reports_cs_fields(self, example_dir, tmp_path):
-        out = tmp_path / "sim.json"
-        rc = main(["simulate", "--spec", str(example_dir / "definite_2x2.yaml"),
-                   "--set", "simulation.n_paths=2000", "--out", str(out), "--quiet"])
-        assert rc == 0
-        sim = read_report(out)["simulation"]
-        assert sim["n_paths"] == 4000
-        assert sim["cs_residual"] <= 3 * sim["cs_stderr"] + 2.0 / 512
-        assert sim["cost_stderr"] > 0.0
-
-    def test_explosive_closed_loop_reports_overflow_step(self, tmp_path):
-        out = tmp_path / "explosive.json"
-        p = explosive_spec(tmp_path)
-        assert main(["simulate", "--spec", str(p), "--out", str(out), "--quiet"]) == 1
-        rep = read_report(out)
-        assert rep["status"] == "error" and rep["simulation"] is None
-        step = rep["overflow_step"]
-        assert (1 + 40 / 512) ** step <= 1e12 < (1 + 40 / 512) ** (step + 1)
-        assert f"at step {step}" in rep["error"]
-
-    def test_missing_block_exit1(self, example_dir, tmp_path):
-        p = example_dir / "shift_demo.yaml"  # no simulation block
-        assert main(["simulate", "--spec", str(p), "--quiet"]) == 1
-
-
 class TestOracleCommand:
-    def test_error_table_with_first_order_ratios(self, example_dir, tmp_path):
-        out = tmp_path / "or.json"
-        rc = main(["oracle", "--spec", str(example_dir / "definite_2x2.yaml"),
-                   "--steps", "64,128,256", "--out", str(out), "--quiet"])
-        assert rc == 0
-        tab = read_report(out)["oracle"]
-        assert len(tab["rows"]) == 3
-        assert all(1.6 <= r <= 2.6 for r in tab["ratios"])
-
-    def test_exact_agreement_gives_null_ratios(self, tmp_path, capsys):
-        # P(t) = N for every step size, so every error is 0 and no ratio exists
-        doc = {
-            "dimensions": {"n": 1, "k": 1, "d": 1},
-            "horizon": 1.0,
-            "grid": {"points": 9},
-            "coefficients": {"A": [[0.0]], "B": [[0.0]], "C": [[[0.0]]], "D": [[[0.0]]],
-                             "R": [[1.0]], "Q": [[0.0]]},
-            "terminal": [[1.0]],
-        }
-        p = tmp_path / "still.yaml"
-        p.write_text(yaml.safe_dump(doc))
-        out = tmp_path / "still.json"
-        assert main(["oracle", "--spec", str(p), "--steps", "4,8,16", "--out", str(out)]) == 0
-        tab = read_report(out)["oracle"]
-        assert [r["error_vs_solver"] for r in tab["rows"]] == [0.0, 0.0, 0.0]
-        assert tab["ratios"] == [None, None]
-        assert "ratios ['nan', 'nan']" in capsys.readouterr().err
-
-    def test_violation_step_reported(self, tmp_path):
-        # the continuous weight stays R = 1, while the discrete one,
-        # delta * (1 + delta * B'PB), loses positivity at coarse steps
-        doc = {
-            "dimensions": {"n": 1, "k": 1, "d": 1},
-            "horizon": 1.0,
-            "grid": {"points": 9},
-            "coefficients": {"A": [[-4.0]], "B": [[3.0]], "C": [[[0.0]]], "D": [[[0.0]]],
-                             "R": [[1.0]], "Q": [[-1.0]]},
-            "terminal": [[0.0]],
-        }
-        p = tmp_path / "coarse.yaml"
-        p.write_text(yaml.safe_dump(doc))
-        out = tmp_path / "coarse.json"
-        assert main(["oracle", "--spec", str(p), "--steps", "2,3,4", "--out", str(out),
-                     "--quiet"]) == 0
-        rows = read_report(out)["oracle"]["rows"]
-        assert [r["violation_step"] for r in rows] == [0, 1, None]
-        assert [r["constraint_ok"] for r in rows] == [False, False, True]
-        assert [r["error_vs_solver"] is None for r in rows] == [True, True, False]
-        # steps taken: 2 - 0 and 3 - 1 by the aborted counts, 4 by the completed one
-        assert read_report(out)["oracle"]["dp_steps"] == 8
-
     def test_rows_in_argument_order(self, example_dir, tmp_path):
         # one lockstep recursion for the whole ladder; each row is still the
         # recursion of its own count, and a repeated count repeats its row
@@ -703,13 +630,6 @@ class TestOracleCommand:
 
 
 class TestOverrides:
-    def test_set_patches_before_validation(self, example_dir, tmp_path):
-        # drive the certified weight below the threshold from the CLI
-        out = tmp_path / "ovr.json"
-        rc = main(["certify", "--spec", str(example_dir / "example504_rneg015.yaml"),
-                   "--set", "coefficients.R=[[-0.17]]", "--out", str(out), "--quiet"])
-        assert rc == 4
-
     # each --set value and the value a YAML-only reader gives it: the same
     # spec, or the same error, either way
     @pytest.mark.parametrize("setting, yaml_value", [
@@ -748,11 +668,6 @@ class TestOverrides:
         # a value that neither JSON nor YAML reads is an error, not raw text
         with pytest.raises(SpecError, match=r"^override simulation\.xi: YAML parse error"):
             apply_overrides(bundled.example_doc("definite_2x2"), [f"simulation.xi={value}"])
-
-    def test_bad_override_exit1(self, example_dir):
-        rc = main(["solve", "--spec", str(example_dir / "example504_r1.yaml"),
-                   "--set", "nonsense", "--quiet"])
-        assert rc == 1
 
 
 def assert_same_spec(spec1, spec2):
@@ -815,63 +730,15 @@ class TestSpecRoundTrip:
 
 
 class TestSummaryLine:
-    # the one stderr line of each command (no --quiet), checked against its report
-    @staticmethod
-    def run(argv, tmp_path, capsys):
-        out = tmp_path / "summary.json"
-        code = main([*argv, "--out", str(out)])
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        return code, read_report(out), captured.err
-
-    def test_solve_completed(self, example_dir, tmp_path, capsys):
-        code, _, err = self.run(["solve", "--spec", str(example_dir / "example504_r1.yaml")],
-                                tmp_path, capsys)
-        assert code == 0 and err == "solve: completed\n"
-
-    def test_solve_stopped(self, example_dir, tmp_path, capsys):
-        code, rep, err = self.run(
-            ["solve", "--spec", str(example_dir / "example504_rneg017.yaml")], tmp_path, capsys)
-        assert code == 2 and err.startswith("solve: constraint-violation at t*=")
-        assert err == f"solve: constraint-violation at t*={rep['t_event']:.6g}\n"
-
-    def test_solve_step_limit(self, example_dir, tmp_path, capsys):
-        code, rep, err = self.run(["solve", "--spec", str(example_dir / "definite_2x2.yaml"),
-                                   "--set", "solver.max_steps=3"], tmp_path, capsys)
-        assert code == 1 and rep["status"] == "error" and err == f"solve: {rep['error']}\n"
-
-    def test_certify(self, example_dir, tmp_path, capsys):
-        code, rep, err = self.run(
-            ["certify", "--spec", str(example_dir / "example504_r1.yaml")], tmp_path, capsys)
-        cert = rep["certificate"]
-        assert code == 0 and err.startswith("certify: certified (kind scalar-comparison, ")
-        assert err == f"certify: certified (kind scalar-comparison, epsilon {cert['epsilon']:.6g})\n"
-
-    def test_simulate(self, example_dir, tmp_path, capsys):
-        code, rep, err = self.run(["simulate", "--spec", str(example_dir / "definite_2x2.yaml"),
-                                   "--set", "simulation.n_paths=200",
-                                   "--set", "simulation.n_steps=64"], tmp_path, capsys)
-        sim = rep["simulation"]
-        assert code == 0 and sim["n_paths"] == 400
-        assert err == (f"simulate: cost {sim['cost_mean']:.6g} +- {sim['cost_stderr']:.2g}, "
-                       f"value {rep['value_at_xi']:.6g}, cs residual {sim['cs_residual']:.3g}\n")
-
-    def test_oracle(self, example_dir, tmp_path, capsys):
-        code, rep, err = self.run(["oracle", "--spec", str(example_dir / "definite_2x2.yaml"),
-                                   "--steps", "16,32,64"], tmp_path, capsys)
-        ratios = rep["oracle"]["ratios"]
-        assert code == 0 and len(ratios) == 2
-        assert err == f"oracle: 3 step sizes, ratios ['{ratios[0]:.2f}', '{ratios[1]:.2f}']\n"
-
     def test_report_on_stdout(self, example_dir, tmp_path, capsys):
         # without --out the report is all of stdout, and the summary is on stderr
         argv = ["solve", "--spec", str(example_dir / "example504_r1.yaml")]
-        code, rep, _ = self.run(argv, tmp_path, capsys)
-        assert main(argv) == code == 0
+        out = tmp_path / "summary.json"
+        assert main([*argv, "--out", str(out)]) == main(argv) == 0
         captured = capsys.readouterr()
-        streamed = json.loads(captured.out)
+        streamed, rep = json.loads(captured.out), read_report(out)
         assert streamed.pop("timings").keys() == rep.pop("timings").keys()
-        assert streamed == rep and captured.err == "solve: completed\n"
+        assert streamed == rep and captured.err == "solve: completed\n" * 2
 
 
 class TestReportDeterminism:
@@ -902,9 +769,16 @@ class TestReportDeterminism:
 
 
 @pytest.fixture(scope="module")
-def cli_import_modules():
-    """The modules a fresh interpreter holds once it has imported indeflq.cli."""
-    code = "import sys, indeflq.cli; print(' '.join(sys.modules))"
+def cli_import_modules(tmp_path_factory):
+    """The modules a fresh interpreter holds once indeflq.cli has written the
+    definite_2x2 example (JSON) and loaded it with a JSON --set value."""
+    d = tmp_path_factory.mktemp("imports")
+    code = (
+        "import sys, indeflq.cli as cli\n"
+        f"assert cli.main(['example', 'definite_2x2', '--out-dir', {str(d)!r}, '--quiet']) == 0\n"
+        f"cli.load_spec_file({str(d / 'definite_2x2.yaml')!r}, ['simulation.n_paths=1000'])\n"
+        "print(' '.join(sys.modules))"
+    )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
@@ -914,26 +788,12 @@ def cli_import_modules():
 # scipy is a test-only dependency; concurrent.futures with logging (about 8 ms)
 # loads only when threads run, numpy.random (about 6.5 ms) only when a
 # simulation draws; argparse (about 1.8 ms, more to build the parsers) never,
-# since cli reads argv with its own flag table
-@pytest.mark.parametrize("module", ["scipy", "concurrent.futures", "numpy.random", "argparse"])
+# since cli reads argv with its own flag table; yaml (about 27 ms) never for a
+# JSON spec with JSON --set values
+@pytest.mark.parametrize("module", ["scipy", "concurrent.futures", "numpy.random", "argparse",
+                                    "yaml"])
 def test_cli_import_leaves_out(module, cli_import_modules):
     assert module not in cli_import_modules
-
-
-def test_json_spec_loads_no_yaml(tmp_path):
-    # a JSON spec with JSON --set values never imports yaml (about 27 ms)
-    spec = str(tmp_path / "definite_2x2.yaml")
-    code = (
-        "import sys, indeflq.cli as cli\n"
-        f"assert cli.main(['example', 'definite_2x2', '--out-dir', {str(tmp_path)!r}, "
-        "'--quiet']) == 0\n"
-        f"cli.load_spec_file({spec!r}, ['simulation.n_paths=1000'])\n"
-        "print(any(m.split('.')[0] in ('yaml', '_yaml') for m in sys.modules))"
-    )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "False"
 
 
 def test_cli_binds_the_traced_layer_functions():
@@ -1015,3 +875,7 @@ class TestFlagTable:
             assert f"  {name} " in out
             # a unique prefix selects a flag, so no name may be a prefix of another
             assert [other for other in names if other.startswith(name)] == [name]
+
+
+add_row_tests(ARGV_ERRORS, check_argv_error)
+add_row_tests(RUNS, check_run)

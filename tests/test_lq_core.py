@@ -179,6 +179,10 @@ class TestProblemData:
         with pytest.raises(ValueError):
             ProblemData(n=1, k=1, d=1, T=2.0, A=0.0, B=1.0, C=[0.0], D=[1.0],
                         R=1.0, Q=0.0, N=[[1.0]], grid=np.linspace(0, 1, 5))
+        # an empty or 2-D grid is refused before its last time is read
+        for grid in ([], [[0.0, 1.0]]):
+            with pytest.raises(ValueError, match="^grid must hold at least two times$"):
+                make_data(grid=grid)
 
 
 def _wrong_shape_at(entry):

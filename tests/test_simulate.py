@@ -33,6 +33,21 @@ def definite_2x2():
     return parse_spec(bundled.example_doc("definite_2x2"))
 
 
+@pytest.fixture
+def solved():
+    """definite_2x2 and its Riccati solution."""
+    spec = definite_2x2()
+    return spec, solve_riccati(spec.data, spec.solver)
+
+
+@pytest.fixture
+def seven_blocks(solved, monkeypatch):
+    """definite_2x2, its solution and one optimal-policy run of seven blocks of 43 pairs."""
+    spec, sol = solved
+    monkeypatch.setattr(simulate, "BLOCK_INCREMENTS", 64 * 45)
+    return spec, sol, [(ControlPolicy.from_solution(sol), SimConfig(301, 64, seed=7))]
+
+
 can_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
 
 
@@ -101,9 +116,8 @@ class TestCostEstimator:
                                 SimConfig(n_paths=4, n_steps=n_steps, seed=2))
             assert abs(rep.cost_mean - exact) <= 3 * rep.cost_stderr + 3.0 / n_steps
 
-    def test_value_identity_definite(self):
-        spec = definite_2x2()
-        sol = solve_riccati(spec.data, spec.solver)
+    def test_value_identity_definite(self, solved):
+        spec, sol = solved
         policy = ControlPolicy.from_solution(sol)
         cfg = SimConfig(n_paths=20000, n_steps=256, seed=33)
         rep = simulate_cost(spec.data, policy, spec.xi, cfg)
@@ -161,10 +175,9 @@ class TestCostEstimator:
         for col, p in enumerate(indices):
             assert np.array_equal(dW[:, :, col], keyed_stream(seed, p, n_steps, d, dt))
 
-    def test_independent_of_block_partition(self, monkeypatch):
+    def test_independent_of_block_partition(self, solved, monkeypatch):
         # 64 increments per block is one path per block at 64 steps, d = 1
-        spec = definite_2x2()
-        sol = solve_riccati(spec.data, spec.solver)
+        spec, sol = solved
         optimal = ControlPolicy.from_solution(sol)
         perturbed = ControlPolicy(gain=optimal.gain, perturb=np.array([0.3, -0.2]))
         fields = ("cost_mean", "cost_stderr", "cs_lhs", "cs_rhs", "cs_residual", "cs_stderr")
@@ -181,11 +194,10 @@ class TestCostEstimator:
             results.append(result)
         assert all(r == results[0] for r in results[1:])
 
-    def test_per_path_costs_independent_of_block_partition(self, monkeypatch):
+    def test_per_path_costs_independent_of_block_partition(self, solved, monkeypatch):
         # without antithetic pairing, 64 increments per block would be one
         # column per block; each path's cost must round as in one wide block
-        spec = definite_2x2()
-        sol = solve_riccati(spec.data, spec.solver)
+        spec, sol = solved
         cfg = SimConfig(n_paths=301, n_steps=64, seed=7, antithetic=False)
         setup = simulate._EulerSetup(spec.data, ControlPolicy.from_solution(sol), cfg.n_steps, sol)
         per_path = []
@@ -196,12 +208,11 @@ class TestCostEstimator:
             per_path.append([np.concatenate([p[i] for p in parts]) for i in (0, 1)])
         assert [a.tobytes() for a in per_path[0]] == [a.tobytes() for a in per_path[1]]
 
-    def test_block_memory(self):
+    def test_block_memory(self, solved):
         # a block holds its increments, the state, the step product (one
         # block per table row group: drift, diffusion, cost weight) and the
         # two sums; the optimal policy's completing-square table is left out
-        spec = definite_2x2()
-        sol = solve_riccati(spec.data, spec.solver)
+        spec, sol = solved
         pairs, n_steps = 4000, 64
         setup = simulate._EulerSetup(spec.data, ControlPolicy.from_solution(sol), n_steps, sol)
         indices = np.arange(pairs, dtype=np.uint64)
@@ -259,19 +270,17 @@ class TestCostEstimator:
             np.testing.assert_allclose(qacc, ref_qacc, rtol=1e-12, atol=0)
             assert np.all(qacc > 0.0)
 
-    def test_seed_changes_draws(self):
-        spec = definite_2x2()
-        sol = solve_riccati(spec.data, spec.solver)
+    def test_seed_changes_draws(self, solved):
+        spec, sol = solved
         policy = ControlPolicy.from_solution(sol)
         r1 = simulate_cost(spec.data, policy, spec.xi, SimConfig(500, 64, seed=1))
         r2 = simulate_cost(spec.data, policy, spec.xi, SimConfig(500, 64, seed=2))
         assert r1.cost_mean != r2.cost_mean
 
-    def test_discretization_convergence(self):
+    def test_discretization_convergence(self, solved):
         # Euler weak bias is O(dt): successive refinements approach the true
         # value monotonically once the noise floor is far below the bias
-        spec = definite_2x2()
-        sol = solve_riccati(spec.data, spec.solver)
+        spec, sol = solved
         policy = ControlPolicy.from_solution(sol)
         means = [
             simulate_cost(spec.data, policy, spec.xi,
@@ -283,21 +292,19 @@ class TestCostEstimator:
 
 
 class TestCompletingSquare:
-    def test_optimal_policy_kills_the_square(self):
-        spec = definite_2x2()
-        sol = solve_riccati(spec.data, spec.solver)
+    def test_optimal_policy_kills_the_square(self, solved):
+        spec, sol = solved
         policy = ControlPolicy.from_solution(sol)
         cfg = SimConfig(n_paths=4000, n_steps=256, seed=5)
         rep = completing_square_report(spec.data, sol, policy, spec.xi, cfg)
         assert rep.cs_rhs == 0.0  # u = G x pathwise
         assert rep.cs_residual <= 3 * rep.cs_stderr + 2.0 / cfg.n_steps
 
-    def test_zero_weight_tables_left_out(self):
+    def test_zero_weight_tables_left_out(self, solved):
         # the optimal gain's completing-square weight, also with a zero
         # perturbation, is exactly 0: its table is left out and the sum stays
         # exactly 0; a small perturbation keeps its table
-        spec = definite_2x2()
-        sol = solve_riccati(spec.data, spec.solver)
+        spec, sol = solved
         optimal = ControlPolicy.from_solution(sol)
         cfg = SimConfig(n_paths=2000, n_steps=128, seed=4)
         base = completing_square_report(spec.data, sol, optimal, spec.xi, cfg)
@@ -310,9 +317,8 @@ class TestCompletingSquare:
         assert abs(rep.cost_mean - base.cost_mean) <= 1e-12 * abs(base.cost_mean)
         assert completing_square_report(spec.data, sol, small, spec.xi, cfg).cs_rhs > 0.0
 
-    def test_perturbed_policy_positive_square(self):
-        spec = definite_2x2()
-        sol = solve_riccati(spec.data, spec.solver)
+    def test_perturbed_policy_positive_square(self, solved):
+        spec, sol = solved
         v = np.array([0.6, -0.4])
         policy = ControlPolicy(gain=ControlPolicy.from_solution(sol).gain, perturb=v)
         cfg = SimConfig(n_paths=4000, n_steps=256, seed=6)
@@ -320,18 +326,16 @@ class TestCompletingSquare:
         assert rep.cs_rhs > 0.05
         assert rep.cs_residual <= 3 * rep.cs_stderr + 2.0 / cfg.n_steps
 
-    def test_zero_policy(self):
-        spec = definite_2x2()
-        sol = solve_riccati(spec.data, spec.solver)
+    def test_zero_policy(self, solved):
+        spec, sol = solved
         cfg = SimConfig(n_paths=4000, n_steps=256, seed=7)
         rep = completing_square_report(spec.data, sol, ControlPolicy(),
                                        spec.xi, cfg)
         assert rep.cs_lhs > 0.1
         assert rep.cs_residual <= 3 * rep.cs_stderr + 2.0 / cfg.n_steps
 
-    def test_optimal_policy_minimality(self):
-        spec = definite_2x2()
-        sol = solve_riccati(spec.data, spec.solver)
+    def test_optimal_policy_minimality(self, solved):
+        spec, sol = solved
         gain = ControlPolicy.from_solution(sol).gain
         cfg = SimConfig(n_paths=4000, n_steps=256, seed=8)
         base = completing_square_report(spec.data, sol,
@@ -384,9 +388,8 @@ class TestFundamentalPair:
                                       SimConfig(n_paths=256, n_steps=256, seed=12))
         assert d64 / d256 >= 1.5  # strong order 1/2 under 4x refinement
 
-    def test_closed_loop_comparable_to_scalar(self):
-        spec = definite_2x2()
-        sol = solve_riccati(spec.data, spec.solver)
+    def test_closed_loop_comparable_to_scalar(self, solved):
+        spec, sol = solved
         gain = sol.gain  # on the output grid
         from indeflq.core import CoefficientPath
         gain_path = CoefficientPath(sol.grid, gain)
@@ -438,24 +441,12 @@ class TestSharedRun:
                 for policy, cfg in runs]
         return [[getattr(rep, f) for f in fields] for rep in reps]
 
-    @staticmethod
-    def seven_blocks(monkeypatch):
-        """definite_2x2, its solution and one optimal-policy run of seven blocks of 43 pairs."""
-        spec = definite_2x2()
-        sol = solve_riccati(spec.data, spec.solver)
-        monkeypatch.setattr(simulate, "BLOCK_INCREMENTS", 64 * 45)
-        return spec, sol, [(ControlPolicy.from_solution(sol), SimConfig(301, 64, seed=7))]
-
     @can_fork
-    def test_split_run_equals_serial(self, monkeypatch):
+    def test_split_run_equals_serial(self, seven_blocks, monkeypatch):
         # seven blocks of 43 pairs or paths: each report and the fundamental-pair
         # defect bit for bit, with one fork per call
-        spec = definite_2x2()
-        sol = solve_riccati(spec.data, spec.solver)
-        optimal = ControlPolicy.from_solution(sol)
+        spec, sol, [(optimal, cfg)] = seven_blocks
         perturbed = ControlPolicy(gain=optimal.gain, perturb=np.array([0.3, -0.2]))
-        cfg = SimConfig(n_paths=301, n_steps=64, seed=7)
-        monkeypatch.setattr(simulate, "BLOCK_INCREMENTS", 64 * 45)
         results = []
         for split in (False, True):
             if split:
@@ -516,10 +507,10 @@ class TestSharedRun:
         assert calls[0].tolist() == [1 - c for c in child]
 
     @can_fork
-    def test_failed_child_blocks_run_here(self, monkeypatch):
+    def test_failed_child_blocks_run_here(self, seven_blocks, monkeypatch):
         # the child fails every block it takes: this process reaps it, then
         # runs the child's blocks too, and the reports are the serial ones
-        spec, sol, runs = self.seven_blocks(monkeypatch)
+        spec, sol, runs = seven_blocks
         serial = self.outputs(spec, sol, runs)
         assert force_split(monkeypatch)
         parent, draw = os.getpid(), simulate._wiener_increments
@@ -533,10 +524,10 @@ class TestSharedRun:
         assert self.outputs(spec, sol, runs) == serial
 
     @can_fork
-    def test_failed_child_raises_the_serial_error(self, monkeypatch):
+    def test_failed_child_raises_the_serial_error(self, seven_blocks, monkeypatch):
         # blocks from path 150 on overflow, the child's first: it exits 1, and
         # this process raises the overflow of the first such block, as a serial run does
-        spec, sol, runs = self.seven_blocks(monkeypatch)
+        spec, sol, runs = seven_blocks
         block = simulate._run_cost_block
 
         def overflowing(setup, xi, seed, indices, antithetic):
@@ -558,13 +549,12 @@ class TestSharedRun:
 
     @can_fork
     @pytest.mark.parametrize("child", ["blocked writing", "still running"])
-    def test_error_here_kills_the_child(self, monkeypatch, child):
+    def test_error_here_kills_the_child(self, solved, monkeypatch, child):
         # two blocks of 10k pairs: the child has run the back one and holds
         # 160 KB of results, more than a pipe takes, or is still running it,
         # when the front one overflows here; the call raises that overflow at
         # once and reaps the child
-        spec = definite_2x2()
-        sol = solve_riccati(spec.data, spec.solver)
+        spec, sol = solved
         runs = [(ControlPolicy.from_solution(sol), SimConfig(n_paths=20_000, n_steps=8, seed=3))]
         assert force_split(monkeypatch)
         forks = count_forks(monkeypatch)
@@ -618,9 +608,9 @@ class TestSharedRun:
             assert calls.max() <= 1 and calls.sum() <= count + 1
 
     @can_fork
-    def test_failed_fork_runs_here(self, monkeypatch):
+    def test_failed_fork_runs_here(self, seven_blocks, monkeypatch):
         # a process limit makes fork fail: every block runs in this process
-        spec, sol, runs = self.seven_blocks(monkeypatch)
+        spec, sol, runs = seven_blocks
         serial = self.outputs(spec, sol, runs)
         assert force_split(monkeypatch)
         forks = []
@@ -633,9 +623,9 @@ class TestSharedRun:
         assert self.outputs(spec, sol, runs) == serial
         assert forks == [1]
 
-    def test_live_thread_keeps_the_run_serial(self, monkeypatch):
+    def test_live_thread_keeps_the_run_serial(self, seven_blocks, monkeypatch):
         # fork copies only the calling thread, so another live thread keeps the run in one process
-        spec, sol, runs = self.seven_blocks(monkeypatch)
+        spec, sol, runs = seven_blocks
         serial = self.outputs(spec, sol, runs)
         monkeypatch.setattr(simulate, "SPLIT_INCREMENTS", 0)
         forks = count_forks(monkeypatch) if hasattr(os, "fork") else []
@@ -669,9 +659,8 @@ class TestHamiltonianIdentity:
         assert np.max(np.abs(sol.gain[:, 0, 0] - G_hand)) < 1e-12
         assert hamiltonian_identity_check(data, sol) <= 1e-12
 
-    def test_corrupted_gain_detected(self):
-        spec = definite_2x2()
-        sol = solve_riccati(spec.data, spec.solver)
+    def test_corrupted_gain_detected(self, solved):
+        spec, sol = solved
         sol.gain = sol.gain + 0.1
         defect = hamiltonian_identity_check(spec.data, sol)
         assert defect >= 0.05 * float(np.min(sol.margin))
